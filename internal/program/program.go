@@ -1,10 +1,11 @@
 // Package program executes per-core "programs" on the simulated machine.
 //
 // A Program is ordinary Go code written in straight-line style against a
-// *Ctx. Each simulated core runs its program on a dedicated goroutine, but
-// the simulation engine performs a strict synchronous handoff: the engine
-// blocks while a program advances to its next operation, so exactly one
-// goroutine is ever runnable and the simulation is fully deterministic.
+// *Ctx. Each simulated core runs its program as an iter.Pull coroutine: the
+// core's engine event resumes it, the program runs to its next operation and
+// yields it back to the event. The two sides strictly alternate, so program
+// code only runs inside its own core's events and the simulation is
+// deterministic.
 //
 // Cores are in-order and blocking (paper §5): each operation completes
 // before the next one issues.
@@ -12,7 +13,8 @@ package program
 
 import (
 	"fmt"
-	"sync"
+	"iter"
+	"strings"
 
 	"syncron/internal/arch"
 	"syncron/internal/sim"
@@ -22,15 +24,15 @@ import (
 type Program func(*Ctx)
 
 // Ctx is the interface a Program uses to interact with the simulated world.
-// All methods must be called from the program's own goroutine.
+// All methods must be called from the program's own coroutine.
 type Ctx struct {
 	ID   int // global core id
 	Unit int // NDP unit
 	RNG  *sim.RNG
 
-	r   *Runner
-	p   *proc
-	now sim.Time
+	p     *proc
+	yield func(op) bool // hands the next operation to the core's step event
+	now   sim.Time
 }
 
 type opKind int
@@ -52,12 +54,15 @@ type op struct {
 type proc struct {
 	id       int
 	unit     int // NDP unit of the core
-	opCh     chan op
-	resCh    chan sim.Time
-	startCh  chan struct{} // closed by the engine's first step for this core
-	started  bool
 	done     bool
 	finishAt sim.Time
+
+	// next runs the program coroutine to its next operation (ok is false once
+	// it returned) and stop unwinds it; resumeAt carries the previous
+	// operation's completion time into the coroutine.
+	next     func() (op, bool)
+	stop     func()
+	resumeAt sim.Time
 
 	// eventUnit is the engine unit the core's step/resume events are tagged
 	// with: CoreUnit(id) when the runner tags core units, -1 (serial barrier)
@@ -109,11 +114,12 @@ type Runner struct {
 	//
 	// Legality is a property of the *programs*: host code between two
 	// operations of different cores may run concurrently (with happens-before
-	// edges only through the op channels), so every shared host variable must
-	// be protected by simulated locks/barriers. Workloads that read shared
-	// state outside critical sections (optimistic searches, unlocked reads)
-	// must leave this off — they keep today's serial-barrier behavior, which
-	// is identical on both dispatchers. Must be set before Run.
+	// edges only through the coroutine switches and the dispatcher's own
+	// synchronization), so every shared host variable must be protected by
+	// simulated locks/barriers. Workloads that read shared state outside
+	// critical sections (optimistic searches, unlocked reads) must leave this
+	// off — they keep today's serial-barrier behavior, which is identical on
+	// both dispatchers. Must be set before Run.
 	TagCoreUnits bool
 
 	holders map[uint64]int // lock addr -> core id
@@ -122,11 +128,6 @@ type Runner struct {
 	Violations int
 	// PanicOnViolation makes checker failures fatal (default true).
 	PanicOnViolation bool
-
-	// progPanic records the first panic raised by a program goroutine so Run
-	// can re-raise it on its caller's goroutine, where it is recoverable.
-	panicMu   sync.Mutex
-	progPanic any
 }
 
 // NewRunner builds a runner for machine m.
@@ -164,27 +165,35 @@ func (r *Runner) AddN(n int, gen func(i int) Program) {
 }
 
 // Run executes all programs to completion and returns the makespan (the time
-// the last core finished).
+// the last core finished). A program panic aborts the run at once and is
+// re-raised with its original value; cores left blocked panic as a deadlock.
 func (r *Runner) Run() sim.Time {
 	if r.M.Backend == nil {
 		panic("program: machine has no synchronization backend attached")
 	}
 	r.M.Backend.Attach(r.M)
 	eng := r.M.Engine
+	defer func() {
+		// Unwind every program still suspended mid-operation, whatever ended
+		// the run, so no coroutine outlives it.
+		for _, p := range r.procs {
+			p.stop()
+			p.next, p.stop = nil, nil
+		}
+	}()
 	for i := 0; i < r.M.NumCores(); i++ {
 		pg := r.progs[i]
 		if pg == nil {
 			continue
 		}
-		p := &proc{id: i, unit: r.M.UnitOf(i), opCh: make(chan op),
-			resCh: make(chan sim.Time), startCh: make(chan struct{})}
+		p := &proc{id: i, unit: r.M.UnitOf(i)}
 		p.eventUnit = -1
 		if r.TagCoreUnits {
 			p.eventUnit = r.M.CoreUnit(i)
 		}
 		p.stepFn = func(ctx *sim.UnitCtx, at sim.Time) { r.step(ctx, p, at) }
 		p.resumeFn = func(ctx *sim.UnitCtx, at sim.Time) {
-			p.resCh <- at
+			p.resumeAt = at
 			r.step(ctx, p, at)
 		}
 		p.memFn = func(ctx *sim.UnitCtx, at sim.Time) {
@@ -207,50 +216,41 @@ func (r *Runner) Run() sim.Time {
 			// barriers with full engine access.
 			r.M.Engine.ScheduleUnit(done, p.eventUnit, p.resumeFn)
 		}
-		r.procs = append(r.procs, p)
-		ctx := &Ctx{ID: i, Unit: r.M.UnitOf(i), RNG: r.M.RNG.Fork(), r: r, p: p}
-		go func(pg Program, ctx *Ctx) {
-			defer close(ctx.p.opCh)
-			// Program code (including the checkers in Ctx) runs on this
-			// goroutine; re-raise its panics on the Run caller's goroutine so
-			// callers can recover them instead of crashing the process.
+		ctx := &Ctx{ID: i, Unit: r.M.UnitOf(i), RNG: r.M.RNG.Fork(), p: p}
+		// The coroutine starts at the core's first step event. A program's own
+		// panic passes through, and iter.Pull re-raises it from next.
+		p.next, p.stop = iter.Pull(func(yield func(op) bool) {
 			defer func() {
-				if v := recover(); v != nil {
-					r.panicMu.Lock()
-					if r.progPanic == nil {
-						r.progPanic = v
-					}
-					r.panicMu.Unlock()
+				if v := recover(); v != nil && v != (stopped{}) {
+					panic(v)
 				}
 			}()
-			// Host-side code before the program's first simulated operation
-			// must not run until the engine hands this core the turn;
-			// otherwise all cores race on shared host state at launch.
-			<-ctx.p.startCh
+			ctx.yield = yield
 			pg(ctx)
-		}(pg, ctx)
+		})
+		r.procs = append(r.procs, p)
 	}
 	for _, p := range r.procs {
 		eng.ScheduleUnit(0, p.eventUnit, p.stepFn)
 	}
 	eng.Run()
-	r.panicMu.Lock()
-	progPanic := r.progPanic
-	r.panicMu.Unlock()
-	if progPanic != nil {
-		panic(progPanic)
-	}
 	var makespan sim.Time
+	var blocked []string
 	for _, p := range r.procs {
+		makespan = max(makespan, p.finishAt)
 		if !p.done {
-			panic(fmt.Sprintf("program: core %d deadlocked at %v (sync op never granted)", p.id, eng.Now()))
+			blocked = append(blocked, fmt.Sprintf("core %d on %v %#x", p.id, p.pend.req.Op, p.pend.req.Addr))
 		}
-		if p.finishAt > makespan {
-			makespan = p.finishAt
-		}
+	}
+	if blocked != nil {
+		panic(fmt.Sprintf("program: deadlock at %v: %d of %d cores never finished (sync op never granted): %s",
+			eng.Now(), len(blocked), len(r.procs), strings.Join(blocked, "; ")))
 	}
 	return makespan
 }
+
+// stopped is the panic value that unwinds a program stopped mid-operation.
+type stopped struct{}
 
 // step fetches the next operation from core p's program and models it. It
 // runs as an engine event tagged with the core's eventUnit: a CoreUnit event
@@ -261,11 +261,7 @@ func (r *Runner) Run() sim.Time {
 // as barriers and model everything inline, which is byte-identical to the
 // pre-unit-tagging behavior.
 func (r *Runner) step(ctx *sim.UnitCtx, p *proc, at sim.Time) {
-	if !p.started {
-		p.started = true
-		close(p.startCh)
-	}
-	o, ok := <-p.opCh
+	o, ok := p.next()
 	if !ok {
 		p.done = true
 		p.finishAt = at
@@ -368,9 +364,12 @@ func (r *Runner) violation(format string, args ...any) {
 
 // ---- Ctx operations ----
 
+// do yields o to the core's step event and returns o's completion time.
 func (c *Ctx) do(o op) sim.Time {
-	c.p.opCh <- o
-	c.now = <-c.p.resCh
+	if !c.yield(o) { // Run is stopping the program
+		panic(stopped{})
+	}
+	c.now = c.p.resumeAt
 	return c.now
 }
 

@@ -97,11 +97,10 @@ func (r RunResult) TotalEnergyPJ() float64 {
 
 // Execute runs one spec to completion and captures the structured result.
 // Failures (including simulator panics) are reported in RunResult.Err rather
-// than propagated, so sweeps survive individual bad runs. A failed run's
-// simulated machine cannot be torn down mid-flight, so its blocked program
-// goroutines are retained until process exit — an acceptable cost for
-// sweep-style batch processes, but callers embedding Execute in a long-lived
-// service should treat a non-empty Err as a signal to recycle the process.
+// than propagated, so sweeps survive individual bad runs. A failed run leaves
+// nothing behind: the program runner stops every core's program on every
+// exit path (deadlock, program panic, checker violation, MaxEvents), so
+// Execute is safe to call repeatedly from a long-lived service.
 func Execute(spec RunSpec) (res RunResult) {
 	res = RunResult{Spec: spec, Seed: spec.Config.Seed}
 	defer func() {

@@ -122,8 +122,8 @@ func (w buggyWorkload) Prepare(sys *syncron.System, _ syncron.WorkloadParams) (*
 	return &syncron.PreparedRun{Ops: 1}, nil
 }
 
-// TestExecuteSurvivesProgramPanic checks that a panic raised on a simulated
-// core's goroutine (checker violations, workload bugs) is captured into
+// TestExecuteSurvivesProgramPanic checks that a panic raised while simulating
+// a core's program (checker violations, workload bugs) is captured into
 // RunResult.Err instead of crashing the process, so sweeps survive bad runs.
 func TestExecuteSurvivesProgramPanic(t *testing.T) {
 	syncron.RegisterWorkload(buggyWorkload{})
