@@ -171,14 +171,9 @@ func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 0) }
 // `figures --quick` grids end to end — the macro benchmark the CI perf gate
 // compares across refs (`syncron-bench -perf` is the full-size version that
 // seeds BENCH.json). Workers is pinned to 1 so the measurement is about
-// simulator throughput, not the runner's core count, and the engine is
-// pinned serial so the perf gate compares the same dispatcher on both refs
-// regardless of the runner's CPU count (parallel payoff is gated separately
-// by scripts/parallel_gate.sh).
+// simulator throughput, not the runner's core count.
 func BenchmarkPerfGrid(b *testing.B) {
-	sweeps := syncron.FigureSweeps(syncron.FigureOptions{
-		Quick: true, Scale: 0.02, Workers: 1, Parallelism: syncron.ParallelismSerial,
-	})
+	sweeps := syncron.FigureSweeps(syncron.FigureOptions{Quick: true, Scale: 0.02, Workers: 1})
 	b.ReportAllocs()
 	var events uint64
 	for i := 0; i < b.N; i++ {

@@ -66,15 +66,14 @@ func TestSpecKeyGolden(t *testing.T) {
 // because two now-different specs would share a key.
 func TestSpecKeyCoversEveryField(t *testing.T) {
 	// Config counts 14 fields but specKeyRecord covers 12: Parallelism and
-	// Tracer are the two deliberate exemptions. Parallelism selects the
-	// engine's dispatcher, which is proven byte-identical to serial
-	// (internal/sim/paralleltest and the CI parallel-determinism matrix);
-	// Tracer is strictly observational (hook points only read simulation
-	// state, and the CI trace-determinism job pins traced output as
-	// byte-identical across dispatchers) — so traced/parallel runs of one
-	// spec are the same experiment and must share a cache entry. (Traced runs
-	// bypass cache LOOKUP at the call sites instead, since a hit would skip
-	// the simulation the tracer observes.)
+	// Tracer are the two deliberate exemptions. Parallelism is deprecated
+	// and ignored — it no longer changes how a run executes. Tracer is
+	// strictly observational (hook points only read simulation state, and
+	// the CI trace-determinism job pins traced output as byte-identical
+	// across repeated runs) — so traced runs of one spec are the same
+	// experiment and must share a cache entry. (Traced runs bypass cache
+	// LOOKUP at the call sites instead, since a hit would skip the
+	// simulation the tracer observes.)
 	for _, c := range []struct {
 		name string
 		v    any
@@ -135,12 +134,13 @@ func TestSpecKeyChangesWithEveryField(t *testing.T) {
 		t.Fatal("SpecKey is not deterministic")
 	}
 	// Parallelism and Tracer are the deliberate non-semantic fields (see
-	// TestSpecKeyCoversEveryField): they must NOT change the key, so serial,
-	// parallel, and traced executions of one spec share a cache entry.
+	// TestSpecKeyCoversEveryField): they must NOT change the key, so a spec
+	// that still sets the deprecated Parallelism, and a traced execution,
+	// share the plain spec's cache entry.
 	par := base
-	par.Config.Parallelism = 8
+	par.Config.Parallelism = 8 //nolint:staticcheck // asserts the deprecated field stays out of SpecKey
 	if syncron.SpecKey(par) != syncron.SpecKey(base) {
-		t.Error("Parallelism changed the SpecKey; execution mode must not affect cache identity")
+		t.Error("the ignored Parallelism field changed the SpecKey")
 	}
 	traced := base
 	traced.Config.Tracer = syncron.NewTraceCollector()

@@ -20,20 +20,16 @@
 // -all the remaining experiments still run.
 //
 // The -perf mode replays the canonical `figures --quick` grids
-// (syncron.FigureSweeps) several times under the serial engine, again under
-// the parallel dispatcher at each worker count of -perf-parallel (default
-// 1,2,4,8), as a tracer-off/tracer-on pair (the second with a
-// record-dropping tracer attached) that prices the tracing layer's hook
-// points, and finally as a mem-flat/mem-bank pair that prices the DRAM
-// timing-model axis, and writes BENCH.json: one entry per configuration with
-// wall time per repetition, simulated events/sec, allocations per event, and
-// peak heap. On a single-CPU host the multi-worker entries are skipped, not
-// faked — a "parallel-4" number measured on one core would read as a
-// regression that is really just oversubscription; every entry records the
-// host's CPU count so reports from different hosts compare honestly. The
-// event count must be identical across repetitions AND across every entry
-// except mem-bank — the simulator is deterministic and engine parallelism
-// and tracing never change what executes. mem-bank genuinely changes memory
+// (syncron.FigureSweeps) several times, again as a tracer-off/tracer-on pair
+// (the second with a record-dropping tracer attached) that prices the
+// tracing layer's hook points, and finally as a mem-flat/mem-bank pair that
+// prices the DRAM timing-model axis, and writes BENCH.json: one entry per
+// configuration with wall time per repetition, simulated events/sec,
+// allocations per event, and peak heap. Every entry records the host's CPU
+// count so reports from different hosts compare honestly. The event count
+// must be identical across repetitions AND across every entry except
+// mem-bank — the simulator is deterministic and tracing never changes what
+// executes. mem-bank genuinely changes memory
 // timing (different latencies reorder spin/retry loops), so it is only
 // required to be internally consistent across its own repetitions. BENCH.json
 // thus doubles as a determinism check. CI's bench smoke job, the perf gates
@@ -47,8 +43,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -66,7 +60,6 @@ func main() {
 		perfOut  = flag.String("perf-out", "BENCH.json", "macro-benchmark report path (use - for stdout)")
 		perfReps = flag.Int("perf-reps", 3, "macro-benchmark repetitions (the best one is the headline)")
 		perfWork = flag.Int("perf-workers", 1, "macro-benchmark worker goroutines; 1 (the default) measures serial simulator throughput, comparable across hosts (0 = GOMAXPROCS)")
-		perfPar  = flag.String("perf-parallel", "1,2,4,8", "comma-separated engine dispatch worker counts, one parallel entry each; counts above 1 are skipped on single-CPU hosts")
 	)
 	flag.Parse()
 
@@ -76,7 +69,7 @@ func main() {
 			fmt.Printf("%-8s %-10s %s\n", e.ID, e.Paper, e.Brief)
 		}
 	case *perf:
-		if err := runPerf(*perfReps, *perfWork, *perfPar, *perfOut); err != nil {
+		if err := runPerf(*perfReps, *perfWork, *perfOut); err != nil {
 			fmt.Fprintf(os.Stderr, "syncron-bench: perf: %v\n", err)
 			os.Exit(1)
 		}
@@ -128,8 +121,8 @@ func runOne(e *exp.Experiment, scale float64) (err error) {
 
 // perfReport is the BENCH.json schema. Field order is fixed so reports diff
 // cleanly across commits. The host block and per-rep work counts are shared;
-// each entry is one measured engine configuration over the same grids, so
-// serial and parallel events/sec sit side by side in one report.
+// each entry is one measured configuration over the same grids, so their
+// events/sec sit side by side in one report.
 type perfReport struct {
 	Benchmark string `json:"benchmark"`
 	GoVersion string `json:"go_version"`
@@ -139,7 +132,7 @@ type perfReport struct {
 
 	// Reps is the number of repetitions per entry; SimRuns and Events are
 	// per repetition and identical across reps AND entries (the simulator is
-	// deterministic, and engine parallelism must not change what executes).
+	// deterministic, and tracing must not change what executes).
 	// Exception: the mem-bank entry runs under a different DRAM timing model,
 	// so its event count legitimately differs from Events; it is still pinned
 	// identical across its own repetitions.
@@ -153,8 +146,7 @@ type perfReport struct {
 // perfEntry is one measured configuration of the macro-benchmark.
 type perfEntry struct {
 	// Name distinguishes entries: "serial" is the comparable-across-hosts
-	// headline, "parallel-N" measures the engine's parallel dispatcher with
-	// N workers, the "tracer-off"/"tracer-on" pair prices the tracing
+	// headline, the "tracer-off"/"tracer-on" pair prices the tracing
 	// layer (off = nil tracer, on = a tracer that drops every record), and
 	// the "mem-flat"/"mem-bank" pair prices the DRAM timing-model axis
 	// (flat must match serial exactly; bank runs the row-buffer scheduler).
@@ -165,13 +157,9 @@ type perfEntry struct {
 	// Workers is the sweep worker count (simultaneous runs). The serial
 	// entry uses 1 so wall time measures single-run simulator throughput.
 	Workers int `json:"workers"`
-	// Parallelism is the engine's dispatch worker count within each run
-	// (sim.Engine.SetParallelism); 0 = the serial dispatcher.
-	Parallelism int `json:"parallelism"`
 	// NumCPU is the CPU count of the host that measured THIS entry. It
 	// repeats the report-level value today, but entries merged or compared
-	// across hosts stay honest: a parallel-8 number from a 2-CPU box carries
-	// its own context.
+	// across hosts stay honest: each carries its own context.
 	NumCPU int `json:"num_cpu"`
 
 	WallMSPerRep []float64 `json:"wall_ms_per_rep"`
@@ -226,27 +214,19 @@ func (s *heapSampler) halt() {
 	<-s.stopped
 }
 
-// measurePerf runs the figures-quick grids reps times under one engine
+// measurePerf runs the figures-quick grids reps times under one
 // configuration and returns the entry plus the per-rep work counts.
-// parallelism uses Config.Parallelism semantics (the serial entry passes
-// syncron.ParallelismSerial); the recorded entry keeps the engine-level
-// worker count, 0 for serial. tracer, when non-nil, is attached to every run
+// tracer, when non-nil, is attached to every run
 // (it must be stateless, like syncron.DiscardTracer, since runs can execute
 // concurrently). memModel, when non-empty, switches every run onto that DRAM
 // timing model.
-func measurePerf(name string, workers, parallelism, reps int, sampler *heapSampler, tracer syncron.Tracer, memModel syncron.MemModel) (perfEntry, int, uint64, error) {
-	sweeps := syncron.FigureSweeps(syncron.FigureOptions{
-		Quick: true, Workers: workers, Parallelism: parallelism,
-	})
+func measurePerf(name string, workers, reps int, sampler *heapSampler, tracer syncron.Tracer, memModel syncron.MemModel) (perfEntry, int, uint64, error) {
+	sweeps := syncron.FigureSweeps(syncron.FigureOptions{Quick: true, Workers: workers})
 	for i := range sweeps {
 		sweeps[i].Base.Tracer = tracer
 		sweeps[i].Base.MemModel = memModel
 	}
-	recorded := parallelism
-	if recorded < 0 {
-		recorded = 0
-	}
-	entry := perfEntry{Name: name, MemModel: string(memModel), Workers: workers, Parallelism: recorded, NumCPU: runtime.NumCPU()}
+	entry := perfEntry{Name: name, MemModel: string(memModel), Workers: workers, NumCPU: runtime.NumCPU()}
 	var events uint64
 	simRuns := 0
 	var before runtime.MemStats
@@ -297,47 +277,15 @@ func measurePerf(name string, workers, parallelism, reps int, sampler *heapSampl
 	return entry, simRuns, events, nil
 }
 
-// parsePerfParallel resolves the -perf-parallel list into the engine worker
-// counts to measure, dropping multi-worker counts on single-CPU hosts (a
-// skipped entry is honest; a one-core "parallel-4" number is not).
-func parsePerfParallel(s string, numCPU int) ([]int, []int, error) {
-	var counts, skipped []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 {
-			return nil, nil, fmt.Errorf("-perf-parallel: %q is not a positive worker count", f)
-		}
-		if n > 1 && numCPU < 2 {
-			skipped = append(skipped, n)
-			continue
-		}
-		counts = append(counts, n)
-	}
-	return counts, skipped, nil
-}
-
 // runPerf is the macro-benchmark: it replays the canonical figures --quick
-// grids reps times serially and again under the parallel engine dispatcher
-// at each requested worker count, verifies every entry executed the
-// identical event count, and writes a perfReport.
-func runPerf(reps, workers int, parallelList, out string) error {
+// grids reps times per entry, verifies the entries executed the identical
+// event count, and writes a perfReport.
+func runPerf(reps, workers int, out string) error {
 	if reps < 1 {
 		reps = 1
 	}
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	counts, skipped, err := parsePerfParallel(parallelList, runtime.NumCPU())
-	if err != nil {
-		return err
-	}
-	for _, n := range skipped {
-		fmt.Fprintf(os.Stderr, "syncron-bench: perf: skipping parallel-%d on a %d-CPU host (nothing honest to measure)\n",
-			n, runtime.NumCPU())
 	}
 	sampler := startHeapSampler()
 	defer sampler.halt()
@@ -350,35 +298,23 @@ func runPerf(reps, workers int, parallelList, out string) error {
 		NumCPU:    runtime.NumCPU(),
 		Reps:      reps,
 	}
-	serial, simRuns, events, err := measurePerf("serial", workers, syncron.ParallelismSerial, reps, sampler, nil, "")
+	serial, simRuns, events, err := measurePerf("serial", workers, reps, sampler, nil, "")
 	if err != nil {
 		return err
 	}
 	rep.SimRuns = simRuns
 	rep.Events = events
 	rep.Entries = []perfEntry{serial}
-	for _, n := range counts {
-		entry, runs, ev, err := measurePerf(fmt.Sprintf("parallel-%d", n), workers, n, reps, sampler, nil, "")
-		if err != nil {
-			return err
-		}
-		// The dispatcher contract: parallel execution changes wall time only.
-		if ev != events || runs != simRuns {
-			return fmt.Errorf("%s executed %d events over %d runs, serial executed %d over %d — engine parallelism changed the simulation",
-				entry.Name, ev, runs, events, simRuns)
-		}
-		rep.Entries = append(rep.Entries, entry)
-	}
 	// The tracing layer's cost contract: tracer-off re-measures the serial
 	// configuration as the disabled-path reference (measured back-to-back
 	// with tracer-on so the pair shares thermal/cache conditions), and
 	// tracer-on attaches a tracer that drops every record, isolating the cost
-	// of the live hook points themselves. Both run the serial dispatcher.
+	// of the live hook points themselves.
 	for _, tc := range []struct {
 		name   string
 		tracer syncron.Tracer
 	}{{"tracer-off", nil}, {"tracer-on", syncron.DiscardTracer}} {
-		entry, runs, ev, err := measurePerf(tc.name, workers, syncron.ParallelismSerial, reps, sampler, tc.tracer, "")
+		entry, runs, ev, err := measurePerf(tc.name, workers, reps, sampler, tc.tracer, "")
 		if err != nil {
 			return err
 		}
@@ -400,7 +336,7 @@ func runPerf(reps, workers int, parallelList, out string) error {
 		name  string
 		model syncron.MemModel
 	}{{"mem-flat", syncron.MemModelFlat}, {"mem-bank", syncron.MemModelBank}} {
-		entry, runs, ev, err := measurePerf(mc.name, workers, syncron.ParallelismSerial, reps, sampler, nil, mc.model)
+		entry, runs, ev, err := measurePerf(mc.name, workers, reps, sampler, nil, mc.model)
 		if err != nil {
 			return err
 		}
@@ -424,8 +360,8 @@ func runPerf(reps, workers int, parallelList, out string) error {
 		return err
 	}
 	for _, e := range rep.Entries {
-		fmt.Printf("wrote %s [%s w=%d p=%d]: %d sim runs, %d events/rep, best %.0f ms, %.2fM events/sec, %.2f allocs/event\n",
-			out, e.Name, e.Workers, e.Parallelism, rep.SimRuns, rep.Events, e.BestWallMS, e.EventsPerSec/1e6, e.AllocsPerEvent)
+		fmt.Printf("wrote %s [%s w=%d]: %d sim runs, %d events/rep, best %.0f ms, %.2fM events/sec, %.2f allocs/event\n",
+			out, e.Name, e.Workers, rep.SimRuns, rep.Events, e.BestWallMS, e.EventsPerSec/1e6, e.AllocsPerEvent)
 	}
 	return nil
 }

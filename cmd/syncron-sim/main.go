@@ -110,9 +110,8 @@ func listCmd() {
 // closure resolving them into a Config, plus the raw -cores flag (total
 // client cores) so sweep can re-derive CoresPerUnit per grid point, the raw
 // -topology and -mem-model flags (run takes one value each; sweep accepts
-// comma lists as grid axes), and the raw -parallel flag so sweep can apply it
-// to canonical -grid specs after expansion.
-func configFlags(fs *flag.FlagSet) (func() syncron.Config, *int, *string, *string, *string) {
+// comma lists as grid axes).
+func configFlags(fs *flag.FlagSet) (func() syncron.Config, *int, *string, *string) {
 	var (
 		units    = fs.Int("units", 4, "NDP units")
 		cores    = fs.Int("cores", 0, "total client cores (default units*15)")
@@ -123,7 +122,6 @@ func configFlags(fs *flag.FlagSet) (func() syncron.Config, *int, *string, *strin
 		stSize   = fs.Int("st", 0, "SynCron ST entries (default 64)")
 		fairness = fs.Int("fairness", 0, "lock fairness threshold (0 = off)")
 		seed     = fs.Uint64("seed", 0, "simulation seed (0 = default)")
-		parallel = fs.String("parallel", "auto", "event-engine dispatch: auto | serial | worker count; never affects results")
 	)
 	return func() syncron.Config {
 		if *units <= 0 {
@@ -140,31 +138,12 @@ func configFlags(fs *flag.FlagSet) (func() syncron.Config, *int, *string, *strin
 			STEntries:         *stSize,
 			FairnessThreshold: *fairness,
 			Seed:              *seed,
-			Parallelism:       parseParallel(*parallel),
 		}
 		if *cores != 0 {
 			cfg.CoresPerUnit = *cores / *units
 		}
 		return cfg
-	}, cores, topology, memModel, parallel
-}
-
-// parseParallel resolves a -parallel flag value to Config.Parallelism
-// semantics: "auto" (the default, also "0") lets New pick per host,
-// "serial" forces the serial dispatcher, and a positive integer forces that
-// many dispatch workers.
-func parseParallel(s string) int {
-	switch s {
-	case "", "auto", "0":
-		return syncron.ParallelismAuto
-	case "serial":
-		return syncron.ParallelismSerial
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 {
-		fatal("-parallel must be auto, serial, or a positive worker count (got %q)", s)
-	}
-	return n
+	}, cores, topology, memModel
 }
 
 // parseTopologyList resolves a comma-separated -topology value.
@@ -204,9 +183,9 @@ func runCmd(args []string) {
 		metis     = fs.Bool("metis", false, "use the METIS-like greedy graph partitioner")
 		jsonOut   = fs.String("json", "", "also write the result as JSON to this path (- = stdout, suppressing the report); byte-identical to the serve daemon's result for the same spec")
 		printSpec = fs.Bool("print-spec", false, "print the canonical RunSpec JSON and exit without simulating (the exact payload to POST to a serve daemon)")
-		traceOut  = fs.String("trace", "", "write a time-resolved trace CSV of the run to this path; output is byte-identical at any -parallel setting")
+		traceOut  = fs.String("trace", "", "write a time-resolved trace CSV of the run to this path; output is byte-identical across repeated runs")
 	)
-	cfg, _, topology, memModel, _ := configFlags(fs)
+	cfg, _, topology, memModel := configFlags(fs)
 	_ = fs.Parse(args) // ExitOnError: Parse never returns an error
 
 	spec := syncron.RunSpec{
@@ -368,10 +347,6 @@ func figureGridSpecs(quick bool) []syncron.RunSpec {
 var gridCompatibleFlags = map[string]bool{
 	"grid": true, "shard": true, "cache": true, "cache-only": true,
 	"fail-fast": true, "workers": true, "json": true, "csv": true,
-	// -parallel is an execution knob, not a spec axis: it is excluded from
-	// SpecKey and serialized output, so applying it to a canonical grid
-	// cannot perturb hashes or results.
-	"parallel": true,
 }
 
 func rejectFlagsWithGrid(fs *flag.FlagSet) {
@@ -409,7 +384,7 @@ func sweepCmd(args []string) {
 		failFast  = fs.Bool("fail-fast", false, "cancel unstarted runs as soon as any run fails")
 		traceDir  = fs.String("trace", "", "write one time-resolved trace CSV per run into this directory; incompatible with -cache/-shard (a cached run skips the simulation a trace observes)")
 	)
-	cfg, cores, topology, memModel, parallel := configFlags(fs)
+	cfg, cores, topology, memModel := configFlags(fs)
 	_ = fs.Parse(args) // ExitOnError: Parse never returns an error
 
 	runner := syncron.SpecRunner{
@@ -450,11 +425,6 @@ func sweepCmd(args []string) {
 		// sweep that also names axis or config flags would silently drop them.
 		rejectFlagsWithGrid(fs)
 		specs = figureGridSpecs(*grid == "figures-quick")
-		if p := parseParallel(*parallel); p != syncron.ParallelismAuto {
-			for i := range specs {
-				specs[i].Config.Parallelism = p
-			}
-		}
 		gridName = *grid
 	case "":
 		names := splitList(*workloads)
@@ -565,7 +535,6 @@ func figuresCmd(args []string) {
 		topos     = fs.String("topologies", "", "comma-separated topologies for the interconnect sensitivity figure (empty = skip it)")
 		memModels = fs.String("mem", "", "comma-separated DRAM timing models for the memory sensitivity figure (empty = skip it)")
 		workers   = fs.Int("workers", 0, "parallel runs (0 = GOMAXPROCS); never affects results")
-		parallel  = fs.String("parallel", "auto", "event-engine dispatch: auto | serial | worker count; never affects results")
 		baseSeed  = fs.Uint64("base-seed", 0, "base for deterministic per-run seeds")
 		mdOut     = fs.String("md", "-", "Markdown output path (- = stdout)")
 		csvDir    = fs.String("csv-dir", "", "also write one <figure>.csv per figure into this directory")
@@ -590,16 +559,15 @@ func figuresCmd(args []string) {
 	}
 	cache := openCache(*cacheDir)
 	opt := syncron.FigureOptions{
-		Quick:       *quick,
-		Baseline:    base,
-		Scale:       *scale,
-		Workers:     *workers,
-		Parallelism: parseParallel(*parallel),
-		BaseSeed:    *baseSeed,
-		Topologies:  parseTopologyList(*topos),
-		MemModels:   parseMemModelList(*memModels),
-		CacheOnly:   *fromDir != "",
-		TraceDir:    *traceDir,
+		Quick:      *quick,
+		Baseline:   base,
+		Scale:      *scale,
+		Workers:    *workers,
+		BaseSeed:   *baseSeed,
+		Topologies: parseTopologyList(*topos),
+		MemModels:  parseMemModelList(*memModels),
+		CacheOnly:  *fromDir != "",
+		TraceDir:   *traceDir,
 	}
 	if cache != nil {
 		opt.Cache = cache

@@ -103,12 +103,10 @@ type FigureOptions struct {
 	// rendering with an error naming it. This is `figures -from DIR` — e.g.
 	// rendering from cache entries merged out of CI shard artifacts.
 	CacheOnly bool
-	// Parallelism selects the event engine's dispatcher for every figure
-	// run, with Config.Parallelism semantics: ParallelismAuto (0, the
-	// default) resolves per host at New time, ParallelismSerial (-1) forces
-	// serial, n > 0 forces n workers. Like Workers it affects wall-clock
-	// time only, never results: figure output is byte-identical for every
-	// value.
+	// Parallelism is ignored, like Config.Parallelism.
+	//
+	// Deprecated: the intra-run parallel dispatcher was removed; Workers
+	// runs figure grids in parallel across runs.
 	Parallelism int
 	// BaseSeed is the single simulation seed shared by EVERY figure run
 	// (default 1). Sharing one seed — rather than deriving per-run seeds à
@@ -122,8 +120,8 @@ type FigureOptions struct {
 	// analysis views (queue depth, link utilization, lock hold times) are
 	// written into the directory as CSV files. The traced grid always
 	// simulates — it deliberately ignores Cache, since a cache hit skips the
-	// simulation the tracer observes — and its output is byte-identical at
-	// any Parallelism setting. Leaving it empty skips the figure, keeping the
+	// simulation the tracer observes — and its output is byte-identical
+	// across repeated runs. Leaving it empty skips the figure, keeping the
 	// default figure set unchanged.
 	TraceDir string
 }
@@ -362,7 +360,7 @@ func figureGridsFor(o FigureOptions) figureGrids {
 			Schemes:   o.Schemes,
 			Params:    WorkloadParams{Scale: o.Scale},
 			Workers:   o.Workers,
-			Base:      Config{Seed: o.BaseSeed, Parallelism: o.Parallelism},
+			Base:      Config{Seed: o.BaseSeed},
 			Cache:     o.Cache,
 			CacheOnly: o.CacheOnly,
 		},
@@ -375,7 +373,7 @@ func figureGridsFor(o FigureOptions) figureGrids {
 			Units:     scalUnits,
 			Params:    WorkloadParams{Scale: o.Scale * 5},
 			Workers:   o.Workers,
-			Base:      Config{Seed: o.BaseSeed, Parallelism: o.Parallelism},
+			Base:      Config{Seed: o.BaseSeed},
 			Cache:     o.Cache,
 			CacheOnly: o.CacheOnly,
 		},
@@ -385,7 +383,7 @@ func figureGridsFor(o FigureOptions) figureGrids {
 			STEntries: stSizes,
 			Params:    WorkloadParams{Scale: o.Scale},
 			Workers:   o.Workers,
-			Base:      Config{Seed: o.BaseSeed, Parallelism: o.Parallelism},
+			Base:      Config{Seed: o.BaseSeed},
 			Cache:     o.Cache,
 			CacheOnly: o.CacheOnly,
 		},
@@ -398,7 +396,7 @@ func figureGridsFor(o FigureOptions) figureGrids {
 			Topologies: o.Topologies,
 			Params:     WorkloadParams{Scale: o.Scale},
 			Workers:    o.Workers,
-			Base:       Config{Seed: o.BaseSeed, Parallelism: o.Parallelism},
+			Base:       Config{Seed: o.BaseSeed},
 			Cache:      o.Cache,
 			CacheOnly:  o.CacheOnly,
 		}
@@ -410,7 +408,7 @@ func figureGridsFor(o FigureOptions) figureGrids {
 			MemModels: o.MemModels,
 			Params:    WorkloadParams{Scale: o.Scale},
 			Workers:   o.Workers,
-			Base:      Config{Seed: o.BaseSeed, Parallelism: o.Parallelism},
+			Base:      Config{Seed: o.BaseSeed},
 			Cache:     o.Cache,
 			CacheOnly: o.CacheOnly,
 		}

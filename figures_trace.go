@@ -20,7 +20,7 @@ import (
 //	<workload>.lock_holds.csv   LockHoldTimes
 //
 // — and contributes one summary row to the "trace" figure. Everything is
-// deterministic for fixed options and byte-identical at any Parallelism.
+// deterministic for fixed options.
 
 // traceWorkloads is the traced subset: the canonical lock microbenchmark, a
 // contended data structure, and a time-series application that pressures the
@@ -49,9 +49,8 @@ func traceFigure(o FigureOptions) (*Figure, error) {
 		col := NewTraceCollector()
 		res := Execute(RunSpec{
 			Workload: w,
-			Config: Config{Scheme: SchemeSynCron, Seed: o.BaseSeed,
-				Parallelism: o.Parallelism, Tracer: col},
-			Params: WorkloadParams{Scale: o.Scale},
+			Config:   Config{Scheme: SchemeSynCron, Seed: o.BaseSeed, Tracer: col},
+			Params:   WorkloadParams{Scale: o.Scale},
 		})
 		if res.Err != "" {
 			return nil, fmt.Errorf("syncron: traced %s run failed: %s", w, res.Err)

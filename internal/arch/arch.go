@@ -44,11 +44,6 @@ type Config struct {
 	// Seed for all deterministic randomness in the simulation.
 	Seed uint64
 
-	// Parallelism selects the engine's parallel dispatcher with that many
-	// workers (0 = serial). Execution stays byte-identical either way; see
-	// sim.Engine.SetParallelism.
-	Parallelism int
-
 	// Tracer, when non-nil, enables the time-resolved tracing layer: the
 	// engine's dispatch hook, the network's per-link transfer records, and
 	// the backends' synchronization spans all feed it. Nil (the default)
@@ -123,7 +118,6 @@ type Machine struct {
 func NewMachine(cfg Config) *Machine {
 	cfg = cfg.withDefaults()
 	eng := sim.NewEngine()
-	eng.SetParallelism(cfg.Parallelism)
 	coreClk := sim.NewClock(cfg.CoreMHz)
 	seClk := sim.NewClock(cfg.SEMHz)
 	ncfg := network.DefaultConfig(coreClk)
@@ -164,10 +158,8 @@ func NewMachine(cfg Config) *Machine {
 
 // FlushTrace finalizes the tracing layer after a run: it emits the engine
 // hook's last partial bucket and drains the memory stacks' buffered bank
-// spans (runs on the engine goroutine, after the engine drains — the only
-// point where another goroutine may not be touching a Memory). A no-op when
-// tracing is disabled; callers (syncron.System.Run) invoke it
-// unconditionally once the engine drains.
+// spans. A no-op when tracing is disabled; callers (syncron.System.Run)
+// invoke it unconditionally once the engine drains.
 func (m *Machine) FlushTrace() {
 	if m.engHook != nil {
 		m.engHook.Flush(m.Engine.Executed)
@@ -179,33 +171,6 @@ func (m *Machine) FlushTrace() {
 
 // NumCores returns the total number of client cores.
 func (m *Machine) NumCores() int { return m.Cfg.Units * m.Cfg.CoresPerUnit }
-
-// Simulation-unit identity map (see ARCHITECTURE.md "Unit ownership map").
-//
-// Every simulated component with mutable hot-path state is owned by exactly
-// one engine unit, so same-timestamp events tagged with different units may
-// run concurrently under the parallel dispatcher:
-//
-//   - units 0..Units-1 are resource units: NDP unit u's crossbar row,
-//     DRAM stack (including its bank/row-buffer state and buffered trace
-//     spans under the bank memory model), and per-unit traffic shards belong
-//     to ResourceUnit(u);
-//   - units Units..Units+NumCores-1 are core units: core c's program state
-//     and private L1 belong to CoreUnit(c).
-//
-// Anything touching more than one owner's state (inter-unit links, the
-// synchronization protocol layers) must run as a serial-barrier event.
-
-// ResourceUnit returns the engine unit owning NDP unit u's shared resources
-// (crossbar, memory stack, intra-unit traffic shards).
-func (m *Machine) ResourceUnit(u int) int { return u }
-
-// CoreUnit returns the engine unit owning core c's program context and L1.
-func (m *Machine) CoreUnit(c int) int { return m.Cfg.Units + c }
-
-// NumSimUnits returns the total number of engine units the machine tags
-// events with; WithParallelism's auto mode caps the worker count here.
-func (m *Machine) NumSimUnits() int { return m.Cfg.Units + m.NumCores() }
 
 // UnitOf returns the NDP unit hosting global core id c.
 func (m *Machine) UnitOf(c int) int { return c / m.Cfg.CoresPerUnit }
@@ -312,46 +277,10 @@ func (m *Machine) CoreAccess(t sim.Time, core int, addr uint64, write bool) sim.
 	return m.AccessFrom(t, m.UnitOf(core), network.PortCore(m.LocalOf(core)), m.Caches[core], addr, write)
 }
 
-// AccessClass says which simulation units a CoreAccess would touch, so the
-// program layer can schedule the access on its owner (see the unit map above).
-type AccessClass int8
-
-// Access ownership classes.
-const (
-	// AccessL1Hit touches only the core's own L1: safe on CoreUnit(core).
-	AccessL1Hit AccessClass = iota
-	// AccessOwnUnit touches the L1 plus the core's own unit's crossbar and
-	// DRAM: safe on ResourceUnit(UnitOf(core)).
-	AccessOwnUnit
-	// AccessCrossUnit touches other units' links/crossbars/DRAM: must run as
-	// a serial barrier.
-	AccessCrossUnit
-)
-
-// ClassifyCoreAccess predicts which class CoreAccess(core, addr, write) falls
-// in, without mutating any state. The prediction is exact as long as no other
-// access to the same L1 intervenes — guaranteed for in-order blocking cores,
-// which have at most one access in flight.
-func (m *Machine) ClassifyCoreAccess(core int, addr uint64, write bool) AccessClass {
-	unit := m.UnitOf(core)
-	home := m.HomeUnit(addr)
-	if m.Cacheable(addr) {
-		res := m.Caches[core].Probe(addr, write)
-		if res.Hit {
-			return AccessL1Hit
-		}
-		if home != unit {
-			return AccessCrossUnit
-		}
-		if res.Writeback && m.HomeUnit(res.VictimAddr) != unit {
-			return AccessCrossUnit
-		}
-		return AccessOwnUnit
-	}
-	if home != unit {
-		return AccessCrossUnit
-	}
-	return AccessOwnUnit
+// CoreL1Hit reports whether CoreAccess(core, addr, ...) would hit in the
+// core's L1, without touching the cache's state.
+func (m *Machine) CoreL1Hit(core int, addr uint64) bool {
+	return m.Cacheable(addr) && m.Caches[core].Contains(addr)
 }
 
 // Energy summarizes the machine's energy consumption in picojoules.
@@ -396,5 +325,5 @@ func (m *Machine) RowHitRate() float64 {
 
 // DataMovement reports bytes moved inside and across NDP units.
 func (m *Machine) DataMovement() (intraBytes, interBytes uint64) {
-	return m.Net.IntraBits() / 8, m.Net.Stats.InterBits.Value() / 8
+	return m.Net.Stats.IntraBits.Value() / 8, m.Net.Stats.InterBits.Value() / 8
 }

@@ -21,7 +21,7 @@ func TestDefaults(t *testing.T) {
 	}
 }
 
-func TestCoreUnitMapping(t *testing.T) {
+func TestCoreToUnitMapping(t *testing.T) {
 	m := NewMachine(Config{Units: 4, CoresPerUnit: 15})
 	if m.UnitOf(0) != 0 || m.UnitOf(14) != 0 || m.UnitOf(15) != 1 || m.UnitOf(59) != 3 {
 		t.Fatal("UnitOf mapping wrong")

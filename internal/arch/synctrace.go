@@ -10,9 +10,9 @@ import (
 // SyncTracer captures per-variable synchronization spans at the
 // Backend.Request boundary by wrapping the caller's done continuation, so the
 // protocol state machines below it stay untouched. Request and every done
-// invocation run inside engine events that are serial barriers (protocol
-// handlers are scheduled with unit -1), so emission needs no locking; the
-// trace Collector's total-order sort makes the CSV byte-identical regardless.
+// invocation run inside engine events on the engine goroutine, so emission
+// needs no locking; the trace Collector's total-order sort makes the CSV
+// byte-identical regardless of emission order.
 //
 // Wait-type operations become a (issue, grant) span; lock grants open a hold
 // span closed by the matching release; condition waits hand their lock's hold

@@ -121,44 +121,11 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	return res
 }
 
-// Probe predicts what Access(addr, write) would do — hit or miss, and on a
-// miss whether a dirty victim would be written back and from which line
-// address — without touching LRU, dirty bits, or statistics. As long as no
-// other access intervenes, a subsequent Access returns exactly the predicted
-// outcome; the program layer uses this to decide which simulation unit owns
-// the rest of the access before performing it.
-func (c *Cache) Probe(addr uint64, write bool) Result {
-	line := addr / LineSize
-	set := line % c.nsets
-	tag := line / c.nsets
-	ws := c.sets[set]
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			return Result{Hit: true, LatencyCycles: c.cfg.HitCycles}
-		}
-	}
-	victim := 0
-	for i := 1; i < len(ws); i++ {
-		if !ws[i].valid {
-			victim = i
-			break
-		}
-		if ws[victim].valid && ws[i].lru < ws[victim].lru {
-			victim = i
-		}
-	}
-	res := Result{LatencyCycles: c.cfg.HitCycles}
-	if ws[victim].valid && ws[victim].dirty {
-		res.Writeback = true
-		res.VictimAddr = (ws[victim].tag*c.nsets + set) * LineSize
-	}
-	return res
-}
-
 // Bypass records an uncacheable access for statistics.
 func (c *Cache) Bypass() { c.Stats.Bypasses.Inc() }
 
-// Contains reports whether the line holding addr is resident (for tests).
+// Contains reports whether the line holding addr is resident, i.e. whether
+// an Access to it would hit. It touches no LRU, dirty or statistics state.
 func (c *Cache) Contains(addr uint64) bool {
 	line := addr / LineSize
 	set := line % c.nsets

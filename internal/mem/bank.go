@@ -141,8 +141,7 @@ func NewModel(eng *sim.Engine, unit int, timing Timing, model Model) *Memory {
 }
 
 // bankState is one bank's row-buffer state machine plus its bounded request
-// queue. All state is part of the owning Memory, so it inherits the Memory's
-// engine-unit ownership (ResourceUnit of the stack's NDP unit).
+// queue.
 type bankState struct {
 	openRow int64      // open row index, or rowNone
 	dirty   bool       // the open row was written since its activate
@@ -304,11 +303,10 @@ func (m *Memory) RowHitRate() float64 {
 }
 
 // SetTracer attaches the tracing layer to this stack, pre-interning its
-// component label. Access runs inside both serial-barrier events and events
-// tagged with the owning ResourceUnit, so it never emits into the shared
-// tracer directly: bank_busy records buffer locally (per-Memory state already
-// belongs to exactly one engine unit) and FlushTrace drains them on the
-// engine goroutine once the run ends. Only the bank model emits; under the
+// component label. Access never emits into the tracer directly: bank_busy
+// records buffer in the Memory and FlushTrace emits them once the run ends,
+// so a tracer receives each stack's bank records as one block followed by
+// its run-total row counters. Only the bank model emits; under the
 // flat model the tracer is attached but produces nothing, keeping flat traces
 // byte-identical with or without this call.
 func (m *Memory) SetTracer(tr trace.Tracer) {
@@ -317,8 +315,8 @@ func (m *Memory) SetTracer(tr trace.Tracer) {
 }
 
 // FlushTrace drains the buffered bank_busy spans and emits the run-total
-// row_hit/row_miss counters. Callers (arch.Machine.FlushTrace) invoke it on
-// the engine goroutine after the engine drains; it resets the buffer, so one
+// row_hit/row_miss counters. Callers (arch.Machine.FlushTrace) invoke it
+// after the engine drains; it resets the buffer, so one
 // Memory can trace several runs.
 func (m *Memory) FlushTrace() {
 	if m.tr == nil || m.bank == nil {

@@ -40,7 +40,7 @@ func goldenTrace(net *Network) string {
 		arr := net.Transfer(t, src, dst, port, bytes)
 		fmt.Fprintf(&b, "%d %d %d %d %d %d\n", src, dst, port, bytes, int64(t), int64(arr))
 	}
-	fmt.Fprintf(&b, "intra %d inter %d\n", net.IntraBits(), net.Stats.InterBits.Value())
+	fmt.Fprintf(&b, "intra %d inter %d\n", net.Stats.IntraBits.Value(), net.Stats.InterBits.Value())
 	return b.String()
 }
 

@@ -58,14 +58,10 @@ func DefaultConfig(coreClock sim.Clock) Config {
 	}
 }
 
-// Stats aggregates cross-unit traffic for energy and data-movement
-// reporting. Intra-unit traffic is deliberately NOT here: it is accumulated
-// in per-unit shards inside Network (see Network.IntraBits), because
-// IntraDelay runs on unit-tagged events that may execute concurrently under
-// the parallel dispatcher and must only touch their own unit's state. The
-// counters below are only touched on cross-unit paths, which are serial
-// barriers by construction.
+// Stats aggregates network traffic for energy and data-movement reporting.
 type Stats struct {
+	IntraBits sim.Counter // bits moved inside NDP units (crossbar traversals)
+	IntraMsgs sim.Counter // intra-unit crossbar messages
 	InterBits sim.Counter // bits moved across inter-unit links (per link traversed)
 	InterMsgs sim.Counter // cross-unit messages (once per transfer)
 	LinkHops  sim.Counter // inter-unit link traversals (route length x messages)
@@ -103,18 +99,10 @@ type Network struct {
 	// deterministic), keeping Transfer allocation-free on the hot path.
 	routes [][]Link
 
-	// intraBits/intraMsgs shard the intra-unit traffic counters by unit, so
-	// an IntraDelay on a unit-tagged event touches only its own unit's shard
-	// (the counters are commutative sums, read only at report time).
-	intraBits []uint64
-	intraMsgs []uint64
-
 	// tr, when non-nil, receives one WhatLinkXfer record per inter-unit link
 	// traversal (the link's busy window plus the message size). Only the
-	// cross-unit path emits — it is a serial barrier by construction, so
-	// tracing needs no synchronization; the unit-tagged IntraDelay path is
-	// deliberately untraced (it may run concurrently on workers, and its
-	// volume would dominate the trace). linkNames interns the per-direction
+	// cross-unit path emits; IntraDelay is deliberately untraced (its volume
+	// would dominate the trace). linkNames interns the per-direction
 	// "link.S-D" labels so the enabled hot path does not format strings.
 	tr        trace.Tracer
 	linkNames []string
@@ -134,16 +122,14 @@ func New(cfg Config, topo Topology) *Network {
 		}
 	}
 	return &Network{
-		cfg:       cfg,
-		topo:      topo,
-		units:     units,
-		nodes:     nodes,
-		xbarBusy:  make([][]sim.Time, units),
-		linkBusy:  make([]sim.Time, nodes*nodes),
-		linkBits:  make([]uint64, nodes*nodes),
-		routes:    routes,
-		intraBits: make([]uint64, units),
-		intraMsgs: make([]uint64, units),
+		cfg:      cfg,
+		topo:     topo,
+		units:    units,
+		nodes:    nodes,
+		xbarBusy: make([][]sim.Time, units),
+		linkBusy: make([]sim.Time, nodes*nodes),
+		linkBits: make([]uint64, nodes*nodes),
+		routes:   routes,
 	}
 }
 
@@ -224,35 +210,16 @@ func (n *Network) IntraDelay(t sim.Time, unit, dstPort, bytes int) sim.Time {
 		start = *slot
 	}
 	*slot = start + ser
-	n.intraBits[unit] += uint64(bytes * 8)
-	n.intraMsgs[unit]++
+	n.Stats.IntraBits.Add(uint64(bytes * 8))
+	n.Stats.IntraMsgs.Inc()
 	return start + ser + cfg.CoreClock.Cycles(cfg.ArbiterCycles+cfg.HopCycles*cfg.Hops)
-}
-
-// IntraBits returns the total bits moved inside NDP units (summed over the
-// per-unit shards; report-time only).
-func (n *Network) IntraBits() uint64 {
-	var total uint64
-	for _, b := range n.intraBits {
-		total += b
-	}
-	return total
-}
-
-// IntraMsgs returns the total number of intra-unit messages.
-func (n *Network) IntraMsgs() uint64 {
-	var total uint64
-	for _, m := range n.intraMsgs {
-		total += m
-	}
-	return total
 }
 
 // EnergyPJ returns total network energy. Inter-unit energy is per link
 // traversed: InterBits already accumulates once per link on the route, so
 // multi-hop topologies pay proportionally more without any constant here.
 func (n *Network) EnergyPJ() float64 {
-	intra := float64(n.IntraBits()) * n.cfg.IntraPJPerBitHop * float64(n.cfg.Hops)
+	intra := float64(n.Stats.IntraBits.Value()) * n.cfg.IntraPJPerBitHop * float64(n.cfg.Hops)
 	inter := float64(n.Stats.InterBits.Value()) * n.cfg.InterPJPerBit
 	return intra + inter
 }

@@ -109,7 +109,7 @@ func TestInterSameUnitPanics(t *testing.T) {
 func TestTransferCountsTraffic(t *testing.T) {
 	n := newNet(2)
 	n.Transfer(0, 0, 0, PortSE, 18)
-	intra0 := n.IntraBits()
+	intra0 := n.Stats.IntraBits.Value()
 	if intra0 != 18*8 {
 		t.Fatalf("intra bits = %d, want %d", intra0, 18*8)
 	}
@@ -118,8 +118,8 @@ func TestTransferCountsTraffic(t *testing.T) {
 		t.Fatalf("inter bits = %d, want %d", n.Stats.InterBits.Value(), 18*8)
 	}
 	// A cross-unit transfer also crosses both endpoint crossbars.
-	if n.IntraBits() != intra0+2*18*8 {
-		t.Fatalf("cross-unit transfer should add 2 intra legs: %d", n.IntraBits())
+	if n.Stats.IntraBits.Value() != intra0+2*18*8 {
+		t.Fatalf("cross-unit transfer should add 2 intra legs: %d", n.Stats.IntraBits.Value())
 	}
 	if n.Stats.InterMsgs.Value() != 1 || n.Stats.LinkHops.Value() != 1 {
 		t.Fatalf("alltoall cross-unit transfer: msgs=%d hops=%d, want 1/1",
@@ -175,7 +175,7 @@ func TestEnergyScalesWithRouteLength(t *testing.T) {
 	}
 	// Intermediate units' crossbars are crossed too: 0 egress, 1..3 forward,
 	// 4 delivery = 5 intra legs.
-	if msgs := ringNet.IntraMsgs(); msgs != 5 {
+	if msgs := ringNet.Stats.IntraMsgs.Value(); msgs != 5 {
 		t.Fatalf("ring intra legs = %d, want 5", msgs)
 	}
 }
@@ -186,7 +186,7 @@ func TestStarHubContention(t *testing.T) {
 	cfg := DefaultConfig(sim.NewClock(2500))
 	n := New(cfg, MustBuild(KindStar, 4))
 	a := n.Transfer(0, 0, 1, PortSE, 64)
-	if msgs := n.IntraMsgs(); msgs != 2 {
+	if msgs := n.Stats.IntraMsgs.Value(); msgs != 2 {
 		t.Fatalf("star transfer crossed %d crossbars, want 2 (src+dst only)", msgs)
 	}
 	// A second transfer into the same destination contends on the hub->1 link.

@@ -89,33 +89,28 @@ func TestRunStopsEveryProgram(t *testing.T) {
 // the program's own value and not a wrapped or stringified copy.
 type progBug struct{ core int }
 
-// A program panic aborts the whole run at once, on either dispatcher: the
-// other cores must not keep simulating until the engine drains.
+// A program panic aborts the whole run at once: the other cores must not
+// keep simulating until the engine drains.
 func TestProgramPanicAbortsRun(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		m := newM()
-		m.Engine.SetParallelism(workers)
-		r := NewRunner(m)
-		r.TagCoreUnits = workers > 0
-		bug := &progBug{core: 0}
-		r.Add(func(ctx *Ctx) {
+	r := NewRunner(newM())
+	bug := &progBug{core: 0}
+	r.Add(func(ctx *Ctx) {
+		ctx.Compute(1)
+		panic(bug)
+	})
+	const loops = 10000
+	count := 0
+	r.Add(func(ctx *Ctx) {
+		for i := 0; i < loops; i++ {
 			ctx.Compute(1)
-			panic(bug)
-		})
-		const loops = 10000
-		count := 0
-		r.Add(func(ctx *Ctx) {
-			for i := 0; i < loops; i++ {
-				ctx.Compute(1)
-				count++
-			}
-		})
-		if v := runRecover(r); v != any(bug) {
-			t.Fatalf("workers=%d: Run panicked with %#v, want the program's own value %#v", workers, v, bug)
+			count++
 		}
-		if count >= 100 {
-			t.Errorf("workers=%d: core 1 ran %d of %d operations after core 0 panicked", workers, count, loops)
-		}
+	})
+	if v := runRecover(r); v != any(bug) {
+		t.Fatalf("Run panicked with %#v, want the program's own value %#v", v, bug)
+	}
+	if count >= 100 {
+		t.Errorf("core 1 ran %d of %d operations after core 0 panicked", count, loops)
 	}
 }
 

@@ -53,7 +53,6 @@ type op struct {
 
 type proc struct {
 	id       int
-	unit     int // NDP unit of the core
 	done     bool
 	finishAt sim.Time
 
@@ -64,21 +63,16 @@ type proc struct {
 	stop     func()
 	resumeAt sim.Time
 
-	// eventUnit is the engine unit the core's step/resume events are tagged
-	// with: CoreUnit(id) when the runner tags core units, -1 (serial barrier)
-	// otherwise.
-	eventUnit int
-
 	// The callbacks below are bound once at launch so the per-operation hot
 	// path schedules without allocating a fresh closure per event. pend and
 	// issued are the arena for the in-flight operation (in-order blocking
 	// cores have at most one), which is what lets memFn/syncFn/grantFn be
 	// prebound instead of capturing per-op state.
-	stepFn   sim.UnitFunc
-	resumeFn sim.UnitFunc
-	memFn    sim.UnitFunc        // deferred memory access (pend)
-	syncFn   sim.UnitFunc        // deferred synchronization request (pend)
-	grantFn  func(done sim.Time) // backend grant callback for pend
+	stepFn   func(sim.Time)
+	resumeFn func(sim.Time)
+	memFn    func(sim.Time) // split-off memory access (pend)
+	syncFn   func(sim.Time) // split-off synchronization request (pend)
+	grantFn  func(sim.Time) // backend grant callback for pend
 	pend     op
 	issued   sim.Time
 
@@ -100,27 +94,19 @@ type Runner struct {
 	// CheckLocks enables the built-in mutual-exclusion checker (on by
 	// default): lock acquire/release/cond_wait requests verify that no two
 	// cores ever hold the same lock and that releases match the holder. The
-	// checker runs engine-side (release checks at issue time, acquire checks
-	// at grant time), so it is safe under the parallel dispatcher: sync
-	// requests always issue from serial-barrier events.
+	// checker runs engine-side: release checks at issue time, acquire checks
+	// at grant time.
 	CheckLocks bool
 
-	// TagCoreUnits tags every core's step/resume events with CoreUnit(core),
-	// letting same-timestamp events of different cores run concurrently under
-	// the parallel dispatcher (sim.Engine.SetParallelism). Own-unit memory
-	// accesses are deferred to ResourceUnit-tagged events and synchronization
-	// requests to serial barriers, so each event touches only its owner's
-	// state.
-	//
-	// Legality is a property of the *programs*: host code between two
-	// operations of different cores may run concurrently (with happens-before
-	// edges only through the coroutine switches and the dispatcher's own
-	// synchronization), so every shared host variable must be protected by
-	// simulated locks/barriers. Workloads that read shared state outside
-	// critical sections (optimistic searches, unlocked reads) must leave this
-	// off — they keep today's serial-barrier behavior, which is identical on
-	// both dispatchers. Must be set before Run.
-	TagCoreUnits bool
+	// SplitAccess selects the split-access event order: a memory access that
+	// misses the core's L1, and every synchronization request, is modeled in
+	// an event of its own at the same timestamp instead of inside the core's
+	// step event. That event takes a later place among same-timestamp
+	// events, so the split changes which of several contending cores reaches
+	// a shared resource first. The workloads calibrated with it (the
+	// primitive microbenchmarks, the structures named by ds.SplitAccess)
+	// turn it on; the rest model every access inline. Must be set before Run.
+	SplitAccess bool
 
 	holders map[uint64]int // lock addr -> core id
 
@@ -186,22 +172,17 @@ func (r *Runner) Run() sim.Time {
 		if pg == nil {
 			continue
 		}
-		p := &proc{id: i, unit: r.M.UnitOf(i)}
-		p.eventUnit = -1
-		if r.TagCoreUnits {
-			p.eventUnit = r.M.CoreUnit(i)
-		}
-		p.stepFn = func(ctx *sim.UnitCtx, at sim.Time) { r.step(ctx, p, at) }
-		p.resumeFn = func(ctx *sim.UnitCtx, at sim.Time) {
+		p := &proc{id: i}
+		p.stepFn = func(at sim.Time) { r.step(p, at) }
+		p.resumeFn = func(at sim.Time) {
 			p.resumeAt = at
-			r.step(ctx, p, at)
+			r.step(p, at)
 		}
-		p.memFn = func(ctx *sim.UnitCtx, at sim.Time) {
+		p.memFn = func(at sim.Time) {
 			o := p.pend
-			fin := r.M.CoreAccess(at, p.id, o.addr, o.kind == opWrite)
-			ctx.Schedule(fin, p.eventUnit, p.resumeFn)
+			eng.Schedule(r.M.CoreAccess(at, p.id, o.addr, o.kind == opWrite), p.resumeFn)
 		}
-		p.syncFn = func(_ *sim.UnitCtx, at sim.Time) { r.issueSync(p, at) }
+		p.syncFn = func(at sim.Time) { r.issueSync(p, at) }
 		p.grantFn = func(done sim.Time) {
 			req := p.pend.req
 			if done < p.issued {
@@ -212,9 +193,7 @@ func (r *Runner) Run() sim.Time {
 				p.SyncWait += done - p.issued
 			}
 			r.checkGrant(p, req, done)
-			// Grant callbacks run inside backend events, which are serial
-			// barriers with full engine access.
-			r.M.Engine.ScheduleUnit(done, p.eventUnit, p.resumeFn)
+			eng.Schedule(done, p.resumeFn)
 		}
 		ctx := &Ctx{ID: i, Unit: r.M.UnitOf(i), RNG: r.M.RNG.Fork(), p: p}
 		// The coroutine starts at the core's first step event. A program's own
@@ -231,7 +210,7 @@ func (r *Runner) Run() sim.Time {
 		r.procs = append(r.procs, p)
 	}
 	for _, p := range r.procs {
-		eng.ScheduleUnit(0, p.eventUnit, p.stepFn)
+		eng.Schedule(0, p.stepFn)
 	}
 	eng.Run()
 	var makespan sim.Time
@@ -252,15 +231,11 @@ func (r *Runner) Run() sim.Time {
 // stopped is the panic value that unwinds a program stopped mid-operation.
 type stopped struct{}
 
-// step fetches the next operation from core p's program and models it. It
-// runs as an engine event tagged with the core's eventUnit: a CoreUnit event
-// may only touch the core's own state (proc fields, its L1), so anything
-// heavier is deferred to a same-timestamp event on its owner — the core's
-// ResourceUnit for own-unit memory accesses, a serial barrier for cross-unit
-// accesses and synchronization requests. Untagged cores (eventUnit < 0) run
-// as barriers and model everything inline, which is byte-identical to the
-// pre-unit-tagging behavior.
-func (r *Runner) step(ctx *sim.UnitCtx, p *proc, at sim.Time) {
+// step fetches the next operation from core p's program and models it, as
+// the core's engine event at time at. Under SplitAccess, L1 misses and sync
+// requests are handed to a same-timestamp event of their own.
+func (r *Runner) step(p *proc, at sim.Time) {
+	eng := r.M.Engine
 	o, ok := p.next()
 	if !ok {
 		p.done = true
@@ -270,7 +245,7 @@ func (r *Runner) step(ctx *sim.UnitCtx, p *proc, at sim.Time) {
 	switch o.kind {
 	case opCompute:
 		p.Instrs += uint64(o.n)
-		ctx.Schedule(at+r.M.CoreClock.Cycles(o.n), p.eventUnit, p.resumeFn)
+		eng.Schedule(at+r.M.CoreClock.Cycles(o.n), p.resumeFn)
 	case opRead, opWrite:
 		write := o.kind == opWrite
 		if write {
@@ -278,35 +253,25 @@ func (r *Runner) step(ctx *sim.UnitCtx, p *proc, at sim.Time) {
 		} else {
 			p.Reads++
 		}
-		if p.eventUnit < 0 {
-			ctx.Schedule(r.M.CoreAccess(at, p.id, o.addr, write), p.eventUnit, p.resumeFn)
+		if r.SplitAccess && !r.M.CoreL1Hit(p.id, o.addr) {
+			p.pend = o
+			eng.Schedule(at, p.memFn)
 			return
 		}
-		switch r.M.ClassifyCoreAccess(p.id, o.addr, write) {
-		case arch.AccessL1Hit:
-			// The hit path touches only the core's own L1; model it here.
-			ctx.Schedule(r.M.CoreAccess(at, p.id, o.addr, write), p.eventUnit, p.resumeFn)
-		case arch.AccessOwnUnit:
-			p.pend = o
-			ctx.Schedule(at, r.M.ResourceUnit(p.unit), p.memFn)
-		default: // AccessCrossUnit
-			p.pend = o
-			ctx.Schedule(at, -1, p.memFn)
-		}
+		eng.Schedule(r.M.CoreAccess(at, p.id, o.addr, write), p.resumeFn)
 	case opSync:
 		p.SyncOps++
 		p.pend = o
-		if p.eventUnit < 0 {
-			r.issueSync(p, at)
+		if r.SplitAccess {
+			eng.Schedule(at, p.syncFn)
 			return
 		}
-		ctx.Schedule(at, -1, p.syncFn)
+		r.issueSync(p, at)
 	}
 }
 
 // issueSync submits the core's pending synchronization request to the
-// backend. Always called from serial-barrier context: the backend and the
-// lock checker touch global state.
+// backend.
 func (r *Runner) issueSync(p *proc, at sim.Time) {
 	p.issued = at
 	r.checkIssue(p, p.pend.req)
@@ -334,7 +299,7 @@ func (r *Runner) checkIssue(p *proc, req arch.SyncReq) {
 }
 
 // checkGrant runs the acquire-side lock checks when the backend grants a sync
-// request. Grant callbacks come from backend events (serial barriers).
+// request. Grant callbacks come from backend events.
 func (r *Runner) checkGrant(p *proc, req arch.SyncReq, at sim.Time) {
 	if !r.CheckLocks {
 		return

@@ -207,3 +207,36 @@ func TestTooManyProgramsPanics(t *testing.T) {
 	}()
 	r.AddN(m.NumCores()+1, func(int) Program { return func(*Ctx) {} })
 }
+
+// Split and inline runs of an uncontended-timing program must report the
+// same makespan: the split moves an access into its own same-timestamp
+// event, never across simulated time.
+func TestSplitAccessKeepsTiming(t *testing.T) {
+	run := func(split bool) sim.Time {
+		m := arch.NewMachine(arch.Config{Units: 2, CoresPerUnit: 2})
+		m.Backend = &instantBackend{}
+		r := NewRunner(m)
+		r.SplitAccess = split
+		n := m.NumCores()
+		lock := m.Alloc(0, 64)
+		addrs := make([]uint64, n)
+		for c := 0; c < n; c++ {
+			addrs[c] = m.Alloc(m.UnitOf(c), 64)
+		}
+		r.AddN(n, func(c int) Program {
+			return func(ctx *Ctx) {
+				for i := 0; i < 30; i++ {
+					ctx.Compute(20)
+					ctx.Read(addrs[c])
+					ctx.Lock(lock)
+					ctx.Write(addrs[(c+1)%n]) // cross-unit for half the cores
+					ctx.Unlock(lock)
+				}
+			}
+		})
+		return r.Run()
+	}
+	if split, inline := run(true), run(false); split != inline {
+		t.Errorf("split-access makespan %v, inline %v", split, inline)
+	}
+}

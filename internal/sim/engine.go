@@ -20,28 +20,20 @@ func (h Handle) Valid() bool { return h.slot != 0 }
 
 // slot lifecycle states.
 const (
-	slotFree     uint8 = iota // on the freelist
-	slotHeap                  // queued in the time-ordered heap
-	slotNow                   // queued in the same-timestamp FIFO
-	slotDead                  // cancelled; its queue entry is lazily removed
-	slotBatch                 // drained into the current parallel batch (see parallel.go)
-	slotBuffered              // created by a worker mid-phase; not yet committed
+	slotFree uint8 = iota // on the freelist
+	slotHeap              // queued in the time-ordered heap
+	slotNow               // queued in the same-timestamp FIFO
+	slotDead              // cancelled; its queue entry is lazily removed
 )
-
-// serialUnit marks an event with no owning unit: it is a barrier that the
-// parallel dispatcher executes alone on the engine goroutine.
-const serialUnit int32 = -1
 
 // eventSlot is the engine-owned storage for one scheduled event. Slots live
 // in a single arena and are recycled through a freelist, so steady-state
 // Schedule/run cycles perform no heap allocations.
 type eventSlot struct {
 	fn    func(Time)
-	ufn   UnitFunc // set instead of fn for unit-tagged events
 	at    Time
 	seq   uint64
 	gen   uint32
-	unit  int32 // owning unit, or serialUnit
 	state uint8
 }
 
@@ -84,30 +76,12 @@ type Engine struct {
 	stopped bool
 	dead    int // cancelled events still sitting in the heap
 
-	par  *parRuntime // non-nil selects the parallel dispatcher (SetParallelism)
-	sctx *UnitCtx    // lazily built direct-mode context for serial UnitFunc calls
-	ictx *UnitCtx    // lazily built inline-phase context (see runPhaseInline)
-
 	hook     Hook // nil by default; see SetHook
 	hookedAt Time // last timestamp OnAdvance fired for (dedup guard)
 
 	// Executed counts events run since construction; useful in tests, as a
 	// runaway guard, and as the events/sec numerator of macro-benchmarks.
 	Executed uint64
-
-	// ExecutedBarriers counts executed events that had no owning unit (plain
-	// Schedule, or ScheduleUnit with a negative unit). Under the parallel
-	// dispatcher these are serial barriers; the counter is the test hook that
-	// lets model layers assert their steady-state hot path stays unit-tagged.
-	// It is maintained by both dispatchers, so assertions hold in serial runs.
-	ExecutedBarriers uint64
-
-	// CrossUnitCancels counts worker-buffered Cancels whose committed target
-	// belonged to a different unit than the cancelling event. Cross-unit
-	// cancels of future events are legal (and counted); cross-unit cancels of
-	// same-timestamp events panic by contract. Model-layer audits pin this
-	// counter at zero over full workload grids.
-	CrossUnitCancels uint64
 
 	// MaxEvents aborts the run (with a panic) when exceeded; 0 means no limit.
 	MaxEvents uint64
@@ -137,7 +111,6 @@ func (e *Engine) alloc() int32 {
 func (e *Engine) freeSlot(i int32) {
 	s := &e.slots[i]
 	s.fn = nil
-	s.ufn = nil
 	s.gen++
 	s.state = slotFree
 	e.free = append(e.free, i)
@@ -161,41 +134,6 @@ func (e *Engine) Schedule(at Time, fn func(Time)) Handle {
 	s.fn = fn
 	s.at = at
 	s.seq = e.seq
-	s.unit = serialUnit
-	if at == e.now {
-		s.state = slotNow
-		e.nowQ = append(e.nowQ, i)
-	} else {
-		s.state = slotHeap
-		e.heapPush(heapEntry{at: at, seq: e.seq, slot: i})
-	}
-	return Handle{slot: i + 1, gen: s.gen}
-}
-
-// ScheduleUnit runs fn at time at on behalf of unit. Events of the same unit
-// never execute concurrently with each other and always execute in (at, seq)
-// order; events of different units sharing a timestamp may execute
-// concurrently under the parallel dispatcher (SetParallelism). A negative
-// unit makes the event a serial barrier, exactly like Schedule.
-//
-// fn receives a UnitCtx whose Schedule/Cancel are the only engine calls a
-// unit-tagged callback may make: under the parallel dispatcher they buffer
-// side effects per worker and commit them in deterministic order. Calling
-// methods on the Engine itself from a unit-tagged callback is a data race.
-func (e *Engine) ScheduleUnit(at Time, unit int, fn UnitFunc) Handle {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
-	}
-	if unit < 0 {
-		unit = int(serialUnit)
-	}
-	e.seq++
-	i := e.alloc()
-	s := &e.slots[i]
-	s.ufn = fn
-	s.at = at
-	s.seq = e.seq
-	s.unit = int32(unit)
 	if at == e.now {
 		s.state = slotNow
 		e.nowQ = append(e.nowQ, i)
@@ -238,12 +176,6 @@ func (e *Engine) Cancel(h Handle) {
 	case slotNow:
 		// Same-timestamp events drain within the current timestep; lazy
 		// removal on pop is enough.
-		s.state = slotDead
-	case slotBatch, slotBuffered:
-		// The event sits in the parallel dispatcher's current batch (or was
-		// buffered by a worker this phase). Only the engine goroutine reaches
-		// here — a serial barrier cancelling a later same-timestamp event —
-		// and the dispatcher honors slotDead before running or committing it.
 		s.state = slotDead
 	}
 }
@@ -340,12 +272,9 @@ func (e *Engine) RunUntil(deadline Time) Time {
 
 // dispatch is the single event loop behind Run and RunUntil, so engine
 // invariants — deterministic (at, seq) ordering, the Executed count, and the
-// MaxEvents runaway guard — hold on every dispatch path. Each iteration pops
+// MaxEvents runaway guard — hold for both. Each iteration pops
 // the global minimum of the heap and the same-timestamp FIFO by (at, seq).
 func (e *Engine) dispatch(deadline Time, bounded bool) Time {
-	if e.par != nil {
-		return e.dispatchParallel(deadline, bounded)
-	}
 	e.stopped = false
 	for !e.stopped {
 		useNow := e.nowHead < len(e.nowQ)
@@ -378,8 +307,7 @@ func (e *Engine) dispatch(deadline Time, bounded bool) Time {
 				return e.now
 			}
 			// Fire the advance hook before the pop, so the reported queue
-			// depth covers the full timestamp batch — the exact point the
-			// parallel dispatcher fires at (see dispatchParallel).
+			// depth covers every event of the new timestamp.
 			if e.hook != nil && at != e.now {
 				e.fireAdvance(at, e.Pending())
 			}
@@ -395,10 +323,7 @@ func (e *Engine) dispatch(deadline Time, bounded bool) Time {
 			e.freeSlot(slot)
 			continue
 		}
-		fn, ufn := s.fn, s.ufn
-		if s.unit < 0 {
-			e.ExecutedBarriers++
-		}
+		fn := s.fn
 		// Recycle before running: a callback that immediately reschedules (the
 		// common zero-delay handoff) reuses the slot it just vacated.
 		e.freeSlot(slot)
@@ -407,20 +332,7 @@ func (e *Engine) dispatch(deadline Time, bounded bool) Time {
 		if e.MaxEvents > 0 && e.Executed > e.MaxEvents {
 			panic(fmt.Sprintf("sim: exceeded MaxEvents=%d at t=%v", e.MaxEvents, e.now))
 		}
-		if ufn != nil {
-			ufn(e.serialCtx(), at)
-		} else {
-			fn(at)
-		}
+		fn(at)
 	}
 	return e.now
-}
-
-// serialCtx returns the engine's direct-mode UnitCtx, under which unit-tagged
-// callbacks executing serially forward Schedule/Cancel straight to the engine.
-func (e *Engine) serialCtx() *UnitCtx {
-	if e.sctx == nil {
-		e.sctx = &UnitCtx{e: e}
-	}
-	return e.sctx
 }

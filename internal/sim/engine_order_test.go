@@ -11,8 +11,8 @@ import (
 // order — through the shared simtest.CheckOrder invariant checker, across the
 // scenarios that historically threatened it: compaction shuffling the heap,
 // and the same-timestamp FIFO fast path interleaving with heap events. The
-// parallel-dispatcher tests (parallel_test.go, paralleltest/) reuse the same
-// checker, so all dispatch paths are held to one definition of "in order".
+// engine fuzz target (fuzz_test.go) reuses the same checker, so every test
+// holds the engine to one definition of "in order".
 
 // Compaction must preserve deterministic (at, seq) execution order across a
 // mix of cancels and survivors.

@@ -9,40 +9,28 @@ import (
 	"syncron/internal/sim/simtest"
 )
 
-// fuzzUnit is the per-unit state of the fuzz interpreter. Every field is
-// touched only by events tagged with this unit (same unit -> same worker
-// under parallel dispatch), so the program is race-free by the engine's
-// partitioning contract.
+// fuzzUnit is the per-unit state of the fuzz interpreter: one chain of
+// events reading its own slice of the fuzz input.
 type fuzzUnit struct {
 	id      int
 	stream  []byte // this unit's private slice of the fuzz input
 	pos     int
 	ran     uint64 // per-unit execution counter, folded into the log
 	log     strings.Builder
-	handles []fuzzHandle
-}
-
-type fuzzHandle struct {
-	h    sim.Handle
-	at   sim.Time
-	unit int
+	handles []sim.Handle
 }
 
 // runFuzzProgram interprets data as a deterministic schedule/cancel program:
 // byte 0 picks the unit count, the rest is split round-robin into private
 // per-unit instruction streams. Each unit runs a chain of events, one
 // instruction per event — scheduling same-unit leaves (future and
-// zero-delay), cross-unit leaves, committed serial barriers, and cancels of
-// previously recorded handles (restricted to same-unit targets or
-// strictly-future cross-unit targets, the combinations the parallel engine
-// defines). It returns a fingerprint of every observable — per-unit
+// zero-delay), cross-unit leaves, barrier events, and cancels of previously
+// recorded handles. It returns a fingerprint of every observable — per-unit
 // execution logs, the barrier log, the end time — plus the executed-event
-// count. rec, when non-nil, additionally records global execution order for
-// simtest.CheckOrder; pass it only for serial runs (ids are assigned through
-// shared state).
-func runFuzzProgram(data []byte, parallelism int, rec *simtest.Recorder) (string, uint64) {
+// count, and records the global execution order into rec for
+// simtest.CheckOrder.
+func runFuzzProgram(data []byte, rec *simtest.Recorder) (string, uint64) {
 	e := sim.NewEngine()
-	e.SetParallelism(parallelism)
 	e.MaxEvents = 1 << 20 // diagnose a runaway interpreter instead of hanging
 	nUnits := 1 + int(data[0])%6
 	units := make([]*fuzzUnit, nUnits)
@@ -54,33 +42,26 @@ func runFuzzProgram(data []byte, parallelism int, rec *simtest.Recorder) (string
 		u.stream = append(u.stream, b)
 	}
 
-	var serialLog strings.Builder
+	var barrierLog strings.Builder
 	var schedID uint64
-	// nextSched assigns schedule-order ids for the CheckOrder pass. Worker
-	// goroutines must not share a counter, so parallel runs (rec == nil)
-	// skip the assignment entirely.
+	// nextSched assigns the schedule-order ids CheckOrder compares.
 	nextSched := func() uint64 {
-		if rec == nil {
-			return 0
-		}
 		schedID++
 		return schedID
 	}
 	observe := func(u *fuzzUnit, at sim.Time, id uint64) {
 		u.ran++
 		fmt.Fprintf(&u.log, "%d@%d ", u.ran, int64(at))
-		if rec != nil {
-			rec.Observe(at, id)
-		}
+		rec.Observe(at, id)
 	}
-	leaf := func(u *fuzzUnit) sim.UnitFunc {
+	leaf := func(u *fuzzUnit) func(sim.Time) {
 		id := nextSched()
-		return func(_ *sim.UnitCtx, at sim.Time) { observe(u, at, id) }
+		return func(at sim.Time) { observe(u, at, id) }
 	}
-	var step func(u *fuzzUnit) sim.UnitFunc
-	step = func(u *fuzzUnit) sim.UnitFunc {
+	var step func(u *fuzzUnit) func(sim.Time)
+	step = func(u *fuzzUnit) func(sim.Time) {
 		id := nextSched()
-		return func(ctx *sim.UnitCtx, at sim.Time) {
+		return func(at sim.Time) {
 			observe(u, at, id)
 			if u.pos >= len(u.stream) {
 				return // stream dry: this unit's chain ends
@@ -90,40 +71,35 @@ func runFuzzProgram(data []byte, parallelism int, rec *simtest.Recorder) (string
 			arg := int(c >> 3)
 			switch c % 8 {
 			case 0, 1: // same-unit future leaf
-				d := sim.Time(1 + arg%5)
-				h := ctx.Schedule(at+d, u.id, leaf(u))
-				u.handles = append(u.handles, fuzzHandle{h, at + d, u.id})
-			case 2: // same-unit zero-delay leaf (same batch, later segment)
-				h := ctx.Schedule(at, u.id, leaf(u))
-				u.handles = append(u.handles, fuzzHandle{h, at, u.id})
+				h := e.Schedule(at+sim.Time(1+arg%5), leaf(u))
+				u.handles = append(u.handles, h)
+			case 2: // same-unit zero-delay leaf
+				u.handles = append(u.handles, e.Schedule(at, leaf(u)))
 			case 3: // cross-unit leaf, delay 0..3
 				v := units[(u.id+1+arg)%nUnits]
-				d := sim.Time(arg % 4)
-				h := ctx.Schedule(at+d, v.id, leaf(v))
-				u.handles = append(u.handles, fuzzHandle{h, at + d, v.id})
-			case 4: // committed serial barrier
-				ctx.Schedule(at+sim.Time(1+arg%3), -1, func(_ *sim.UnitCtx, bat sim.Time) {
-					fmt.Fprintf(&serialLog, "b@%d ", int64(bat))
+				h := e.Schedule(at+sim.Time(arg%4), leaf(v))
+				u.handles = append(u.handles, h)
+			case 4: // barrier event
+				bid := nextSched()
+				e.Schedule(at+sim.Time(1+arg%3), func(bat sim.Time) {
+					rec.Observe(bat, bid)
+					fmt.Fprintf(&barrierLog, "b@%d ", int64(bat))
 				})
-			case 5: // cancel the oldest handle that is safe to cancel
-				for k, hh := range u.handles {
-					if hh.unit == u.id || hh.at > at {
-						ctx.Cancel(hh.h)
-						u.handles = append(u.handles[:k], u.handles[k+1:]...)
-						break
-					}
+			case 5: // cancel the oldest recorded handle
+				if len(u.handles) > 0 {
+					e.Cancel(u.handles[0])
+					u.handles = u.handles[1:]
 				}
-			case 6: // schedule-then-cancel, resolved worker-locally
-				h := ctx.Schedule(at+1, u.id, leaf(u))
-				ctx.Cancel(h)
+			case 6: // schedule-then-cancel
+				e.Cancel(e.Schedule(at+1, leaf(u)))
 			default: // 7: nop
 			}
-			ctx.Schedule(at+1, u.id, step(u))
+			e.Schedule(at+1, step(u))
 		}
 	}
 
 	for i, u := range units {
-		e.ScheduleUnit(sim.Time(1+i), u.id, step(u))
+		e.Schedule(sim.Time(1+i), step(u))
 	}
 	end := e.Run()
 
@@ -131,15 +107,13 @@ func runFuzzProgram(data []byte, parallelism int, rec *simtest.Recorder) (string
 	for _, u := range units {
 		fmt.Fprintf(&fp, "[u%d %s] ", u.id, u.log.String())
 	}
-	fmt.Fprintf(&fp, "| %s | end=%d", serialLog.String(), int64(end))
+	fmt.Fprintf(&fp, "| %s | end=%d", barrierLog.String(), int64(end))
 	return fp.String(), e.Executed
 }
 
 // FuzzEngineScheduleCancel feeds random schedule/cancel programs through the
-// serial and parallel dispatchers and requires identical fingerprints and
-// executed-event counts, plus global (at, seq) execution order in serial
-// mode. It is the fuzz-shaped version of TestParallelScriptEquivalence:
-// instead of an RNG script, the adversary is the fuzzer.
+// engine and requires global (at, seq) execution order, plus an identical
+// fingerprint and executed-event count when the same program runs again.
 func FuzzEngineScheduleCancel(f *testing.F) {
 	f.Add([]byte{3, 0, 8, 16, 24, 32, 40, 48, 5, 13, 21, 29, 37, 45, 53, 61})
 	f.Add([]byte{1, 2, 2, 2, 5, 5, 6, 4})
@@ -151,17 +125,17 @@ func FuzzEngineScheduleCancel(f *testing.F) {
 			t.Skip()
 		}
 		rec := &simtest.Recorder{}
-		serialFP, serialExec := runFuzzProgram(data, 0, rec)
+		fp, exec := runFuzzProgram(data, rec)
 		rec.Check(t)
-		for _, w := range []int{1, 2, 4} {
-			fp, exec := runFuzzProgram(data, w, nil)
-			if fp != serialFP {
-				t.Fatalf("workers=%d fingerprint diverges from serial\nserial:   %s\nparallel: %s",
-					w, serialFP, fp)
-			}
-			if exec != serialExec {
-				t.Fatalf("workers=%d executed %d events, serial executed %d", w, exec, serialExec)
-			}
+		if got := uint64(len(rec.Events)); got != exec {
+			t.Fatalf("recorded %d executions, engine counted %d", got, exec)
+		}
+		again, execAgain := runFuzzProgram(data, &simtest.Recorder{})
+		if again != fp {
+			t.Fatalf("re-run fingerprint diverges\nfirst:  %s\nsecond: %s", fp, again)
+		}
+		if execAgain != exec {
+			t.Fatalf("re-run executed %d events, first run %d", execAgain, exec)
 		}
 	})
 }

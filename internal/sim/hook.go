@@ -8,9 +8,7 @@ package sim
 //
 // OnAdvance fires at most once per distinct timestamp, from the engine
 // goroutine, at the moment the dispatcher selects the first event of a new
-// timestamp — before anything at that timestamp is dequeued or executed.
-// Both dispatchers fire it at the same logical point with the same
-// arguments, so hook output is byte-identical at any parallelism setting:
+// timestamp — before anything at that timestamp is dequeued or executed:
 //
 //   - prev is the clock before the advance (the previous timestamp, or the
 //     time the last Run returned at);
@@ -34,7 +32,7 @@ func (e *Engine) SetHook(h Hook) { e.hook = h }
 // fireAdvance runs the hook for a selected next-event timestamp `at`,
 // suppressing duplicate fires for one timestamp (cancelled events at the head
 // of a timestamp are popped without advancing the clock, so the dispatch
-// loops re-select `at` more than once). Callers guarantee h != nil and
+// loop re-selects `at` more than once). Callers guarantee h != nil and
 // at != e.now; pending is Engine.Pending() measured before anything at `at`
 // was dequeued.
 func (e *Engine) fireAdvance(at Time, pending int) {

@@ -50,57 +50,6 @@ func TestHookFiresOncePerTimestamp(t *testing.T) {
 	}
 }
 
-// hookWorkload schedules a cross-unit event mesh with same-timestamp batches,
-// rescheduling chains, and a follow-up discovered mid-batch.
-func hookWorkload(e *Engine) {
-	const units = 4
-	for u := 0; u < units; u++ {
-		u := u
-		var chain UnitFunc
-		rounds := 50
-		chain = func(ctx *UnitCtx, at Time) {
-			if rounds--; rounds > 0 {
-				ctx.Schedule(at+Time(1+u%3), u, chain)
-			}
-		}
-		e.ScheduleUnit(1, u, chain)
-	}
-	e.Schedule(25, func(at Time) {
-		e.Schedule(at, func(Time) {}) // same-timestamp follow-up
-		e.Schedule(at+7, func(Time) {})
-	})
-}
-
-// The hook observes the identical advance sequence — timestamps, queue
-// depths, executed counts — under the serial and parallel dispatchers. This
-// is the determinism foundation of the tracing layer's engine records.
-func TestHookSerialParallelEquality(t *testing.T) {
-	run := func(par int) []advanceSample {
-		e := NewEngine()
-		if par > 0 {
-			e.SetParallelism(par)
-		}
-		h := &recordingHook{}
-		e.SetHook(h)
-		hookWorkload(e)
-		e.Run()
-		return h.advances
-	}
-	serial := run(0)
-	parallel := run(4)
-	if len(serial) == 0 {
-		t.Fatal("serial run fired no advances")
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("serial fired %d advances, parallel %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("advance %d: serial %+v, parallel %+v", i, serial[i], parallel[i])
-		}
-	}
-}
-
 // With no hook attached (the tracing layer's nil-tracer default), steady-state
 // dispatch must stay allocation-free: the disabled path is one nil check in
 // the dispatch loop. This pins the tracing layer's zero-overhead contract at

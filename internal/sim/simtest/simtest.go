@@ -1,8 +1,7 @@
 // Package simtest provides shared invariant checkers for tests of the event
 // engine and code layered on it. The central invariant of internal/sim is
 // that events execute in global (at, seq) order — timestamps never go
-// backwards, and events sharing a timestamp run in schedule order — and that
-// invariant must hold identically under the serial and parallel dispatchers.
+// backwards, and events sharing a timestamp run in schedule order.
 package simtest
 
 import (
@@ -41,8 +40,7 @@ func CheckOrder(tb testing.TB, events []Event) {
 }
 
 // Recorder accumulates executed events for a later CheckOrder. It is not
-// safe for concurrent use; record from serial (barrier) events, or merge
-// per-unit recordings before checking.
+// safe for concurrent use.
 type Recorder struct {
 	Events []Event
 }

@@ -14,8 +14,8 @@ const DefaultEngineBucket = 100 * sim.Nanosecond
 //	(bucketStart, bucketEnd, "engine", "queue_depth", maxPending, "events")
 //	(bucketStart, bucketEnd, "engine", "dispatched",  executedDelta, "events")
 //
-// Bucketing is in simulated time, so output is independent of wall clock and
-// parallelism. Flush must be called once after the run completes to emit the
+// Bucketing is in simulated time, so output is independent of wall clock.
+// Flush must be called once after the run completes to emit the
 // final partial bucket.
 type EngineHook struct {
 	tr    Tracer

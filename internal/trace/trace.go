@@ -14,21 +14,19 @@
 //
 // # Determinism
 //
-// Trace output must be byte-identical at any -parallel setting. Two
-// mechanisms guarantee that:
+// Trace output must be byte-identical across repeated runs. Two mechanisms
+// guarantee that:
 //
-//   - every hook point fires on the engine goroutine: protocol layers and
-//     cross-unit network transfers are serial-barrier events by construction
-//     (see ARCHITECTURE.md "Unit ownership map"), and the engine's dispatch
-//     hook (sim.Hook) fires from the dispatch loop itself at the same
-//     logical point under both dispatchers. Unit-tagged hot paths (L1 hits,
-//     intra-unit crossbar traversals) are deliberately untraced — they may
-//     run concurrently on workers and their volume would dwarf the signal;
+//   - every hook point fires on the engine goroutine, from inside the
+//     deterministic event stream: protocol layers, cross-unit network
+//     transfers, and the engine's dispatch hook (sim.Hook), which fires from
+//     the dispatch loop itself. The per-access hot paths (L1 hits, intra-unit
+//     crossbar traversals) are deliberately untraced — their volume would
+//     dwarf the signal;
 //   - the Collector commits records in a total deterministic order: the CSV
 //     writer sorts by the full (start, end, where, what, value, unit) tuple
-//     before emission, mirroring how the parallel dispatcher replays
-//     buffered schedule ops in serial seq order. Identical record multisets
-//     therefore serialize to identical bytes regardless of emission order.
+//     before emission. Identical record multisets therefore serialize to
+//     identical bytes regardless of emission order.
 package trace
 
 import (

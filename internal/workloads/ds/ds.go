@@ -49,16 +49,15 @@ func Names() []string {
 		"hashtable", "linkedlist", "bst_fg", "bst_drachsler"}
 }
 
-// ParallelSafe reports whether a structure's host-side program code is safe
-// for per-core event tagging (program.Runner.TagCoreUnits): all shared host
-// state must be accessed inside simulated critical sections, because host
-// code of different cores may then run concurrently between sync points.
-//
-// The optimistic structures read shared nodes outside their locks — stack
-// (pre-lock top probe), skiplist (unlocked search over next pointers and
-// deletion marks), bst_drachsler (lock-free search reading mutable tree
-// links) — so they must stay on serial-barrier events.
-func ParallelSafe(name string) bool {
+// SplitAccess reports whether a structure runs with the program runner's
+// split-access event order (program.Runner.SplitAccess). The structures that
+// touch shared host state only inside simulated critical sections use it.
+// The optimistic ones read shared nodes outside their locks — stack (pre-lock
+// top probe), skiplist (unlocked search over next pointers and deletion
+// marks), bst_drachsler (lock-free search reading mutable tree links) — and
+// model every access inline. The split moves same-timestamp contention
+// order, so changing this set changes results.
+func SplitAccess(name string) bool {
 	switch name {
 	case "stack", "skiplist", "bst_drachsler":
 		return false

@@ -58,9 +58,6 @@ func (cfg Config) apply(c *Config) {
 	if cfg.Seed != 0 {
 		c.Seed = cfg.Seed
 	}
-	if cfg.Parallelism != 0 {
-		c.Parallelism = cfg.Parallelism
-	}
 	if cfg.Tracer != nil {
 		c.Tracer = cfg.Tracer
 	}
@@ -107,20 +104,10 @@ func WithSEServiceCycles(cycles int64) Option {
 // WithSeed makes all simulated randomness reproducible.
 func WithSeed(seed uint64) Option { return optionFunc(func(c *Config) { c.Seed = seed }) }
 
-// WithParallelism selects the event engine's dispatcher: n > 0 forces the
-// parallel dispatcher with n workers for unit-tagged same-timestamp events,
-// ParallelismSerial (-1) forces the serial dispatcher, and ParallelismAuto
-// (0, the default) resolves at New time to min(GOMAXPROCS, units + cores)
-// workers on multi-core hosts and serial on single-core hosts. Results are
-// byte-identical for every value — the knob trades dispatch overhead for
-// concurrency, never determinism — so it does not participate in result
-// caching (SpecKey) or serialized output.
-func WithParallelism(n int) Option { return optionFunc(func(c *Config) { c.Parallelism = n }) }
-
 // WithTracer attaches a Tracer to the run (typically a *TraceCollector).
 // Tracing is strictly observational: it never changes simulated results, and
 // a nil tracer (the default) costs nothing — every hook point is
-// branch-guarded on the nil check. Like WithParallelism, the tracer does not
-// participate in result caching (SpecKey) or serialized output; pair it with
+// branch-guarded on the nil check. The tracer does not participate in result
+// caching (SpecKey) or serialized output; pair it with
 // cache-less execution, since a cache hit skips the simulation entirely.
 func WithTracer(t Tracer) Option { return optionFunc(func(c *Config) { c.Tracer = t }) }

@@ -8,12 +8,12 @@
 #   scripts/bench_summary.sh BENCH.ci.json >> "$GITHUB_STEP_SUMMARY"
 #
 # The report carries one entry per measured configuration over the same
-# grids: serial dispatch, parallel dispatch at each worker count, and the
-# tracer-off/tracer-on pair pricing the tracing layer's hook points. The
-# table shows one column each, plus each entry's throughput as a speedup over
-# the serial entry (entry 0 is always serial), so a tracing or dispatch
-# regression is visible as a ratio. Requires jq (preinstalled on
-# ubuntu-latest runners).
+# grids: the serial headline, the tracer-off/tracer-on pair pricing the
+# tracing layer's hook points, and the mem-flat/mem-bank pair pricing the
+# DRAM timing-model axis. The table shows one column each, plus each entry's
+# throughput as a speedup over the serial entry (entry 0 is always serial),
+# so a tracing or memory-model regression is visible as a ratio. Requires jq
+# (preinstalled on ubuntu-latest runners).
 set -euo pipefail
 
 f=${1:-BENCH.json}
@@ -32,7 +32,7 @@ jq -r '
     "",
     ("| metric | " + ([.entries[].name] | join(" | ")) + " |"),
     ("|---|" + ([.entries[] | "---:"] | join("|")) + "|"),
-    ("| workers × parallelism | " + ([.entries[] | "\(.workers) × \(.parallelism)"] | join(" | ")) + " |"),
+    ("| workers | " + ([.entries[].workers | tostring] | join(" | ")) + " |"),
     ("| host CPUs | " + ([.entries[].num_cpu | tostring] | join(" | ")) + " |"),
     ("| events/sec | " + ([.entries[].events_per_sec | round | tostring] | join(" | ")) + " |"),
     ((.entries[0].events_per_sec) as $serial |
@@ -42,7 +42,7 @@ jq -r '
     ("| bytes per event | " + ([.entries[].bytes_per_event | r2 | tostring] | join(" | ")) + " |"),
     ("| peak heap bytes | " + ([.entries[].peak_heap_bytes | tostring] | join(" | ")) + " |"),
     "",
-    "Per rep: \(.sim_runs_per_rep) sim runs, \(.events_per_rep) events (identical across entries — neither engine parallelism nor tracing changes the simulation). \(.reps) reps; best rep is the headline.",
+    "Per rep: \(.sim_runs_per_rep) sim runs, \(.events_per_rep) events (identical across entries except mem-bank — tracing never changes the simulation). \(.reps) reps; best rep is the headline.",
     "",
     "Toolchain: \(.go_version) \(.goos)/\(.goarch), \(.num_cpu) CPU.",
     ""

@@ -5,9 +5,8 @@
 # non-empty, well-formed CSV (pinned header, 6 fields per line, integer
 # picosecond spans with end >= start, monotone non-decreasing start column —
 # the deterministic commit order), and covers the expected record kinds.
-# Then re-runs the identical spec under the serial and 4-worker parallel
-# dispatchers and requires byte-identical traces, and runs a one-run sweep
-# with -trace to check the per-run directory path.
+# Then re-runs the identical spec and requires a byte-identical trace, and
+# runs a one-run sweep with -trace to check the per-run directory path.
 #
 # Usage: scripts/trace_smoke.sh
 set -euo pipefail
@@ -48,11 +47,10 @@ for what in queue_depth dispatched lock_wait lock_hold; do
     || { echo "no $what records in trace" >&2; exit 1; }
 done
 
-echo "==> tracing must be byte-identical across dispatchers"
-"$sim" run "${run_flags[@]}" -parallel serial -trace "$workdir/serial.trace.csv" > /dev/null
-"$sim" run "${run_flags[@]}" -parallel 4 -trace "$workdir/parallel.trace.csv" > /dev/null
-diff "$workdir/serial.trace.csv" "$workdir/parallel.trace.csv" \
-  || { echo "serial and parallel-4 traces differ" >&2; exit 1; }
+echo "==> tracing must be byte-identical across repeated runs"
+"$sim" run "${run_flags[@]}" -trace "$workdir/again.trace.csv" > /dev/null
+diff "$workdir/run.trace.csv" "$workdir/again.trace.csv" \
+  || { echo "repeated traced runs differ" >&2; exit 1; }
 
 echo "==> sweep -trace writes one trace per run"
 "$sim" sweep -workloads stack -schemes syncron -units 2 -cores 8 -ops 20 \

@@ -50,7 +50,6 @@ package syncron
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"syncron/internal/arch"
@@ -242,62 +241,30 @@ type Config struct {
 	SEServiceCycles int64 `json:"se_service_cycles,omitempty"`
 	// Seed makes all simulated randomness reproducible (default 1).
 	Seed uint64 `json:"seed,omitempty"`
-	// Parallelism selects the event engine's dispatcher. ParallelismAuto
-	// (0, the default) resolves at New time to the parallel dispatcher with
-	// min(GOMAXPROCS, simulated units + cores) workers on multi-core hosts,
-	// and to the serial dispatcher on single-core hosts where parallel
-	// dispatch can only add overhead. ParallelismSerial (-1) forces the
-	// serial dispatcher; n > 0 forces the parallel dispatcher with exactly n
-	// workers. Every value produces byte-identical results (see
-	// ARCHITECTURE.md "Parallel execution"), so the field is an execution
-	// knob, not part of the experiment: it is deliberately excluded from
-	// JSON output and from SpecKey, letting serial and parallel runs share
-	// cache entries.
+	// Parallelism is ignored: every run uses the engine's one serial
+	// dispatcher. It is excluded from JSON output and from SpecKey.
+	//
+	// Deprecated: the intra-run parallel dispatcher was removed; grids run
+	// in parallel across runs (Sweep.Workers, shards).
 	Parallelism int `json:"-"`
 	// Tracer receives time-resolved trace records from the run: engine queue
 	// depth and dispatch rate, per-link transfer windows, and per-variable
 	// lock/barrier/semaphore/condvar spans (see NewTraceCollector). Nil (the
 	// default) disables tracing entirely — every hook point is branch-guarded,
-	// so the disabled path costs zero allocations and is pinned by CI. Like
-	// Parallelism, the tracer is an observation knob, not part of the
-	// experiment: it never changes simulated results, and it is excluded from
+	// so the disabled path costs zero allocations and is pinned by CI. The
+	// tracer is an observation knob, not part of the experiment: it never
+	// changes simulated results, and it is excluded from
 	// JSON output and from SpecKey. Traced runs should bypass the result
 	// cache — a cache hit skips the simulation, so the tracer would see
 	// nothing.
 	Tracer Tracer `json:"-"`
 }
 
-// Sentinel values for Config.Parallelism / WithParallelism.
-const (
-	// ParallelismAuto (the zero value) picks the dispatcher at New time:
-	// min(GOMAXPROCS, simulated units + cores) parallel workers on
-	// multi-core hosts, serial on single-core hosts.
-	ParallelismAuto = 0
-	// ParallelismSerial forces the serial dispatcher.
-	ParallelismSerial = -1
-)
-
-// resolveParallelism maps the public Parallelism knob (auto / serial / n) to
-// the engine-level worker count, where 0 means the serial dispatcher.
-// simUnits is the number of distinct schedulable units the machine will have
-// (arch.Machine.NumSimUnits): more workers than units can never run, so auto
-// caps there.
-func resolveParallelism(p, simUnits int) int {
-	switch {
-	case p > 0:
-		return p
-	case p < 0:
-		return 0
-	}
-	n := runtime.GOMAXPROCS(0)
-	if n < 2 {
-		return 0 // single-core host: parallel dispatch can only lose
-	}
-	if n > simUnits {
-		n = simUnits
-	}
-	return n
-}
+// ParallelismSerial was the Config.Parallelism value that forced the serial
+// dispatcher, which is now the only one.
+//
+// Deprecated: Config.Parallelism is ignored.
+const ParallelismSerial = -1
 
 // Context is the interface a simulated core's program uses; see
 // program.Ctx for the full method set (Compute, Read, Write, Lock, Unlock,
@@ -346,8 +313,6 @@ func New(opts ...Option) *System {
 	acfg.MemModel = mmodel
 	cfg.MemModel = mmodel
 	acfg.LinkLatency = cfg.LinkLatency
-	acfg.Parallelism = resolveParallelism(cfg.Parallelism,
-		acfg.Units+acfg.Units*acfg.CoresPerUnit)
 	if cfg.Seed != 0 {
 		acfg.Seed = cfg.Seed
 	}

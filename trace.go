@@ -17,7 +17,7 @@ type TraceRecord = trace.Record
 // Tracer receives trace records from a run. Attach one with WithTracer (or
 // Config.Tracer); nil disables tracing at zero cost. Tracers are driven only
 // from the engine goroutine, so implementations need no locking, and trace
-// output is byte-identical at any Parallelism setting.
+// output is byte-identical across repeated runs.
 type Tracer = trace.Tracer
 
 // TraceCollector buffers trace records in memory and writes them as

@@ -12,7 +12,7 @@ import (
 // tracedSpec is a small real workload used by the end-to-end trace tests:
 // big enough to exercise locks, cross-unit messages, and queue-depth
 // variation, small enough to run in milliseconds.
-func tracedSpec(parallelism int, tr syncron.Tracer) syncron.RunSpec {
+func tracedSpec(tr syncron.Tracer) syncron.RunSpec {
 	return syncron.RunSpec{
 		Workload: "stack",
 		Config: syncron.Config{
@@ -20,20 +20,20 @@ func tracedSpec(parallelism int, tr syncron.Tracer) syncron.RunSpec {
 			Units:        2,
 			CoresPerUnit: 4,
 			Seed:         7,
-			Parallelism:  parallelism,
 			Tracer:       tr,
 		},
 		Params: syncron.WorkloadParams{OpsPerCore: 20},
 	}
 }
 
-// A traced run must produce a byte-identical trace under the serial and
-// parallel dispatchers — the tracing layer's core determinism contract,
-// also enforced end-to-end by CI's trace-determinism job.
-func TestTraceByteIdenticalAcrossDispatchers(t *testing.T) {
-	runCSV := func(parallelism int) (string, uint64) {
+// A traced run must produce a byte-identical trace when repeated — the
+// tracing layer's core determinism contract, also enforced end-to-end by
+// CI's trace-determinism job — covering every instrumented layer, in CSV
+// that round-trips.
+func TestTraceDeterministicCoversLayersAndRoundTrips(t *testing.T) {
+	runCSV := func() (string, uint64) {
 		col := syncron.NewTraceCollector()
-		res := syncron.Execute(tracedSpec(parallelism, col))
+		res := syncron.Execute(tracedSpec(col))
 		if res.Err != "" {
 			t.Fatalf("traced run failed: %s", res.Err)
 		}
@@ -43,26 +43,26 @@ func TestTraceByteIdenticalAcrossDispatchers(t *testing.T) {
 		}
 		return buf.String(), res.Events
 	}
-	serialCSV, serialEvents := runCSV(syncron.ParallelismSerial)
-	parallelCSV, parallelEvents := runCSV(4)
+	firstCSV, firstEvents := runCSV()
+	againCSV, againEvents := runCSV()
 
-	if serialEvents != parallelEvents {
-		t.Fatalf("event counts diverged: serial %d, parallel %d", serialEvents, parallelEvents)
+	if firstEvents != againEvents {
+		t.Fatalf("event counts diverged: first %d, repeat %d", firstEvents, againEvents)
 	}
-	if serialCSV != parallelCSV {
-		t.Fatal("serial and parallel-4 traces are not byte-identical")
+	if firstCSV != againCSV {
+		t.Fatal("repeated traced runs are not byte-identical")
 	}
 
 	// The trace must cover every instrumented layer: engine activity,
 	// network transfers, and synchronization spans.
 	for _, what := range []string{"queue_depth", "dispatched", "link_xfer", "lock_wait", "lock_hold"} {
-		if !strings.Contains(serialCSV, ","+what+",") {
+		if !strings.Contains(firstCSV, ","+what+",") {
 			t.Errorf("trace has no %s records", what)
 		}
 	}
 
 	// And it must round-trip through the CSV schema.
-	recs, err := syncron.ReadTraceCSV(strings.NewReader(serialCSV))
+	recs, err := syncron.ReadTraceCSV(strings.NewReader(firstCSV))
 	if err != nil {
 		t.Fatalf("ReadTraceCSV rejected collector output: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestTraceByteIdenticalAcrossDispatchers(t *testing.T) {
 	if err := col2.WriteCSV(&buf2); err != nil {
 		t.Fatal(err)
 	}
-	if buf2.String() != serialCSV {
+	if buf2.String() != firstCSV {
 		t.Error("trace CSV did not round-trip byte-identically")
 	}
 }
@@ -85,8 +85,8 @@ func TestTraceByteIdenticalAcrossDispatchers(t *testing.T) {
 // A traced run must report the same simulated results as an untraced run:
 // the tracer is observation only.
 func TestTraceDoesNotPerturbResults(t *testing.T) {
-	traced := syncron.Execute(tracedSpec(syncron.ParallelismSerial, syncron.NewTraceCollector()))
-	plain := syncron.Execute(tracedSpec(syncron.ParallelismSerial, nil))
+	traced := syncron.Execute(tracedSpec(syncron.NewTraceCollector()))
+	plain := syncron.Execute(tracedSpec(nil))
 	if traced.Err != "" || plain.Err != "" {
 		t.Fatalf("run failed: traced=%q plain=%q", traced.Err, plain.Err)
 	}
