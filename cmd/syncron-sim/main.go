@@ -35,6 +35,14 @@
 //	syncron-sim figures --quick -mem bank
 //	syncron-sim figures --quick -cache .gridcache   # second run simulates nothing
 //
+// Paper artifacts the figures views do not render (tables 1, 7, 8, the
+// link-latency, memory, partitioning, flat and overflow studies, and two
+// ablations), as Markdown plus optional CSVs; with no IDs it lists them all:
+//
+//	syncron-sim paper
+//	syncron-sim paper -scale 0.25 fig10 fig23
+//	syncron-sim paper -scale 0.05 -md paper.md -csv-dir out/ all
+//
 // Serving (long-running daemon: POST RunSpecs or sweep grids over HTTP,
 // cache-backed dedup and single-flight, bounded queue with backpressure,
 // streaming progress; drains gracefully on SIGTERM):
@@ -83,6 +91,8 @@ func main() {
 		sweepCmd(args)
 	case "figures":
 		figuresCmd(args)
+	case "paper":
+		paperCmd(args)
 	case "merge":
 		mergeCmd(args)
 	case "serve":
@@ -95,7 +105,7 @@ func main() {
 		// daemon's GET /version reports the same syncron.Version() value.
 		fmt.Printf("%s\n", syncron.Version().CacheVersion)
 	default:
-		fatal("unknown subcommand %q (want run, sweep, figures, merge, serve, list, or cache-version)", cmd)
+		fatal("unknown subcommand %q (want run, sweep, figures, paper, merge, serve, list, or cache-version)", cmd)
 	}
 }
 
@@ -591,33 +601,93 @@ func figuresCmd(args []string) {
 		fatal("%v", err)
 	}
 	reportCacheStats(cache)
+	writeFigures(*mdOut, *csvDir, fmt.Sprintf("# SynCron paper figures\n\nBaseline scheme: `%s`. "+
+		"All runs use deterministic per-run seeds (base seed %d).\n\n", base, *baseSeed), figs)
+}
 
+// paperCmd regenerates the paper artifacts of syncron.PaperArtifacts as
+// Markdown (plus optional per-table CSVs). With no IDs it lists every
+// artifact; "all" renders every artifact with a builder of its own.
+func paperCmd(args []string) {
+	fs := flag.NewFlagSet("paper", flag.ExitOnError)
+	var (
+		scale  = fs.Float64("scale", 1, "workload scale factor")
+		mdOut  = fs.String("md", "-", "Markdown output path (- = stdout)")
+		csvDir = fs.String("csv-dir", "", "also write one <table>.csv per table into this directory")
+	)
+	_ = fs.Parse(args) // ExitOnError: Parse never returns an error
+
+	if fs.NArg() == 0 {
+		for _, a := range syncron.PaperArtifacts() {
+			brief := a.Brief
+			if a.View != "" {
+				brief += fmt.Sprintf(" [syncron-sim figures, view %s]", a.View)
+			}
+			fmt.Printf("%-18s %-13s %s\n", a.ID, a.Paper, brief)
+		}
+		return
+	}
+	var arts []syncron.PaperArtifact
+	if fs.NArg() == 1 && fs.Arg(0) == "all" {
+		for _, a := range syncron.PaperArtifacts() {
+			if a.Build != nil {
+				arts = append(arts, a)
+			}
+		}
+	} else {
+		for _, id := range fs.Args() {
+			a, ok := syncron.LookupPaperArtifact(id)
+			if !ok {
+				fatal("unknown paper artifact %q (run `syncron-sim paper` to list them)", id)
+			}
+			if a.View != "" {
+				fatal("%s is rendered by `syncron-sim figures` as the %s view", id, a.View)
+			}
+			arts = append(arts, a)
+		}
+	}
+	var figs []*syncron.Figure
+	for _, a := range arts {
+		built, err := a.Build(*scale)
+		if err != nil {
+			fatal("%s: %v", a.ID, err)
+		}
+		figs = append(figs, built...)
+	}
+	writeFigures(*mdOut, *csvDir, fmt.Sprintf("# SynCron paper artifacts\n\n"+
+		"Workload scale %g. Every run uses seed 1.\n\n", *scale), figs)
+}
+
+// writeFigures emits figs as one Markdown document, header first, to mdOut
+// (- = stdout) and, when csvDir is set, one <figure>.csv per figure into it.
+func writeFigures(mdOut, csvDir, header string, figs []*syncron.Figure) {
 	out := os.Stdout
-	if *mdOut != "-" {
-		f, err := os.Create(*mdOut)
+	if mdOut != "-" {
+		f, err := os.Create(mdOut)
 		if err != nil {
 			fatal("%v", err)
 		}
 		defer func() {
 			if err := f.Close(); err != nil {
-				fatal("closing %s: %v", *mdOut, err)
+				fatal("closing %s: %v", mdOut, err)
 			}
 		}()
 		out = f
 	}
-	fmt.Fprintf(out, "# SynCron paper figures\n\nBaseline scheme: `%s`. "+
-		"All runs use deterministic per-run seeds (base seed %d).\n\n", base, *baseSeed)
+	if _, err := io.WriteString(out, header); err != nil {
+		fatal("writing Markdown: %v", err)
+	}
 	for _, fig := range figs {
 		if err := fig.WriteMarkdown(out); err != nil {
 			fatal("writing Markdown: %v", err)
 		}
 	}
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+	if csvDir != "" {
+		if err := os.MkdirAll(csvDir, 0o755); err != nil {
 			fatal("%v", err)
 		}
 		for _, fig := range figs {
-			path := filepath.Join(*csvDir, fig.ID+".csv")
+			path := filepath.Join(csvDir, fig.ID+".csv")
 			f, err := os.Create(path)
 			if err != nil {
 				fatal("%v", err)

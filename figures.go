@@ -317,9 +317,9 @@ func Figures(opt FigureOptions) ([]*Figure, error) {
 // FigureSweeps returns the canonical sweeps Figures(opt) runs, in order: the
 // main (workload x scheme) grid, the scalability grid, the ST-ablation grid,
 // and — only when the corresponding option is non-empty — the topology and
-// memory grids. The macro-benchmark mode (`syncron-bench -perf`) replays
-// exactly these grids, so perf trajectories measure the same work the
-// figures pipeline does.
+// memory grids. `sweep -grid figures[-quick]` and the perfbench
+// figures-quick workload replay exactly these grids, so shards and
+// benchmarks run the same work the figures pipeline does.
 func FigureSweeps(opt FigureOptions) []Sweep {
 	g := figureGridsFor(opt.withDefaults())
 	sweeps := []Sweep{g.main, g.scalability, g.stAblation}
@@ -420,11 +420,19 @@ func figureGridsFor(o FigureOptions) figureGrids {
 // figures are never silently built from partial grids.
 func runGrid(s Sweep) ([]RunResult, error) {
 	results := s.Run()
-	for _, r := range ResultSet(results).Failed() {
-		return nil, fmt.Errorf("syncron: %s under %s failed: %s",
-			r.Spec.Workload, r.Spec.Config.Scheme, r.Err)
+	if err := checkRuns(results); err != nil {
+		return nil, err
 	}
 	return results, nil
+}
+
+// checkRuns returns an error naming the first failed run, if any.
+func checkRuns(results []RunResult) error {
+	for _, r := range ResultSet(results).Failed() {
+		return fmt.Errorf("syncron: %s under %s failed: %s",
+			r.Spec.Workload, r.Spec.Config.Scheme, r.Err)
+	}
+	return nil
 }
 
 // registeredOnly filters names down to those present in the registry, so the

@@ -22,10 +22,6 @@ func TestFiguresQuickGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole quick figure grid")
 	}
-	want, err := os.ReadFile("goldens/figures-quick.md")
-	if err != nil {
-		t.Fatal(err)
-	}
 	figs, err := syncron.Figures(syncron.FigureOptions{Quick: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -38,10 +34,21 @@ func TestFiguresQuickGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got.String() == string(want) {
+	diffGolden(t, "goldens/figures-quick.md", got.String())
+}
+
+// diffGolden fails t at the first line where got differs from the golden
+// file at path.
+func diffGolden(t *testing.T, path, got string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
 		return
 	}
-	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	for i := 0; i < max(len(gotLines), len(wantLines)); i++ {
 		var g, w string
 		if i < len(gotLines) {
@@ -51,7 +58,7 @@ func TestFiguresQuickGolden(t *testing.T) {
 			w = wantLines[i]
 		}
 		if g != w {
-			t.Fatalf("quick figures differ from goldens/figures-quick.md at line %d:\n got: %s\nwant: %s", i+1, g, w)
+			t.Fatalf("output differs from %s at line %d:\n got: %s\nwant: %s", path, i+1, g, w)
 		}
 	}
 }

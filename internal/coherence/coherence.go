@@ -7,6 +7,9 @@
 package coherence
 
 import (
+	"maps"
+	"slices"
+
 	"syncron/internal/arch"
 	"syncron/internal/network"
 	"syncron/internal/sim"
@@ -102,9 +105,11 @@ func (s *Space) Access(t sim.Time, core int, addr uint64, kind AccessKind) sim.T
 	}
 
 	if exclusive && len(l.sharers) > 0 {
-		// Invalidate all sharers; completion waits for the slowest ack.
+		// Invalidate all sharers; completion waits for the slowest ack. The
+		// invalidations go out in core order: they contend for links, so a
+		// map-iteration order would make the run's timing vary.
 		ackAt := dataAt
-		for sh := range l.sharers {
+		for _, sh := range slices.Sorted(maps.Keys(l.sharers)) {
 			if sh == core {
 				continue
 			}

@@ -142,8 +142,8 @@ func TestRunUntilZeroDelayAtDeadline(t *testing.T) {
 
 // Steady-state Schedule/run must be allocation-free: slots come off the
 // freelist, the heap and FIFO reuse their capacity, and dispatch allocates
-// nothing. This is the contract the macro-benchmarks (syncron-bench -perf)
-// and the CI perf gate are built on.
+// nothing. This is the contract the macro-benchmark (perfbench) and the CI
+// perf gate are built on.
 func TestEngineSteadyStateAllocFree(t *testing.T) {
 	e := NewEngine()
 	nop := func(Time) {}

@@ -9,8 +9,8 @@
 // (`if tr := x.tracer; tr != nil { ... }`), so the disabled path costs one
 // predictable branch and zero allocations — pinned by
 // internal/sim's TestEngineSteadyStateAllocFreeTracerNil and the CI perf
-// gate. Enabled-path cost is measured honestly by the `tracer-on` entry of
-// `syncron-bench -perf` (BENCH.json).
+// gate. Enabled-path cost is measured by perfbench's `--trace 1` pass
+// (`trace.overhead_frac`: traced over plain run time, minus one).
 //
 // # Determinism
 //
@@ -102,16 +102,6 @@ func cmpOrd[T sim.Time | float64](a, b T) int {
 type Tracer interface {
 	Emit(r Record)
 }
-
-// Discard is a Tracer that drops every record. It keeps all hook points —
-// branch checks, span bookkeeping, record construction — live without
-// buffering anything, which is exactly what the `tracer-on` entry of
-// `syncron-bench -perf` measures.
-var Discard Tracer = discard{}
-
-type discard struct{}
-
-func (discard) Emit(Record) {}
 
 // Collector is the standard Tracer: an in-memory record buffer with a
 // deterministic CSV emitter. The buffer and the writer's row scratch are

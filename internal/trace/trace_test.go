@@ -192,9 +192,3 @@ func TestEngineHookBucketing(t *testing.T) {
 		t.Errorf("after reset: %+v", got)
 	}
 }
-
-// Discard must accept records without retaining anything (it is the
-// enabled-path cost probe of syncron-bench).
-func TestDiscard(t *testing.T) {
-	Discard.Emit(Record{Start: 1, End: 2, Where: "x", What: "y", Value: 3, Unit: "ps"})
-}

@@ -407,8 +407,8 @@ type Report struct {
 	// SynCron-specific statistics (zero for other schemes).
 	STOccupancyMax, STOccupancyMean, OverflowedFraction float64
 	// Events is the number of discrete-event engine events executed by the
-	// run — the simulator-throughput numerator of events/sec macro-benchmarks
-	// (syncron-bench -perf).
+	// run — the simulator-throughput numerator of events/sec benchmarks
+	// (perfbench).
 	Events uint64
 	// PerCore statistics.
 	PerCore []program.Stats

@@ -1,6 +1,7 @@
 package syncron_test
 
 import (
+	"runtime"
 	"testing"
 
 	"syncron"
@@ -101,4 +102,28 @@ func TestSTOccupancyReported(t *testing.T) {
 	if rep.STOccupancyMax <= 0 {
 		t.Fatal("ST occupancy not reported")
 	}
+}
+
+// TestBankRunAllocsPerEvent bounds allocations per engine event in a whole
+// bank-model run, counting only System.Run (not the workload's set-up). The
+// bank scheduler's per-access path is allocation-free (see internal/mem);
+// this catches steady-state allocations that its narrow loop cannot see.
+// ts.air at scale 0.1 runs long enough that the per-core coroutine start-up
+// is a small share; it measured about 0.02 allocs/event.
+func TestBankRunAllocsPerEvent(t *testing.T) {
+	w, _ := syncron.LookupWorkload("ts.air")
+	sys := syncron.New(syncron.Config{MemModel: syncron.MemModelBank, Seed: 1})
+	if _, err := w.Prepare(sys, syncron.WorkloadParams{Scale: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep := sys.Run()
+	runtime.ReadMemStats(&after)
+	perEvent := float64(after.Mallocs-before.Mallocs) / float64(rep.Events)
+	if perEvent > 0.05 {
+		t.Fatalf("bank-model ts.air run: %.3f allocs/event over %d events, want at most 0.05",
+			perEvent, rep.Events)
+	}
+	t.Logf("%.4f allocs/event over %d events", perEvent, rep.Events)
 }

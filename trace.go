@@ -28,11 +28,6 @@ type TraceCollector = trace.Collector
 // NewTraceCollector returns an empty TraceCollector.
 func NewTraceCollector() *TraceCollector { return trace.NewCollector() }
 
-// DiscardTracer drops every record while keeping all hook points live; it is
-// what `syncron-bench -perf`'s tracer-on entry uses to measure enabled-path
-// overhead.
-var DiscardTracer Tracer = trace.Discard
-
 // TraceCSVHeader is the header line of the trace CSV schema, pinned by a
 // golden test.
 const TraceCSVHeader = trace.Header
