@@ -2,7 +2,6 @@ package syncron
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 
@@ -19,7 +18,7 @@ import (
 // intentional simulator-behavior change that should orphan all caches at
 // once. Routine simulator changes are instead invalidated by using a fresh
 // cache directory per code version (CI keys its directories on the source
-// hash); see ARCHITECTURE.md "Caching & sharding".
+// hash); see ARCHITECTURE.md "Caching".
 //
 // History: v2 added Config.MemModel (the DRAM timing-model axis).
 const SpecKeyVersion = 2
@@ -88,19 +87,13 @@ func canonicalSpec(spec RunSpec) []byte {
 	return enc
 }
 
-// specKeySum hashes the canonical encoding.
-func specKeySum(spec RunSpec) [sha256.Size]byte {
-	return sha256.Sum256(canonicalSpec(spec))
-}
-
 // SpecKey returns the stable content hash of a spec — "v<version>-<sha256>"
 // of its canonical encoding. Keys identify the spec as REQUESTED: hash the
 // spec after seed resolution (ResolveSeeds, or Sweep.Run's internal
 // resolution), because a zero Config.Seed and its resolved value are
 // different requests with different results.
 func SpecKey(spec RunSpec) string {
-	sum := specKeySum(spec)
-	return fmt.Sprintf("v%d-%x", SpecKeyVersion, sum)
+	return fmt.Sprintf("v%d-%x", SpecKeyVersion, sha256.Sum256(canonicalSpec(spec)))
 }
 
 // ResultCache caches serialized RunResults under their SpecKey. Implementations
@@ -155,9 +148,9 @@ func decodeCachedResult(payload []byte) (RunResult, error) {
 }
 
 // CacheResult stores one sweep result into cache under the result's own
-// recorded Key — the route by which `merge -cache DIR` replays shard JSON
-// outputs into a cache that `figures -from DIR` can render from without
-// simulating. The result must carry a Key (i.e. come from SpecRunner.Run,
+// recorded Key, so results produced elsewhere (perfbench's warm-up pass, or
+// a saved sweep JSON) seed a cache that `figures -from DIR` can render from
+// without simulating. The result must carry a Key (i.e. come from SpecRunner.Run,
 // not a bare Execute) and must not be a failure: failed runs are never
 // cached.
 func CacheResult(cache ResultCache, res RunResult) error {
@@ -174,13 +167,4 @@ func CacheResult(cache ResultCache, res RunResult) error {
 		return err
 	}
 	return cache.Put(res.Key, payload)
-}
-
-// shardOf maps a spec to its owning shard index by hash stride: the first 8
-// bytes of the spec's content hash, reduced mod count. The assignment depends
-// only on the spec (never on grid position or seed derivation order), so any
-// process that expands the same grid agrees on the partition.
-func shardOf(spec RunSpec, count int) int {
-	sum := specKeySum(spec)
-	return int(binary.BigEndian.Uint64(sum[:8]) % uint64(count))
 }

@@ -149,56 +149,6 @@ func TestSpecKeyChangesWithEveryField(t *testing.T) {
 	}
 }
 
-// TestShardsPartitionGrid is the shard partition property: for any shard
-// count, the shards of a seed-resolved grid are pairwise disjoint, jointly
-// exhaustive, and select specs bit-identical to the unsharded grid (same
-// seeds at the same grid indices). No simulation involved.
-func TestShardsPartitionGrid(t *testing.T) {
-	sw := syncron.Sweep{
-		Workloads: []string{"lock", "stack", "queue", "pr.wk"},
-		Schemes: []syncron.Scheme{syncron.SchemeSynCron, syncron.SchemeCentral,
-			syncron.SchemeHier, syncron.SchemeIdeal},
-		Units:     []int{1, 2, 4},
-		STEntries: []int{16, 64},
-		Base:      syncron.Config{CoresPerUnit: 2},
-	}
-	resolved := syncron.ResolveSeeds(sw.Expand(), 42)
-	if len(resolved) != 4*4*3*2 {
-		t.Fatalf("grid has %d specs, want %d", len(resolved), 4*4*3*2)
-	}
-	for _, r := range resolved {
-		if r.Config.Seed == 0 {
-			t.Fatal("ResolveSeeds left a zero seed")
-		}
-	}
-	for _, n := range []int{1, 2, 3, 4, 7, 16, len(resolved), 997} {
-		owner := make(map[int]int)
-		for i := 0; i < n; i++ {
-			sel := syncron.Shard{Index: i, Count: n}.Select(resolved)
-			for _, gridIndex := range sel {
-				if prev, dup := owner[gridIndex]; dup {
-					t.Fatalf("n=%d: grid index %d in shards %d and %d (not disjoint)", n, gridIndex, prev, i)
-				}
-				owner[gridIndex] = i
-			}
-		}
-		if len(owner) != len(resolved) {
-			t.Fatalf("n=%d: shards cover %d of %d specs (not exhaustive)", n, len(owner), len(resolved))
-		}
-	}
-	// Seed identity: sharding must not depend on, or alter, seed derivation —
-	// re-resolving and re-selecting yields the same partition.
-	again := syncron.ResolveSeeds(sw.Expand(), 42)
-	if !reflect.DeepEqual(resolved, again) {
-		t.Fatal("ResolveSeeds is not deterministic")
-	}
-	if !reflect.DeepEqual(
-		syncron.Shard{Index: 1, Count: 3}.Select(resolved),
-		syncron.Shard{Index: 1, Count: 3}.Select(again)) {
-		t.Fatal("Shard.Select is not deterministic")
-	}
-}
-
 // serialize renders results both ways for byte comparison.
 func serialize(t *testing.T, results []syncron.RunResult) (string, string) {
 	t.Helper()
@@ -210,57 +160,6 @@ func serialize(t *testing.T, results []syncron.RunResult) (string, string) {
 		t.Fatal(err)
 	}
 	return j.String(), c.String()
-}
-
-// TestShardedSweepMergesByteIdentical executes a real grid unsharded and as
-// 2- and 3-way shard splits, and checks MergeShards reassembles the exact
-// JSON and CSV bytes of the unsharded run — the contract the full-grid CI
-// matrix relies on.
-func TestShardedSweepMergesByteIdentical(t *testing.T) {
-	sw := tinySweep(2)
-	specs := sw.Expand()
-	full := syncron.SpecRunner{BaseSeed: sw.BaseSeed, Workers: 2}.Run(specs)
-	wantJSON, wantCSV := serialize(t, full)
-	for _, n := range []int{2, 3} {
-		var shards [][]syncron.RunResult
-		for i := 0; i < n; i++ {
-			shards = append(shards, syncron.SpecRunner{
-				BaseSeed: sw.BaseSeed,
-				Workers:  2,
-				Shard:    syncron.Shard{Index: i, Count: n},
-			}.Run(specs))
-		}
-		merged, err := syncron.MergeShards(shards...)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		gotJSON, gotCSV := serialize(t, merged)
-		if gotJSON != wantJSON {
-			t.Fatalf("n=%d: merged JSON differs from unsharded run", n)
-		}
-		if gotCSV != wantCSV {
-			t.Fatalf("n=%d: merged CSV differs from unsharded run", n)
-		}
-	}
-}
-
-func TestMergeShardsValidates(t *testing.T) {
-	res := func(i int) syncron.RunResult {
-		return syncron.RunResult{Spec: syncron.RunSpec{Workload: "lock"}, GridIndex: i}
-	}
-	if _, err := syncron.MergeShards(); err == nil {
-		t.Error("empty merge accepted")
-	}
-	if _, err := syncron.MergeShards([]syncron.RunResult{res(0), res(2)}); err == nil {
-		t.Error("gapped grid indices accepted")
-	}
-	if _, err := syncron.MergeShards([]syncron.RunResult{res(0)}, []syncron.RunResult{res(0)}); err == nil {
-		t.Error("overlapping shards accepted")
-	}
-	merged, err := syncron.MergeShards([]syncron.RunResult{res(1)}, []syncron.RunResult{res(0)})
-	if err != nil || len(merged) != 2 || merged[0].GridIndex != 0 || merged[1].GridIndex != 1 {
-		t.Errorf("valid merge failed: %v %+v", err, merged)
-	}
 }
 
 // countingCache wraps a ResultCache and counts misses and writes — a probe
@@ -346,9 +245,9 @@ func TestCacheOnlyMissFails(t *testing.T) {
 	}
 }
 
-// TestCacheResultRebuild replays sweep JSON results into a fresh cache
-// (what `merge -cache DIR` does with shard artifacts) and checks a
-// cache-only sweep serves byte-identical results from it.
+// TestCacheResultRebuild replays sweep results into a fresh cache (what
+// perfbench does with its warm-up pass) and checks a cache-only sweep
+// serves byte-identical results from it.
 func TestCacheResultRebuild(t *testing.T) {
 	sw := tinySweep(1)
 	results := sw.Run()

@@ -17,15 +17,12 @@
 //	syncron-sim sweep -workloads lock,stack -topology mesh,ring,alltoall -csv topo.csv
 //	syncron-sim sweep -workloads lock,stack -mem-model flat,bank -csv mem.csv
 //
-// Sweeps at scale — content-addressed result caching and deterministic
-// N-way sharding (shards are disjoint, exhaustive, and seed-identical to
-// the unsharded grid; merge reassembles byte-identical output):
+// Content-addressed result caching (a cached run skips simulation; -from
+// and -cache-only read an existing cache and never simulate):
 //
-//	syncron-sim sweep -grid figures -shard 0/4 -cache .gridcache -json shard-0.json
-//	syncron-sim sweep -grid figures -shard 1/4 -cache .gridcache -json shard-1.json
-//	...
-//	syncron-sim merge -json merged.json -csv merged.csv -cache merged-cache shard-*.json
-//	syncron-sim figures -from merged-cache -md figures.md   # zero simulation
+//	syncron-sim sweep -workloads lock,stack -cache .sweepcache -json out.json
+//	syncron-sim figures -cache .gridcache -md figures.md
+//	syncron-sim figures -from .gridcache -md figures.md   # zero simulation
 //
 // Paper figures (Markdown tables, optionally one CSV per figure):
 //
@@ -93,8 +90,6 @@ func main() {
 		figuresCmd(args)
 	case "paper":
 		paperCmd(args)
-	case "merge":
-		mergeCmd(args)
 	case "serve":
 		serveCmd(args)
 	case "list":
@@ -105,7 +100,7 @@ func main() {
 		// daemon's GET /version reports the same syncron.Version() value.
 		fmt.Printf("%s\n", syncron.Version().CacheVersion)
 	default:
-		fatal("unknown subcommand %q (want run, sweep, figures, paper, merge, serve, list, or cache-version)", cmd)
+		fatal("unknown subcommand %q (want run, sweep, figures, paper, serve, list, or cache-version)", cmd)
 	}
 }
 
@@ -118,9 +113,9 @@ func listCmd() {
 
 // configFlags registers the flags shared by run and sweep and returns a
 // closure resolving them into a Config, plus the raw -cores flag (total
-// client cores) so sweep can re-derive CoresPerUnit per grid point, the raw
-// -topology and -mem-model flags (run takes one value each; sweep accepts
-// comma lists as grid axes).
+// client cores, split per unit count by coresPerUnit), the raw -topology and
+// -mem-model flags (run takes one value each; sweep accepts comma lists as
+// grid axes).
 func configFlags(fs *flag.FlagSet) (func() syncron.Config, *int, *string, *string) {
 	var (
 		units    = fs.Int("units", 4, "NDP units")
@@ -149,11 +144,21 @@ func configFlags(fs *flag.FlagSet) (func() syncron.Config, *int, *string, *strin
 			FairnessThreshold: *fairness,
 			Seed:              *seed,
 		}
-		if *cores != 0 {
-			cfg.CoresPerUnit = *cores / *units
-		}
 		return cfg
 	}, cores, topology, memModel
+}
+
+// coresPerUnit splits a -cores total evenly across units; 0 keeps the
+// default. A total that is not a positive multiple of units is an error
+// rather than a silently different core count.
+func coresPerUnit(cores, units int) (int, error) {
+	if cores == 0 {
+		return 0, nil
+	}
+	if cores < 0 || cores%units != 0 {
+		return 0, fmt.Errorf("-cores %d is not a positive multiple of %d units", cores, units)
+	}
+	return cores / units, nil
 }
 
 // parseTopologyList resolves a comma-separated -topology value.
@@ -195,7 +200,7 @@ func runCmd(args []string) {
 		printSpec = fs.Bool("print-spec", false, "print the canonical RunSpec JSON and exit without simulating (the exact payload to POST to a serve daemon)")
 		traceOut  = fs.String("trace", "", "write a time-resolved trace CSV of the run to this path; output is byte-identical across repeated runs")
 	)
-	cfg, _, topology, memModel := configFlags(fs)
+	cfg, cores, topology, memModel := configFlags(fs)
 	_ = fs.Parse(args) // ExitOnError: Parse never returns an error
 
 	spec := syncron.RunSpec{
@@ -204,6 +209,11 @@ func runCmd(args []string) {
 		Params: syncron.WorkloadParams{Scale: *scale, OpsPerCore: *ops,
 			Interval: *interval, Metis: *metis},
 	}
+	perUnit, err := coresPerUnit(*cores, spec.Config.Units)
+	if err != nil {
+		fatal("%v", err)
+	}
+	spec.Config.CoresPerUnit = perUnit
 	sch, err := syncron.ParseScheme(*scheme)
 	if err != nil {
 		fatal("%v", err)
@@ -300,21 +310,13 @@ func report(res syncron.RunResult) {
 	}
 }
 
-// parseShard resolves a -shard "i/n" value; the empty string means no
-// sharding.
-func parseShard(s string) syncron.Shard {
-	if s == "" {
-		return syncron.Shard{}
+// requireDir fails unless dir exists. Read-only cache flags (-from,
+// -cache-only) check it up front, because opening a cache creates its
+// directory, and a mistyped path would then miss on every run.
+func requireDir(flagName, dir string) {
+	if info, err := os.Stat(dir); err != nil || !info.IsDir() {
+		fatal("-%s: cache directory %s does not exist", flagName, dir)
 	}
-	idx, count, found := strings.Cut(s, "/")
-	if !found {
-		fatal("bad -shard value %q (want i/n, e.g. 0/4)", s)
-	}
-	sh := syncron.Shard{Index: parseInt(idx, "shard"), Count: parseInt(count, "shard")}
-	if sh.Count <= 0 || sh.Index < 0 || sh.Index >= sh.Count {
-		fatal("bad -shard value %q (want 0 <= i < n)", s)
-	}
-	return sh
 }
 
 // openCache opens a -cache directory, or returns nil for the empty path.
@@ -339,39 +341,6 @@ func reportCacheStats(cache *syncron.CacheDir) {
 		cache.Path(), st.Hits, st.Misses, st.Puts)
 }
 
-// figureGridSpecs expands the canonical figures grids (the exact runs
-// `syncron-sim figures` performs) into one seed-resolved spec list, so sweeps
-// can shard and cache the figures workload.
-func figureGridSpecs(quick bool) []syncron.RunSpec {
-	var specs []syncron.RunSpec
-	for _, sw := range syncron.FigureSweeps(syncron.FigureOptions{Quick: quick}) {
-		specs = append(specs, syncron.ResolveSeeds(sw.Expand(), sw.BaseSeed)...)
-	}
-	return specs
-}
-
-// gridCompatibleFlags are the sweep flags that still apply under -grid; every
-// other explicitly set flag would be silently ignored (the canonical figure
-// grids fix workloads, schemes, axes, seeds, and the machine config), so
-// rejectFlagsWithGrid fails loudly instead.
-var gridCompatibleFlags = map[string]bool{
-	"grid": true, "shard": true, "cache": true, "cache-only": true,
-	"fail-fast": true, "workers": true, "json": true, "csv": true,
-}
-
-func rejectFlagsWithGrid(fs *flag.FlagSet) {
-	var conflicting []string
-	fs.Visit(func(f *flag.Flag) {
-		if !gridCompatibleFlags[f.Name] {
-			conflicting = append(conflicting, "-"+f.Name)
-		}
-	})
-	if len(conflicting) > 0 {
-		fatal("-grid runs a canonical grid with fixed workloads, axes, seeds, and machine config; it ignores %s (drop them, or drop -grid)",
-			strings.Join(conflicting, ", "))
-	}
-}
-
 func sweepCmd(args []string) {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	var (
@@ -387,12 +356,10 @@ func sweepCmd(args []string) {
 		baseSeed  = fs.Uint64("base-seed", 0, "base for deterministic per-run seeds")
 		jsonOut   = fs.String("json", "-", "JSON output path (- = stdout)")
 		csvOut    = fs.String("csv", "", "also write CSV to this path")
-		grid      = fs.String("grid", "", "run a canonical grid instead of the axis flags: figures | figures-quick (ignores -workloads/-schemes/axes)")
-		shard     = fs.String("shard", "", "run one deterministic slice i/n of the grid (e.g. 0/4); shards are disjoint, exhaustive, and merge byte-identically")
 		cacheDir  = fs.String("cache", "", "content-addressed result cache directory: cached runs skip simulation, new results are stored")
 		cacheOnly = fs.Bool("cache-only", false, "forbid simulation; runs missing from -cache fail")
 		failFast  = fs.Bool("fail-fast", false, "cancel unstarted runs as soon as any run fails")
-		traceDir  = fs.String("trace", "", "write one time-resolved trace CSV per run into this directory; incompatible with -cache/-shard (a cached run skips the simulation a trace observes)")
+		traceDir  = fs.String("trace", "", "write one time-resolved trace CSV per run into this directory; incompatible with -cache (a cached run skips the simulation a trace observes)")
 	)
 	cfg, cores, topology, memModel := configFlags(fs)
 	_ = fs.Parse(args) // ExitOnError: Parse never returns an error
@@ -402,83 +369,68 @@ func sweepCmd(args []string) {
 		BaseSeed:  *baseSeed,
 		CacheOnly: *cacheOnly,
 		FailFast:  *failFast,
-		Shard:     parseShard(*shard),
+	}
+	if *cacheOnly {
+		if *cacheDir == "" {
+			fatal("-cache-only requires -cache DIR")
+		}
+		requireDir("cache-only", *cacheDir)
 	}
 	cache := openCache(*cacheDir)
 	if cache != nil {
 		runner.Cache = cache
 	}
-	if *cacheOnly && cache == nil {
-		fatal("-cache-only requires -cache DIR")
-	}
 	if *traceDir != "" {
 		// A cache hit skips the simulation entirely, so a traced cached run
-		// would emit an empty (misleading) trace; sharding would break the
-		// spec-to-collector pairing below. Fail loudly instead of guessing.
-		if cache != nil || *cacheOnly {
+		// would emit an empty (misleading) trace. Fail loudly instead.
+		if cache != nil {
 			fatal("-trace is incompatible with -cache/-cache-only: cached runs skip the simulation a trace observes")
-		}
-		if runner.Shard.Count > 1 {
-			fatal("-trace is incompatible with -shard")
 		}
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			fatal("%v", err)
 		}
 	}
 
-	var specs []syncron.RunSpec
-	var gridName string
-	switch *grid {
-	case "figures", "figures-quick":
-		// The canonical grids fix every axis, seed, and machine parameter so
-		// shard legs and `figures -from` agree on the spec hashes; a grid-mode
-		// sweep that also names axis or config flags would silently drop them.
-		rejectFlagsWithGrid(fs)
-		specs = figureGridSpecs(*grid == "figures-quick")
-		gridName = *grid
-	case "":
-		names := splitList(*workloads)
-		for _, name := range names {
-			if _, ok := syncron.LookupWorkload(name); !ok {
-				fatal("unknown workload %q (try `syncron-sim list`)", name)
-			}
+	names := splitList(*workloads)
+	for _, name := range names {
+		if _, ok := syncron.LookupWorkload(name); !ok {
+			fatal("unknown workload %q (try `syncron-sim list`)", name)
 		}
-		sw := syncron.Sweep{
-			Workloads:  names,
-			Topologies: parseTopologyList(*topology),
-			MemModels:  parseMemModelList(*memModel),
-			Base:       cfg(),
-			Params: syncron.WorkloadParams{Scale: *scale, OpsPerCore: *ops,
-				Interval: *interval, Metis: *metis},
+	}
+	sw := syncron.Sweep{
+		Workloads:  names,
+		Topologies: parseTopologyList(*topology),
+		MemModels:  parseMemModelList(*memModel),
+		Base:       cfg(),
+		Params: syncron.WorkloadParams{Scale: *scale, OpsPerCore: *ops,
+			Interval: *interval, Metis: *metis},
+	}
+	for _, name := range splitList(*schemes) {
+		sch, err := syncron.ParseScheme(name)
+		if err != nil {
+			fatal("%v", err)
 		}
-		for _, name := range splitList(*schemes) {
-			sch, err := syncron.ParseScheme(name)
-			if err != nil {
-				fatal("%v", err)
-			}
-			sw.Schemes = append(sw.Schemes, sch)
+		sw.Schemes = append(sw.Schemes, sch)
+	}
+	for _, s := range splitList(*unitsList) {
+		u := parseInt(s, "units-list")
+		if u <= 0 {
+			fatal("-units-list values must be positive (got %d)", u)
 		}
-		for _, s := range splitList(*unitsList) {
-			u := parseInt(s, "units-list")
-			if u <= 0 {
-				fatal("-units-list values must be positive (got %d)", u)
-			}
-			sw.Units = append(sw.Units, u)
+		sw.Units = append(sw.Units, u)
+	}
+	for _, s := range splitList(*stList) {
+		sw.STEntries = append(sw.STEntries, parseInt(s, "st-list"))
+	}
+	specs := sw.Expand()
+	// -cores fixes the TOTAL client core count, so per-unit cores must track
+	// the -units-list axis rather than the base -units value.
+	for i := range specs {
+		perUnit, err := coresPerUnit(*cores, specs[i].Config.Units)
+		if err != nil {
+			fatal("%v", err)
 		}
-		for _, s := range splitList(*stList) {
-			sw.STEntries = append(sw.STEntries, parseInt(s, "st-list"))
-		}
-		specs = sw.Expand()
-		// -cores fixes the TOTAL client core count, so per-unit cores must track
-		// the -units-list axis rather than the base -units value.
-		if *cores != 0 {
-			for i := range specs {
-				specs[i].Config.CoresPerUnit = *cores / specs[i].Config.Units
-			}
-		}
-		gridName = fmt.Sprintf("%d workloads x %d schemes", len(sw.Workloads), len(sw.Schemes))
-	default:
-		fatal("unknown -grid %q (want figures or figures-quick)", *grid)
+		specs[i].Config.CoresPerUnit = perUnit
 	}
 
 	var cols []*syncron.TraceCollector
@@ -490,12 +442,8 @@ func sweepCmd(args []string) {
 		}
 	}
 
-	if runner.Shard.Count > 1 {
-		fmt.Fprintf(os.Stderr, "syncron-sim: sweeping shard %d/%d of %d runs (%s)\n",
-			runner.Shard.Index, runner.Shard.Count, len(specs), gridName)
-	} else {
-		fmt.Fprintf(os.Stderr, "syncron-sim: sweeping %d runs (%s)\n", len(specs), gridName)
-	}
+	fmt.Fprintf(os.Stderr, "syncron-sim: sweeping %d runs (%d workloads x %d schemes)\n",
+		len(specs), len(sw.Workloads), len(sw.Schemes))
 	results := runner.Run(specs)
 	reportCacheStats(cache)
 
@@ -565,6 +513,7 @@ func figuresCmd(args []string) {
 		fatal("-from promises zero simulation, but the traced grid always simulates; drop one of -from/-trace")
 	}
 	if *fromDir != "" {
+		requireDir("from", *fromDir)
 		*cacheDir = *fromDir
 	}
 	cache := openCache(*cacheDir)
@@ -700,67 +649,6 @@ func writeFigures(mdOut, csvDir, header string, figs []*syncron.Figure) {
 				fatal("closing %s: %v", path, err)
 			}
 		}
-	}
-}
-
-// mergeCmd reassembles shard JSON outputs (written by `sweep -shard i/n`)
-// into the byte-identical JSON/CSV an unsharded run of the same grid emits,
-// and optionally replays the merged results into a cache directory so
-// `figures -from DIR` can render without simulating. Missing, overlapping,
-// or repeated shard files are detected and rejected.
-func mergeCmd(args []string) {
-	fs := flag.NewFlagSet("merge", flag.ExitOnError)
-	var (
-		jsonOut  = fs.String("json", "-", "merged JSON output path (- = stdout)")
-		csvOut   = fs.String("csv", "", "also write merged CSV to this path")
-		cacheDir = fs.String("cache", "", "also store every merged result into this cache directory, keyed by SpecKey")
-	)
-	_ = fs.Parse(args) // ExitOnError: Parse never returns an error
-	if fs.NArg() == 0 {
-		fatal("merge needs at least one shard JSON file (from `sweep -shard i/n -json ...`)")
-	}
-
-	var shards [][]syncron.RunResult
-	for _, path := range fs.Args() {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			fatal("%v", err)
-		}
-		var results []syncron.RunResult
-		if err := json.Unmarshal(raw, &results); err != nil {
-			fatal("parsing %s: %v", path, err)
-		}
-		shards = append(shards, results)
-	}
-	merged, err := syncron.MergeShards(shards...)
-	if err != nil {
-		fatal("%v", err)
-	}
-	fmt.Fprintf(os.Stderr, "syncron-sim: merged %d results from %d shard file(s)\n",
-		len(merged), len(shards))
-
-	if *cacheDir != "" {
-		cache := openCache(*cacheDir)
-		for _, res := range merged {
-			if res.Err != "" {
-				continue // failures are never cached
-			}
-			if err := syncron.CacheResult(cache, res); err != nil {
-				fatal("caching result %d: %v", res.GridIndex, err)
-			}
-		}
-		st := cache.Stats()
-		fmt.Fprintf(os.Stderr, "syncron-sim: cache %s: %d results stored\n", cache.Path(), st.Puts)
-	}
-	if *jsonOut == "-" {
-		if err := syncron.WriteJSON(os.Stdout, merged); err != nil {
-			fatal("writing JSON: %v", err)
-		}
-	} else {
-		writeFile(*jsonOut, merged, syncron.WriteJSON)
-	}
-	if *csvOut != "" {
-		writeFile(*csvOut, merged, syncron.WriteCSV)
 	}
 }
 

@@ -100,8 +100,8 @@ type FigureOptions struct {
 	// cached performs zero simulation and still emits byte-identical figures.
 	Cache ResultCache
 	// CacheOnly forbids simulation: any figure run missing from Cache aborts
-	// rendering with an error naming it. This is `figures -from DIR` — e.g.
-	// rendering from cache entries merged out of CI shard artifacts.
+	// rendering with an error naming it. This is `figures -from DIR`, which
+	// re-renders from a cache an earlier `figures -cache DIR` filled.
 	CacheOnly bool
 	// Parallelism is ignored, like Config.Parallelism.
 	//
@@ -317,9 +317,8 @@ func Figures(opt FigureOptions) ([]*Figure, error) {
 // FigureSweeps returns the canonical sweeps Figures(opt) runs, in order: the
 // main (workload x scheme) grid, the scalability grid, the ST-ablation grid,
 // and — only when the corresponding option is non-empty — the topology and
-// memory grids. `sweep -grid figures[-quick]` and the perfbench
-// figures-quick workload replay exactly these grids, so shards and
-// benchmarks run the same work the figures pipeline does.
+// memory grids. The perfbench figures-quick workload replays exactly these
+// grids, so the benchmark runs the same work the figures pipeline does.
 func FigureSweeps(opt FigureOptions) []Sweep {
 	g := figureGridsFor(opt.withDefaults())
 	sweeps := []Sweep{g.main, g.scalability, g.stAblation}

@@ -22,8 +22,8 @@ type SubmitRequest struct {
 }
 
 // SweepGrid mirrors the grid axes of syncron.Sweep in a JSON-friendly shape
-// (no execution-policy fields: workers, cache, and sharding are the server's
-// business, not the client's).
+// (no execution-policy fields: workers and cache are the server's business,
+// not the client's).
 type SweepGrid struct {
 	Workloads     []string               `json:"workloads"`
 	Schemes       []syncron.Scheme       `json:"schemes,omitempty"`

@@ -77,11 +77,10 @@ type RunResult struct {
 	// identically whether it was simulated or replayed.
 	Cached bool `json:"-"`
 
-	// GridIndex is the run's position in the fully expanded, unsharded grid.
-	// Sharded sweeps preserve the unsharded numbering, which is how MergeShards
-	// reassembles shard outputs into the exact byte order an unsharded run
-	// emits. It is bookkeeping of one sweep, not part of the result: the cache
-	// strips it, and Execute (which sees no grid) leaves it 0.
+	// GridIndex is the run's position in the spec list its sweep ran, so
+	// OnResult observers and serve job streams (which see completion order)
+	// can re-anchor a result. It is bookkeeping of one sweep, not part of the
+	// result: the cache strips it, and Execute (which sees no grid) leaves it 0.
 	GridIndex int `json:"grid_index"`
 
 	// Err is non-empty when the run failed (unknown workload, failed
@@ -186,9 +185,6 @@ type Sweep struct {
 	// byte-determinism of failing sweeps for a fast exit (successful sweeps
 	// are unaffected).
 	FailFast bool
-	// Shard restricts execution to one deterministic slice of the grid; the
-	// zero value runs everything.
-	Shard Shard
 }
 
 // WithCache returns a copy of the sweep wired to cache.
@@ -257,8 +253,8 @@ func (s Sweep) Expand() []RunSpec {
 	return specs
 }
 
-// Run expands the grid and executes it (or the configured Shard of it) with
-// the sweep's execution policy; see SpecRunner.Run.
+// Run expands the grid and executes it with the sweep's execution policy;
+// see SpecRunner.Run.
 func (s Sweep) Run() []RunResult {
 	return SpecRunner{
 		Workers:   s.Workers,
@@ -266,7 +262,6 @@ func (s Sweep) Run() []RunResult {
 		Cache:     s.Cache,
 		CacheOnly: s.CacheOnly,
 		FailFast:  s.FailFast,
-		Shard:     s.Shard,
 	}.Run(s.Expand())
 }
 
@@ -280,10 +275,10 @@ func RunSpecs(specs []RunSpec, workers int, baseSeed uint64) []RunResult {
 
 // ResolveSeeds returns a copy of specs in which every zero Config.Seed is
 // replaced by a seed derived only from baseSeed and the spec's grid index —
-// the same derivation at any worker count or shard split. Seed resolution is
-// the step that turns a grid definition into content-addressable work: after
-// it, every spec is a pure description of one deterministic run, hashable
-// with SpecKey.
+// the same derivation at any worker count. Seed resolution is the step that
+// turns a grid definition into content-addressable work: after it, every
+// spec is a pure description of one deterministic run, hashable with
+// SpecKey.
 func ResolveSeeds(specs []RunSpec, baseSeed uint64) []RunSpec {
 	out := make([]RunSpec, len(specs))
 	for i, spec := range specs {
@@ -295,72 +290,31 @@ func ResolveSeeds(specs []RunSpec, baseSeed uint64) []RunSpec {
 	return out
 }
 
-// Shard names one slice of an N-way grid partition. Index must be in
-// [0, Count); the zero value (Count 0, like Count 1) means "the whole grid".
-type Shard struct {
-	Index int
-	Count int
-}
-
-// validate panics on an impossible shard — a configuration bug, caught
-// before any simulation starts (CLI flags are validated at parse time).
-func (sh Shard) validate() {
-	if sh.Count < 0 || sh.Index < 0 || (sh.Count > 0 && sh.Index >= sh.Count) {
-		panic(fmt.Sprintf("syncron: invalid shard %d/%d (want 0 <= index < count)", sh.Index, sh.Count))
-	}
-}
-
-// Select returns the grid indices of the seed-resolved specs that belong to
-// the shard, in grid order. Shards of the same Count are disjoint and
-// exhaustive: every spec belongs to exactly one of them, assigned by spec
-// content hash (see shardOf), never by position — so any process expanding
-// the same grid computes the same partition.
-func (sh Shard) Select(specs []RunSpec) []int {
-	sh.validate()
-	if sh.Count <= 1 {
-		idx := make([]int, len(specs))
-		for i := range specs {
-			idx[i] = i
-		}
-		return idx
-	}
-	var idx []int
-	for i, spec := range specs {
-		if shardOf(spec, sh.Count) == sh.Index {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
 // SpecRunner is the execution policy of a sweep: worker-pool width, seed
-// derivation, result caching, and shard selection. Sweep.Run is
-// SpecRunner.Run over Sweep.Expand; the CLI uses SpecRunner directly when it
-// post-processes expanded specs before running them.
+// derivation, and result caching. Sweep.Run is SpecRunner.Run over
+// Sweep.Expand; the CLI uses SpecRunner directly when it post-processes
+// expanded specs before running them.
 type SpecRunner struct {
 	// Workers bounds simultaneous runs (default GOMAXPROCS).
 	Workers int
 	// BaseSeed anchors per-run seed derivation (see ResolveSeeds).
 	BaseSeed uint64
-	// Cache, CacheOnly, FailFast, and Shard behave as on Sweep.
+	// Cache, CacheOnly, and FailFast behave as on Sweep.
 	Cache     ResultCache
 	CacheOnly bool
 	FailFast  bool
-	Shard     Shard
 	// OnResult, when non-nil, is invoked once per completed run — simulated,
 	// cache-served, failed, or canceled — as results become available.
 	// Invocations are serialized (never concurrent) but arrive in completion
-	// order, not grid order; use RunResult.GridIndex to re-anchor. It is the
+	// order, not spec order; use RunResult.GridIndex to re-anchor. It is the
 	// progress hook of long-running callers (the serve daemon streams run
 	// completions from it).
 	OnResult func(RunResult)
 }
 
-// Run resolves seeds over the full spec list, selects the runner's shard,
-// and executes it on the worker pool. It returns one result per selected
-// spec in grid order, each carrying its unsharded GridIndex, so shard
-// outputs merge (MergeShards) into the exact byte sequence an unsharded run
-// produces. Cached results are returned without simulating; newly simulated
+// Run resolves seeds over the spec list and executes it on the worker pool.
+// It returns one result per spec in spec order, result i carrying GridIndex
+// i. Cached results are returned without simulating; newly simulated
 // successful results are stored back (best-effort — a failed cache write is
 // ignored).
 func (r SpecRunner) Run(specs []RunSpec) []RunResult {
@@ -372,21 +326,20 @@ func (r SpecRunner) Run(specs []RunSpec) []RunResult {
 // Cancellation granularity is between runs — a simulation already in flight
 // completes (the discrete-event engine is not preemptible) and its result is
 // still returned and cached. Canceled runs are reported, never dropped: the
-// returned slice always has one result per selected spec, in grid order, and
-// a canceled run carries a non-empty Err naming the context error, so callers
+// returned slice always has one result per spec, in spec order, and a
+// canceled run carries a non-empty Err naming the context error, so callers
 // (and OnResult observers) can tell "not run" apart from "lost".
 func (r SpecRunner) RunContext(ctx context.Context, specs []RunSpec) []RunResult {
 	resolved := ResolveSeeds(specs, r.BaseSeed)
-	selected := r.Shard.Select(resolved)
 
 	workers := r.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(selected) {
-		workers = len(selected)
+	if workers > len(resolved) {
+		workers = len(resolved)
 	}
-	results := make([]RunResult, len(selected))
+	results := make([]RunResult, len(resolved))
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var failed atomic.Pointer[RunResult]
@@ -397,18 +350,18 @@ func (r SpecRunner) RunContext(ctx context.Context, specs []RunSpec) []RunResult
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for p := range pos {
-				results[p] = r.runOne(runCtx, resolved[selected[p]], selected[p], &failed, cancel)
+			for i := range pos {
+				results[i] = r.runOne(runCtx, resolved[i], i, &failed, cancel)
 				if r.OnResult != nil {
 					cbMu.Lock()
-					r.OnResult(results[p])
+					r.OnResult(results[i])
 					cbMu.Unlock()
 				}
 			}
 		}()
 	}
-	for p := range selected {
-		pos <- p
+	for i := range resolved {
+		pos <- i
 	}
 	close(pos)
 	wg.Wait()
@@ -470,36 +423,6 @@ func (r SpecRunner) runOne(ctx context.Context, spec RunSpec, gridIndex int,
 		}
 	}
 	return finish(res)
-}
-
-// MergeShards reassembles shard outputs into the full grid: results are
-// reordered by GridIndex and validated to cover exactly 0..n-1 once each —
-// a missing index means a shard output was lost, a duplicate means two
-// overlapping (or repeated) shard files. The merged slice serializes
-// (WriteJSON, WriteCSV) byte-identically to the unsharded run of the same
-// grid. A single unsharded output is itself a valid input.
-func MergeShards(shards ...[]RunResult) ([]RunResult, error) {
-	var all []RunResult
-	for _, s := range shards {
-		all = append(all, s...)
-	}
-	if len(all) == 0 {
-		return nil, fmt.Errorf("syncron: merging empty shard set")
-	}
-	merged := make([]RunResult, len(all))
-	seen := make([]bool, len(all))
-	for _, r := range all {
-		if r.GridIndex < 0 || r.GridIndex >= len(all) {
-			return nil, fmt.Errorf("syncron: grid index %d out of range for %d merged results (shard set incomplete?)",
-				r.GridIndex, len(all))
-		}
-		if seen[r.GridIndex] {
-			return nil, fmt.Errorf("syncron: duplicate grid index %d (overlapping or repeated shard outputs)", r.GridIndex)
-		}
-		seen[r.GridIndex] = true
-		merged[r.GridIndex] = r
-	}
-	return merged, nil
 }
 
 // deriveSeed mixes baseSeed and the run index (splitmix64 finalizer) into a

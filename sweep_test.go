@@ -60,12 +60,16 @@ func TestSweepEmptyAxesFallBackToBase(t *testing.T) {
 }
 
 // TestSweepDeterministicAcrossWorkers is the core parallel-safety guarantee:
-// the same sweep must produce byte-identical results at any worker count.
+// the same sweep must produce byte-identical results at any worker count,
+// and result i must carry GridIndex i (the grid_index JSON field).
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	serial := tinySweep(1).Run()
 	parallel := tinySweep(8).Run()
 	for _, rs := range [][]syncron.RunResult{serial, parallel} {
-		for _, r := range rs {
+		for i, r := range rs {
+			if r.GridIndex != i {
+				t.Fatalf("result %d has GridIndex %d", i, r.GridIndex)
+			}
 			if r.Err != "" {
 				t.Fatalf("%s under %s failed: %s", r.Spec.Workload, r.Spec.Config.Scheme, r.Err)
 			}

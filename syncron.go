@@ -245,7 +245,7 @@ type Config struct {
 	// dispatcher. It is excluded from JSON output and from SpecKey.
 	//
 	// Deprecated: the intra-run parallel dispatcher was removed; grids run
-	// in parallel across runs (Sweep.Workers, shards).
+	// in parallel across runs (Sweep.Workers).
 	Parallelism int `json:"-"`
 	// Tracer receives time-resolved trace records from the run: engine queue
 	// depth and dispatch rate, per-link transfer windows, and per-variable
