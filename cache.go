@@ -20,8 +20,9 @@ import (
 // cache directory per code version (CI keys its directories on the source
 // hash); see ARCHITECTURE.md "Caching".
 //
-// History: v2 added Config.MemModel (the DRAM timing-model axis).
-const SpecKeyVersion = 2
+// History: v2 added Config.MemModel (the DRAM timing-model axis); v3 retired
+// the split-access event order, so every workload models its accesses inline.
+const SpecKeyVersion = 3
 
 // specKeyRecord is the canonical, versioned encoding of one RunSpec. Every
 // semantic field of RunSpec/Config/WorkloadParams appears explicitly, always

@@ -49,9 +49,9 @@ func TestSpecKeyGolden(t *testing.T) {
 			Interval: 200, Rounds: 8, Metis: true},
 	}
 	for name, want := range map[syncron.RunSpec]string{
-		base: "v2-a1361b964fb2dcde6b534074c5b641aca0b568122e02a93f39ab0dd2510c9c73",
-		full: "v2-769c42b6d2a80483650525da565dcf0c3b2d8ac72673a5e6611c80f83f89022e",
-		{}:   "v2-6f8dd9c5e0e202c3342e64a9896004679265baba871a0e2e29a93fb41f17e945",
+		base: "v3-712606daed6f18df3f7b07ab621433474676b35c0d1905bfc49884b32693beb3",
+		full: "v3-56c9d0b8c5698fa06fb2af7177805ec518ad897a7bfb3611f885c2e34a53d437",
+		{}:   "v3-fc56c88853940dcfba49ada2a1725b584ff96ebe962f24887f9e5bcbf51450cf",
 	} {
 		if got := syncron.SpecKey(name); got != want {
 			t.Errorf("SpecKey(%+v)\n  got  %s\n  want %s", name, got, want)

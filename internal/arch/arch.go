@@ -277,12 +277,6 @@ func (m *Machine) CoreAccess(t sim.Time, core int, addr uint64, write bool) sim.
 	return m.AccessFrom(t, m.UnitOf(core), network.PortCore(m.LocalOf(core)), m.Caches[core], addr, write)
 }
 
-// CoreL1Hit reports whether CoreAccess(core, addr, ...) would hit in the
-// core's L1, without touching the cache's state.
-func (m *Machine) CoreL1Hit(core int, addr uint64) bool {
-	return m.Cacheable(addr) && m.Caches[core].Contains(addr)
-}
-
 // Energy summarizes the machine's energy consumption in picojoules.
 type Energy struct {
 	CachePJ   float64

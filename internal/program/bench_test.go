@@ -51,3 +51,29 @@ func BenchmarkProgramSyncOps(b *testing.B) {
 		r.Run()
 	}
 }
+
+// BenchmarkProgramMemOps measures the per-operation cost of the memory path:
+// each core alternates a read of a line it keeps resident in its L1 (a hit)
+// with a read of uncacheable shared memory (a miss that crosses the network
+// and the memory model), so both halves of CoreAccess are on the path.
+func BenchmarkProgramMemOps(b *testing.B) {
+	const opsPerRun = 4096
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := arch.NewMachine(arch.Config{Units: 2, CoresPerUnit: 2})
+		m.Backend = &instantBackend{}
+		r := NewRunner(m)
+		for c := 0; c < m.NumCores(); c++ {
+			hot := m.Alloc(m.UnitOf(c), 64)
+			shared := m.AllocShared(c%m.Cfg.Units, 64)
+			r.Add(func(ctx *Ctx) {
+				for k := 0; k < opsPerRun/8; k++ {
+					ctx.Read(hot)
+					ctx.Read(shared)
+				}
+			})
+		}
+		r.Run()
+	}
+	b.ReportMetric(float64(opsPerRun), "ops/run")
+}

@@ -8,7 +8,18 @@
 // deterministic.
 //
 // Cores are in-order and blocking (paper §5): each operation completes
-// before the next one issues.
+// before the next one issues. Every operation is modeled inline, in the
+// core's step event: a Read or Write schedules one resume event at its
+// completion time, and a sync request goes straight to the backend.
+//
+// Host-order contract: a program's Go code between two operations runs
+// inside its core's step event, at the previous operation's completion time.
+// Code that reads shared Go state outside simulated locks — the optimistic
+// structures' unlocked probes (stack's top, skiplist's search over next
+// pointers and deletion marks, bst_drachsler's lock-free tree walk) — thus
+// observes that state as of that event, after every earlier event and
+// before every later one. A change to when program code runs relative to
+// other same-timestamp events changes what such code sees.
 package program
 
 import (
@@ -65,15 +76,13 @@ type proc struct {
 
 	// The callbacks below are bound once at launch so the per-operation hot
 	// path schedules without allocating a fresh closure per event. pend and
-	// issued are the arena for the in-flight operation (in-order blocking
-	// cores have at most one), which is what lets memFn/syncFn/grantFn be
-	// prebound instead of capturing per-op state.
+	// issued are the arena for the in-flight sync request (in-order blocking
+	// cores have at most one), which is what lets grantFn be prebound instead
+	// of capturing per-op state.
 	stepFn   func(sim.Time)
 	resumeFn func(sim.Time)
-	memFn    func(sim.Time) // split-off memory access (pend)
-	syncFn   func(sim.Time) // split-off synchronization request (pend)
 	grantFn  func(sim.Time) // backend grant callback for pend
-	pend     op
+	pend     arch.SyncReq
 	issued   sim.Time
 
 	// statistics
@@ -97,16 +106,6 @@ type Runner struct {
 	// checker runs engine-side: release checks at issue time, acquire checks
 	// at grant time.
 	CheckLocks bool
-
-	// SplitAccess selects the split-access event order: a memory access that
-	// misses the core's L1, and every synchronization request, is modeled in
-	// an event of its own at the same timestamp instead of inside the core's
-	// step event. That event takes a later place among same-timestamp
-	// events, so the split changes which of several contending cores reaches
-	// a shared resource first. The workloads calibrated with it (the
-	// primitive microbenchmarks, the structures named by ds.SplitAccess)
-	// turn it on; the rest model every access inline. Must be set before Run.
-	SplitAccess bool
 
 	holders map[uint64]int // lock addr -> core id
 
@@ -178,13 +177,8 @@ func (r *Runner) Run() sim.Time {
 			p.resumeAt = at
 			r.step(p, at)
 		}
-		p.memFn = func(at sim.Time) {
-			o := p.pend
-			eng.Schedule(r.M.CoreAccess(at, p.id, o.addr, o.kind == opWrite), p.resumeFn)
-		}
-		p.syncFn = func(at sim.Time) { r.issueSync(p, at) }
 		p.grantFn = func(done sim.Time) {
-			req := p.pend.req
+			req := p.pend
 			if done < p.issued {
 				panic(fmt.Sprintf("program: backend %s granted at %v before request at %v",
 					r.M.Backend.Name(), done, p.issued))
@@ -218,7 +212,7 @@ func (r *Runner) Run() sim.Time {
 	for _, p := range r.procs {
 		makespan = max(makespan, p.finishAt)
 		if !p.done {
-			blocked = append(blocked, fmt.Sprintf("core %d on %v %#x", p.id, p.pend.req.Op, p.pend.req.Addr))
+			blocked = append(blocked, fmt.Sprintf("core %d on %v %#x", p.id, p.pend.Op, p.pend.Addr))
 		}
 	}
 	if blocked != nil {
@@ -232,8 +226,7 @@ func (r *Runner) Run() sim.Time {
 type stopped struct{}
 
 // step fetches the next operation from core p's program and models it, as
-// the core's engine event at time at. Under SplitAccess, L1 misses and sync
-// requests are handed to a same-timestamp event of their own.
+// the core's engine event at time at.
 func (r *Runner) step(p *proc, at sim.Time) {
 	eng := r.M.Engine
 	o, ok := p.next()
@@ -253,29 +246,14 @@ func (r *Runner) step(p *proc, at sim.Time) {
 		} else {
 			p.Reads++
 		}
-		if r.SplitAccess && !r.M.CoreL1Hit(p.id, o.addr) {
-			p.pend = o
-			eng.Schedule(at, p.memFn)
-			return
-		}
 		eng.Schedule(r.M.CoreAccess(at, p.id, o.addr, write), p.resumeFn)
 	case opSync:
 		p.SyncOps++
-		p.pend = o
-		if r.SplitAccess {
-			eng.Schedule(at, p.syncFn)
-			return
-		}
-		r.issueSync(p, at)
+		p.pend = o.req
+		p.issued = at
+		r.checkIssue(p, o.req)
+		r.M.Backend.Request(at, p.id, o.req, p.grantFn)
 	}
-}
-
-// issueSync submits the core's pending synchronization request to the
-// backend.
-func (r *Runner) issueSync(p *proc, at sim.Time) {
-	p.issued = at
-	r.checkIssue(p, p.pend.req)
-	r.M.Backend.Request(at, p.id, p.pend.req, p.grantFn)
 }
 
 // checkIssue runs the release-side lock checks when a sync request is issued.
@@ -424,7 +402,8 @@ type Stats struct {
 	Finish   sim.Time
 }
 
-// Stats returns statistics for every core, indexed by core id.
+// Stats returns one entry per core that has a program, in core order; each
+// entry's Core field names its core.
 func (r *Runner) Stats() []Stats {
 	out := make([]Stats, len(r.procs))
 	for i, p := range r.procs {

@@ -195,6 +195,9 @@ func TestAddAtPinning(t *testing.T) {
 	if unit != m.UnitOf(3) {
 		t.Fatalf("pinned core ran in unit %d", unit)
 	}
+	if st := r.Stats(); len(st) != 1 || st[0].Core != 3 {
+		t.Fatalf("Stats() = %+v, want one entry for core 3", st)
+	}
 }
 
 func TestTooManyProgramsPanics(t *testing.T) {
@@ -208,35 +211,29 @@ func TestTooManyProgramsPanics(t *testing.T) {
 	r.AddN(m.NumCores()+1, func(int) Program { return func(*Ctx) {} })
 }
 
-// Split and inline runs of an uncontended-timing program must report the
-// same makespan: the split moves an access into its own same-timestamp
-// event, never across simulated time.
-func TestSplitAccessKeepsTiming(t *testing.T) {
-	run := func(split bool) sim.Time {
-		m := arch.NewMachine(arch.Config{Units: 2, CoresPerUnit: 2})
-		m.Backend = &instantBackend{}
-		r := NewRunner(m)
-		r.SplitAccess = split
-		n := m.NumCores()
-		lock := m.Alloc(0, 64)
-		addrs := make([]uint64, n)
-		for c := 0; c < n; c++ {
-			addrs[c] = m.Alloc(m.UnitOf(c), 64)
-		}
-		r.AddN(n, func(c int) Program {
-			return func(ctx *Ctx) {
-				for i := 0; i < 30; i++ {
-					ctx.Compute(20)
-					ctx.Read(addrs[c])
-					ctx.Lock(lock)
-					ctx.Write(addrs[(c+1)%n]) // cross-unit for half the cores
-					ctx.Unlock(lock)
-				}
-			}
-		})
-		return r.Run()
+// Every operation costs exactly one engine event: a step event for each
+// Compute, Read and Write, and a grant event plus a step event for each sync
+// request. A change to the per-operation event order shows here first.
+func TestOneEventPerOperation(t *testing.T) {
+	m := newM()
+	r := NewRunner(m)
+	a := m.Alloc(0, 64) // cacheable: the second Read hits the core's L1
+	lock := m.Alloc(0, 64)
+	r.Add(func(ctx *Ctx) {
+		ctx.Compute(10)
+		ctx.Read(a) // L1 miss
+		ctx.Read(a) // L1 hit
+		ctx.Lock(lock)
+		ctx.Unlock(lock)
+	})
+	r.Run()
+	// 1 first step + 3 resumes after Compute/miss/hit + 2 x (grant + resume)
+	// for Lock and Unlock; the final resume finds the program returned.
+	const want = 1 + 3 + 2*2
+	if got := m.Engine.Executed; got != want {
+		t.Fatalf("executed %d events, want %d", got, want)
 	}
-	if split, inline := run(true), run(false); split != inline {
-		t.Errorf("split-access makespan %v, inline %v", split, inline)
+	if st := &m.Caches[0].Stats; st.Hits.Value() != 1 || st.Misses.Value() != 1 {
+		t.Fatalf("L1 hits %d, misses %d; want one each", st.Hits.Value(), st.Misses.Value())
 	}
 }

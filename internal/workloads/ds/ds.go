@@ -49,23 +49,6 @@ func Names() []string {
 		"hashtable", "linkedlist", "bst_fg", "bst_drachsler"}
 }
 
-// SplitAccess reports whether a structure runs with the program runner's
-// split-access event order (program.Runner.SplitAccess). The structures that
-// touch shared host state only inside simulated critical sections use it.
-// The optimistic ones read shared nodes outside their locks — stack (pre-lock
-// top probe), skiplist (unlocked search over next pointers and deletion
-// marks), bst_drachsler (lock-free search reading mutable tree links) — and
-// model every access inline. The split moves same-timestamp contention
-// order, so changing this set changes results.
-func SplitAccess(name string) bool {
-	switch name {
-	case "stack", "skiplist", "bst_drachsler":
-		return false
-	default:
-		return true
-	}
-}
-
 // PaperSize returns the Table-6 initial size for a structure.
 func PaperSize(name string) int {
 	switch name {

@@ -410,7 +410,7 @@ type Report struct {
 	// run — the simulator-throughput numerator of events/sec benchmarks
 	// (perfbench).
 	Events uint64
-	// PerCore statistics.
+	// PerCore holds one entry per core that ran a program, in core order.
 	PerCore []program.Stats
 }
 

@@ -50,8 +50,6 @@ func (w primitiveWorkload) Prepare(sys *System, p WorkloadParams) (*PreparedRun,
 	}
 	m := sys.Machine()
 	ubench.Build(m, sys.Runner(), ubench.Config{Primitive: w.prim, Interval: interval, Rounds: rounds})
-	// All four primitives run with the split-access event order.
-	sys.Runner().SplitAccess = true
 	return &PreparedRun{Ops: uint64(rounds * m.NumCores())}, nil
 }
 
@@ -80,7 +78,6 @@ func (w dsWorkload) Prepare(sys *System, p WorkloadParams) (*PreparedRun, error)
 	m := sys.Machine()
 	rng := sim.NewRNG(m.Cfg.Seed + 100)
 	d := ds.New(w.name, m, ds.Config{Size: size}, rng)
-	sys.Runner().SplitAccess = ds.SplitAccess(w.name)
 	sys.Runner().AddN(m.NumCores(), func(int) program.Program {
 		return func(ctx *program.Ctx) {
 			for k := 0; k < ops; k++ {
