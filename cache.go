@@ -21,8 +21,10 @@ import (
 // hash); see ARCHITECTURE.md "Caching".
 //
 // History: v2 added Config.MemModel (the DRAM timing-model axis); v3 retired
-// the split-access event order, so every workload models its accesses inline.
-const SpecKeyVersion = 3
+// the split-access event order, so every workload models its accesses inline;
+// v4 runs Compute and L1 hits inside the core's coroutine, so program code
+// after a Compute runs at the previous operation's completion (sssp moved).
+const SpecKeyVersion = 4
 
 // specKeyRecord is the canonical, versioned encoding of one RunSpec. Every
 // semantic field of RunSpec/Config/WorkloadParams appears explicitly, always

@@ -49,9 +49,9 @@ func TestSpecKeyGolden(t *testing.T) {
 			Interval: 200, Rounds: 8, Metis: true},
 	}
 	for name, want := range map[syncron.RunSpec]string{
-		base: "v3-712606daed6f18df3f7b07ab621433474676b35c0d1905bfc49884b32693beb3",
-		full: "v3-56c9d0b8c5698fa06fb2af7177805ec518ad897a7bfb3611f885c2e34a53d437",
-		{}:   "v3-fc56c88853940dcfba49ada2a1725b584ff96ebe962f24887f9e5bcbf51450cf",
+		base: "v4-49392b8a9c131d87dc3be498fe0c866a93885d9794e8f3ccec716a4d4f633cae",
+		full: "v4-6e7081ab9027c3a92b7852381c958e72974e9b93ba81aaabe802539ef703f09b",
+		{}:   "v4-ffd6b631a515ace33ec4d6521bcd486a0a836077e240e224323ad8e71756b0bb",
 	} {
 		if got := syncron.SpecKey(name); got != want {
 			t.Errorf("SpecKey(%+v)\n  got  %s\n  want %s", name, got, want)

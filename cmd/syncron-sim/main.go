@@ -40,6 +40,10 @@
 //	syncron-sim paper -scale 0.25 fig10 fig23
 //	syncron-sim paper -scale 0.05 -md paper.md -csv-dir out/ all
 //
+// Profiling (run, sweep, figures and paper; inspect with `go tool pprof`):
+//
+//	syncron-sim figures --quick -md /dev/null -cpuprofile cpu.pprof -memprofile mem.pprof
+//
 // Serving (long-running daemon: POST RunSpecs or sweep grids over HTTP,
 // cache-backed dedup and single-flight, bounded queue with backpressure,
 // streaming progress; drains gracefully on SIGTERM):
@@ -66,6 +70,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"syscall"
@@ -201,7 +207,9 @@ func runCmd(args []string) {
 		traceOut  = fs.String("trace", "", "write a time-resolved trace CSV of the run to this path; output is byte-identical across repeated runs")
 	)
 	cfg, cores, topology, memModel := configFlags(fs)
+	profile := profileFlags(fs)
 	_ = fs.Parse(args) // ExitOnError: Parse never returns an error
+	defer profile()()
 
 	spec := syncron.RunSpec{
 		Workload: *workload,
@@ -267,6 +275,51 @@ func runCmd(args []string) {
 	}
 	if *jsonOut != "-" {
 		report(res)
+	}
+}
+
+// profileFlags registers -cpuprofile and -memprofile on fs. Once fs is
+// parsed, start begins the CPU profile and returns the function that ends it
+// and writes the heap profile; a command defers that. A command that exits
+// through fatal leaves no profile.
+func profileFlags(fs *flag.FlagSet) (start func() (stop func())) {
+	cpuPath := fs.String("cpuprofile", "", "write a pprof CPU profile of the command to this path")
+	memPath := fs.String("memprofile", "", "write a pprof heap profile to this path when the command ends")
+	return func() func() {
+		var cpu *os.File
+		if *cpuPath != "" {
+			f, err := os.Create(*cpuPath)
+			if err != nil {
+				fatal("%v", err)
+			}
+			if err := pprof.StartCPUProfile(f); err != nil {
+				f.Close()
+				fatal("starting CPU profile: %v", err)
+			}
+			cpu = f
+		}
+		return func() {
+			if cpu != nil {
+				pprof.StopCPUProfile()
+				if err := cpu.Close(); err != nil {
+					fatal("closing %s: %v", *cpuPath, err)
+				}
+			}
+			if *memPath != "" {
+				f, err := os.Create(*memPath)
+				if err != nil {
+					fatal("%v", err)
+				}
+				runtime.GC() // the profile reports the heap as of the last GC
+				if err := pprof.WriteHeapProfile(f); err != nil {
+					f.Close()
+					fatal("writing %s: %v", *memPath, err)
+				}
+				if err := f.Close(); err != nil {
+					fatal("closing %s: %v", *memPath, err)
+				}
+			}
+		}
 	}
 }
 
@@ -362,7 +415,9 @@ func sweepCmd(args []string) {
 		traceDir  = fs.String("trace", "", "write one time-resolved trace CSV per run into this directory; incompatible with -cache (a cached run skips the simulation a trace observes)")
 	)
 	cfg, cores, topology, memModel := configFlags(fs)
+	profile := profileFlags(fs)
 	_ = fs.Parse(args) // ExitOnError: Parse never returns an error
+	defer profile()()
 
 	runner := syncron.SpecRunner{
 		Workers:   *workers,
@@ -500,7 +555,9 @@ func figuresCmd(args []string) {
 		fromDir   = fs.String("from", "", "render purely from this cache directory; any missing run is an error (zero simulation)")
 		traceDir  = fs.String("trace", "", "add the time-resolved trace figure and write its per-workload trace/view CSVs into this directory; the traced grid always simulates (it bypasses -cache)")
 	)
+	profile := profileFlags(fs)
 	_ = fs.Parse(args) // ExitOnError: Parse never returns an error
+	defer profile()()
 
 	base, err := syncron.ParseScheme(*baseline)
 	if err != nil {
@@ -564,7 +621,9 @@ func paperCmd(args []string) {
 		mdOut  = fs.String("md", "-", "Markdown output path (- = stdout)")
 		csvDir = fs.String("csv-dir", "", "also write one <table>.csv per table into this directory")
 	)
+	profile := profileFlags(fs)
 	_ = fs.Parse(args) // ExitOnError: Parse never returns an error
+	defer profile()()
 
 	if fs.NArg() == 0 {
 		for _, a := range syncron.PaperArtifacts() {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -27,6 +29,30 @@ func TestCoresPerUnit(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), "-cores") {
 			t.Errorf("coresPerUnit(%d, %d) = %d, %v; want an error naming -cores", tc.cores, tc.units, got, err)
+		}
+	}
+}
+
+// -cpuprofile and -memprofile write non-empty pprof files when the command
+// ends, through the one helper every simulating subcommand shares.
+func TestProfileFlagsWriteProfiles(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		cmd  func([]string)
+		args []string
+	}{
+		{"run", runCmd, []string{"-workload", "lock", "-scale", "0.05", "-units", "1", "-json", filepath.Join(dir, "run.json")}},
+		{"sweep", sweepCmd, []string{"-workloads", "lock", "-schemes", "syncron", "-scale", "0.05", "-units", "1", "-json", filepath.Join(dir, "sweep.json")}},
+		{"paper", paperCmd, nil}, // lists the artifacts
+	} {
+		cpu := filepath.Join(dir, tc.name+".cpu.pprof")
+		heap := filepath.Join(dir, tc.name+".mem.pprof")
+		tc.cmd(append(tc.args, "-cpuprofile", cpu, "-memprofile", heap))
+		for _, path := range []string{cpu, heap} {
+			if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+				t.Errorf("%s: profile %s not written (stat: %v)", tc.name, filepath.Base(path), err)
+			}
 		}
 	}
 }

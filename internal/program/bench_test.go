@@ -6,11 +6,12 @@ import (
 	"syncron/internal/arch"
 )
 
-// BenchmarkProgramOps measures the per-operation cost of the program layer's
-// engine handoff (step -> resumeAt -> step), the schedule-in-a-loop hot path
-// every workload runs on. The CI perf gate tracks it alongside the raw engine
-// benchmarks: a regression here that doesn't show in BenchmarkEngine* points
-// at the handoff plumbing, not the event queue.
+// BenchmarkProgramOps measures the per-operation cost of a compute-only
+// program: each Compute is queued inside the coroutine and played as one
+// chained engine event, with one coroutine handoff per full delay queue. The
+// CI perf gate tracks it alongside the raw engine benchmarks: a regression
+// here that doesn't show in BenchmarkEngine* points at the delay queue and
+// its event chain, not the event queue.
 func BenchmarkProgramOps(b *testing.B) {
 	const opsPerRun = 4096
 	b.ReportAllocs()
@@ -53,9 +54,11 @@ func BenchmarkProgramSyncOps(b *testing.B) {
 }
 
 // BenchmarkProgramMemOps measures the per-operation cost of the memory path:
-// each core alternates a read of a line it keeps resident in its L1 (a hit)
-// with a read of uncacheable shared memory (a miss that crosses the network
-// and the memory model), so both halves of CoreAccess are on the path.
+// each core alternates a read of a line it keeps resident in its L1 (a hit,
+// served inside the coroutine and played as one chained event) with a read
+// of uncacheable shared memory (a miss that yields to the step event and
+// crosses the network and the memory model), so both halves of CoreAccess
+// are on the path.
 func BenchmarkProgramMemOps(b *testing.B) {
 	const opsPerRun = 4096
 	b.ReportAllocs()

@@ -2,24 +2,37 @@
 //
 // A Program is ordinary Go code written in straight-line style against a
 // *Ctx. Each simulated core runs its program as an iter.Pull coroutine: the
-// core's engine event resumes it, the program runs to its next operation and
-// yields it back to the event. The two sides strictly alternate, so program
-// code only runs inside its own core's events and the simulation is
-// deterministic.
+// core's engine event resumes it, the program runs to its next
+// engine-visible operation and yields it back to the event. The two sides
+// strictly alternate, so program code only runs inside its own core's events
+// and the simulation is deterministic.
 //
 // Cores are in-order and blocking (paper §5): each operation completes
-// before the next one issues. Every operation is modeled inline, in the
-// core's step event: a Read or Write schedules one resume event at its
-// completion time, and a sync request goes straight to the backend.
+// before the next one issues. Core-private operations — Compute and L1 hits
+// — run inside the coroutine: they touch only the core's own state (a core's
+// L1 is private and only this core's CoreAccess touches it), so the program
+// applies them at once and queues their delays. Only an L1 miss, an
+// uncacheable access or a sync op yields (and, at a small fixed cap, a full
+// delay queue). The step event then plays the queue as a chain of engine
+// events, one per delay, each scheduling the next, and the last one models
+// the yielded operation: a Read or Write schedules one resume event at its
+// completion time, and a sync request goes straight to the backend. Each
+// chained event is scheduled at the time, and from the event, that a resume
+// after its core-private operation would be, so engine order, event counts,
+// traces and lock-checker timing are those of one round trip per operation.
 //
-// Host-order contract: a program's Go code between two operations runs
-// inside its core's step event, at the previous operation's completion time.
-// Code that reads shared Go state outside simulated locks — the optimistic
+// Host-order contract: a program's Go code runs inside its core's step
+// event, at the completion time of its previous miss, uncacheable access or
+// sync op — not after any Compute or L1 hit in between. Ctx.Now already
+// includes that queued compute and hit time. Folding hits is safe because
+// cacheable data is private or read-only by construction (shared read-write
+// data is AllocShared, hence uncacheable). Code that reads shared Go state
+// outside simulated locks — sssp's unlocked distance reads, the optimistic
 // structures' unlocked probes (stack's top, skiplist's search over next
 // pointers and deletion marks, bst_drachsler's lock-free tree walk) — thus
-// observes that state as of that event, after every earlier event and
+// observes that state as of that step event, after every earlier event and
 // before every later one. A change to when program code runs relative to
-// other same-timestamp events changes what such code sees.
+// other events changes what such code sees.
 package program
 
 import (
@@ -41,6 +54,7 @@ type Ctx struct {
 	Unit int // NDP unit
 	RNG  *sim.RNG
 
+	m     *arch.Machine
 	p     *proc
 	yield func(op) bool // hands the next operation to the core's step event
 	now   sim.Time
@@ -49,41 +63,53 @@ type Ctx struct {
 type opKind int
 
 const (
-	opCompute opKind = iota
-	opRead
+	opRead opKind = iota
 	opWrite
 	opSync
+	opFlush // the delay queue is full: play it, then resume the program
+	opEnd   // the program returned: play the queue, then finish
 )
 
 type op struct {
 	kind opKind
-	n    int64
 	addr uint64
 	req  arch.SyncReq
 }
+
+// maxDelays sizes a core's fixed queue of pending core-private delays; a
+// program that fills it yields to have it played, so a long compute-only
+// loop runs in bounded memory.
+const maxDelays = 16
 
 type proc struct {
 	id       int
 	done     bool
 	finishAt sim.Time
 
-	// next runs the program coroutine to its next operation (ok is false once
-	// it returned) and stop unwinds it; resumeAt carries the previous
-	// operation's completion time into the coroutine.
+	// next runs the program coroutine to its next yielded operation (ok is
+	// false once it returned) and stop unwinds it; resumeAt carries the
+	// previous operation's completion time into the coroutine.
 	next     func() (op, bool)
 	stop     func()
 	resumeAt sim.Time
+
+	// delays[:queued] are the core-private delays (Compute, L1 hits) the
+	// program ran through before yielding op; played counts the ones whose
+	// events are scheduled.
+	delays         [maxDelays]sim.Time
+	queued, played int
+	op             op
 
 	// The callbacks below are bound once at launch so the per-operation hot
 	// path schedules without allocating a fresh closure per event. pend and
 	// issued are the arena for the in-flight sync request (in-order blocking
 	// cores have at most one), which is what lets grantFn be prebound instead
 	// of capturing per-op state.
-	stepFn   func(sim.Time)
-	resumeFn func(sim.Time)
-	grantFn  func(sim.Time) // backend grant callback for pend
-	pend     arch.SyncReq
-	issued   sim.Time
+	stepFn  func(sim.Time) // resumes the program
+	playFn  func(sim.Time) // plays the next queued delay
+	grantFn func(sim.Time) // backend grant callback for pend
+	pend    arch.SyncReq
+	issued  sim.Time
 
 	// statistics
 	Instrs   uint64
@@ -173,10 +199,7 @@ func (r *Runner) Run() sim.Time {
 		}
 		p := &proc{id: i}
 		p.stepFn = func(at sim.Time) { r.step(p, at) }
-		p.resumeFn = func(at sim.Time) {
-			p.resumeAt = at
-			r.step(p, at)
-		}
+		p.playFn = func(at sim.Time) { r.play(p, at) }
 		p.grantFn = func(done sim.Time) {
 			req := p.pend
 			if done < p.issued {
@@ -187,9 +210,9 @@ func (r *Runner) Run() sim.Time {
 				p.SyncWait += done - p.issued
 			}
 			r.checkGrant(p, req, done)
-			eng.Schedule(done, p.resumeFn)
+			eng.Schedule(done, p.stepFn)
 		}
-		ctx := &Ctx{ID: i, Unit: r.M.UnitOf(i), RNG: r.M.RNG.Fork(), p: p}
+		ctx := &Ctx{ID: i, Unit: r.M.UnitOf(i), RNG: r.M.RNG.Fork(), m: r.M, p: p}
 		// The coroutine starts at the core's first step event. A program's own
 		// panic passes through, and iter.Pull re-raises it from next.
 		p.next, p.stop = iter.Pull(func(yield func(op) bool) {
@@ -225,28 +248,38 @@ func (r *Runner) Run() sim.Time {
 // stopped is the panic value that unwinds a program stopped mid-operation.
 type stopped struct{}
 
-// step fetches the next operation from core p's program and models it, as
-// the core's engine event at time at.
+// step resumes core p's program at time at, the completion time of its
+// previous operation, runs it to its next yielded operation (or its end) and
+// starts playing the delays it queued on the way.
 func (r *Runner) step(p *proc, at sim.Time) {
-	eng := r.M.Engine
+	p.resumeAt = at
 	o, ok := p.next()
 	if !ok {
-		p.done = true
-		p.finishAt = at
+		o = op{kind: opEnd}
+	}
+	p.op, p.played = o, 0
+	r.play(p, at)
+}
+
+// play is core p's event at time at while it works through its queued
+// delays: it schedules the event that ends the next delay or, once every
+// delay has run, models the operation the program yielded after them.
+func (r *Runner) play(p *proc, at sim.Time) {
+	if p.played < p.queued {
+		at += p.delays[p.played]
+		p.played++
+		r.M.Engine.Schedule(at, p.playFn)
 		return
 	}
-	switch o.kind {
-	case opCompute:
-		p.Instrs += uint64(o.n)
-		eng.Schedule(at+r.M.CoreClock.Cycles(o.n), p.resumeFn)
+	p.queued = 0
+	switch o := p.op; o.kind {
 	case opRead, opWrite:
-		write := o.kind == opWrite
-		if write {
-			p.Writes++
-		} else {
-			p.Reads++
-		}
-		eng.Schedule(r.M.CoreAccess(at, p.id, o.addr, write), p.resumeFn)
+		r.M.Engine.Schedule(r.M.CoreAccess(at, p.id, o.addr, o.kind == opWrite), p.stepFn)
+	case opFlush:
+		r.step(p, at)
+	case opEnd:
+		p.done = true
+		p.finishAt = at
 	case opSync:
 		p.SyncOps++
 		p.pend = o.req
@@ -316,7 +349,19 @@ func (c *Ctx) do(o op) sim.Time {
 	return c.now
 }
 
-// Now returns the core's current simulated time.
+// delay queues d of core-private time for the step event to play, yielding
+// to have the queue played once it is full.
+func (c *Ctx) delay(d sim.Time) {
+	c.now += d
+	p := c.p
+	p.delays[p.queued] = d
+	if p.queued++; p.queued == maxDelays {
+		c.do(op{kind: opFlush})
+	}
+}
+
+// Now returns the core's current simulated time, including any queued
+// compute and L1-hit time.
 func (c *Ctx) Now() sim.Time { return c.now }
 
 // Compute models n instructions of local computation (1 instruction/cycle).
@@ -324,14 +369,33 @@ func (c *Ctx) Compute(n int64) {
 	if n <= 0 {
 		return
 	}
-	c.do(op{kind: opCompute, n: n})
+	c.p.Instrs += uint64(n)
+	c.delay(c.m.CoreClock.Cycles(n))
 }
 
 // Read models a blocking load from addr.
-func (c *Ctx) Read(addr uint64) { c.do(op{kind: opRead, addr: addr}) }
+func (c *Ctx) Read(addr uint64) { c.access(addr, false) }
 
 // Write models a blocking store to addr.
-func (c *Ctx) Write(addr uint64) { c.do(op{kind: opWrite, addr: addr}) }
+func (c *Ctx) Write(addr uint64) { c.access(addr, true) }
+
+// access serves an L1 hit in the coroutine: only this core's CoreAccess
+// touches its L1, so the hit updates LRU and dirty state in program order.
+// A miss or an uncacheable access yields to the step event.
+func (c *Ctx) access(addr uint64, write bool) {
+	kind := opRead
+	if write {
+		c.p.Writes++
+		kind = opWrite
+	} else {
+		c.p.Reads++
+	}
+	if c.m.Cacheable(addr) && c.m.Caches[c.ID].Contains(addr) {
+		c.delay(c.m.CoreAccess(c.now, c.ID, addr, write) - c.now)
+		return
+	}
+	c.do(op{kind: kind, addr: addr})
+}
 
 // Sync issues a raw synchronization request.
 func (c *Ctx) Sync(req arch.SyncReq) { c.do(op{kind: opSync, req: req}) }

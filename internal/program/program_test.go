@@ -211,9 +211,11 @@ func TestTooManyProgramsPanics(t *testing.T) {
 	r.AddN(m.NumCores()+1, func(int) Program { return func(*Ctx) {} })
 }
 
-// Every operation costs exactly one engine event: a step event for each
-// Compute, Read and Write, and a grant event plus a step event for each sync
-// request. A change to the per-operation event order shows here first.
+// Every operation costs exactly one engine event: one event for each
+// Compute, Read and Write — a queued delay's event for Compute and L1 hits,
+// which run inside the coroutine, a resume event for a miss — and a grant
+// event plus a resume event for each sync request. A change to the
+// per-operation event order shows here first.
 func TestOneEventPerOperation(t *testing.T) {
 	m := newM()
 	r := NewRunner(m)
@@ -227,7 +229,7 @@ func TestOneEventPerOperation(t *testing.T) {
 		ctx.Unlock(lock)
 	})
 	r.Run()
-	// 1 first step + 3 resumes after Compute/miss/hit + 2 x (grant + resume)
+	// 1 first step + 3 events ending Compute/miss/hit + 2 x (grant + resume)
 	// for Lock and Unlock; the final resume finds the program returned.
 	const want = 1 + 3 + 2*2
 	if got := m.Engine.Executed; got != want {
@@ -235,5 +237,124 @@ func TestOneEventPerOperation(t *testing.T) {
 	}
 	if st := &m.Caches[0].Stats; st.Hits.Value() != 1 || st.Misses.Value() != 1 {
 		t.Fatalf("L1 hits %d, misses %d; want one each", st.Hits.Value(), st.Misses.Value())
+	}
+}
+
+// Compute and L1 hits run inside the coroutine, but Now, the per-core stats
+// and the L1's own counters see them exactly as if each had been its own
+// engine round trip: a hit costs the L1's 4 cycles, n instructions cost n
+// cycles, and a trailing Compute still sets Finish.
+func TestCorePrivateOpsTiming(t *testing.T) {
+	m := newM()
+	r := NewRunner(m)
+	cyc := m.CoreClock.Period
+	a := m.Alloc(0, 64)
+	var afterCompute, afterMiss, afterRead, afterWrite, end sim.Time
+	r.Add(func(ctx *Ctx) {
+		ctx.Compute(100)
+		afterCompute = ctx.Now()
+		ctx.Read(a) // L1 miss: yields
+		afterMiss = ctx.Now()
+		ctx.Read(a) // L1 hit
+		afterRead = ctx.Now()
+		ctx.Write(a) // L1 hit
+		afterWrite = ctx.Now()
+		ctx.Compute(7)
+		end = ctx.Now()
+	})
+	makespan := r.Run()
+	if afterCompute != 100*cyc {
+		t.Errorf("Now after Compute(100) = %v, want %v", afterCompute, 100*cyc)
+	}
+	if afterMiss <= afterCompute {
+		t.Fatalf("miss completed at %v, not after its issue at %v", afterMiss, afterCompute)
+	}
+	if afterRead != afterMiss+4*cyc || afterWrite != afterMiss+8*cyc {
+		t.Errorf("Now after read/write hits = %v/%v, want %v/%v",
+			afterRead, afterWrite, afterMiss+4*cyc, afterMiss+8*cyc)
+	}
+	if want := afterMiss + 15*cyc; end != want || makespan != want {
+		t.Errorf("trailing Compute(7): Now %v, makespan %v, want %v", end, makespan, want)
+	}
+	s := r.Stats()[0]
+	if s.Instrs != 107 || s.Reads != 2 || s.Writes != 1 || s.SyncOps != 0 || s.Finish != end {
+		t.Errorf("stats = %+v, want 107 instrs, 2 reads, 1 write, finish %v", s, end)
+	}
+	if st := &m.Caches[0].Stats; st.Hits.Value() != 2 || st.Misses.Value() != 1 || st.Bypasses.Value() != 0 {
+		t.Errorf("L1 hits %d, misses %d, bypasses %d; want 2, 1, 0",
+			st.Hits.Value(), st.Misses.Value(), st.Bypasses.Value())
+	}
+}
+
+// The host-order contract: Go code after a Compute or an L1 hit runs at the
+// completion of the core's previous miss, uncacheable access or sync op, so
+// it sees shared Go state as of then, even though Now already counts the
+// queued time. Core 2 sets flag at t1, after core 0's miss completes (t0)
+// and before core 0's Compute ends: core 0's code after the Compute and a
+// hit still sees false, and sees true only after its next uncacheable read.
+func TestHostOrderAfterCoreLocalOps(t *testing.T) {
+	m := newM()
+	r := NewRunner(m)
+	cyc := m.CoreClock.Period
+	priv := m.Alloc(0, 64)
+	near, far := m.AllocShared(0, 64), m.AllocShared(1, 64)
+	flag := false
+	var t0, t1, nowBefore sim.Time
+	var before, after bool
+	r.AddAt(0, func(ctx *Ctx) {
+		ctx.Read(priv) // L1 miss
+		t0 = ctx.Now()
+		ctx.Compute(1000)
+		ctx.Read(priv) // L1 hit
+		before, nowBefore = flag, ctx.Now()
+		ctx.Read(near) // uncacheable: yields
+		after = flag
+	})
+	r.AddAt(2, func(ctx *Ctx) { // unit 1
+		ctx.Read(far)
+		ctx.Read(far)
+		t1 = ctx.Now()
+		flag = true
+	})
+	r.Run()
+	if !(t0 < t1 && t1 < t0+1000*cyc) {
+		t.Fatalf("fixture needs t0 < t1 < t0+1000 cycles; got t0 %v, t1 %v", t0, t1)
+	}
+	if before {
+		t.Errorf("code after Compute and a hit saw core 2's store from %v; it runs at %v", t1, t0)
+	}
+	if want := t0 + 1004*cyc; nowBefore != want {
+		t.Errorf("Now after Compute and a hit = %v, want %v", nowBefore, want)
+	}
+	if !after {
+		t.Error("code after the next uncacheable access missed core 2's store")
+	}
+}
+
+// A long compute-only loop plays every delay as its own event, from a queue
+// of fixed size: the run allocates no more than a short one does.
+func TestComputeLoopQueueBounded(t *testing.T) {
+	run := func(iters int) (*arch.Machine, sim.Time) {
+		m := newM()
+		r := NewRunner(m)
+		r.Add(func(ctx *Ctx) {
+			for i := 0; i < iters; i++ {
+				ctx.Compute(1)
+			}
+		})
+		return m, r.Run()
+	}
+	const iters = 10000
+	m, makespan := run(iters)
+	if want := iters * m.CoreClock.Period; makespan != want {
+		t.Fatalf("makespan %v, want %v", makespan, want)
+	}
+	if got, want := m.Engine.Executed, uint64(1+iters); got != want {
+		t.Errorf("executed %d events, want %d (first step + one per Compute)", got, want)
+	}
+	short := testing.AllocsPerRun(5, func() { run(100) })
+	long := testing.AllocsPerRun(5, func() { run(iters) })
+	if long > short {
+		t.Errorf("%d-iteration loop allocated %.0f objects, a 100-iteration one %.0f", iters, long, short)
 	}
 }
