@@ -20,12 +20,12 @@ import (
 
 // NewCentral returns the Central baseline.
 func NewCentral() arch.Backend {
-	return core.NewCoordinator(core.Options{Topology: core.TopoCentral, HardwareSE: false, Name: "central"})
+	return core.NewCoordinator(core.Options{Topology: core.TopoCentral, HardwareSE: false})
 }
 
 // NewHier returns the Hier baseline.
 func NewHier() arch.Backend {
-	return core.NewCoordinator(core.Options{Topology: core.TopoHier, HardwareSE: false, Name: "hier"})
+	return core.NewCoordinator(core.Options{Topology: core.TopoHier, HardwareSE: false})
 }
 
 // Ideal is the zero-overhead synchronization scheme: requests are granted

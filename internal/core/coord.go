@@ -63,6 +63,18 @@ const (
 	OverflowDistrib
 )
 
+// Software server costs: the server cores of the Central/Hier baselines and
+// the overflow fallback servers.
+const (
+	// serverHandlerInstrs is the software message-handler cost, in core
+	// instructions.
+	serverHandlerInstrs = 60
+
+	// serverVarAccesses is how many loads/stores to the synchronization
+	// variable's state a server performs per message (through its L1).
+	serverVarAccesses = 2
+)
+
 // Options configures a Coordinator.
 type Options struct {
 	Topology Topology
@@ -84,20 +96,9 @@ type Options struct {
 	// is transferred to another waiting unit (§4.4.2). Zero disables it.
 	FairnessThreshold int
 
-	// ServerHandlerInstrs is the software message-handler cost, in core
-	// instructions, for server nodes (Central/Hier baselines).
-	ServerHandlerInstrs int64
-
-	// ServerVarAccesses is how many loads/stores to the synchronization
-	// variable's state a server performs per message (through its L1).
-	ServerVarAccesses int
-
 	// SEServiceCycles is the SE occupancy per message in SE cycles (paper:
 	// 12, the slowest opcode).
 	SEServiceCycles int64
-
-	// Name overrides the reported scheme name.
-	Name string
 }
 
 func (o Options) withDefaults() Options {
@@ -106,12 +107,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.IndexingCounters == 0 {
 		o.IndexingCounters = 256
-	}
-	if o.ServerHandlerInstrs == 0 {
-		o.ServerHandlerInstrs = 60
-	}
-	if o.ServerVarAccesses == 0 {
-		o.ServerVarAccesses = 2
 	}
 	if o.SEServiceCycles == 0 {
 		o.SEServiceCycles = 12
@@ -125,7 +120,7 @@ func NewSynCron() *Coordinator { return NewCoordinator(Options{Topology: TopoHie
 
 // NewSynCronFlat returns the flat SynCron variant of §6.7.1.
 func NewSynCronFlat() *Coordinator {
-	return NewCoordinator(Options{Topology: TopoFlat, HardwareSE: true, Name: "syncron-flat"})
+	return NewCoordinator(Options{Topology: TopoFlat, HardwareSE: true})
 }
 
 // NewCoordinator builds a message-passing synchronization backend.
@@ -169,9 +164,6 @@ type Coordinator struct {
 
 // Name implements arch.Backend.
 func (c *Coordinator) Name() string {
-	if c.opt.Name != "" {
-		return c.opt.Name
-	}
 	if c.opt.HardwareSE {
 		if c.opt.Topology == TopoFlat {
 			return "syncron-flat"

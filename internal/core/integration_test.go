@@ -297,7 +297,7 @@ func TestOverflowFallbackPolicies(t *testing.T) {
 		pol := pol
 		t.Run(fmt.Sprint(pol), func(t *testing.T) {
 			b := core.NewCoordinator(core.Options{Topology: core.TopoHier, HardwareSE: true,
-				STEntries: 1, Overflow: pol, Name: "syncron-ovrfl"})
+				STEntries: 1, Overflow: pol})
 			cfg := arch.Default()
 			cfg.Units = 2
 			cfg.CoresPerUnit = 4

@@ -126,13 +126,11 @@ type Runner struct {
 	progs map[int]Program
 	next  int
 
-	// CheckLocks enables the built-in mutual-exclusion checker (on by
-	// default): lock acquire/release/cond_wait requests verify that no two
-	// cores ever hold the same lock and that releases match the holder. The
-	// checker runs engine-side: release checks at issue time, acquire checks
-	// at grant time.
-	CheckLocks bool
-
+	// holders backs the built-in mutual-exclusion checker: lock
+	// acquire/release/cond_wait requests verify that no two cores ever hold
+	// the same lock and that releases match the holder. The checker runs
+	// engine-side: release checks at issue time, acquire checks at grant
+	// time.
 	holders map[uint64]int // lock addr -> core id
 
 	// Violations counts checker failures when PanicOnViolation is off.
@@ -143,7 +141,7 @@ type Runner struct {
 
 // NewRunner builds a runner for machine m.
 func NewRunner(m *arch.Machine) *Runner {
-	return &Runner{M: m, CheckLocks: true, PanicOnViolation: true,
+	return &Runner{M: m, PanicOnViolation: true,
 		holders: make(map[uint64]int), progs: make(map[int]Program)}
 }
 
@@ -291,9 +289,6 @@ func (r *Runner) play(p *proc, at sim.Time) {
 
 // checkIssue runs the release-side lock checks when a sync request is issued.
 func (r *Runner) checkIssue(p *proc, req arch.SyncReq) {
-	if !r.CheckLocks {
-		return
-	}
 	switch req.Op {
 	case arch.OpLockRelease:
 		if h, held := r.holders[req.Addr]; !held || h != p.id {
@@ -312,9 +307,6 @@ func (r *Runner) checkIssue(p *proc, req arch.SyncReq) {
 // checkGrant runs the acquire-side lock checks when the backend grants a sync
 // request. Grant callbacks come from backend events.
 func (r *Runner) checkGrant(p *proc, req arch.SyncReq, at sim.Time) {
-	if !r.CheckLocks {
-		return
-	}
 	switch req.Op {
 	case arch.OpLockAcquire:
 		if h, held := r.holders[req.Addr]; held {

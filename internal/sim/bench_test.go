@@ -4,7 +4,7 @@ import "testing"
 
 // The engine benchmarks cover the three hot shapes model code produces:
 // schedule-then-pop through the heap, zero-delay self-scheduling through the
-// same-timestamp FIFO, and cancel/reschedule churn. All must report
+// same-timestamp FIFO, and a deep resident queue. All must report
 // 0 allocs/op in steady state (TestEngineSteadyStateAllocFree pins that as a
 // hard test); the CI perf gate compares their ns/op against the PR base.
 
@@ -60,19 +60,4 @@ func BenchmarkEngineHeapChurn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
-}
-
-// BenchmarkEngineCancelReschedule measures the timeout idiom: schedule a
-// guard event, cancel it, schedule its replacement.
-func BenchmarkEngineCancelReschedule(b *testing.B) {
-	e := NewEngine()
-	nop := func(Time) {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := e.Schedule(e.Now()+100, nop)
-		e.Cancel(h)
-		e.Schedule(e.Now()+1, nop)
-		e.Run()
-	}
 }

@@ -12,20 +12,19 @@ import (
 // fuzzUnit is the per-unit state of the fuzz interpreter: one chain of
 // events reading its own slice of the fuzz input.
 type fuzzUnit struct {
-	id      int
-	stream  []byte // this unit's private slice of the fuzz input
-	pos     int
-	ran     uint64 // per-unit execution counter, folded into the log
-	log     strings.Builder
-	handles []sim.Handle
+	id     int
+	stream []byte // this unit's private slice of the fuzz input
+	pos    int
+	ran    uint64 // per-unit execution counter, folded into the log
+	log    strings.Builder
 }
 
-// runFuzzProgram interprets data as a deterministic schedule/cancel program:
-// byte 0 picks the unit count, the rest is split round-robin into private
-// per-unit instruction streams. Each unit runs a chain of events, one
-// instruction per event — scheduling same-unit leaves (future and
-// zero-delay), cross-unit leaves, barrier events, and cancels of previously
-// recorded handles. It returns a fingerprint of every observable — per-unit
+// runFuzzProgram interprets data as a deterministic schedule program: byte 0
+// picks the unit count, the rest is split round-robin into private per-unit
+// instruction streams. Each unit runs a chain of events, one instruction per
+// event — scheduling same-unit leaves (future, zero-delay, and tied with the
+// unit's next step), cross-unit leaves (delayed and zero-delay), and barrier
+// events. It returns a fingerprint of every observable — per-unit
 // execution logs, the barrier log, the end time — plus the executed-event
 // count, and records the global execution order into rec for
 // simtest.CheckOrder.
@@ -71,27 +70,21 @@ func runFuzzProgram(data []byte, rec *simtest.Recorder) (string, uint64) {
 			arg := int(c >> 3)
 			switch c % 8 {
 			case 0, 1: // same-unit future leaf
-				h := e.Schedule(at+sim.Time(1+arg%5), leaf(u))
-				u.handles = append(u.handles, h)
+				e.Schedule(at+sim.Time(1+arg%5), leaf(u))
 			case 2: // same-unit zero-delay leaf
-				u.handles = append(u.handles, e.Schedule(at, leaf(u)))
+				e.Schedule(at, leaf(u))
 			case 3: // cross-unit leaf, delay 0..3
-				v := units[(u.id+1+arg)%nUnits]
-				h := e.Schedule(at+sim.Time(arg%4), leaf(v))
-				u.handles = append(u.handles, h)
+				e.Schedule(at+sim.Time(arg%4), leaf(units[(u.id+1+arg)%nUnits]))
 			case 4: // barrier event
 				bid := nextSched()
 				e.Schedule(at+sim.Time(1+arg%3), func(bat sim.Time) {
 					rec.Observe(bat, bid)
 					fmt.Fprintf(&barrierLog, "b@%d ", int64(bat))
 				})
-			case 5: // cancel the oldest recorded handle
-				if len(u.handles) > 0 {
-					e.Cancel(u.handles[0])
-					u.handles = u.handles[1:]
-				}
-			case 6: // schedule-then-cancel
-				e.Cancel(e.Schedule(at+1, leaf(u)))
+			case 5: // cross-unit zero-delay leaf
+				e.Schedule(at, leaf(units[(u.id+1+arg)%nUnits]))
+			case 6: // leaf tied on at+1 with the next step, ordered by seq
+				e.Schedule(at+1, leaf(u))
 			default: // 7: nop
 			}
 			e.Schedule(at+1, step(u))
@@ -111,10 +104,10 @@ func runFuzzProgram(data []byte, rec *simtest.Recorder) (string, uint64) {
 	return fp.String(), e.Executed
 }
 
-// FuzzEngineScheduleCancel feeds random schedule/cancel programs through the
-// engine and requires global (at, seq) execution order, plus an identical
-// fingerprint and executed-event count when the same program runs again.
-func FuzzEngineScheduleCancel(f *testing.F) {
+// FuzzEngineSchedule feeds random schedule programs through the engine and
+// requires global (at, seq) execution order, plus an identical fingerprint
+// and executed-event count when the same program runs again.
+func FuzzEngineSchedule(f *testing.F) {
 	f.Add([]byte{3, 0, 8, 16, 24, 32, 40, 48, 5, 13, 21, 29, 37, 45, 53, 61})
 	f.Add([]byte{1, 2, 2, 2, 5, 5, 6, 4})
 	f.Add([]byte{5, 3, 11, 19, 27, 35, 43, 51, 59, 4, 12, 20, 5, 5, 5})

@@ -14,7 +14,7 @@ package sim
 //     time the last Run returned at);
 //   - now is the timestamp about to be dispatched;
 //   - pending is the queue depth at the firing point: every scheduled event,
-//     including the entire now batch and lazily-removed cancelled events;
+//     including the entire now batch;
 //   - executed is Engine.Executed at the firing point (events completed
 //     strictly before now), letting adapters compute per-interval dispatch
 //     rates by differencing.
@@ -28,17 +28,3 @@ type Hook interface {
 // removes it and restores the zero-overhead path. Must not be called while
 // Run is executing events.
 func (e *Engine) SetHook(h Hook) { e.hook = h }
-
-// fireAdvance runs the hook for a selected next-event timestamp `at`,
-// suppressing duplicate fires for one timestamp (cancelled events at the head
-// of a timestamp are popped without advancing the clock, so the dispatch
-// loop re-selects `at` more than once). Callers guarantee h != nil and
-// at != e.now; pending is Engine.Pending() measured before anything at `at`
-// was dequeued.
-func (e *Engine) fireAdvance(at Time, pending int) {
-	if at == e.hookedAt {
-		return
-	}
-	e.hookedAt = at
-	e.hook.OnAdvance(e.now, at, pending, e.Executed)
-}

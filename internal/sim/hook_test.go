@@ -70,7 +70,7 @@ func TestEngineSteadyStateAllocFreeTracerNil(t *testing.T) {
 		e.Run()
 	}
 
-	run(64) // warm up the slot arena and heap
+	run(64) // warm up the heap
 
 	var before, after runtime.MemStats
 	runtime.GC()

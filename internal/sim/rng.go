@@ -45,25 +45,9 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit value.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Fork derives an independent stream; useful to give each simulated core its

@@ -1,10 +1,5 @@
 package sim
 
-import (
-	"math"
-	"sort"
-)
-
 // Counter is a monotonically increasing event counter.
 type Counter struct{ n uint64 }
 
@@ -40,104 +35,17 @@ func (g *Gauge) Set(t Time, v float64) {
 	}
 }
 
-// Add adjusts the value by delta at time t.
-func (g *Gauge) Add(t Time, delta float64) { g.Set(t, g.value+delta) }
-
 // Max returns the maximum value observed.
 func (g *Gauge) Max() float64 { return g.max }
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.value }
 
-// Mean returns the time-weighted mean up to the last Set. It returns 0 if no
-// time has elapsed.
+// Mean returns the time-weighted mean up to the last Set. Before any time has
+// elapsed it returns the current value.
 func (g *Gauge) Mean() float64 {
 	if g.spanned == 0 {
 		return g.value
 	}
 	return g.weighted / float64(g.spanned)
-}
-
-// Histogram accumulates scalar samples for latency-style summaries. Samples
-// are retained individually so exact quantiles are available; callers
-// observing unbounded streams should aggregate upstream.
-type Histogram struct {
-	n    uint64
-	sum  float64
-	sum2 float64
-	min  float64
-	max  float64
-
-	samples []float64
-	sorted  bool
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h.n == 0 || v < h.min {
-		h.min = v
-	}
-	if h.n == 0 || v > h.max {
-		h.max = v
-	}
-	h.n++
-	h.sum += v
-	h.sum2 += v * v
-	h.samples = append(h.samples, v)
-	h.sorted = false
-}
-
-// Count returns the number of samples.
-func (h *Histogram) Count() uint64 { return h.n }
-
-// Mean returns the sample mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Min returns the smallest sample (0 when empty).
-func (h *Histogram) Min() float64 { return h.min }
-
-// Max returns the largest sample (0 when empty).
-func (h *Histogram) Max() float64 { return h.max }
-
-// Quantile returns the q-quantile of the observed samples by nearest rank
-// (q is clamped to [0, 1]); it returns 0 when the histogram is empty.
-// Samples are sorted lazily, so alternating Observe and Quantile re-sorts on
-// each transition.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
-	}
-	if q <= 0 {
-		return h.samples[0]
-	}
-	if q >= 1 {
-		return h.samples[len(h.samples)-1]
-	}
-	idx := int(math.Ceil(q*float64(len(h.samples)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return h.samples[idx]
-}
-
-// StdDev returns the population standard deviation (0 when empty).
-func (h *Histogram) StdDev() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	m := h.Mean()
-	v := h.sum2/float64(h.n) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
 }

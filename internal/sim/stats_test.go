@@ -33,70 +33,3 @@ func TestGaugeMeanBeforeAnySpan(t *testing.T) {
 		t.Fatalf("value = %f, want 7", g.Value())
 	}
 }
-
-// TestGaugeAddAccumulates checks Add is Set relative to the current value.
-func TestGaugeAddAccumulates(t *testing.T) {
-	var g Gauge
-	g.Add(0, 3)
-	g.Add(10, 2) // value 3 held for 10
-	g.Add(20, -5)
-	// mean = (3*10 + 5*10) / 20 = 4
-	if m := g.Mean(); m != 4 {
-		t.Fatalf("mean = %f, want 4", m)
-	}
-	if g.Value() != 0 {
-		t.Fatalf("value = %f, want 0", g.Value())
-	}
-}
-
-// TestHistogramEmpty checks every summary accessor of an empty histogram
-// returns 0 instead of dividing by zero or indexing an empty sample set.
-func TestHistogramEmpty(t *testing.T) {
-	var h Histogram
-	if h.Count() != 0 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	for name, got := range map[string]float64{
-		"mean": h.Mean(), "min": h.Min(), "max": h.Max(), "stddev": h.StdDev(),
-		"q0": h.Quantile(0), "q50": h.Quantile(0.5), "q100": h.Quantile(1),
-	} {
-		if got != 0 {
-			t.Errorf("empty histogram %s = %f, want 0", name, got)
-		}
-	}
-}
-
-// TestHistogramQuantiles checks nearest-rank quantiles, out-of-range q
-// clamping, and correctness after interleaved Observe calls.
-func TestHistogramQuantiles(t *testing.T) {
-	var h Histogram
-	for v := 100; v >= 1; v-- { // descending insertion exercises the sort
-		h.Observe(float64(v))
-	}
-	cases := map[float64]float64{-1: 1, 0: 1, 0.01: 1, 0.5: 50, 0.99: 99, 1: 100, 2: 100}
-	for q, want := range cases {
-		if got := h.Quantile(q); got != want {
-			t.Errorf("Quantile(%g) = %f, want %f", q, got, want)
-		}
-	}
-	h.Observe(1000) // after a quantile call: must re-sort lazily
-	if got := h.Quantile(1); got != 1000 {
-		t.Errorf("Quantile(1) after late Observe = %f, want 1000", got)
-	}
-	if h.Count() != 101 {
-		t.Errorf("count = %d, want 101", h.Count())
-	}
-}
-
-// TestHistogramSingleSample checks the degenerate one-sample summaries.
-func TestHistogramSingleSample(t *testing.T) {
-	var h Histogram
-	h.Observe(-3)
-	if h.Min() != -3 || h.Max() != -3 || h.Mean() != -3 || h.StdDev() != 0 {
-		t.Fatalf("single-sample stats wrong: min=%f max=%f mean=%f sd=%f",
-			h.Min(), h.Max(), h.Mean(), h.StdDev())
-	}
-	if h.Quantile(0.5) != -3 {
-		t.Fatalf("median = %f, want -3", h.Quantile(0.5))
-	}
-}

@@ -35,28 +35,8 @@ func NewClock(mhz int64) Clock {
 // Cycles converts a cycle count into a duration.
 func (c Clock) Cycles(n int64) Time { return Time(n) * c.Period }
 
-// ToCycles converts a duration into whole cycles, rounding up.
-func (c Clock) ToCycles(d Time) int64 {
-	if d <= 0 {
-		return 0
-	}
-	return int64((d + c.Period - 1) / c.Period)
-}
-
-// Align rounds t up to the next edge of the clock.
-func (c Clock) Align(t Time) Time {
-	rem := t % c.Period
-	if rem == 0 {
-		return t
-	}
-	return t + c.Period - rem
-}
-
 // Seconds reports t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Nanoseconds reports t as floating-point nanoseconds.
-func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
 
 func (t Time) String() string {
 	switch {

@@ -336,7 +336,7 @@ func newBackend(cfg Config) arch.Backend {
 	case SchemeSynCronFlat:
 		return core.NewCoordinator(core.Options{Topology: core.TopoFlat, HardwareSE: true,
 			STEntries: cfg.STEntries, Overflow: cfg.Overflow,
-			SEServiceCycles: cfg.SEServiceCycles, Name: "syncron-flat"})
+			SEServiceCycles: cfg.SEServiceCycles})
 	case SchemeCentral:
 		return baselines.NewCentral()
 	case SchemeHier:
@@ -447,6 +447,6 @@ func (s *System) Run() Report {
 // custom workloads in internal packages).
 func (s *System) Machine() *arch.Machine { return s.m }
 
-// Runner exposes the underlying program runner (e.g. to disable the built-in
-// lock checker).
+// Runner exposes the underlying program runner, for adding programs to
+// cores.
 func (s *System) Runner() *program.Runner { return s.r }
