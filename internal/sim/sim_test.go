@@ -69,20 +69,22 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 // TestMaxEventsGuard checks the runaway guard: a self-rescheduling event
 // panics the run after exactly MaxEvents+1 dispatches.
 func TestMaxEventsGuard(t *testing.T) {
-	e := NewEngine()
-	e.MaxEvents = 10
-	var loop func(Time)
-	loop = func(Time) { e.Schedule(e.Now()+1, loop) }
-	e.Schedule(e.Now()+1, loop)
-	defer func() {
-		if recover() == nil {
-			t.Error("Run must panic when MaxEvents is exceeded")
-		}
-		if e.Executed != e.MaxEvents+1 {
-			t.Errorf("executed %d events, want MaxEvents+1 = %d", e.Executed, e.MaxEvents+1)
-		}
-	}()
-	e.Run()
+	t.Run("Run", func(t *testing.T) {
+		e := NewEngine()
+		e.MaxEvents = 10
+		var loop func(Time)
+		loop = func(Time) { e.Schedule(e.Now()+1, loop) }
+		e.Schedule(e.Now()+1, loop)
+		defer func() {
+			if recover() == nil {
+				t.Error("Run must panic when MaxEvents is exceeded")
+			}
+			if e.Executed != e.MaxEvents+1 {
+				t.Errorf("executed %d events, want MaxEvents+1 = %d", e.Executed, e.MaxEvents+1)
+			}
+		}()
+		e.Run()
+	})
 }
 
 func TestRNGDeterminismAndRange(t *testing.T) {
