@@ -16,10 +16,10 @@ const benchScale = 0.05
 // pool, per-run seeding) on a 2-scheme x 2-workload grid.
 func benchSweep(b *testing.B, workers int) {
 	sw := syncron.Sweep{
-		Workloads: []string{"stack", "lock"},
-		Schemes:   []syncron.Scheme{syncron.SchemeSynCron, syncron.SchemeCentral},
-		Params:    syncron.WorkloadParams{Scale: benchScale, OpsPerCore: 8, Rounds: 10},
-		Workers:   workers,
+		Workloads:  []string{"stack", "lock"},
+		Schemes:    []syncron.Scheme{syncron.SchemeSynCron, syncron.SchemeCentral},
+		Params:     syncron.WorkloadParams{Scale: benchScale, OpsPerCore: 8, Rounds: 10},
+		SpecRunner: syncron.SpecRunner{Workers: workers},
 	}
 	var results []syncron.RunResult
 	for i := 0; i < b.N; i++ {

@@ -132,17 +132,11 @@ func encodeCachedResult(res RunResult) ([]byte, error) {
 }
 
 // DecodeCachedResult deserializes a ResultCache payload back into the
-// RunResult the sweep engine stored (see CacheResult for the inverse). It is
-// the hook for serving layers that answer cache hits themselves instead of
-// going through SpecRunner — the serve daemon uses it to resolve submissions
-// at admission time. Failures mean the payload should be treated as a miss.
+// RunResult the sweep engine stored (see CacheResult for the inverse). The
+// sweep engine and serving layers that answer cache hits themselves (the
+// serve daemon resolves submissions at admission time) both decode with it.
+// Failures mean the payload should be treated as a miss.
 func DecodeCachedResult(payload []byte) (RunResult, error) {
-	return decodeCachedResult(payload)
-}
-
-// decodeCachedResult deserializes a stored payload. Any decode failure is
-// reported as a miss by the caller.
-func decodeCachedResult(payload []byte) (RunResult, error) {
 	var res RunResult
 	if err := json.Unmarshal(payload, &res); err != nil {
 		return RunResult{}, err

@@ -189,7 +189,8 @@ func TestSweepCacheSkipsSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := &countingCache{inner: dir}
-	sw := tinySweep(2).WithCache(cache)
+	sw := tinySweep(2)
+	sw.Cache = cache
 	first := sw.Run()
 	firstJSON, _ := serialize(t, first)
 	if got := cache.misses.Load(); got != uint64(len(first)) {
@@ -214,7 +215,8 @@ func TestSweepCorruptCacheEntryRecomputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := tinySweep(1).WithCache(dir)
+	sw := tinySweep(1)
+	sw.Cache = dir
 	first := sw.Run()
 	entries, err := os.ReadDir(cacheRoot)
 	if err != nil || len(entries) == 0 {
@@ -262,8 +264,8 @@ func TestCacheResultRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	replay := sw.WithCache(dir)
-	replay.CacheOnly = true
+	replay := sw
+	replay.Cache, replay.CacheOnly = dir, true
 	gotJSON, gotCSV := serialize(t, replay.Run())
 	if gotJSON != wantJSON || gotCSV != wantCSV {
 		t.Fatal("cache-only replay from rebuilt cache is not byte-identical")
@@ -352,13 +354,11 @@ func TestSweepFailFastCancels(t *testing.T) {
 	sw := syncron.Sweep{
 		// The failing workload leads the grid; with one worker everything
 		// behind it must be canceled, deterministically.
-		Workloads: []string{"test.prepfail", "stack", "lock", "queue"},
-		Schemes:   []syncron.Scheme{syncron.SchemeSynCron},
-		Base:      syncron.Config{Units: 2, CoresPerUnit: 2},
-		Params:    syncron.WorkloadParams{Scale: 0.05, OpsPerCore: 6, Rounds: 8},
-		Workers:   1,
-		BaseSeed:  7,
-		FailFast:  true,
+		Workloads:  []string{"test.prepfail", "stack", "lock", "queue"},
+		Schemes:    []syncron.Scheme{syncron.SchemeSynCron},
+		Base:       syncron.Config{Units: 2, CoresPerUnit: 2},
+		Params:     syncron.WorkloadParams{Scale: 0.05, OpsPerCore: 6, Rounds: 8},
+		SpecRunner: syncron.SpecRunner{Workers: 1, BaseSeed: 7, FailFast: true},
 	}
 	results := sw.Run()
 	if len(results) != 4 {

@@ -44,7 +44,7 @@
 //
 //	syncron-sim figures --quick -md /dev/null -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// Serving (long-running daemon: POST RunSpecs or sweep grids over HTTP,
+// Serving (long-running daemon: POST run specs or sweep grids over HTTP,
 // cache-backed dedup and single-flight, bounded queue with backpressure,
 // streaming progress; drains gracefully on SIGTERM):
 //
@@ -138,6 +138,9 @@ func configFlags(fs *flag.FlagSet) (func() syncron.Config, *int, *string, *strin
 		if *units <= 0 {
 			fatal("-units must be positive (got %d)", *units)
 		}
+		nonNegative("link-ns", *linkNS)
+		nonNegative("st", int64(*stSize))
+		nonNegative("fairness", int64(*fairness))
 		memory, err := syncron.ParseMemory(*memTech)
 		if err != nil {
 			fatal("%v", err)
@@ -152,6 +155,14 @@ func configFlags(fs *flag.FlagSet) (func() syncron.Config, *int, *string, *strin
 		}
 		return cfg
 	}, cores, topology, memModel
+}
+
+// nonNegative fails on a negative machine-parameter flag before any run
+// starts (zero keeps the default).
+func nonNegative(flagName string, v int64) {
+	if v < 0 {
+		fatal("-%s must not be negative (got %d)", flagName, v)
+	}
 }
 
 // coresPerUnit splits a -cores total evenly across units; 0 keeps the
@@ -475,7 +486,9 @@ func sweepCmd(args []string) {
 		sw.Units = append(sw.Units, u)
 	}
 	for _, s := range splitList(*stList) {
-		sw.STEntries = append(sw.STEntries, parseInt(s, "st-list"))
+		st := parseInt(s, "st-list")
+		nonNegative("st-list", int64(st))
+		sw.STEntries = append(sw.STEntries, st)
 	}
 	specs := sw.Expand()
 	// -cores fixes the TOTAL client core count, so per-unit cores must track

@@ -9,11 +9,7 @@ import (
 // ExampleNew builds a small SynCron system, runs a contended counter on
 // every core, and checks mutual exclusion held.
 func ExampleNew() {
-	sys := syncron.New(
-		syncron.WithScheme(syncron.SchemeSynCron),
-		syncron.WithUnits(2),
-		syncron.WithCoresPerUnit(2),
-	)
+	sys := syncron.New(syncron.Config{Scheme: syncron.SchemeSynCron, Units: 2, CoresPerUnit: 2})
 	lock := sys.AllocLocal(0, 64)
 	counter := 0
 	sys.Spawn(sys.NumCores(), func(ctx *syncron.Context) {
@@ -101,16 +97,12 @@ func ExampleLookupInfo() {
 	// Output: true graph application pr
 }
 
-// ExampleWithTopology runs the same contended workload on two interconnect
-// topologies: the paper's all-to-all wiring and a star, where every
-// cross-unit message takes two links through a shared switch.
-func ExampleWithTopology() {
+// ExampleConfig_topology runs the same contended workload on two
+// interconnect topologies: the paper's all-to-all wiring and a star, where
+// every cross-unit message takes two links through a shared switch.
+func ExampleConfig_topology() {
 	makespan := func(topo syncron.Topology) syncron.Time {
-		sys := syncron.New(
-			syncron.WithTopology(topo),
-			syncron.WithUnits(4),
-			syncron.WithCoresPerUnit(2),
-		)
+		sys := syncron.New(syncron.Config{Topology: topo, Units: 4, CoresPerUnit: 2})
 		lock := sys.AllocLocal(0, 64)
 		counter := 0
 		sys.Spawn(sys.NumCores(), func(ctx *syncron.Context) {

@@ -11,7 +11,7 @@ import (
 )
 
 func run(scheme syncron.Scheme) syncron.Report {
-	sys := syncron.New(syncron.WithScheme(scheme))
+	sys := syncron.New(syncron.Config{Scheme: scheme})
 
 	// One lock, homed in NDP unit 0; its Master SE is unit 0's SE.
 	lock := sys.AllocLocal(0, 64)

@@ -109,10 +109,10 @@ type FigureOptions struct {
 	// runs figure grids in parallel across runs.
 	Parallelism int
 	// BaseSeed is the single simulation seed shared by EVERY figure run
-	// (default 1). Sharing one seed — rather than deriving per-run seeds à
-	// la RunSpecs — guarantees all schemes and ST sizes simulate the
-	// identical workload instance, so normalized views compare like with
-	// like.
+	// (default 1). Sharing one seed — rather than deriving per-run seeds
+	// from SpecRunner.BaseSeed — guarantees all schemes and ST sizes
+	// simulate the identical workload instance, so normalized views compare
+	// like with like.
 	BaseSeed uint64
 	// TraceDir, when non-empty, adds the time-resolved trace figure: a small
 	// dedicated grid (traceWorkloads under SchemeSynCron) re-runs with a
@@ -353,38 +353,33 @@ func figureGridsFor(o FigureOptions) figureGrids {
 		scalUnits = scalabilityUnitsQuick
 		stSizes = stAblationSizesQuick
 	}
+	runner := SpecRunner{Workers: o.Workers, Cache: o.Cache, CacheOnly: o.CacheOnly}
 	g := figureGrids{
 		main: Sweep{
-			Workloads: o.Workloads,
-			Schemes:   o.Schemes,
-			Params:    WorkloadParams{Scale: o.Scale},
-			Workers:   o.Workers,
-			Base:      Config{Seed: o.BaseSeed},
-			Cache:     o.Cache,
-			CacheOnly: o.CacheOnly,
+			Workloads:  o.Workloads,
+			Schemes:    o.Schemes,
+			Params:     WorkloadParams{Scale: o.Scale},
+			Base:       Config{Seed: o.BaseSeed},
+			SpecRunner: runner,
 		},
 		// Scaling needs enough work per core to amortize remote accesses, so
 		// the scalability grid runs larger inputs than the main grid (like the
 		// paper, whose Figure 13 uses the full-size applications).
 		scalability: Sweep{
-			Workloads: registeredOnly(scalabilityWorkloads),
-			Schemes:   []Scheme{SchemeSynCron},
-			Units:     scalUnits,
-			Params:    WorkloadParams{Scale: o.Scale * 5},
-			Workers:   o.Workers,
-			Base:      Config{Seed: o.BaseSeed},
-			Cache:     o.Cache,
-			CacheOnly: o.CacheOnly,
+			Workloads:  registeredOnly(scalabilityWorkloads),
+			Schemes:    []Scheme{SchemeSynCron},
+			Units:      scalUnits,
+			Params:     WorkloadParams{Scale: o.Scale * 5},
+			Base:       Config{Seed: o.BaseSeed},
+			SpecRunner: runner,
 		},
 		stAblation: Sweep{
-			Workloads: registeredOnly(stAblationWorkloads),
-			Schemes:   []Scheme{SchemeSynCron},
-			STEntries: stSizes,
-			Params:    WorkloadParams{Scale: o.Scale},
-			Workers:   o.Workers,
-			Base:      Config{Seed: o.BaseSeed},
-			Cache:     o.Cache,
-			CacheOnly: o.CacheOnly,
+			Workloads:  registeredOnly(stAblationWorkloads),
+			Schemes:    []Scheme{SchemeSynCron},
+			STEntries:  stSizes,
+			Params:     WorkloadParams{Scale: o.Scale},
+			Base:       Config{Seed: o.BaseSeed},
+			SpecRunner: runner,
 		},
 		scalUnits: scalUnits,
 	}
@@ -394,22 +389,18 @@ func figureGridsFor(o FigureOptions) figureGrids {
 			Schemes:    o.Schemes,
 			Topologies: o.Topologies,
 			Params:     WorkloadParams{Scale: o.Scale},
-			Workers:    o.Workers,
 			Base:       Config{Seed: o.BaseSeed},
-			Cache:      o.Cache,
-			CacheOnly:  o.CacheOnly,
+			SpecRunner: runner,
 		}
 	}
 	if len(o.MemModels) > 0 {
 		g.memory = &Sweep{
-			Workloads: registeredOnly(memoryWorkloads),
-			Schemes:   o.Schemes,
-			MemModels: o.MemModels,
-			Params:    WorkloadParams{Scale: o.Scale},
-			Workers:   o.Workers,
-			Base:      Config{Seed: o.BaseSeed},
-			Cache:     o.Cache,
-			CacheOnly: o.CacheOnly,
+			Workloads:  registeredOnly(memoryWorkloads),
+			Schemes:    o.Schemes,
+			MemModels:  o.MemModels,
+			Params:     WorkloadParams{Scale: o.Scale},
+			Base:       Config{Seed: o.BaseSeed},
+			SpecRunner: runner,
 		}
 	}
 	return g

@@ -30,6 +30,7 @@ type SweepGrid struct {
 	Units         []int                  `json:"units,omitempty"`
 	Topologies    []syncron.Topology     `json:"topologies,omitempty"`
 	Memories      []syncron.MemoryTech   `json:"memories,omitempty"`
+	MemModels     []syncron.MemModel     `json:"mem_models,omitempty"`
 	LinkLatencies []syncron.Time         `json:"link_latencies_ps,omitempty"`
 	STEntries     []int                  `json:"st_entries,omitempty"`
 	Base          syncron.Config         `json:"base,omitempty"`
@@ -55,6 +56,7 @@ func (req SubmitRequest) expand() ([]syncron.RunSpec, error) {
 			Units:         g.Units,
 			Topologies:    g.Topologies,
 			Memories:      g.Memories,
+			MemModels:     g.MemModels,
 			LinkLatencies: g.LinkLatencies,
 			STEntries:     g.STEntries,
 			Base:          g.Base,

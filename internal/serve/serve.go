@@ -1,5 +1,5 @@
 // Package serve is the sweep-as-a-service subsystem behind `syncron-sim
-// serve`: a long-running job daemon that accepts RunSpecs (or whole sweep
+// serve`: a long-running job daemon that accepts run specs (or whole sweep
 // grids) over HTTP and turns the content-addressed result cache from a batch
 // convenience into a serving tier.
 //

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -472,11 +473,11 @@ func TestSweepGridSubmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := syncron.Sweep{
-		Workloads: grid.Workloads,
-		Schemes:   grid.Schemes,
-		Base:      grid.Base,
-		Params:    grid.Params,
-		BaseSeed:  7,
+		Workloads:  grid.Workloads,
+		Schemes:    grid.Schemes,
+		Base:       grid.Base,
+		Params:     grid.Params,
+		SpecRunner: syncron.SpecRunner{BaseSeed: 7},
 	}.Run()
 	var want bytes.Buffer
 	if err := syncron.WriteJSON(&want, batch); err != nil {
@@ -484,6 +485,73 @@ func TestSweepGridSubmission(t *testing.T) {
 	}
 	if !bytes.Equal(served, want.Bytes()) {
 		t.Fatalf("grid result differs from batch sweep:\nserved: %s\nbatch:  %s", served, want.Bytes())
+	}
+}
+
+// TestSweepGridMirrorsSweep checks SweepGrid keeps every grid field of
+// syncron.Sweep (everything but the embedded execution policy), so a serve
+// client can submit any grid the batch CLI can sweep.
+func TestSweepGridMirrorsSweep(t *testing.T) {
+	sweep := reflect.TypeOf(syncron.Sweep{})
+	grid := reflect.TypeOf(SweepGrid{})
+	for i := 0; i < sweep.NumField(); i++ {
+		f := sweep.Field(i)
+		if f.Anonymous {
+			continue // the embedded SpecRunner is the server's business
+		}
+		g, ok := grid.FieldByName(f.Name)
+		if !ok {
+			t.Errorf("SweepGrid has no %s field to mirror syncron.Sweep.%s", f.Name, f.Name)
+			continue
+		}
+		if g.Type != f.Type {
+			t.Errorf("SweepGrid.%s is %v, syncron.Sweep.%s is %v", f.Name, g.Type, f.Name, f.Type)
+		}
+	}
+}
+
+// TestSweepGridMemModels submits a grid over both DRAM models as raw JSON
+// (the handler rejects unknown fields) and checks it expands exactly like
+// syncron.Sweep.
+func TestSweepGridMemModels(t *testing.T) {
+	_, hs := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
+	body := `{"sweep": {"workloads": ["lock"], "mem_models": ["flat", "bank"],
+		"base": {"scheme": "syncron", "units": 2, "cores_per_unit": 2},
+		"params": {"rounds": 4}}}`
+	resp, err := http.Post(hs.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("submit = %d (%s), want 202", resp.StatusCode, msg)
+	}
+	var st JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Total != 2 {
+		t.Fatalf("two-model grid expanded to %d runs, want 2", st.Total)
+	}
+	waitState(t, hs.URL, st.ID, StateDone)
+
+	var req SubmitRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	got, err := req.expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := syncron.Sweep{
+		Workloads: []string{"lock"},
+		MemModels: []syncron.MemModel{syncron.MemModelFlat, syncron.MemModelBank},
+		Base:      syncron.Config{Scheme: syncron.SchemeSynCron, Units: 2, CoresPerUnit: 2},
+		Params:    syncron.WorkloadParams{Rounds: 4},
+	}.Expand()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("grid expands to\n%+v\nwant (syncron.Sweep.Expand)\n%+v", got, want)
 	}
 }
 

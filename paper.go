@@ -137,7 +137,7 @@ func (b *paperBatch) row(f *Figure, cells func() []string) {
 // figures runs the batch, appends the deferred rows in the order they were
 // added, and returns figs.
 func (b *paperBatch) figures(figs ...*Figure) ([]*Figure, error) {
-	results := RunSpecs(b.specs, 0, 0)
+	results := SpecRunner{}.Run(b.specs)
 	if err := checkRuns(results); err != nil {
 		return nil, err
 	}

@@ -147,8 +147,8 @@ func Execute(spec RunSpec) (res RunResult) {
 	return res
 }
 
-// Sweep enumerates a (workload x scheme x config) grid and runs it on a
-// bounded worker pool. Every axis left empty falls back to the corresponding
+// Sweep enumerates a (workload x scheme x config) grid and runs it with its
+// embedded SpecRunner. Every axis left empty falls back to the corresponding
 // Base value, so the zero-extra-axes sweep is just Workloads x Schemes.
 type Sweep struct {
 	// Workloads are registry names (required).
@@ -168,29 +168,9 @@ type Sweep struct {
 	Base Config
 	// Params applies to every run.
 	Params WorkloadParams
-	// Workers bounds simultaneous runs (default GOMAXPROCS).
-	Workers int
-	// BaseSeed anchors the deterministic per-run seeds (see RunSpecs).
-	BaseSeed uint64
-	// Cache, when non-nil, lets runs whose SpecKey is already cached skip
-	// simulation entirely and stores every newly simulated successful result.
-	// See DirCache and WithCache.
-	Cache ResultCache
-	// CacheOnly forbids simulation: a run missing from Cache is reported as a
-	// failed result instead of being executed. Used by `figures -from DIR`.
-	CacheOnly bool
-	// FailFast cancels runs that have not started yet as soon as any run
-	// fails; canceled runs report an Err naming the first failure. Which runs
-	// are canceled depends on worker timing, so FailFast trades the
-	// byte-determinism of failing sweeps for a fast exit (successful sweeps
-	// are unaffected).
-	FailFast bool
-}
-
-// WithCache returns a copy of the sweep wired to cache.
-func (s Sweep) WithCache(c ResultCache) Sweep {
-	s.Cache = c
-	return s
+	// SpecRunner is the execution policy Run uses: workers, seed
+	// derivation, caching, fail-fast and the OnResult hook.
+	SpecRunner
 }
 
 // Expand enumerates the grid in a fixed order: workload outermost, then
@@ -253,25 +233,8 @@ func (s Sweep) Expand() []RunSpec {
 	return specs
 }
 
-// Run expands the grid and executes it with the sweep's execution policy;
-// see SpecRunner.Run.
-func (s Sweep) Run() []RunResult {
-	return SpecRunner{
-		Workers:   s.Workers,
-		BaseSeed:  s.BaseSeed,
-		Cache:     s.Cache,
-		CacheOnly: s.CacheOnly,
-		FailFast:  s.FailFast,
-	}.Run(s.Expand())
-}
-
-// RunSpecs executes specs on a pool of workers goroutines (default
-// GOMAXPROCS) and returns one result per spec, in spec order. Each run whose
-// Config.Seed is zero gets a seed derived only from baseSeed and its index,
-// so results are byte-identical regardless of the worker count.
-func RunSpecs(specs []RunSpec, workers int, baseSeed uint64) []RunResult {
-	return SpecRunner{Workers: workers, BaseSeed: baseSeed}.Run(specs)
-}
+// Run expands the grid and executes it with the embedded SpecRunner.
+func (s Sweep) Run() []RunResult { return s.SpecRunner.Run(s.Expand()) }
 
 // ResolveSeeds returns a copy of specs in which every zero Config.Seed is
 // replaced by a seed derived only from baseSeed and the spec's grid index —
@@ -291,18 +254,23 @@ func ResolveSeeds(specs []RunSpec, baseSeed uint64) []RunSpec {
 }
 
 // SpecRunner is the execution policy of a sweep: worker-pool width, seed
-// derivation, and result caching. Sweep.Run is SpecRunner.Run over
-// Sweep.Expand; the CLI uses SpecRunner directly when it post-processes
-// expanded specs before running them.
+// derivation, and result caching. Sweep embeds one and runs it over
+// Sweep.Expand; the CLI and the paper artifacts run it directly on spec
+// lists they build or post-process themselves.
 type SpecRunner struct {
 	// Workers bounds simultaneous runs (default GOMAXPROCS).
 	Workers int
 	// BaseSeed anchors per-run seed derivation (see ResolveSeeds).
 	BaseSeed uint64
-	// Cache, CacheOnly, and FailFast behave as on Sweep.
-	Cache     ResultCache
+	// Cache, when non-nil, serves runs whose SpecKey it holds without
+	// simulating them and stores every newly simulated successful result.
+	Cache ResultCache
+	// CacheOnly reports a run missing from Cache as failed instead of
+	// simulating it (`figures -from DIR`).
 	CacheOnly bool
-	FailFast  bool
+	// FailFast cancels unstarted runs once any run fails; they report an Err
+	// naming that failure. Which runs it cancels depends on worker timing.
+	FailFast bool
 	// OnResult, when non-nil, is invoked once per completed run — simulated,
 	// cache-served, failed, or canceled — as results become available.
 	// Invocations are serialized (never concurrent) but arrive in completion
@@ -400,7 +368,7 @@ func (r SpecRunner) runOne(ctx context.Context, spec RunSpec, gridIndex int,
 	}
 	if r.Cache != nil {
 		if payload, ok := r.Cache.Get(key); ok {
-			if res, err := decodeCachedResult(payload); err == nil {
+			if res, err := DecodeCachedResult(payload); err == nil {
 				res.Cached = true
 				return finish(res)
 			}

@@ -12,12 +12,11 @@ import (
 // tinySweep is a 2-scheme x 2-workload grid small enough for unit tests.
 func tinySweep(workers int) syncron.Sweep {
 	return syncron.Sweep{
-		Workloads: []string{"stack", "lock"},
-		Schemes:   []syncron.Scheme{syncron.SchemeSynCron, syncron.SchemeCentral},
-		Base:      syncron.Config{Units: 2, CoresPerUnit: 2},
-		Params:    syncron.WorkloadParams{Scale: 0.05, OpsPerCore: 6, Rounds: 8},
-		Workers:   workers,
-		BaseSeed:  7,
+		Workloads:  []string{"stack", "lock"},
+		Schemes:    []syncron.Scheme{syncron.SchemeSynCron, syncron.SchemeCentral},
+		Base:       syncron.Config{Units: 2, CoresPerUnit: 2},
+		Params:     syncron.WorkloadParams{Scale: 0.05, OpsPerCore: 6, Rounds: 8},
+		SpecRunner: syncron.SpecRunner{Workers: workers, BaseSeed: 7},
 	}
 }
 
@@ -195,40 +194,12 @@ func TestParseSchemeAliases(t *testing.T) {
 	}
 }
 
-func TestFunctionalOptionsConstruct(t *testing.T) {
-	sys := syncron.New(
-		syncron.WithScheme(syncron.SchemeCentral),
-		syncron.WithUnits(2),
-		syncron.WithCoresPerUnit(3),
-		syncron.WithSeed(11),
-	)
-	if got := sys.Config(); got.Scheme != syncron.SchemeCentral || got.Units != 2 ||
-		got.CoresPerUnit != 3 || got.Seed != 11 {
-		t.Fatalf("options not applied: %+v", got)
-	}
-	if sys.NumCores() != 6 {
-		t.Fatalf("NumCores = %d, want 6", sys.NumCores())
-	}
-}
-
-func TestConfigMixesWithOptions(t *testing.T) {
-	// A Config value is an Option; later options override it.
-	sys := syncron.New(
-		syncron.Config{Scheme: syncron.SchemeHier, Units: 2, CoresPerUnit: 2},
-		syncron.WithScheme(syncron.SchemeIdeal),
-	)
-	cfg := sys.Config()
-	if cfg.Scheme != syncron.SchemeIdeal || cfg.Units != 2 || cfg.CoresPerUnit != 2 {
-		t.Fatalf("mixed construction wrong: %+v", cfg)
-	}
-}
-
 func TestWriteCSVShape(t *testing.T) {
-	results := syncron.RunSpecs([]syncron.RunSpec{{
+	results := syncron.SpecRunner{Workers: 1, BaseSeed: 3}.Run([]syncron.RunSpec{{
 		Workload: "lock",
 		Config:   syncron.Config{Scheme: syncron.SchemeSynCron, Units: 2, CoresPerUnit: 2},
 		Params:   syncron.WorkloadParams{Rounds: 5},
-	}}, 1, 3)
+	}})
 	var buf bytes.Buffer
 	if err := syncron.WriteCSV(&buf, results); err != nil {
 		t.Fatal(err)
@@ -258,7 +229,7 @@ func TestSweepTopologyAxis(t *testing.T) {
 		Topologies: []syncron.Topology{syncron.TopoMesh2D, syncron.TopoRing, syncron.TopoAllToAll},
 		Base:       syncron.Config{Units: 4, CoresPerUnit: 2, Seed: 7},
 		Params:     syncron.WorkloadParams{Rounds: 10},
-		Workers:    1,
+		SpecRunner: syncron.SpecRunner{Workers: 1},
 	}
 	specs := sw.Expand()
 	if len(specs) != 3 {
@@ -313,6 +284,32 @@ func TestExecuteRejectsUnknownTopology(t *testing.T) {
 		Params: syncron.WorkloadParams{Rounds: 2}})
 	if res.Err == "" || !strings.Contains(res.Err, "torus") {
 		t.Fatalf("unknown topology not reported: %+v", res.Err)
+	}
+}
+
+// A negative machine parameter is rejected up front, naming the field,
+// rather than simulating a meaningless machine or failing mid-run.
+func TestExecuteRejectsNegativeParameters(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*syncron.Config)
+	}{
+		{"Units", func(c *syncron.Config) { c.Units = -1 }},
+		{"CoresPerUnit", func(c *syncron.Config) { c.CoresPerUnit = -2 }},
+		{"LinkLatency", func(c *syncron.Config) { c.LinkLatency = -5 * syncron.Nanosecond }},
+		{"STEntries", func(c *syncron.Config) { c.STEntries = -1 }},
+		{"FairnessThreshold", func(c *syncron.Config) { c.FairnessThreshold = -3 }},
+		{"SEServiceCycles", func(c *syncron.Config) { c.SEServiceCycles = -12 }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			cfg := syncron.Config{Units: 2, CoresPerUnit: 2}
+			tc.set(&cfg)
+			res := syncron.Execute(syncron.RunSpec{Workload: "lock", Config: cfg,
+				Params: syncron.WorkloadParams{Rounds: 2}})
+			if !strings.Contains(res.Err, "Config."+tc.field+" must not be negative") {
+				t.Fatalf("negative %s not rejected by name: Err = %q", tc.field, res.Err)
+			}
+		})
 	}
 }
 

@@ -15,7 +15,7 @@
 //
 // Quickstart:
 //
-//	sys := syncron.New(syncron.WithScheme(syncron.SchemeSynCron))
+//	sys := syncron.New(syncron.Config{Scheme: syncron.SchemeSynCron})
 //	lock := sys.AllocLocal(0, 64)
 //	counter := 0
 //	sys.Spawn(sys.NumCores(), func(ctx *syncron.Context) {
@@ -31,9 +31,9 @@
 //
 // Above single systems sit three batch layers:
 //
-//   - the workload registry (RegisterWorkload, WorkloadInfos) names every
-//     benchmark of the paper's evaluation;
-//   - the sweep engine (Sweep, Execute, RunSpecs) expands
+//   - the workload registry (RegisterWorkload, WorkloadNames, LookupInfo)
+//     names every benchmark of the paper's evaluation;
+//   - the sweep engine (Sweep, SpecRunner, Execute) expands
 //     (workload x scheme x config) grids and runs them on a worker pool
 //     with deterministic per-run seeds;
 //   - the analysis layer (SpeedupVsBaseline, Scalability, EnergyBreakdown,
@@ -245,7 +245,7 @@ type Config struct {
 	// dispatcher. It is excluded from JSON output and from SpecKey.
 	//
 	// Deprecated: the intra-run parallel dispatcher was removed; grids run
-	// in parallel across runs (Sweep.Workers).
+	// in parallel across runs (SpecRunner.Workers).
 	Parallelism int `json:"-"`
 	// Tracer receives time-resolved trace records from the run: engine queue
 	// depth and dispatch rate, per-link transfer windows, and per-variable
@@ -282,13 +282,12 @@ type System struct {
 	r   *program.Runner
 }
 
-// New builds a system from the given options. Both functional options and
-// plain Config values are accepted (and may be mixed); see Option.
-func New(opts ...Option) *System {
-	var cfg Config
-	for _, o := range opts {
-		o.apply(&cfg)
-	}
+// New builds a system from cfg; every zero field takes its documented
+// default. A negative machine parameter or an unknown topology, memory model
+// or scheme panics with a message naming it (Execute reports the panic as
+// RunResult.Err).
+func New(cfg Config) *System {
+	cfg.mustBeNonNegative()
 	if cfg.Scheme == "" {
 		cfg.Scheme = SchemeSynCron
 	}
@@ -325,6 +324,28 @@ func New(opts ...Option) *System {
 	cfg.CoresPerUnit = m.Cfg.CoresPerUnit
 	cfg.Seed = m.Cfg.Seed
 	return &System{cfg: cfg, m: m, r: program.NewRunner(m)}
+}
+
+// mustBeNonNegative panics on the first negative machine parameter: zero
+// means "default", a negative value has no meaning.
+func (cfg Config) mustBeNonNegative() {
+	negative := func(field string, v any) {
+		panic(fmt.Sprintf("syncron: Config.%s must not be negative (got %v)", field, v))
+	}
+	switch {
+	case cfg.Units < 0:
+		negative("Units", cfg.Units)
+	case cfg.CoresPerUnit < 0:
+		negative("CoresPerUnit", cfg.CoresPerUnit)
+	case cfg.LinkLatency < 0:
+		negative("LinkLatency", cfg.LinkLatency)
+	case cfg.STEntries < 0:
+		negative("STEntries", cfg.STEntries)
+	case cfg.FairnessThreshold < 0:
+		negative("FairnessThreshold", cfg.FairnessThreshold)
+	case cfg.SEServiceCycles < 0:
+		negative("SEServiceCycles", cfg.SEServiceCycles)
+	}
 }
 
 func newBackend(cfg Config) arch.Backend {

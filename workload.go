@@ -171,25 +171,3 @@ func LookupInfo(name string) (WorkloadInfo, bool) {
 	}
 	return infoOf(w), true
 }
-
-// WorkloadInfos returns the metadata of every registered workload, sorted by
-// kind (in Kinds order), then family, then name.
-func WorkloadInfos() []WorkloadInfo {
-	workloadMu.RLock()
-	infos := make([]WorkloadInfo, 0, len(workloadReg))
-	for _, w := range workloadReg {
-		infos = append(infos, infoOf(w))
-	}
-	workloadMu.RUnlock()
-	sort.Slice(infos, func(i, j int) bool {
-		a, b := infos[i], infos[j]
-		if a.Kind != b.Kind {
-			return kindOrder(a.Kind) < kindOrder(b.Kind)
-		}
-		if a.Family != b.Family {
-			return a.Family < b.Family
-		}
-		return a.Name < b.Name
-	})
-	return infos
-}
