@@ -45,10 +45,10 @@ type Config struct {
 	Seed uint64
 
 	// Tracer, when non-nil, enables the time-resolved tracing layer: the
-	// engine's dispatch hook, the network's per-link transfer records, and
-	// the backends' synchronization spans all feed it. Nil (the default)
-	// keeps every hook branch-predicted cold and the hot path
-	// allocation-free.
+	// engine's dispatch hook, the network's per-link transfer records, the
+	// memory's bank records and the program runner's synchronization spans
+	// all feed it. Nil (the default) keeps every hook branch-predicted cold
+	// and the hot path allocation-free.
 	Tracer trace.Tracer
 }
 
@@ -104,7 +104,7 @@ type Machine struct {
 	Backend Backend // synchronization mechanism under test
 
 	// Tracer is the machine-wide trace sink (nil when tracing is disabled).
-	// Backends read it at Attach time to install their span hooks.
+	// The program runner reads it at Run time to emit synchronization spans.
 	Tracer trace.Tracer
 
 	allocNext  []uint64 // per-unit bump pointer (cacheable arena)

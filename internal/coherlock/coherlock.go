@@ -46,7 +46,7 @@ func (a Algorithm) String() string {
 // Backend is a coherence-based lock scheme. Only lock semantics are
 // supported (like SSB/LCU, these schemes have no barrier/semaphore/condvar
 // primitives); barrier requests fall back to an ideal barrier so mixed
-// workloads can still run.
+// workloads can still run, and any other operation panics.
 type Backend struct {
 	Alg Algorithm
 
@@ -57,10 +57,6 @@ type Backend struct {
 	space *coherence.Space
 	locks map[uint64]*lockState
 	bars  map[uint64]*barState
-
-	// syncTr is non-nil when the machine has a tracer attached; it wraps each
-	// request's done continuation with span emission (see arch.SyncTracer).
-	syncTr *arch.SyncTracer
 }
 
 type waiter struct {
@@ -95,10 +91,6 @@ func (b *Backend) Attach(m *arch.Machine) {
 	if b.LocalBatch == 0 {
 		b.LocalBatch = 8
 	}
-	b.syncTr = nil
-	if m.Tracer != nil {
-		b.syncTr = arch.NewSyncTracer(m.Tracer)
-	}
 }
 
 // ExtraCacheEnergyPJ implements arch.Backend.
@@ -109,9 +101,6 @@ func (b *Backend) Space() *coherence.Space { return b.space }
 
 // Request implements arch.Backend.
 func (b *Backend) Request(t sim.Time, core int, req arch.SyncReq, done func(sim.Time)) {
-	if b.syncTr != nil {
-		done = b.syncTr.Request(t, core, req, done)
-	}
 	switch req.Op {
 	case arch.OpLockAcquire:
 		b.acquire(t, core, req.Addr, done)
@@ -135,7 +124,7 @@ func (b *Backend) Request(t sim.Time, core int, req arch.SyncReq, done func(sim.
 			}
 		}
 	default:
-		done(t)
+		panic(fmt.Sprintf("coherlock: scheme %s does not model %v", b.Alg, req.Op))
 	}
 }
 

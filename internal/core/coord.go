@@ -75,6 +75,10 @@ const (
 	serverVarAccesses = 2
 )
 
+// indexingCounters is the overflow-tracking counter count of each SE
+// (§4.2.3: indexed by the 8 LSBs of the line address).
+const indexingCounters = 256
+
 // Options configures a Coordinator.
 type Options struct {
 	Topology Topology
@@ -85,9 +89,6 @@ type Options struct {
 	// STEntries is the Synchronization Table capacity per SE (default 64).
 	// Ignored for server nodes, whose tables live in memory.
 	STEntries int
-
-	// IndexingCounters is the overflow-tracking counter count (default 256).
-	IndexingCounters int
 
 	// Overflow selects the ST-overflow handling policy.
 	Overflow OverflowPolicy
@@ -104,9 +105,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.STEntries == 0 {
 		o.STEntries = 64
-	}
-	if o.IndexingCounters == 0 {
-		o.IndexingCounters = 256
 	}
 	if o.SEServiceCycles == 0 {
 		o.SEServiceCycles = 12
@@ -147,10 +145,6 @@ type Coordinator struct {
 	totalReqs    uint64
 	overflowReqs uint64
 
-	// syncTr is non-nil when the machine has a tracer attached; it wraps each
-	// request's done continuation with span emission (see arch.SyncTracer).
-	syncTr *arch.SyncTracer
-
 	// fallback server busy horizons for OverflowCentral/OverflowDistrib.
 	fallbackBusy []sim.Time
 	abortsSent   uint64
@@ -170,14 +164,10 @@ func (c *Coordinator) Name() string {
 		}
 		return "syncron"
 	}
-	switch c.opt.Topology {
-	case TopoCentral:
+	if c.opt.Topology == TopoCentral {
 		return "central"
-	case TopoFlat:
-		return "flat-server"
-	default:
-		return "hier"
 	}
+	return "hier"
 }
 
 // Attach implements arch.Backend.
@@ -198,10 +188,6 @@ func (c *Coordinator) Attach(m *arch.Machine) {
 	}
 	c.fallbackBusy = make([]sim.Time, m.Cfg.Units)
 	c.freeDeliver, c.freeOps, c.freeMasters, c.freeLocals = nil, nil, nil, nil
-	c.syncTr = nil
-	if m.Tracer != nil {
-		c.syncTr = arch.NewSyncTracer(m.Tracer)
-	}
 }
 
 // masterNode returns the node coordinating variable addr globally.
@@ -230,9 +216,6 @@ func (c *Coordinator) hierarchical() bool { return c.opt.Topology == TopoHier }
 // Request implements arch.Backend.
 func (c *Coordinator) Request(t sim.Time, core int, req arch.SyncReq, done func(sim.Time)) {
 	c.totalReqs++
-	if c.syncTr != nil {
-		done = c.syncTr.Request(t, core, req, done)
-	}
 	switch req.Op {
 	case arch.OpLockAcquire:
 		c.lockAcquire(t, core, req.Addr, done)

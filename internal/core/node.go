@@ -36,7 +36,7 @@ func newNode(c *Coordinator, unit int) *node {
 	n := &node{c: c, unit: unit, locals: make(map[uint64]*localState)}
 	if c.opt.HardwareSE {
 		n.st = make(map[uint64]int)
-		n.counters = make([]int, c.opt.IndexingCounters)
+		n.counters = make([]int, indexingCounters)
 		n.memVars = make(map[uint64]bool)
 	} else {
 		n.l1Cfg = cache.DefaultConfig()
@@ -51,7 +51,7 @@ func (n *node) port() int { return network.PortSE }
 // counterIndex hashes a variable address onto an indexing counter (8 LSBs of
 // the line address, as in §4.2.3).
 func (n *node) counterIndex(addr uint64) int {
-	return int((addr / cache.LineSize) % uint64(len(n.counters)))
+	return int((addr / cache.LineSize) % indexingCounters)
 }
 
 // viaMemory reports whether the node must service addr through main memory

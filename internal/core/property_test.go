@@ -201,12 +201,12 @@ func TestSTEntryLifecycle(t *testing.T) {
 // §4.2.3).
 func TestOverflowAliasing(t *testing.T) {
 	b := core.NewCoordinator(core.Options{Topology: core.TopoHier, HardwareSE: true,
-		STEntries: 1, IndexingCounters: 2})
+		STEntries: 1})
 	m := newTestMachine(t, b)
 	r := program.NewRunner(m)
-	// Addresses 2 counters apart alias.
-	l1 := m.Alloc(0, 64)
-	l2 := m.Alloc(0, 64)
+	// Addresses 256 lines apart alias on the SE's 256 indexing counters.
+	l1 := m.Alloc(0, 256*64)
+	l2 := m.Alloc(0, 256*64)
 	l3 := m.Alloc(0, 64)
 	count := 0
 	r.AddN(m.NumCores(), func(i int) program.Program {

@@ -33,6 +33,13 @@
 // observes that state as of that step event, after every earlier event and
 // before every later one. A change to when program code runs relative to
 // other events changes what such code sees.
+//
+// The runner is the only caller of the machine's synchronization backend, so
+// it observes every sync op's issue and grant, the same way under every
+// scheme. It checks mutual exclusion on every lock and panics on a
+// violation, and when the machine has a tracer it emits each wait-type op's
+// issue-to-grant span (lock_wait, barrier_wait, sem_wait, cond_wait) and
+// each lock's grant-to-release span (lock_hold).
 package program
 
 import (
@@ -42,6 +49,7 @@ import (
 
 	"syncron/internal/arch"
 	"syncron/internal/sim"
+	"syncron/internal/trace"
 )
 
 // Program is the body of one simulated core's execution.
@@ -126,23 +134,27 @@ type Runner struct {
 	progs map[int]Program
 	next  int
 
-	// holders backs the built-in mutual-exclusion checker: lock
-	// acquire/release/cond_wait requests verify that no two cores ever hold
-	// the same lock and that releases match the holder. The checker runs
-	// engine-side: release checks at issue time, acquire checks at grant
-	// time.
-	holders map[uint64]int // lock addr -> core id
+	// holders records who holds each lock since when. It backs the built-in
+	// mutual-exclusion checker — lock acquire/release/cond_wait requests
+	// verify that no two cores ever hold the same lock and that releases
+	// match the holder — and the lock_hold spans. Both run engine-side:
+	// release at issue time, acquire at grant time.
+	holders map[uint64]holding
 
-	// Violations counts checker failures when PanicOnViolation is off.
-	Violations int
-	// PanicOnViolation makes checker failures fatal (default true).
-	PanicOnViolation bool
+	// varNames interns the "var.0x..." trace label of each traced variable.
+	varNames map[uint64]string
+}
+
+// holding is one lock's current holder and its grant time.
+type holding struct {
+	core  int
+	since sim.Time
 }
 
 // NewRunner builds a runner for machine m.
 func NewRunner(m *arch.Machine) *Runner {
-	return &Runner{M: m, PanicOnViolation: true,
-		holders: make(map[uint64]int), progs: make(map[int]Program)}
+	return &Runner{M: m, holders: make(map[uint64]holding), varNames: make(map[uint64]string),
+		progs: make(map[int]Program)}
 }
 
 // Add registers a program for the next free core. It panics if more programs
@@ -208,6 +220,9 @@ func (r *Runner) Run() sim.Time {
 				p.SyncWait += done - p.issued
 			}
 			r.checkGrant(p, req, done)
+			if r.M.Tracer != nil {
+				r.traceWait(req, p.issued, done)
+			}
 			eng.Schedule(done, p.stepFn)
 		}
 		ctx := &Ctx{ID: i, Unit: r.M.UnitOf(i), RNG: r.M.RNG.Fork(), m: r.M, p: p}
@@ -282,52 +297,88 @@ func (r *Runner) play(p *proc, at sim.Time) {
 		p.SyncOps++
 		p.pend = o.req
 		p.issued = at
-		r.checkIssue(p, o.req)
+		r.checkIssue(p, o.req, at)
 		r.M.Backend.Request(at, p.id, o.req, p.grantFn)
 	}
 }
 
-// checkIssue runs the release-side lock checks when a sync request is issued.
-func (r *Runner) checkIssue(p *proc, req arch.SyncReq) {
+// checkIssue runs the release-side lock checks when a sync request is
+// issued at time at, and closes the released lock's hold span.
+func (r *Runner) checkIssue(p *proc, req arch.SyncReq, at sim.Time) {
+	var lock uint64
 	switch req.Op {
 	case arch.OpLockRelease:
-		if h, held := r.holders[req.Addr]; !held || h != p.id {
-			r.violation("core %d released lock %#x it does not hold (holder %d, held=%v)",
-				p.id, req.Addr, h, held)
+		lock = req.Addr
+		if h, held := r.holders[lock]; !held || h.core != p.id {
+			violation("core %d released lock %#x it does not hold (holder %d, held=%v)",
+				p.id, lock, h.core, held)
 		}
-		delete(r.holders, req.Addr)
 	case arch.OpCondWait:
-		if h, held := r.holders[req.Lock]; !held || h != p.id {
-			r.violation("core %d cond_wait on %#x without holding lock %#x", p.id, req.Addr, req.Lock)
+		lock = req.Lock
+		if h, held := r.holders[lock]; !held || h.core != p.id {
+			violation("core %d cond_wait on %#x without holding lock %#x", p.id, req.Addr, lock)
 		}
-		delete(r.holders, req.Lock)
+	default:
+		return
 	}
+	if r.M.Tracer != nil {
+		r.emit(r.holders[lock].since, at, lock, trace.WhatLockHold)
+	}
+	delete(r.holders, lock)
 }
 
 // checkGrant runs the acquire-side lock checks when the backend grants a sync
-// request. Grant callbacks come from backend events.
+// request at time at, and opens the granted lock's hold span. Grant callbacks
+// come from backend events.
 func (r *Runner) checkGrant(p *proc, req arch.SyncReq, at sim.Time) {
 	switch req.Op {
 	case arch.OpLockAcquire:
 		if h, held := r.holders[req.Addr]; held {
-			r.violation("mutual exclusion violated: lock %#x granted to core %d while held by %d at %v",
-				req.Addr, p.id, h, at)
+			violation("mutual exclusion violated: lock %#x granted to core %d while held by %d at %v",
+				req.Addr, p.id, h.core, at)
 		}
-		r.holders[req.Addr] = p.id
+		r.holders[req.Addr] = holding{p.id, at}
 	case arch.OpCondWait:
 		if h, held := r.holders[req.Lock]; held {
-			r.violation("cond_wait woke core %d with lock %#x held by %d", p.id, req.Lock, h)
+			violation("cond_wait woke core %d with lock %#x held by %d", p.id, req.Lock, h.core)
 		}
-		r.holders[req.Lock] = p.id
+		r.holders[req.Lock] = holding{p.id, at}
 	}
 }
 
 // violation reports a checker failure.
-func (r *Runner) violation(format string, args ...any) {
-	r.Violations++
-	if r.PanicOnViolation {
-		panic("program: " + fmt.Sprintf(format, args...))
+func violation(format string, args ...any) {
+	panic("program: " + fmt.Sprintf(format, args...))
+}
+
+// traceWait emits the wait span of a blocking sync request issued at time
+// issued and granted at time at.
+func (r *Runner) traceWait(req arch.SyncReq, issued, at sim.Time) {
+	var what string
+	switch req.Op {
+	case arch.OpLockAcquire:
+		what = trace.WhatLockWait
+	case arch.OpBarrierWithinUnit, arch.OpBarrierAcrossUnits:
+		what = trace.WhatBarrierWait
+	case arch.OpSemWait:
+		what = trace.WhatSemWait
+	case arch.OpCondWait:
+		what = trace.WhatCondWait
+	default:
+		return
 	}
+	r.emit(issued, at, req.Addr, what)
+}
+
+// emit records one span of variable addr.
+func (r *Runner) emit(start, end sim.Time, addr uint64, what string) {
+	name, ok := r.varNames[addr]
+	if !ok {
+		name = fmt.Sprintf("var.0x%x", addr)
+		r.varNames[addr] = name
+	}
+	r.M.Tracer.Emit(trace.Record{Start: start, End: end, Where: name, What: what,
+		Value: float64(end - start), Unit: "ps"})
 }
 
 // ---- Ctx operations ----

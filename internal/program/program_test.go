@@ -1,6 +1,8 @@
 package program
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"syncron/internal/arch"
@@ -152,16 +154,15 @@ func TestDeterminism(t *testing.T) {
 func TestLockCheckerDetectsDoubleUnlock(t *testing.T) {
 	m := newM()
 	r := NewRunner(m)
-	r.PanicOnViolation = false
 	lock := m.Alloc(0, 64)
 	r.Add(func(ctx *Ctx) {
 		ctx.Lock(lock)
 		ctx.Unlock(lock)
 		ctx.Unlock(lock) // bug: released twice
 	})
-	r.Run()
-	if r.Violations == 0 {
-		t.Fatal("checker missed a double unlock")
+	msg, _ := runRecover(r).(string)
+	if want := fmt.Sprintf("released lock %#x it does not hold", lock); !strings.Contains(msg, want) {
+		t.Fatalf("Run panicked with %q, want a message containing %q", msg, want)
 	}
 }
 
@@ -171,7 +172,6 @@ func TestLockCheckerDetectsBrokenBackend(t *testing.T) {
 	m := arch.NewMachine(arch.Config{Units: 1, CoresPerUnit: 2})
 	m.Backend = &brokenBackend{} // grants everything instantly, no queueing
 	r := NewRunner(m)
-	r.PanicOnViolation = false
 	lock := m.Alloc(0, 64)
 	r.AddN(2, func(i int) Program {
 		return func(ctx *Ctx) {
@@ -180,9 +180,9 @@ func TestLockCheckerDetectsBrokenBackend(t *testing.T) {
 			ctx.Unlock(lock)
 		}
 	})
-	r.Run()
-	if r.Violations == 0 {
-		t.Fatal("checker missed concurrent lock holders")
+	msg, _ := runRecover(r).(string)
+	if want := fmt.Sprintf("mutual exclusion violated: lock %#x", lock); !strings.Contains(msg, want) {
+		t.Fatalf("Run panicked with %q, want a message containing %q", msg, want)
 	}
 }
 

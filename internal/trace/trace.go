@@ -57,11 +57,11 @@ const (
 	WhatQueueDepth  = "queue_depth"  // engine: max pending events in a bucket
 	WhatDispatched  = "dispatched"   // engine: events executed in a bucket
 	WhatLinkXfer    = "link_xfer"    // network: one message's busy window on a link
-	WhatLockWait    = "lock_wait"    // backend: lock acquire -> grant span
-	WhatLockHold    = "lock_hold"    // backend: lock grant -> release span
-	WhatBarrierWait = "barrier_wait" // backend: barrier arrive -> release span
-	WhatSemWait     = "sem_wait"     // backend: semaphore P() wait span
-	WhatCondWait    = "cond_wait"    // backend: condition-variable wait span
+	WhatLockWait    = "lock_wait"    // program: lock acquire -> grant span
+	WhatLockHold    = "lock_hold"    // program: lock grant -> release span
+	WhatBarrierWait = "barrier_wait" // program: barrier arrive -> release span
+	WhatSemWait     = "sem_wait"     // program: semaphore P() wait span
+	WhatCondWait    = "cond_wait"    // program: condition-variable wait span
 	WhatBankBusy    = "bank_busy"    // mem (bank model): one access's occupancy of a bank
 	WhatRowHit      = "row_hit"      // mem (bank model): run-total open-row hits per stack
 	WhatRowMiss     = "row_miss"     // mem (bank model): run-total row misses per stack

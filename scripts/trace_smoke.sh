@@ -5,6 +5,8 @@
 # non-empty, well-formed CSV (pinned header, 6 fields per line, integer
 # picosecond spans with end >= start, monotone non-decreasing start column —
 # the deterministic commit order), and covers the expected record kinds.
+# Requires lock spans in the traces of the same run under the ideal, central
+# and ttas schemes too.
 # Then re-runs the identical spec and requires a byte-identical trace, and
 # runs a one-run sweep with -trace to check the per-run directory path.
 #
@@ -45,6 +47,16 @@ awk -F, '
 for what in queue_depth dispatched lock_wait lock_hold; do
   grep -q ",$what," "$workdir/run.trace.csv" \
     || { echo "no $what records in trace" >&2; exit 1; }
+done
+
+echo "==> every scheme is traced alike"
+for scheme in ideal central ttas; do
+  "$sim" run -workload stack -scheme "$scheme" -units 2 -cores 8 -ops 20 -seed 7 \
+    -trace "$workdir/$scheme.trace.csv" > /dev/null
+  for what in lock_wait lock_hold; do
+    grep -q ",$what," "$workdir/$scheme.trace.csv" \
+      || { echo "no $what records in the $scheme trace" >&2; exit 1; }
+  done
 done
 
 echo "==> tracing must be byte-identical across repeated runs"

@@ -2,6 +2,7 @@ package syncron_test
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"syncron"
@@ -126,4 +127,25 @@ func TestBankRunAllocsPerEvent(t *testing.T) {
 			perEvent, rep.Events)
 	}
 	t.Logf("%.4f allocs/event over %d events", perEvent, rep.Events)
+}
+
+// The coherence-lock schemes model only locks and barriers: a workload that
+// needs any other primitive fails with an error naming the scheme and the op
+// instead of having it granted at once.
+func TestCoherenceLockSchemesRejectUnmodeledOps(t *testing.T) {
+	for _, scheme := range []syncron.Scheme{syncron.SchemeMESILock, syncron.SchemeTTAS, syncron.SchemeHTL} {
+		for _, tc := range []struct{ workload, op string }{
+			{"semaphore", "sem_wait"},
+			{"condvar", "cond_wait"},
+		} {
+			t.Run(string(scheme)+"/"+tc.workload, func(t *testing.T) {
+				res := syncron.Execute(syncron.RunSpec{Workload: tc.workload,
+					Config: syncron.Config{Scheme: scheme, Units: 2, CoresPerUnit: 2},
+					Params: syncron.WorkloadParams{Scale: 0.05}})
+				if !strings.Contains(res.Err, tc.op) || !strings.Contains(res.Err, string(scheme)) {
+					t.Fatalf("Err = %q, want an error naming %s and %s", res.Err, tc.op, scheme)
+				}
+			})
+		}
+	}
 }

@@ -191,3 +191,40 @@ func TestLockHoldTimesFixture(t *testing.T) {
 		}
 	}
 }
+
+// The program runner, not the backend, traces sync spans, so every scheme is
+// traced alike: one lock_wait and one lock_hold per acquire, one
+// barrier_wait per barrier arrival, and no span ends before it starts.
+func TestEverySchemeTracesSyncSpansAlike(t *testing.T) {
+	const rounds = 3
+	for _, scheme := range syncron.Schemes() {
+		t.Run(string(scheme), func(t *testing.T) {
+			col := syncron.NewTraceCollector()
+			sys := syncron.New(syncron.Config{Scheme: scheme, Units: 2, CoresPerUnit: 2, Tracer: col})
+			lock := sys.AllocLocal(0, 64)
+			bar := sys.AllocLocal(1, 64)
+			n := sys.NumCores()
+			sys.Spawn(n, func(ctx *syncron.Context) {
+				for i := 0; i < rounds; i++ {
+					ctx.Lock(lock)
+					ctx.Compute(10)
+					ctx.Unlock(lock)
+					ctx.BarrierAcrossUnits(bar, n)
+				}
+			})
+			sys.Run()
+			count := make(map[string]int)
+			for _, r := range col.Records() {
+				count[r.What]++
+				if r.End < r.Start {
+					t.Errorf("%s span on %s ends at %d before its start %d", r.What, r.Where, r.End, r.Start)
+				}
+			}
+			for _, what := range []string{"lock_wait", "lock_hold", "barrier_wait"} {
+				if got, want := count[what], n*rounds; got != want {
+					t.Errorf("%d %s records, want %d", got, what, want)
+				}
+			}
+		})
+	}
+}
