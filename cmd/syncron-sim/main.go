@@ -129,7 +129,7 @@ func configFlags(fs *flag.FlagSet) (func() syncron.Config, *int, *string, *strin
 		memTech  = fs.String("mem", "hbm", "hbm | hmc | ddr4")
 		memModel = fs.String("mem-model", "", "DRAM timing model: flat | bank (default flat); sweep accepts a comma-separated grid axis")
 		topology = fs.String("topology", "", "interconnect: alltoall | mesh | ring | star (default alltoall); sweep accepts a comma-separated grid axis")
-		linkNS   = fs.Int64("link-ns", 0, "inter-unit transfer latency in ns (default 40)")
+		linkNS   = fs.Int64("link-ns", 0, "inter-unit transfer latency in ns, positive (default 40; zero means the 40 ns default, so -link-ns 0 is rejected)")
 		stSize   = fs.Int("st", 0, "SynCron ST entries (default 64)")
 		fairness = fs.Int("fairness", 0, "lock fairness threshold (0 = off)")
 		seed     = fs.Uint64("seed", 0, "simulation seed (0 = default)")
@@ -138,7 +138,11 @@ func configFlags(fs *flag.FlagSet) (func() syncron.Config, *int, *string, *strin
 		if *units <= 0 {
 			fatal("-units must be positive (got %d)", *units)
 		}
-		nonNegative("link-ns", *linkNS)
+		// A zero LinkLatency means the 40 ns default, so an explicit
+		// -link-ns 0 would silently run at 40 ns.
+		if *linkNS < 0 || *linkNS == 0 && flagSet(fs, "link-ns") {
+			fatal("-link-ns must be positive (got %d); omit it for the 40 ns default", *linkNS)
+		}
 		nonNegative("st", int64(*stSize))
 		nonNegative("fairness", int64(*fairness))
 		memory, err := syncron.ParseMemory(*memTech)
@@ -163,6 +167,13 @@ func nonNegative(flagName string, v int64) {
 	if v < 0 {
 		fatal("-%s must not be negative (got %d)", flagName, v)
 	}
+}
+
+// flagSet reports whether the named flag was given on the command line.
+func flagSet(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
 }
 
 // coresPerUnit splits a -cores total evenly across units; 0 keeps the

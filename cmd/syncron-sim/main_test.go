@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -54,5 +56,48 @@ func TestProfileFlagsWriteProfiles(t *testing.T) {
 				t.Errorf("%s: profile %s not written (stat: %v)", tc.name, filepath.Base(path), err)
 			}
 		}
+	}
+}
+
+// cliArgsEnv carries a command line to the test binary re-executed as the
+// CLI, for checks of exit status and stderr.
+const cliArgsEnv = "SYNCRON_SIM_TEST_ARGS"
+
+// runCLI runs the CLI with args in a child process and returns its exit
+// code and combined output.
+func runCLI(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestLinkNSZeroRejected$")
+	cmd.Env = append(os.Environ(), cliArgsEnv+"="+strings.Join(args, " "))
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return exit.ExitCode(), string(out)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0, string(out)
+}
+
+// A zero link latency means the 40 ns default, so run and sweep reject an
+// explicit -link-ns 0 (exit 2, naming the flag) instead of silently running
+// at 40 ns. Omitting the flag still means 40 ns.
+func TestLinkNSZeroRejected(t *testing.T) {
+	if args := os.Getenv(cliArgsEnv); args != "" {
+		os.Args = append([]string{"syncron-sim"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, cmd := range []string{"run -workload lock", "sweep -workloads lock"} {
+		args := append(strings.Fields(cmd), "-scale", "0.05", "-link-ns", "0")
+		code, out := runCLI(t, args...)
+		if code != 2 || !strings.Contains(out, "-link-ns") {
+			t.Errorf("%s -link-ns 0: exit %d, output %q; want exit 2 naming -link-ns", cmd, code, out)
+		}
+	}
+	code, out := runCLI(t, "run", "-workload", "lock", "-print-spec")
+	if code != 0 || strings.Contains(out, "link_latency") {
+		t.Errorf("run without -link-ns: exit %d, spec %q; want exit 0 and the default link latency", code, out)
 	}
 }

@@ -50,9 +50,6 @@ func (a Algorithm) String() string {
 type Backend struct {
 	Alg Algorithm
 
-	// LocalBatch bounds consecutive same-unit handoffs for HTL (default 8).
-	LocalBatch int
-
 	m     *arch.Machine
 	space *coherence.Space
 	locks map[uint64]*lockState
@@ -76,6 +73,9 @@ type barState struct {
 	done    []func(sim.Time)
 }
 
+// htlLocalBatch bounds HTL's consecutive same-unit lock handoffs.
+const htlLocalBatch = 8
+
 // New returns a coherence-lock backend using the given algorithm.
 func New(alg Algorithm) *Backend { return &Backend{Alg: alg} }
 
@@ -88,9 +88,6 @@ func (b *Backend) Attach(m *arch.Machine) {
 	b.space = coherence.NewSpace(m)
 	b.locks = make(map[uint64]*lockState)
 	b.bars = make(map[uint64]*barState)
-	if b.LocalBatch == 0 {
-		b.LocalBatch = 8
-	}
 }
 
 // ExtraCacheEnergyPJ implements arch.Backend.
@@ -201,7 +198,7 @@ func (b *Backend) release(t sim.Time, core int, addr uint64) {
 		}
 		// Pick the winner.
 		idx := 0
-		if b.Alg == HTL && l.batch < b.LocalBatch {
+		if b.Alg == HTL && l.batch < htlLocalBatch {
 			relUnit := b.m.UnitOf(core)
 			for i, w := range l.spinners {
 				if b.m.UnitOf(w.core) == relUnit {

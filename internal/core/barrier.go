@@ -14,20 +14,6 @@ import "syncron/internal/sim"
 //     messages to the master, which coordinates cores individually
 //     (one-level communication, as the paper chooses for ISA simplicity).
 
-// barrierWithin handles barrier_wait_within_unit.
-func (c *Coordinator) barrierWithin(t sim.Time, core int, addr uint64, n int, done func(sim.Time)) {
-	if !c.hierarchical() {
-		o := c.op(opBarrierCoreArrive)
-		o.addr, o.n, o.core, o.done = addr, n, core, done
-		c.coreToNode(t, core, c.masterNode(addr), addr, o.fn)
-		return
-	}
-	local := c.nodes[c.m.UnitOf(core)]
-	o := c.op(opBarrierWithinLocal)
-	o.nd, o.core, o.addr, o.n, o.done = local, core, addr, n, done
-	c.coreToNode(t, core, local, addr, o.fn)
-}
-
 // barrierWithinLocal runs the local-SE side of barrier_wait_within_unit
 // after message processing at node local.
 func (c *Coordinator) barrierWithinLocal(pt sim.Time, local *node, core int, addr uint64, n int, done func(sim.Time)) {
@@ -35,47 +21,25 @@ func (c *Coordinator) barrierWithinLocal(pt sim.Time, local *node, core int, add
 	if !ok {
 		local.memEnter(addr)
 		o := c.op(opBarrierCoreArrive)
-		o.addr, o.n, o.core, o.done, o.nd = addr, n, core, done, local
+		o.addr, o.info, o.core, o.done, o.nd = addr, uint64(n), core, done, local
 		c.nodeToNode(pt, local, c.masterNode(addr), addr, o.fn)
 		return
 	}
 	ls.barWaiters = append(ls.barWaiters, pend{core: core, done: done})
 	if len(ls.barWaiters) >= n {
-		ws := ls.barWaiters
-		for _, w := range ws {
-			c.nodeToCore(pt, local, w.core, w.done)
-		}
-		for i := range ws {
-			ws[i] = pend{}
-		}
-		ls.barWaiters = ws[:0]
-		local.localDrop(pt, addr)
+		c.barrierDepartLocal(pt, local, addr)
 	}
-}
-
-// barrierAcross handles barrier_wait_across_units with n total participants.
-func (c *Coordinator) barrierAcross(t sim.Time, core int, addr uint64, n int, done func(sim.Time)) {
-	if !c.hierarchical() {
-		o := c.op(opBarrierCoreArrive)
-		o.addr, o.n, o.core, o.done = addr, n, core, done
-		c.coreToNode(t, core, c.masterNode(addr), addr, o.fn)
-		return
-	}
-	local := c.nodes[c.m.UnitOf(core)]
-	o := c.op(opBarrierAcrossLocal)
-	o.nd, o.core, o.addr, o.n, o.done = local, core, addr, n, done
-	o.flag = n == c.m.NumCores() // two-level scheme active
-	c.coreToNode(t, core, local, addr, o.fn)
 }
 
 // barrierAcrossLocal runs the local-SE side of barrier_wait_across_units
-// after message processing at node local.
-func (c *Coordinator) barrierAcrossLocal(pt sim.Time, local *node, core int, addr uint64, n int, done func(sim.Time), twoLevel bool) {
+// with n participants after message processing at node local. The
+// two-level scheme is active when every client core participates.
+func (c *Coordinator) barrierAcrossLocal(pt sim.Time, local *node, core int, addr uint64, n int, done func(sim.Time)) {
 	master := c.masterNode(addr)
-	if !twoLevel {
+	if n != c.m.NumCores() {
 		// One-level: redirect to the master (costed as a relay hop).
 		o := c.op(opBarrierCoreArrive)
-		o.addr, o.n, o.core, o.done, o.nd = addr, n, core, done, local
+		o.addr, o.info, o.core, o.done, o.nd = addr, uint64(n), core, done, local
 		c.nodeToNode(pt, local, master, addr, o.fn)
 		return
 	}
@@ -83,7 +47,7 @@ func (c *Coordinator) barrierAcrossLocal(pt sim.Time, local *node, core int, add
 	if !ok {
 		local.memEnter(addr)
 		o := c.op(opBarrierCoreArrive)
-		o.addr, o.n, o.core, o.done, o.nd = addr, n, core, done, local
+		o.addr, o.info, o.core, o.done, o.nd = addr, uint64(n), core, done, local
 		c.nodeToNode(pt, local, master, addr, o.fn)
 		return
 	}
@@ -91,7 +55,7 @@ func (c *Coordinator) barrierAcrossLocal(pt sim.Time, local *node, core int, add
 	if len(ls.barWaiters) >= c.m.Cfg.CoresPerUnit {
 		// Unit complete: one aggregated barrier_wait_global.
 		o := c.op(opBarrierNodeArrive)
-		o.addr, o.n, o.nd = addr, n, local
+		o.addr, o.info, o.nd = addr, uint64(n), local
 		c.nodeToNode(pt, local, master, addr, o.fn)
 	}
 }
@@ -140,29 +104,20 @@ func (c *Coordinator) masterBarrierMaybeDepart(t sim.Time, ms *masterState, addr
 		c.nodeToNode(t, master, nd, addr, o.fn)
 	}
 	for _, ref := range cores {
-		if ref.relay != nil && ref.relay != master {
-			o := c.op(opRelayGrant)
-			o.nd, o.core, o.done = ref.relay, ref.core, ref.done
-			c.nodeToNode(t, master, ref.relay, addr, o.fn)
-		} else {
-			c.nodeToCore(t, master, ref.core, ref.done)
-		}
+		c.grantCore(t, addr, ref)
 	}
 	// Truncate in place (after the loops) so the pooled state keeps its
 	// backing arrays; clear the holderRefs to drop their done references.
-	for i := range nodes {
-		nodes[i] = nil
-	}
-	for i := range cores {
-		cores[i] = holderRef{}
-	}
+	clear(nodes)
+	clear(cores)
 	ms.barNodes = nodes[:0]
 	ms.barCores = cores[:0]
 	c.masterFree(t, ms)
 }
 
-// barrierDepartLocal runs at a local SE when barrier_depart_global arrives:
-// it grants all local barrier waiters and frees the local state.
+// barrierDepartLocal runs at a local SE when barrier_depart_global arrives,
+// or when its within-unit barrier completes: it grants all local barrier
+// waiters and frees the local state.
 func (c *Coordinator) barrierDepartLocal(lt sim.Time, nd *node, addr uint64) {
 	ls := nd.locals[addr]
 	if ls == nil {
@@ -172,9 +127,7 @@ func (c *Coordinator) barrierDepartLocal(lt sim.Time, nd *node, addr uint64) {
 	for _, w := range ws {
 		c.nodeToCore(lt, nd, w.core, w.done)
 	}
-	for i := range ws {
-		ws[i] = pend{}
-	}
+	clear(ws)
 	ls.barWaiters = ws[:0]
 	nd.localDrop(lt, addr)
 }

@@ -10,20 +10,6 @@ import "syncron/internal/sim"
 // the wakeup is therefore injected into the lock protocol at the waiter's
 // local SE.
 
-// condWait handles cond_wait(cond, lock).
-func (c *Coordinator) condWait(t sim.Time, core int, addr, lock uint64, done func(sim.Time)) {
-	if !c.hierarchical() {
-		o := c.op(opCondWaitFlat)
-		o.core, o.addr, o.addr2, o.done = core, addr, lock, done
-		c.coreToNode(t, core, c.masterNode(addr), addr, o.fn)
-		return
-	}
-	local := c.nodes[c.m.UnitOf(core)]
-	o := c.op(opCondWaitLocal)
-	o.nd, o.core, o.addr, o.addr2, o.done = local, core, addr, lock, done
-	c.coreToNode(t, core, local, addr, o.fn)
-}
-
 // condWaitAtMaster runs a flat/central cond_wait at the variable's master:
 // release the lock at its own master, then park the waiter.
 func (c *Coordinator) condWaitAtMaster(pt sim.Time, core int, addr, lock uint64, done func(sim.Time)) {
@@ -40,9 +26,9 @@ func (c *Coordinator) condWaitAtMaster(pt sim.Time, core int, addr, lock uint64,
 // the SE releases the associated lock on the waiter's behalf, then forwards
 // the wait to the condition variable's master.
 func (c *Coordinator) condWaitAtLocal(pt sim.Time, local *node, core int, addr, lock uint64, done func(sim.Time)) {
-	c.lockReleaseAt(pt, local, core, lock)
+	c.lockReleaseAt(pt, local, lock)
 	o := c.op(opCondWaitReg)
-	o.core, o.addr, o.addr2, o.done, o.nd = core, addr, lock, done, local
+	o.core, o.addr, o.lock, o.done, o.nd = core, addr, lock, done, local
 	c.nodeToNode(pt, local, c.masterNode(addr), addr, o.fn)
 }
 
@@ -56,44 +42,12 @@ func (c *Coordinator) condWaitRegister(mt sim.Time, core int, addr, lock uint64,
 	ms.condQ = append(ms.condQ, condWaiter{core: core, lock: lock, done: done, relay: relay})
 }
 
-// condSignal wakes one waiter.
-func (c *Coordinator) condSignal(t sim.Time, core int, addr, lock uint64) {
-	c.condDeliver(t, core, addr, opCondSignal)
-}
-
-// condBroadcast wakes all waiters.
-func (c *Coordinator) condBroadcast(t sim.Time, core int, addr, lock uint64) {
-	c.condDeliver(t, core, addr, opCondBroadcast)
-}
-
-// condDeliver routes a signal/broadcast message to the master, where the
-// continuation of the given kind runs.
-func (c *Coordinator) condDeliver(t sim.Time, core int, addr uint64, kind opKind) {
-	if !c.hierarchical() {
-		o := c.op(kind)
-		o.addr = addr
-		c.coreToNode(t, core, c.masterNode(addr), addr, o.fn)
-		return
-	}
-	local := c.nodes[c.m.UnitOf(core)]
-	o := c.op(opForwardMaster)
-	o.kind2 = kind
-	o.nd, o.addr = local, addr
-	c.coreToNode(t, core, local, addr, o.fn)
-}
-
 // condSignalAtMaster wakes the oldest waiter at the master.
 func (c *Coordinator) condSignalAtMaster(mt sim.Time, addr uint64) {
 	ms := c.master(addr)
-	if len(ms.condQ) == 0 {
-		c.masterFree(mt, ms)
-		return
+	if len(ms.condQ) > 0 {
+		c.condWake(mt, addr, removeAt(&ms.condQ, 0))
 	}
-	w := ms.condQ[0]
-	k := copy(ms.condQ, ms.condQ[1:])
-	ms.condQ[k] = condWaiter{}
-	ms.condQ = ms.condQ[:k]
-	c.condWake(mt, addr, w)
 	c.masterFree(mt, ms)
 }
 
@@ -104,9 +58,7 @@ func (c *Coordinator) condBroadcastAtMaster(mt sim.Time, addr uint64) {
 	for _, w := range ws {
 		c.condWake(mt, addr, w)
 	}
-	for i := range ws {
-		ws[i] = condWaiter{}
-	}
+	clear(ws)
 	ms.condQ = ws[:0]
 	c.masterFree(mt, ms)
 }

@@ -9,6 +9,13 @@
 // also realizes the paper's comparison points: the flat SynCron variant
 // (§6.7.1) and — via internal/baselines — the Central and Hier
 // message-passing schemes built from server NDP cores.
+//
+// Every request enters through Coordinator.Request, which maps each op to
+// one call of route: to the variable's master under flat and central, to
+// the core's local SE under hier. Every grant from a master to a single
+// core leaves through grantCore, relayed by the core's local SE when the
+// request came that way. Protocol steps are pooled continuations (callOp,
+// see pool.go) dispatched by kind.
 package core
 
 import (
@@ -198,52 +205,67 @@ func (c *Coordinator) masterNode(addr uint64) *node {
 	return c.nodes[c.m.HomeUnit(addr)]
 }
 
-// localNode returns the node a core sends its requests to.
-func (c *Coordinator) localNode(core int, addr uint64) *node {
-	switch c.opt.Topology {
-	case TopoCentral:
-		return c.nodes[0]
-	case TopoFlat:
-		return c.masterNode(addr)
-	default:
-		return c.nodes[c.m.UnitOf(core)]
-	}
-}
-
 // hierarchical reports whether local aggregation is active.
 func (c *Coordinator) hierarchical() bool { return c.opt.Topology == TopoHier }
 
-// Request implements arch.Backend.
+// Request implements arch.Backend. Release-type ops (req_async) commit once
+// issued; a lock whose master has switched to the software fallback is
+// serviced there.
 func (c *Coordinator) Request(t sim.Time, core int, req arch.SyncReq, done func(sim.Time)) {
 	c.totalReqs++
+	if !req.Op.Blocking() {
+		done(t + c.m.CoreClock.Cycles(1))
+		done = nil
+	}
 	switch req.Op {
 	case arch.OpLockAcquire:
-		c.lockAcquire(t, core, req.Addr, done)
+		if ms := c.vars[req.Addr]; ms != nil && ms.fallback {
+			c.fallbackLockAcquire(t, core, req.Addr, done)
+			return
+		}
+		c.route(t, core, req, done, opMasterCoreAcquire, opLockEnqueue)
 	case arch.OpLockRelease:
-		done(t + c.m.CoreClock.Cycles(1)) // req_async commits once issued
-		c.lockRelease(t, core, req.Addr)
+		if ms := c.vars[req.Addr]; ms != nil && ms.fallback {
+			c.fallbackLockRelease(t, core, req.Addr)
+			return
+		}
+		c.route(t, core, req, done, opMasterCoreRelease, opLockReleaseAt)
 	case arch.OpBarrierWithinUnit:
-		c.barrierWithin(t, core, req.Addr, int(req.Info), done)
+		c.route(t, core, req, done, opBarrierCoreArrive, opBarrierWithinLocal)
 	case arch.OpBarrierAcrossUnits:
-		c.barrierAcross(t, core, req.Addr, int(req.Info), done)
+		c.route(t, core, req, done, opBarrierCoreArrive, opBarrierAcrossLocal)
 	case arch.OpSemWait:
-		c.semWait(t, core, req.Addr, int(req.Info), done)
+		c.route(t, core, req, done, opMasterSemWait, opForwardMaster)
 	case arch.OpSemPost:
-		done(t + c.m.CoreClock.Cycles(1))
-		c.semPost(t, core, req.Addr)
+		c.route(t, core, req, done, opMasterSemPost, opForwardMaster)
 	case arch.OpCondWait:
-		c.condWait(t, core, req.Addr, req.Lock, done)
+		c.route(t, core, req, done, opCondWaitFlat, opCondWaitLocal)
 	case arch.OpCondSignal:
-		done(t + c.m.CoreClock.Cycles(1))
-		c.condSignal(t, core, req.Addr, req.Lock)
+		c.route(t, core, req, done, opCondSignal, opForwardMaster)
 	case arch.OpCondBroadcast:
-		done(t + c.m.CoreClock.Cycles(1))
-		c.condBroadcast(t, core, req.Addr, req.Lock)
+		c.route(t, core, req, done, opCondBroadcast, opForwardMaster)
 	case arch.OpFetchAdd:
-		c.fetchAdd(t, core, req.Addr, req.Info, done)
+		c.route(t, core, req, done, opFetchAddApply, opForwardMaster)
 	default:
 		panic(fmt.Sprintf("core: unknown sync op %v", req.Op))
 	}
+}
+
+// route sends a core's request to its first stop. Under flat or central it
+// goes to the variable's master, which runs masterKind. Under hier it goes to
+// the core's local SE, which runs localKind; localKind is opForwardMaster
+// when the master does the work, and the SE then forwards it as masterKind.
+func (c *Coordinator) route(t sim.Time, core int, req arch.SyncReq, done func(sim.Time), masterKind, localKind opKind) {
+	var to *node
+	o := c.op(masterKind)
+	if c.hierarchical() {
+		to = c.nodes[c.m.UnitOf(core)]
+		o.kind, o.kind2, o.nd = localKind, masterKind, to
+	} else {
+		to = c.masterNode(req.Addr)
+	}
+	o.core, o.addr, o.info, o.lock, o.done = core, req.Addr, req.Info, req.Lock, done
+	c.coreToNode(t, core, to, req.Addr, o.fn)
 }
 
 // ExtraCacheEnergyPJ implements arch.Backend.
@@ -325,4 +347,18 @@ func (c *Coordinator) nodeToCore(t sim.Time, n *node, core int, done func(sim.Ti
 	unit := c.m.UnitOf(core)
 	arr := c.m.Net.Transfer(t, n.unit, unit, c.m.LocalOf(core), arch.SyncRespBytes)
 	c.m.Engine.Schedule(arr, done)
+}
+
+// grantCore sends a grant from addr's master to a single core, relaying it
+// through the core's local SE when the request came that way (an overflowed
+// SE, or a hierarchical forwarder).
+func (c *Coordinator) grantCore(t sim.Time, addr uint64, ref holderRef) {
+	master := c.masterNode(addr)
+	if ref.relay != nil && ref.relay != master {
+		o := c.op(opRelayGrant)
+		o.nd, o.core, o.done = ref.relay, ref.core, ref.done
+		c.nodeToNode(t, master, ref.relay, addr, o.fn)
+		return
+	}
+	c.nodeToCore(t, master, ref.core, ref.done)
 }

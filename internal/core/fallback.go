@@ -1,6 +1,7 @@
 package core
 
 import (
+	"syncron/internal/arch"
 	"syncron/internal/network"
 	"syncron/internal/sim"
 )
@@ -29,7 +30,7 @@ func (c *Coordinator) enterFallback(t sim.Time, ms *masterState) {
 	// Abort notification to every client core (traffic + latency cost).
 	master := c.masterNode(ms.addr)
 	for core := 0; core < c.m.NumCores(); core++ {
-		c.m.Net.Transfer(t, master.unit, c.m.UnitOf(core), c.m.LocalOf(core), 19)
+		c.m.Net.Transfer(t, master.unit, c.m.UnitOf(core), c.m.LocalOf(core), arch.SyncRespBytes)
 	}
 }
 
@@ -42,7 +43,7 @@ func (c *Coordinator) exitFallback(t sim.Time, ms *masterState) {
 		if u == master.unit {
 			continue
 		}
-		c.m.Net.Transfer(t, u, master.unit, network.PortSE, 18)
+		c.m.Net.Transfer(t, u, master.unit, network.PortSE, arch.SyncReqBytes)
 	}
 }
 
@@ -66,7 +67,7 @@ func (c *Coordinator) fallbackService(t sim.Time, addr uint64) sim.Time {
 func (c *Coordinator) fallbackLockAcquire(t sim.Time, core int, addr uint64, done func(sim.Time)) {
 	c.overflowReqs++
 	unit := c.fallbackUnit(addr)
-	arr := c.m.Net.Transfer(t, c.m.UnitOf(core), unit, network.PortSE, 18)
+	arr := c.m.Net.Transfer(t, c.m.UnitOf(core), unit, network.PortSE, arch.SyncReqBytes)
 	c.m.Engine.Schedule(arr, func(arr sim.Time) {
 		fin := c.fallbackService(arr, addr)
 		c.m.Engine.Schedule(fin, func(fin sim.Time) {
@@ -85,7 +86,7 @@ func (c *Coordinator) fallbackLockAcquire(t sim.Time, core int, addr uint64, don
 // fallbackLockRelease services a lock release through the software fallback.
 func (c *Coordinator) fallbackLockRelease(t sim.Time, core int, addr uint64) {
 	unit := c.fallbackUnit(addr)
-	arr := c.m.Net.Transfer(t, c.m.UnitOf(core), unit, network.PortSE, 18)
+	arr := c.m.Net.Transfer(t, c.m.UnitOf(core), unit, network.PortSE, arch.SyncReqBytes)
 	c.m.Engine.Schedule(arr, func(arr sim.Time) {
 		fin := c.fallbackService(arr, addr)
 		c.m.Engine.Schedule(fin, func(fin sim.Time) {
@@ -95,12 +96,8 @@ func (c *Coordinator) fallbackLockRelease(t sim.Time, core int, addr uint64) {
 				c.masterFree(fin, ms)
 				return
 			}
-			ref := ms.queue[0]
-			k := copy(ms.queue, ms.queue[1:])
-			ms.queue[k] = holderRef{}
-			ms.queue = ms.queue[:k]
 			ms.lockHeld = true
-			c.fallbackGrant(fin, addr, ref)
+			c.fallbackGrant(fin, addr, removeAt(&ms.queue, 0))
 		})
 	})
 }
@@ -108,7 +105,7 @@ func (c *Coordinator) fallbackLockRelease(t sim.Time, core int, addr uint64) {
 // fallbackGrant delivers a software grant to a core.
 func (c *Coordinator) fallbackGrant(t sim.Time, addr uint64, ref holderRef) {
 	unit := c.fallbackUnit(addr)
-	arr := c.m.Net.Transfer(t, unit, c.m.UnitOf(ref.core), c.m.LocalOf(ref.core), 19)
+	arr := c.m.Net.Transfer(t, unit, c.m.UnitOf(ref.core), c.m.LocalOf(ref.core), arch.SyncRespBytes)
 	c.m.Engine.Schedule(arr, ref.done)
 }
 

@@ -14,24 +14,6 @@ import "syncron/internal/sim"
 // the master node. ST-overflowed local SEs degenerate to the same per-core
 // handling, relayed through the overflowed SE with overflow opcodes (§4.3.2).
 
-// lockAcquire is the entry point for a core's lock_acquire.
-func (c *Coordinator) lockAcquire(t sim.Time, core int, addr uint64, done func(sim.Time)) {
-	if ms, ok := c.vars[addr]; ok && ms.fallback {
-		c.fallbackLockAcquire(t, core, addr, done)
-		return
-	}
-	if !c.hierarchical() {
-		o := c.op(opMasterCoreAcquire)
-		o.core, o.addr, o.done = core, addr, done
-		c.coreToNode(t, core, c.masterNode(addr), addr, o.fn)
-		return
-	}
-	local := c.nodes[c.m.UnitOf(core)]
-	o := c.op(opLockEnqueue)
-	o.nd, o.core, o.addr, o.done = local, core, addr, done
-	c.coreToNode(t, core, local, addr, o.fn)
-}
-
 // lockEnqueueAt runs the local-SE side of an acquire after message
 // processing at node local (also used by condition-variable wakeups).
 func (c *Coordinator) lockEnqueueAt(pt sim.Time, local *node, core int, addr uint64, done func(sim.Time)) {
@@ -60,38 +42,15 @@ func (c *Coordinator) lockEnqueueAt(pt sim.Time, local *node, core int, addr uin
 // grantNextLocal hands the lock to the next core in the SE's local waiting
 // list (lock_grant_local).
 func (c *Coordinator) grantNextLocal(t sim.Time, local *node, ls *localState) {
-	w := ls.waiters[0]
-	// Shift down instead of re-slicing so the pooled state keeps its full
-	// backing-array capacity across episodes.
-	k := copy(ls.waiters, ls.waiters[1:])
-	ls.waiters[k] = pend{}
-	ls.waiters = ls.waiters[:k]
+	w := removeAt(&ls.waiters, 0)
 	ls.holderActive = true
 	ls.grants++
 	c.nodeToCore(t, local, w.core, w.done)
 }
 
-// lockRelease is the entry point for a core's lock_release.
-func (c *Coordinator) lockRelease(t sim.Time, core int, addr uint64) {
-	if ms, ok := c.vars[addr]; ok && ms.fallback {
-		c.fallbackLockRelease(t, core, addr)
-		return
-	}
-	if !c.hierarchical() {
-		o := c.op(opMasterCoreRelease)
-		o.addr = addr
-		c.coreToNode(t, core, c.masterNode(addr), addr, o.fn)
-		return
-	}
-	local := c.nodes[c.m.UnitOf(core)]
-	o := c.op(opLockReleaseAt)
-	o.nd, o.core, o.addr = local, core, addr
-	c.coreToNode(t, core, local, addr, o.fn)
-}
-
 // lockReleaseAt runs the local-SE side of a release after message processing
 // (also used when cond_wait releases the associated lock).
-func (c *Coordinator) lockReleaseAt(pt sim.Time, local *node, core int, addr uint64) {
+func (c *Coordinator) lockReleaseAt(pt sim.Time, local *node, addr uint64) {
 	master := c.masterNode(addr)
 	ls := local.locals[addr]
 	if ls == nil || !ls.owning || !ls.holderActive {
@@ -129,12 +88,12 @@ func (c *Coordinator) masterLockNodeAcquire(t sim.Time, from *node, addr uint64)
 	if c.masterNode(addr).viaMemory(addr) {
 		c.overflowReqs++
 	}
+	ref := holderRef{node: from}
 	if !ms.lockHeld {
-		ms.lockHeld = true
-		c.grantLockToNode(t, from, addr)
+		c.grantLock(t, ms, ref)
 		return
 	}
-	ms.queue = append(ms.queue, holderRef{node: from})
+	ms.queue = append(ms.queue, ref)
 }
 
 // masterLockCoreAcquire handles a per-core acquire at the master (flat,
@@ -151,10 +110,9 @@ func (c *Coordinator) masterLockCoreAcquire(t sim.Time, core int, addr uint64, d
 	if c.masterNode(addr).viaMemory(addr) || ms.fallback {
 		c.overflowReqs++
 	}
-	ref := holderRef{node: nil, core: core, done: done, relay: relay}
+	ref := holderRef{core: core, done: done, relay: relay}
 	if !ms.lockHeld {
-		ms.lockHeld = true
-		c.grantLockToCore(t, addr, ref)
+		c.grantLock(t, ms, ref)
 		return
 	}
 	ms.queue = append(ms.queue, ref)
@@ -194,25 +152,24 @@ func (c *Coordinator) masterLockGrantNext(t sim.Time, ms *masterState, addr uint
 			break
 		}
 	}
-	ref := ms.queue[idx]
-	last := len(ms.queue) - 1
-	copy(ms.queue[idx:], ms.queue[idx+1:])
-	ms.queue[last] = holderRef{}
-	ms.queue = ms.queue[:last]
-	ms.lockHeld = true
-	if ref.node != nil {
-		c.grantLockToNode(t, ref.node, addr)
-	} else {
-		c.grantLockToCore(t, addr, ref)
-	}
+	c.grantLock(t, ms, removeAt(&ms.queue, idx))
 }
 
-// grantLockToNode sends lock_grant_global to a local SE, which then serves
-// its local waiting list.
-func (c *Coordinator) grantLockToNode(t sim.Time, to *node, addr uint64) {
-	o := c.op(opGrantNodeArrived)
-	o.nd, o.addr = to, addr
-	c.nodeToNode(t, c.masterNode(addr), to, addr, o.fn)
+// grantLock hands the lock to ref: lock_grant_global to a whole local SE,
+// which then serves its local waiting list, or a grant to a single core
+// (through the software fallback when it is active).
+func (c *Coordinator) grantLock(t sim.Time, ms *masterState, ref holderRef) {
+	ms.lockHeld = true
+	switch {
+	case ref.node != nil:
+		o := c.op(opGrantNodeArrived)
+		o.nd, o.addr = ref.node, ms.addr
+		c.nodeToNode(t, c.masterNode(ms.addr), ref.node, ms.addr, o.fn)
+	case ms.fallback:
+		c.fallbackGrant(t, ms.addr, ref)
+	default:
+		c.grantCore(t, ms.addr, ref)
+	}
 }
 
 // grantLockNodeArrived runs at the local SE when lock_grant_global arrives.
@@ -230,21 +187,4 @@ func (c *Coordinator) grantLockNodeArrived(lt sim.Time, to *node, addr uint64) {
 	if len(ls.waiters) > 0 && !ls.holderActive {
 		c.grantNextLocal(lt, to, ls)
 	}
-}
-
-// grantLockToCore sends the grant to a single core, through its overflowed
-// local SE when the request was relayed.
-func (c *Coordinator) grantLockToCore(t sim.Time, addr uint64, ref holderRef) {
-	if ms, ok := c.vars[addr]; ok && ms.fallback {
-		c.fallbackGrant(t, addr, ref)
-		return
-	}
-	master := c.masterNode(addr)
-	if ref.relay != nil && ref.relay != master {
-		o := c.op(opRelayGrant)
-		o.nd, o.core, o.done = ref.relay, ref.core, ref.done
-		c.nodeToNode(t, master, ref.relay, addr, o.fn)
-		return
-	}
-	c.nodeToCore(t, master, ref.core, ref.done)
 }

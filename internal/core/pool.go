@@ -4,24 +4,20 @@ import "syncron/internal/sim"
 
 // Pooled protocol continuations.
 //
-// The protocol layer used to allocate a fresh closure for every message hop
-// (transport delivery, lock/barrier/semaphore/cond continuations), which made
-// internal/core the dominant allocation source of the whole simulator.
-// Continuations are now pooled: each in-flight message draws a deliver or
-// callOp from a per-Coordinator freelist, carries its operands in plain
-// fields, and is prebound to a reusable func(sim.Time), so scheduling one
-// allocates nothing in steady state. An op frees itself before dispatching,
-// which lets the dispatched handler immediately draw (and reuse) the op it
-// just ran from.
+// A fresh closure per message hop would make internal/core the dominant
+// allocation source of the whole simulator, so continuations are pooled:
+// each in-flight message draws a deliver or callOp from a per-Coordinator
+// freelist, carries its operands in plain fields, and is prebound to a
+// reusable func(sim.Time), so scheduling one allocates nothing in steady
+// state. An op frees itself before dispatching, which lets the dispatched
+// handler immediately draw (and reuse) the op it just ran from.
 //
 // Pools are per Coordinator and every protocol event runs as a serial
-// barrier on the engine goroutine, so no locking is needed. Timing is
-// untouched: the pooled paths issue exactly the same Transfer/Schedule
-// sequence as the closures they replace.
+// barrier on the engine goroutine, so no locking is needed.
 
 // deliver is a pooled in-flight message delivery: node processing at the
-// arrival time, then the continuation at the finish time (the former inner
-// closure of coreToNode/nodeToNode).
+// arrival time, then the continuation at the finish time. coreToNode and
+// nodeToNode draw one per hop.
 type deliver struct {
 	c    *Coordinator
 	n    *node
@@ -82,16 +78,19 @@ const (
 )
 
 // callOp is a pooled protocol continuation. Which fields are meaningful
-// depends on kind; unused ones stay zero. addr2 doubles as the associated
-// lock address (cond variables) and the fetch-add delta.
+// depends on kind. Freeing an op clears nd and done; the other fields keep
+// their previous values, so every draw sets the ones its kind reads. info
+// and lock mirror arch.SyncReq's operands: the barrier participant count,
+// semaphore initial value or fetch-add delta, and a condition variable's
+// lock address.
 type callOp struct {
 	c     *Coordinator
 	kind  opKind
 	kind2 opKind // inner kind run at the master, for opForwardMaster
 	core  int
-	n     int // participant count (barriers) / initial resources (semaphores)
 	addr  uint64
-	addr2 uint64
+	info  uint64
+	lock  uint64
 	flag  bool
 	nd    *node
 	done  func(sim.Time)
@@ -125,7 +124,7 @@ func (o *callOp) run(t sim.Time) {
 	case opMasterCoreAcquire:
 		c.masterLockCoreAcquire(t, v.core, v.addr, v.done, v.nd)
 	case opLockReleaseAt:
-		c.lockReleaseAt(t, v.nd, v.core, v.addr)
+		c.lockReleaseAt(t, v.nd, v.addr)
 	case opMasterCoreRelease:
 		c.masterLockCoreRelease(t, v.addr)
 	case opMasterNodeAcquire:
@@ -137,39 +136,39 @@ func (o *callOp) run(t sim.Time) {
 	case opRelayGrant:
 		c.nodeToCore(t, v.nd, v.core, v.done)
 	case opBarrierWithinLocal:
-		c.barrierWithinLocal(t, v.nd, v.core, v.addr, v.n, v.done)
+		c.barrierWithinLocal(t, v.nd, v.core, v.addr, int(v.info), v.done)
 	case opBarrierAcrossLocal:
-		c.barrierAcrossLocal(t, v.nd, v.core, v.addr, v.n, v.done, v.flag)
+		c.barrierAcrossLocal(t, v.nd, v.core, v.addr, int(v.info), v.done)
 	case opBarrierCoreArrive:
-		c.masterBarrierCoreArrive(t, v.addr, v.n, holderRef{core: v.core, done: v.done, relay: v.nd})
+		c.masterBarrierCoreArrive(t, v.addr, int(v.info), holderRef{core: v.core, done: v.done, relay: v.nd})
 	case opBarrierNodeArrive:
-		c.masterBarrierNodeArrive(t, v.addr, v.n, v.nd)
+		c.masterBarrierNodeArrive(t, v.addr, int(v.info), v.nd)
 	case opBarrierDepartLocal:
 		c.barrierDepartLocal(t, v.nd, v.addr)
 	case opMasterSemWait:
-		c.masterSemWait(t, v.addr, v.n, holderRef{core: v.core, done: v.done, relay: v.nd})
+		c.masterSemWait(t, v.addr, int(v.info), holderRef{core: v.core, done: v.done, relay: v.nd})
 	case opMasterSemPost:
 		c.masterSemPost(t, v.addr)
 	case opCondWaitFlat:
-		c.condWaitAtMaster(t, v.core, v.addr, v.addr2, v.done)
+		c.condWaitAtMaster(t, v.core, v.addr, v.lock, v.done)
 	case opCondWaitLocal:
-		c.condWaitAtLocal(t, v.nd, v.core, v.addr, v.addr2, v.done)
+		c.condWaitAtLocal(t, v.nd, v.core, v.addr, v.lock, v.done)
 	case opCondWaitReg:
-		c.condWaitRegister(t, v.core, v.addr, v.addr2, v.done, v.nd)
+		c.condWaitRegister(t, v.core, v.addr, v.lock, v.done, v.nd)
 	case opCondSignal:
 		c.condSignalAtMaster(t, v.addr)
 	case opCondBroadcast:
 		c.condBroadcastAtMaster(t, v.addr)
 	case opFetchAddApply:
-		c.fetchAddApply(t, v.core, v.addr, v.addr2, v.done, v.nd)
+		c.fetchAddApply(t, v.addr, v.info, holderRef{core: v.core, done: v.done, relay: v.nd})
 	case opMemExit:
 		v.nd.memExit(v.addr)
 	case opForwardMaster:
 		// Hierarchical second hop: forward from the local SE (v.nd) to the
 		// master and run the inner kind there, with v.nd as the relay.
 		inner := c.op(v.kind2)
-		inner.core, inner.n, inner.addr, inner.addr2, inner.flag, inner.nd, inner.done =
-			v.core, v.n, v.addr, v.addr2, v.flag, v.nd, v.done
+		inner.core, inner.addr, inner.info, inner.lock, inner.nd, inner.done =
+			v.core, v.addr, v.info, v.lock, v.nd, v.done
 		c.nodeToNode(t, v.nd, c.masterNode(v.addr), v.addr, inner.fn)
 	}
 }

@@ -2,38 +2,16 @@ package core
 
 import "syncron/internal/sim"
 
-// fetchAdd implements the §4.4.1 enhancement: a simple atomic
-// read-modify-write executed inside the Master SE's lightweight ALU. The
-// paper leaves this to future work; we implement it behind the same routing
-// machinery so it can be exercised and benchmarked.
-func (c *Coordinator) fetchAdd(t sim.Time, core int, addr uint64, delta uint64, done func(sim.Time)) {
-	if !c.hierarchical() {
-		o := c.op(opFetchAddApply)
-		o.core, o.addr, o.addr2, o.done = core, addr, delta, done
-		c.coreToNode(t, core, c.masterNode(addr), addr, o.fn)
-		return
-	}
-	local := c.nodes[c.m.UnitOf(core)]
-	o := c.op(opForwardMaster)
-	o.kind2 = opFetchAddApply
-	o.nd, o.core, o.addr, o.addr2, o.done = local, core, addr, delta, done
-	c.coreToNode(t, core, local, addr, o.fn)
-}
-
-// fetchAddApply executes the RMW in the Master SE and sends the response,
-// through the waiter's relaying SE when the request was relayed.
-func (c *Coordinator) fetchAddApply(mt sim.Time, core int, addr, delta uint64, done func(sim.Time), relay *node) {
-	master := c.masterNode(addr)
+// fetchAddApply implements the §4.4.1 enhancement: a simple atomic
+// read-modify-write executed inside the Master SE's lightweight ALU, which
+// then sends the response to the requesting core. The paper leaves this to
+// future work; it is routed like every other request so it can be
+// exercised and benchmarked.
+func (c *Coordinator) fetchAddApply(mt sim.Time, addr, delta uint64, ref holderRef) {
 	ms := c.master(addr)
 	c.masterHold(mt, ms)
 	ms.rmwValue += delta
-	if relay != nil && relay != master {
-		o := c.op(opRelayGrant)
-		o.nd, o.core, o.done = relay, core, done
-		c.nodeToNode(mt, master, relay, addr, o.fn)
-		return
-	}
-	c.nodeToCore(mt, master, core, done)
+	c.grantCore(mt, addr, ref)
 }
 
 // RMWValue returns the accumulated fetch-add value for addr (testing hook).

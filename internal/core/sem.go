@@ -8,37 +8,8 @@ import "syncron/internal/sim"
 // and grants are delivered back through the waiter's local SE
 // (sem_grant_global -> sem_grant_local).
 
-// semWait handles sem_wait; initial is the semaphore's initial resource
-// count, communicated on first touch (MessageInfo).
-func (c *Coordinator) semWait(t sim.Time, core int, addr uint64, initial int, done func(sim.Time)) {
-	if !c.hierarchical() {
-		o := c.op(opMasterSemWait)
-		o.addr, o.n, o.core, o.done = addr, initial, core, done
-		c.coreToNode(t, core, c.masterNode(addr), addr, o.fn)
-		return
-	}
-	local := c.nodes[c.m.UnitOf(core)]
-	o := c.op(opForwardMaster)
-	o.kind2 = opMasterSemWait
-	o.nd, o.addr, o.n, o.core, o.done = local, addr, initial, core, done
-	c.coreToNode(t, core, local, addr, o.fn)
-}
-
-// semPost handles sem_post.
-func (c *Coordinator) semPost(t sim.Time, core int, addr uint64) {
-	if !c.hierarchical() {
-		o := c.op(opMasterSemPost)
-		o.addr = addr
-		c.coreToNode(t, core, c.masterNode(addr), addr, o.fn)
-		return
-	}
-	local := c.nodes[c.m.UnitOf(core)]
-	o := c.op(opForwardMaster)
-	o.kind2 = opMasterSemPost
-	o.nd, o.addr = local, addr
-	c.coreToNode(t, core, local, addr, o.fn)
-}
-
+// masterSemWait handles sem_wait at the master; initial is the semaphore's
+// initial resource count, communicated on first touch (MessageInfo).
 func (c *Coordinator) masterSemWait(t sim.Time, addr uint64, initial int, ref holderRef) {
 	ms := c.master(addr)
 	c.masterHold(t, ms)
@@ -51,37 +22,21 @@ func (c *Coordinator) masterSemWait(t sim.Time, addr uint64, initial int, ref ho
 	}
 	if ms.semCount > 0 {
 		ms.semCount--
-		c.semGrant(t, addr, ref)
+		c.grantCore(t, addr, ref)
 		return
 	}
 	ms.semQ = append(ms.semQ, ref)
 }
 
+// masterSemPost handles sem_post at the master: grant the oldest waiter, or
+// return the resource.
 func (c *Coordinator) masterSemPost(t sim.Time, addr uint64) {
 	ms := c.master(addr)
 	c.masterHold(t, ms)
-	if !ms.semInit {
-		ms.semInit = true
-	}
+	ms.semInit = true
 	if len(ms.semQ) > 0 {
-		ref := ms.semQ[0]
-		k := copy(ms.semQ, ms.semQ[1:])
-		ms.semQ[k] = holderRef{}
-		ms.semQ = ms.semQ[:k]
-		c.semGrant(t, addr, ref)
+		c.grantCore(t, addr, removeAt(&ms.semQ, 0))
 		return
 	}
 	ms.semCount++
-}
-
-// semGrant delivers a sem_grant to the waiting core.
-func (c *Coordinator) semGrant(t sim.Time, addr uint64, ref holderRef) {
-	master := c.masterNode(addr)
-	if ref.relay != nil && ref.relay != master {
-		o := c.op(opRelayGrant)
-		o.nd, o.core, o.done = ref.relay, ref.core, ref.done
-		c.nodeToNode(t, master, ref.relay, addr, o.fn)
-		return
-	}
-	c.nodeToCore(t, master, ref.core, ref.done)
 }

@@ -1,6 +1,10 @@
 package core
 
-import "syncron/internal/sim"
+import (
+	"slices"
+
+	"syncron/internal/sim"
+)
 
 // holderRef identifies who holds or waits for a lock at the master: either a
 // whole local SE (node-level, aggregated) or a single core (flat/central
@@ -194,4 +198,13 @@ func (n *node) localDrop(t sim.Time, addr uint64) {
 	c := n.c
 	*ls = localState{waiters: ls.waiters[:0], barWaiters: ls.barWaiters[:0], next: c.freeLocals}
 	c.freeLocals = ls
+}
+
+// removeAt deletes and returns (*q)[i], shifting the tail down in place so
+// the pooled state keeps its backing array's capacity across episodes; the
+// vacated slot is zeroed to drop its references.
+func removeAt[T any](q *[]T, i int) T {
+	v := (*q)[i]
+	*q = slices.Delete(*q, i, i+1)
+	return v
 }

@@ -227,8 +227,9 @@ type Config struct {
 	MemModel MemModel `json:"mem_model,omitempty"`
 	// Topology selects the inter-unit interconnect (default TopoAllToAll).
 	Topology Topology `json:"topology,omitempty"`
-	// LinkLatency overrides the inter-unit transfer latency per cache line
-	// (default 40ns).
+	// LinkLatency overrides the inter-unit transfer latency per cache line;
+	// zero means the 40 ns default, so a zero-latency link cannot be
+	// expressed.
 	LinkLatency Time `json:"link_latency_ps,omitempty"`
 	// STEntries overrides SynCron's Synchronization Table size (default 64).
 	STEntries int `json:"st_entries,omitempty"`
