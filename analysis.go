@@ -1,9 +1,11 @@
 package syncron
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"syncron/internal/network"
 )
@@ -33,6 +35,12 @@ func Geomean(xs []float64) float64 {
 		return 0
 	}
 	return math.Exp(sum / float64(n))
+}
+
+// byWorkload compares two view rows by workload family (Kinds order), then
+// workload name: the leading row order of every view.
+func byWorkload(ka WorkloadKind, wa string, kb WorkloadKind, wb string) int {
+	return cmp.Or(cmp.Compare(kindOrder(ka), kindOrder(kb)), strings.Compare(wa, wb))
 }
 
 // SpeedupRow is one grid point of a SpeedupTable: a workload (at one
@@ -70,14 +78,12 @@ type SpeedupTable struct {
 // Kinds returns the families present in the table, in Kinds order.
 func (t *SpeedupTable) Kinds() []WorkloadKind {
 	var kinds []WorkloadKind
-	seen := map[WorkloadKind]bool{}
 	for _, row := range t.Rows {
-		if !seen[row.Kind] {
-			seen[row.Kind] = true
+		if !slices.Contains(kinds, row.Kind) {
 			kinds = append(kinds, row.Kind)
 		}
 	}
-	sort.Slice(kinds, func(i, j int) bool { return kindOrder(kinds[i]) < kindOrder(kinds[j]) })
+	slices.SortFunc(kinds, func(a, b WorkloadKind) int { return cmp.Compare(kindOrder(a), kindOrder(b)) })
 	return kinds
 }
 
@@ -98,40 +104,29 @@ func SpeedupVsBaseline(results []RunResult, baseline Scheme) (*SpeedupTable, err
 		KindGeomean:    map[WorkloadKind]map[Scheme]float64{},
 		OverallGeomean: map[Scheme]float64{},
 	}
-	rows := map[string]*SpeedupRow{}
-	var order []string
+	row := map[string]int{} // grid point, scheme stripped → index in t.Rows
 	for _, p := range pairs {
-		key := comparisonKey(p.Run)
-		row, ok := rows[key]
+		key := gridKey(p.Run, func(c *Config) { c.Scheme = "" })
+		i, ok := row[key]
 		if !ok {
-			row = &SpeedupRow{
+			i = len(t.Rows)
+			row[key] = i
+			t.Rows = append(t.Rows, SpeedupRow{
 				Workload:   p.Run.Spec.Workload,
 				Kind:       p.Run.Kind,
 				Label:      label(p.Run),
 				Speedup:    map[Scheme]float64{},
 				Throughput: map[Scheme]float64{},
-			}
-			rows[key] = row
-			order = append(order, key)
+			})
 		}
 		scheme := p.Run.Spec.Config.Scheme
 		if p.Run.Makespan > 0 {
-			row.Speedup[scheme] = float64(p.Baseline.Makespan) / float64(p.Run.Makespan)
+			t.Rows[i].Speedup[scheme] = float64(p.Baseline.Makespan) / float64(p.Run.Makespan)
 		}
-		row.Throughput[scheme] = p.Run.OpsPerMs
+		t.Rows[i].Throughput[scheme] = p.Run.OpsPerMs
 	}
-	for _, key := range order {
-		t.Rows = append(t.Rows, *rows[key])
-	}
-	sort.SliceStable(t.Rows, func(i, j int) bool {
-		a, b := t.Rows[i], t.Rows[j]
-		if a.Kind != b.Kind {
-			return kindOrder(a.Kind) < kindOrder(b.Kind)
-		}
-		if a.Workload != b.Workload {
-			return a.Workload < b.Workload
-		}
-		return a.Label < b.Label
+	slices.SortStableFunc(t.Rows, func(a, b SpeedupRow) int {
+		return cmp.Or(byWorkload(a.Kind, a.Workload, b.Kind, b.Workload), strings.Compare(a.Label, b.Label))
 	})
 	for _, scheme := range t.Schemes {
 		byKind := map[WorkloadKind][]float64{}
@@ -153,49 +148,37 @@ func SpeedupVsBaseline(results []RunResult, baseline Scheme) (*SpeedupTable, err
 	return t, nil
 }
 
-// gridLabeler returns a labeling function that appends the values of every
-// config axis that varies across rs (units, cores per unit, memory, memory
-// model, topology, link latency, ST entries) to the workload name, so a
-// workload swept at several grid points yields distinguishable rows.
+// gridAxes label the config axes gridLabeler can name, in label order:
+// units, cores per unit, memory, memory model, topology, link latency and ST
+// entries.
+var gridAxes = []func(Config) string{
+	func(c Config) string { return fmt.Sprintf(" u=%d", c.Units) },
+	func(c Config) string { return fmt.Sprintf(" c=%d", c.CoresPerUnit) },
+	func(c Config) string { return " " + c.Memory.String() },
+	func(c Config) string { return " " + string(c.MemModel) },
+	func(c Config) string { return " " + string(c.Topology) },
+	func(c Config) string { return fmt.Sprintf(" link=%v", c.LinkLatency) },
+	func(c Config) string { return fmt.Sprintf(" st=%d", c.STEntries) },
+}
+
+// gridLabeler returns a labeling function that appends the label of every
+// gridAxes axis that varies across rs to the workload name, so a workload
+// swept at several grid points yields distinguishable rows.
 func gridLabeler(rs ResultSet) func(RunResult) string {
-	var units, cores, sts = map[int]bool{}, map[int]bool{}, map[int]bool{}
-	var mems = map[MemoryTech]bool{}
-	var models = map[MemModel]bool{}
-	var topos = map[Topology]bool{}
-	var links = map[Time]bool{}
-	for _, r := range rs {
-		cfg := r.Spec.Config
-		units[cfg.Units] = true
-		cores[cfg.CoresPerUnit] = true
-		mems[cfg.Memory] = true
-		models[cfg.MemModel] = true
-		topos[cfg.Topology] = true
-		links[cfg.LinkLatency] = true
-		sts[cfg.STEntries] = true
+	var varying []func(Config) string
+	for _, axis := range gridAxes {
+		seen := map[string]bool{}
+		for _, r := range rs {
+			seen[axis(r.Spec.Config)] = true
+		}
+		if len(seen) > 1 {
+			varying = append(varying, axis)
+		}
 	}
 	return func(r RunResult) string {
-		cfg := r.Spec.Config
 		label := r.Spec.Workload
-		if len(units) > 1 {
-			label += fmt.Sprintf(" u=%d", cfg.Units)
-		}
-		if len(cores) > 1 {
-			label += fmt.Sprintf(" c=%d", cfg.CoresPerUnit)
-		}
-		if len(mems) > 1 {
-			label += " " + cfg.Memory.String()
-		}
-		if len(models) > 1 {
-			label += " " + string(cfg.MemModel)
-		}
-		if len(topos) > 1 {
-			label += " " + string(cfg.Topology)
-		}
-		if len(links) > 1 {
-			label += fmt.Sprintf(" link=%v", cfg.LinkLatency)
-		}
-		if len(sts) > 1 {
-			label += fmt.Sprintf(" st=%d", cfg.STEntries)
+		for _, axis := range varying {
+			label += axis(r.Spec.Config)
 		}
 		return label
 	}
@@ -221,11 +204,12 @@ type ScalabilityCurve struct {
 	Points []ScalabilityPoint
 }
 
-// Scalability builds per-workload scaling curves from the runs of one scheme:
-// each curve normalizes every system size to the smallest one. Curves are
-// sorted by kind, then workload name. Failed runs are ignored; a workload
-// needs at least two sizes to form a curve, and workloads with fewer are
-// dropped.
+// Scalability builds scaling curves from the runs of one scheme: one curve
+// per workload and grid point, where runs differing only in Units and
+// CoresPerUnit form a curve, and each curve normalizes every system size to
+// its smallest one. Curves are sorted by kind, then workload name, then
+// first-seen order. Failed runs are ignored; a curve needs at least two sizes,
+// and curves with fewer are dropped.
 func Scalability(results []RunResult, scheme Scheme) ([]ScalabilityCurve, error) {
 	rs := ResultSet(results).Ok().Filter(func(r RunResult) bool {
 		return r.Spec.Config.Scheme == scheme
@@ -233,16 +217,16 @@ func Scalability(results []RunResult, scheme Scheme) ([]ScalabilityCurve, error)
 	if len(rs) == 0 {
 		return nil, fmt.Errorf("syncron: no successful %q runs to build scalability curves from", scheme)
 	}
-	var curves []ScalabilityCurve
-	for name, runs := range rs.ByWorkload() {
-		sort.Slice(runs, func(i, j int) bool {
-			a, b := runs[i].Spec.Config, runs[j].Spec.Config
-			return a.Units*a.CoresPerUnit < b.Units*b.CoresPerUnit
-		})
+	var out []ScalabilityCurve
+	for _, runs := range curves(rs, func(c *Config) { c.Units, c.CoresPerUnit = 0, 0 }) {
 		if len(runs) < 2 {
 			continue
 		}
-		curve := ScalabilityCurve{Workload: name, Kind: runs[0].Kind, Scheme: scheme}
+		slices.SortStableFunc(runs, func(a, b RunResult) int {
+			return cmp.Compare(a.Spec.Config.Units*a.Spec.Config.CoresPerUnit,
+				b.Spec.Config.Units*b.Spec.Config.CoresPerUnit)
+		})
+		curve := ScalabilityCurve{Workload: runs[0].Spec.Workload, Kind: runs[0].Kind, Scheme: scheme}
 		base := runs[0].Makespan
 		for _, r := range runs {
 			cfg := r.Spec.Config
@@ -253,16 +237,12 @@ func Scalability(results []RunResult, scheme Scheme) ([]ScalabilityCurve, error)
 			}
 			curve.Points = append(curve.Points, pt)
 		}
-		curves = append(curves, curve)
+		out = append(out, curve)
 	}
-	sort.Slice(curves, func(i, j int) bool {
-		a, b := curves[i], curves[j]
-		if a.Kind != b.Kind {
-			return kindOrder(a.Kind) < kindOrder(b.Kind)
-		}
-		return a.Workload < b.Workload
+	slices.SortStableFunc(out, func(a, b ScalabilityCurve) int {
+		return byWorkload(a.Kind, a.Workload, b.Kind, b.Workload)
 	})
-	return curves, nil
+	return out, nil
 }
 
 // EnergyRow is one (workload, scheme) cell of the energy view (Figure 14):
@@ -360,23 +340,11 @@ func TrafficBreakdown(results []RunResult, baseline Scheme) ([]TrafficRow, error
 // sortBreakdown orders breakdown rows by kind, workload, label, then scheme
 // in the order schemes lists them.
 func sortBreakdown[T any](rows []T, schemes []Scheme, key func(T) (WorkloadKind, string, string, Scheme)) {
-	rank := map[Scheme]int{}
-	for i, s := range schemes {
-		rank[s] = i
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		ki, wi, li, si := key(rows[i])
-		kj, wj, lj, sj := key(rows[j])
-		if ki != kj {
-			return kindOrder(ki) < kindOrder(kj)
-		}
-		if wi != wj {
-			return wi < wj
-		}
-		if li != lj {
-			return li < lj
-		}
-		return rank[si] < rank[sj]
+	slices.SortStableFunc(rows, func(a, b T) int {
+		ka, wa, la, sa := key(a)
+		kb, wb, lb, sb := key(b)
+		return cmp.Or(byWorkload(ka, wa, kb, wb), strings.Compare(la, lb),
+			cmp.Compare(slices.Index(schemes, sa), slices.Index(schemes, sb)))
 	})
 }
 
@@ -412,30 +380,13 @@ func TopologySensitivity(results []RunResult, base Topology) ([]TopologyRow, err
 	if base == "" {
 		base = TopoAllToAll
 	}
-	ok := ResultSet(results).Ok()
-	if len(ok) == 0 {
-		return nil, fmt.Errorf("syncron: no successful runs to build the topology sensitivity from")
+	pairs, err := joinOn(results, base, func(c *Config) *Topology { return &c.Topology })
+	if err != nil {
+		return nil, err
 	}
-	// Join key: everything (including scheme) but topology and seed.
-	key := func(r RunResult) string {
-		return gridKey(r, func(c *Config) { c.Topology = "" })
-	}
-	baseruns := map[string]RunResult{}
-	for _, r := range ok {
-		if r.Spec.Config.Topology == base {
-			baseruns[key(r)] = r
-		}
-	}
-	if len(baseruns) == 0 {
-		return nil, fmt.Errorf("syncron: no successful %q-topology runs to use as baseline", base)
-	}
-	var rows []TopologyRow
-	for _, r := range ok {
-		b, found := baseruns[key(r)]
-		if !found {
-			return nil, fmt.Errorf("syncron: %s under %s/%s has no %q-topology baseline at the same grid point",
-				r.Spec.Workload, r.Spec.Config.Scheme, r.Spec.Config.Topology, base)
-		}
+	rows := make([]TopologyRow, 0, len(pairs))
+	for _, p := range pairs {
+		r, b := p.Run, p.Baseline
 		row := TopologyRow{
 			Workload:      r.Spec.Workload,
 			Kind:          r.Kind,
@@ -458,22 +409,10 @@ func TopologySensitivity(results []RunResult, base Topology) ([]TopologyRow, err
 		}
 		rows = append(rows, row)
 	}
-	toporank := map[Topology]int{}
-	for i, k := range Topologies() {
-		toporank[k] = i
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if a.Kind != b.Kind {
-			return kindOrder(a.Kind) < kindOrder(b.Kind)
-		}
-		if a.Workload != b.Workload {
-			return a.Workload < b.Workload
-		}
-		if a.Scheme != b.Scheme {
-			return a.Scheme < b.Scheme
-		}
-		return toporank[a.Topology] < toporank[b.Topology]
+	topos := Topologies()
+	slices.SortStableFunc(rows, func(a, b TopologyRow) int {
+		return cmp.Or(byWorkload(a.Kind, a.Workload, b.Kind, b.Workload), cmp.Compare(a.Scheme, b.Scheme),
+			cmp.Compare(slices.Index(topos, a.Topology), slices.Index(topos, b.Topology)))
 	})
 	return rows, nil
 }
@@ -508,30 +447,13 @@ func MemSensitivity(results []RunResult, base MemModel) ([]MemRow, error) {
 	if base == "" {
 		base = MemModelFlat
 	}
-	ok := ResultSet(results).Ok()
-	if len(ok) == 0 {
-		return nil, fmt.Errorf("syncron: no successful runs to build the memory-model sensitivity from")
+	pairs, err := joinOn(results, base, func(c *Config) *MemModel { return &c.MemModel })
+	if err != nil {
+		return nil, err
 	}
-	// Join key: everything (including scheme) but memory model and seed.
-	key := func(r RunResult) string {
-		return gridKey(r, func(c *Config) { c.MemModel = "" })
-	}
-	baseruns := map[string]RunResult{}
-	for _, r := range ok {
-		if r.Spec.Config.MemModel == base {
-			baseruns[key(r)] = r
-		}
-	}
-	if len(baseruns) == 0 {
-		return nil, fmt.Errorf("syncron: no successful %q-model runs to use as baseline", base)
-	}
-	var rows []MemRow
-	for _, r := range ok {
-		b, found := baseruns[key(r)]
-		if !found {
-			return nil, fmt.Errorf("syncron: %s under %s/%s has no %q-model baseline at the same grid point",
-				r.Spec.Workload, r.Spec.Config.Scheme, r.Spec.Config.MemModel, base)
-		}
+	rows := make([]MemRow, 0, len(pairs))
+	for _, p := range pairs {
+		r, b := p.Run, p.Baseline
 		row := MemRow{
 			Workload:   r.Spec.Workload,
 			Kind:       r.Kind,
@@ -548,22 +470,10 @@ func MemSensitivity(results []RunResult, base MemModel) ([]MemRow, error) {
 		}
 		rows = append(rows, row)
 	}
-	modelrank := map[MemModel]int{}
-	for i, m := range MemModels() {
-		modelrank[m] = i
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if a.Kind != b.Kind {
-			return kindOrder(a.Kind) < kindOrder(b.Kind)
-		}
-		if a.Workload != b.Workload {
-			return a.Workload < b.Workload
-		}
-		if a.Scheme != b.Scheme {
-			return a.Scheme < b.Scheme
-		}
-		return modelrank[a.MemModel] < modelrank[b.MemModel]
+	models := MemModels()
+	slices.SortStableFunc(rows, func(a, b MemRow) int {
+		return cmp.Or(byWorkload(a.Kind, a.Workload, b.Kind, b.Workload), cmp.Compare(a.Scheme, b.Scheme),
+			cmp.Compare(slices.Index(models, a.MemModel), slices.Index(models, b.MemModel)))
 	})
 	return rows, nil
 }
@@ -574,13 +484,13 @@ type OccupancyRow struct {
 	Workload string
 	Kind     WorkloadKind
 	// Scheme is the SynCron variant the run used (hierarchical or flat);
-	// slowdowns are normalized within one (workload, scheme) curve.
+	// slowdowns are normalized within one curve, which never mixes schemes.
 	Scheme Scheme
 	// STEntries is the Synchronization Table size of the run.
 	STEntries int
 	// OpsPerMs is the run's throughput.
 	OpsPerMs float64
-	// SlowdownVsLargest is makespan / the same workload's makespan at the
+	// SlowdownVsLargest is makespan / the same curve's makespan at its
 	// largest swept ST size (so the largest size is exactly 1).
 	SlowdownVsLargest float64
 	// MaxOccupancy and MeanOccupancy are ST occupancy fractions in [0, 1].
@@ -590,11 +500,12 @@ type OccupancyRow struct {
 }
 
 // STAblation builds the ST-size sensitivity view from runs of the SynCron
-// schemes: per (workload, scheme) curve, every swept ST size with its
-// slowdown relative to the largest size and its occupancy/overflow
-// statistics. Rows are sorted by workload, then scheme, then ST size
-// descending (the paper's presentation order). Runs of non-SynCron schemes
-// and failed runs are ignored.
+// schemes: per curve (the runs of one workload, scheme and grid point that
+// differ only in STEntries), every swept ST size with its slowdown relative
+// to the curve's largest size and its occupancy/overflow statistics. Rows are
+// sorted by kind, workload, scheme, then ST size descending (the paper's
+// presentation order). Runs of non-SynCron schemes and failed runs are
+// ignored.
 func STAblation(results []RunResult) ([]OccupancyRow, error) {
 	rs := ResultSet(results).Ok().Filter(func(r RunResult) bool {
 		s := r.Spec.Config.Scheme
@@ -603,15 +514,10 @@ func STAblation(results []RunResult) ([]OccupancyRow, error) {
 	if len(rs) == 0 {
 		return nil, fmt.Errorf("syncron: no successful SynCron runs to build the ST ablation from")
 	}
-	curves := map[string]ResultSet{}
-	for _, r := range rs {
-		key := r.Spec.Workload + "|" + string(r.Spec.Config.Scheme)
-		curves[key] = append(curves[key], r)
-	}
 	var rows []OccupancyRow
-	for _, runs := range curves {
-		sort.Slice(runs, func(i, j int) bool {
-			return runs[i].Spec.Config.STEntries > runs[j].Spec.Config.STEntries
+	for _, runs := range curves(rs, func(c *Config) { c.STEntries = 0 }) {
+		slices.SortStableFunc(runs, func(a, b RunResult) int {
+			return cmp.Compare(b.Spec.Config.STEntries, a.Spec.Config.STEntries)
 		})
 		base := runs[0].Makespan // largest swept ST size of this curve
 		for _, r := range runs {
@@ -631,18 +537,9 @@ func STAblation(results []RunResult) ([]OccupancyRow, error) {
 			rows = append(rows, row)
 		}
 	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if a.Kind != b.Kind {
-			return kindOrder(a.Kind) < kindOrder(b.Kind)
-		}
-		if a.Workload != b.Workload {
-			return a.Workload < b.Workload
-		}
-		if a.Scheme != b.Scheme {
-			return a.Scheme < b.Scheme
-		}
-		return a.STEntries > b.STEntries
+	slices.SortStableFunc(rows, func(a, b OccupancyRow) int {
+		return cmp.Or(byWorkload(a.Kind, a.Workload, b.Kind, b.Workload), cmp.Compare(a.Scheme, b.Scheme),
+			cmp.Compare(b.STEntries, a.STEntries))
 	})
 	return rows, nil
 }

@@ -184,6 +184,41 @@ func TestScalability(t *testing.T) {
 	}
 }
 
+// Runs that differ in an axis other than the system size form separate
+// scaling curves, each normalized to its own smallest size.
+func TestScalabilityCurvesSplitOnOtherAxes(t *testing.T) {
+	makespans := map[syncron.Topology][]syncron.Time{
+		syncron.TopoAllToAll: {100, 60, 40},
+		syncron.TopoRing:     {200, 150, 100},
+	}
+	var results []syncron.RunResult
+	for _, topo := range []syncron.Topology{syncron.TopoAllToAll, syncron.TopoRing} {
+		for i, units := range []int{1, 2, 4} {
+			results = append(results, synth("pr.wk", syncron.KindGraph, syncron.SchemeSynCron,
+				makespans[topo][i], func(r *syncron.RunResult) {
+					r.Spec.Config.Units = units
+					r.Spec.Config.Topology = topo
+				}))
+		}
+	}
+	curves, err := syncron.Scalability(results, syncron.SchemeSynCron)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(curves) != 2 {
+		t.Fatalf("got %d curves, want one per topology: %+v", len(curves), curves)
+	}
+	for i, want := range []float64{2.5, 2} {
+		pts := curves[i].Points
+		if len(pts) != 3 || pts[0].Units != 1 || pts[2].Units != 4 {
+			t.Fatalf("curve %d points = %+v", i, pts)
+		}
+		if pts[0].Speedup != 1 || math.Abs(pts[2].Speedup-want) > 1e-12 {
+			t.Fatalf("curve %d speedups = %f, %f; want 1, %f", i, pts[0].Speedup, pts[2].Speedup, want)
+		}
+	}
+}
+
 func TestEnergyAndTrafficBreakdown(t *testing.T) {
 	results := []syncron.RunResult{
 		synth("pr.wk", syncron.KindGraph, syncron.SchemeCentral, 100),
@@ -255,6 +290,34 @@ func TestSTAblation(t *testing.T) {
 	}
 	if flat[1].SlowdownVsLargest != 1.5 {
 		t.Fatalf("flat 16-entry slowdown = %f, want 1.5 (vs its own base)", flat[1].SlowdownVsLargest)
+	}
+}
+
+// Runs that differ in an axis other than the ST size form separate ablation
+// curves, each normalized to its own largest-ST run.
+func TestSTAblationCurvesSplitOnOtherAxes(t *testing.T) {
+	mk := func(units, st int, makespan syncron.Time) syncron.RunResult {
+		return synth("ts.air", syncron.KindTimeSeries, syncron.SchemeSynCron, makespan,
+			func(r *syncron.RunResult) {
+				r.Spec.Config.Units = units
+				r.Spec.Config.STEntries = st
+			})
+	}
+	rows, err := syncron.STAblation([]syncron.RunResult{
+		mk(1, 64, 100), mk(1, 8, 50),
+		mk(4, 64, 400), mk(4, 8, 200),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("%d rows, want 4", len(rows))
+	}
+	for i, want := range []float64{1, 1, 0.5, 0.5} {
+		if rows[i].SlowdownVsLargest != want {
+			t.Fatalf("row %d (ST %d) slowdown = %f, want %f", i, rows[i].STEntries,
+				rows[i].SlowdownVsLargest, want)
+		}
 	}
 }
 
@@ -384,6 +447,60 @@ func TestTopologySensitivity(t *testing.T) {
 	// A topology with no baseline counterpart is an error.
 	if _, err := syncron.TopologySensitivity(results[1:2], ""); err == nil {
 		t.Fatal("missing alltoall baseline not rejected")
+	}
+}
+
+func TestMemSensitivity(t *testing.T) {
+	model := func(m syncron.MemModel, makespan syncron.Time, memPJ, hits float64) func(*syncron.RunResult) {
+		return func(r *syncron.RunResult) {
+			r.Spec.Config.MemModel = m
+			r.Makespan = makespan
+			r.MemoryEnergyPJ = memPJ
+			r.RowHitRate = hits
+		}
+	}
+	results := []syncron.RunResult{
+		synth("lock", syncron.KindPrimitive, syncron.SchemeSynCron, 0,
+			model(syncron.MemModelBank, 120, 45, 0.6)),
+		synth("lock", syncron.KindPrimitive, syncron.SchemeSynCron, 0,
+			model(syncron.MemModelFlat, 100, 30, 0)),
+		synth("lock", syncron.KindPrimitive, syncron.SchemeCentral, 0,
+			model(syncron.MemModelFlat, 200, 30, 0)),
+		synth("lock", syncron.KindPrimitive, syncron.SchemeCentral, 0,
+			model(syncron.MemModelBank, 180, 24, 0.8)),
+	}
+	rows, err := syncron.MemSensitivity(results, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("got %d rows, want 4", len(rows))
+	}
+	// Sorted by scheme (central < syncron), then MemModels() order.
+	want := []struct {
+		scheme            syncron.Scheme
+		model             syncron.MemModel
+		slowdown, energyX float64
+	}{
+		{syncron.SchemeCentral, syncron.MemModelFlat, 1, 1},
+		{syncron.SchemeCentral, syncron.MemModelBank, 0.9, 0.8},
+		{syncron.SchemeSynCron, syncron.MemModelFlat, 1, 1},
+		{syncron.SchemeSynCron, syncron.MemModelBank, 1.2, 1.5},
+	}
+	for i, w := range want {
+		r := rows[i]
+		if r.Scheme != w.scheme || r.MemModel != w.model ||
+			math.Abs(r.SlowdownVsBase-w.slowdown) > 1e-12 || math.Abs(r.MemEnergyX-w.energyX) > 1e-12 {
+			t.Fatalf("row %d = %+v, want %s/%s slowdown %v energy x %v", i, r, w.scheme, w.model,
+				w.slowdown, w.energyX)
+		}
+	}
+	if rows[3].RowHitRate != 0.6 {
+		t.Fatalf("bank row hit rate = %f, want 0.6", rows[3].RowHitRate)
+	}
+	// A model with no flat counterpart is an error.
+	if _, err := syncron.MemSensitivity(results[:1], ""); err == nil {
+		t.Fatal("missing flat baseline not rejected")
 	}
 }
 

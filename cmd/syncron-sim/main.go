@@ -189,30 +189,18 @@ func coresPerUnit(cores, units int) (int, error) {
 	return cores / units, nil
 }
 
-// parseTopologyList resolves a comma-separated -topology value.
-func parseTopologyList(s string) []syncron.Topology {
-	var topos []syncron.Topology
+// parseList resolves every value of a comma-separated flag with parse,
+// failing on the first one parse rejects.
+func parseList[T any](s string, parse func(string) (T, error)) []T {
+	var out []T
 	for _, name := range splitList(s) {
-		topo, err := syncron.ParseTopology(name)
+		v, err := parse(name)
 		if err != nil {
 			fatal("%v", err)
 		}
-		topos = append(topos, topo)
+		out = append(out, v)
 	}
-	return topos
-}
-
-// parseMemModelList resolves a comma-separated -mem-model value.
-func parseMemModelList(s string) []syncron.MemModel {
-	var models []syncron.MemModel
-	for _, name := range splitList(s) {
-		m, err := syncron.ParseMemModel(name)
-		if err != nil {
-			fatal("%v", err)
-		}
-		models = append(models, m)
-	}
-	return models
+	return out
 }
 
 func runCmd(args []string) {
@@ -281,19 +269,13 @@ func runCmd(args []string) {
 	// is excluded from SpecKey and serialized output.
 	res := syncron.SpecRunner{}.Run([]syncron.RunSpec{spec})[0]
 	if *jsonOut != "" {
-		if *jsonOut == "-" {
-			if err := syncron.WriteJSON(os.Stdout, []syncron.RunResult{res}); err != nil {
-				fatal("writing JSON: %v", err)
-			}
-		} else {
-			writeFile(*jsonOut, []syncron.RunResult{res}, syncron.WriteJSON)
-		}
+		writeOut(*jsonOut, func(w io.Writer) error { return syncron.WriteJSON(w, []syncron.RunResult{res}) })
 	}
 	if res.Err != "" {
 		fatal("%s", res.Err)
 	}
 	if col != nil {
-		writeTraceCSV(*traceOut, col)
+		writeOut(*traceOut, col.WriteCSV)
 	}
 	if *jsonOut != "-" {
 		report(res)
@@ -328,36 +310,12 @@ func profileFlags(fs *flag.FlagSet) (start func() (stop func())) {
 				}
 			}
 			if *memPath != "" {
-				f, err := os.Create(*memPath)
-				if err != nil {
-					fatal("%v", err)
-				}
-				runtime.GC() // the profile reports the heap as of the last GC
-				if err := pprof.WriteHeapProfile(f); err != nil {
-					f.Close()
-					fatal("writing %s: %v", *memPath, err)
-				}
-				if err := f.Close(); err != nil {
-					fatal("closing %s: %v", *memPath, err)
-				}
+				writeOut(*memPath, func(w io.Writer) error {
+					runtime.GC() // the profile reports the heap as of the last GC
+					return pprof.WriteHeapProfile(w)
+				})
 			}
 		}
-	}
-}
-
-// writeTraceCSV emits a collected trace to path, failing loudly on write and
-// close errors.
-func writeTraceCSV(path string, col *syncron.TraceCollector) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatal("%v", err)
-	}
-	if err := col.WriteCSV(f); err != nil {
-		f.Close()
-		fatal("writing %s: %v", path, err)
-	}
-	if err := f.Close(); err != nil {
-		fatal("closing %s: %v", path, err)
 	}
 }
 
@@ -476,18 +434,12 @@ func sweepCmd(args []string) {
 	}
 	sw := syncron.Sweep{
 		Workloads:  names,
-		Topologies: parseTopologyList(*topology),
-		MemModels:  parseMemModelList(*memModel),
+		Topologies: parseList(*topology, syncron.ParseTopology),
+		MemModels:  parseList(*memModel, syncron.ParseMemModel),
 		Base:       cfg(),
 		Params: syncron.WorkloadParams{Scale: *scale, OpsPerCore: *ops,
 			Interval: *interval, Metis: *metis},
-	}
-	for _, name := range splitList(*schemes) {
-		sch, err := syncron.ParseScheme(name)
-		if err != nil {
-			fatal("%v", err)
-		}
-		sw.Schemes = append(sw.Schemes, sch)
+		Schemes: parseList(*schemes, syncron.ParseScheme),
 	}
 	for _, s := range splitList(*unitsList) {
 		u := parseInt(s, "units-list")
@@ -532,7 +484,7 @@ func sweepCmd(args []string) {
 				continue // a failed run's trace is partial; don't emit it
 			}
 			name := fmt.Sprintf("%03d-%s-%s.trace.csv", r.GridIndex, r.Spec.Workload, r.Spec.Config.Scheme)
-			writeTraceCSV(filepath.Join(*traceDir, name), cols[i])
+			writeOut(filepath.Join(*traceDir, name), cols[i].WriteCSV)
 		}
 	}
 
@@ -544,15 +496,9 @@ func sweepCmd(args []string) {
 				r.Spec.Workload, r.Spec.Config.Scheme, r.Err)
 		}
 	}
-	if *jsonOut == "-" {
-		if err := syncron.WriteJSON(os.Stdout, results); err != nil {
-			fatal("writing JSON: %v", err)
-		}
-	} else {
-		writeFile(*jsonOut, results, syncron.WriteJSON)
-	}
+	writeOut(*jsonOut, func(w io.Writer) error { return syncron.WriteJSON(w, results) })
 	if *csvOut != "" {
-		writeFile(*csvOut, results, syncron.WriteCSV)
+		writeOut(*csvOut, func(w io.Writer) error { return syncron.WriteCSV(w, results) })
 	}
 	if failed > 0 {
 		fatal("%d of %d runs failed", failed, len(results))
@@ -604,20 +550,14 @@ func figuresCmd(args []string) {
 		Scale:      *scale,
 		Workers:    *workers,
 		BaseSeed:   *baseSeed,
-		Topologies: parseTopologyList(*topos),
-		MemModels:  parseMemModelList(*memModels),
+		Topologies: parseList(*topos, syncron.ParseTopology),
+		MemModels:  parseList(*memModels, syncron.ParseMemModel),
+		Schemes:    parseList(*schemes, syncron.ParseScheme),
 		CacheOnly:  *fromDir != "",
 		TraceDir:   *traceDir,
 	}
 	if cache != nil {
 		opt.Cache = cache
-	}
-	for _, name := range splitList(*schemes) {
-		sch, err := syncron.ParseScheme(name)
-		if err != nil {
-			fatal("%v", err)
-		}
-		opt.Schemes = append(opt.Schemes, sch)
 	}
 	for _, name := range splitList(*workloads) {
 		if _, ok := syncron.LookupWorkload(name); !ok {
@@ -693,45 +633,25 @@ func paperCmd(args []string) {
 // writeFigures emits figs as one Markdown document, header first, to mdOut
 // (- = stdout) and, when csvDir is set, one <figure>.csv per figure into it.
 func writeFigures(mdOut, csvDir, header string, figs []*syncron.Figure) {
-	out := os.Stdout
-	if mdOut != "-" {
-		f, err := os.Create(mdOut)
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fatal("closing %s: %v", mdOut, err)
-			}
-		}()
-		out = f
-	}
-	if _, err := io.WriteString(out, header); err != nil {
-		fatal("writing Markdown: %v", err)
-	}
-	for _, fig := range figs {
-		if err := fig.WriteMarkdown(out); err != nil {
-			fatal("writing Markdown: %v", err)
-		}
-	}
-	if csvDir != "" {
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			fatal("%v", err)
+	writeOut(mdOut, func(w io.Writer) error {
+		if _, err := io.WriteString(w, header); err != nil {
+			return err
 		}
 		for _, fig := range figs {
-			path := filepath.Join(csvDir, fig.ID+".csv")
-			f, err := os.Create(path)
-			if err != nil {
-				fatal("%v", err)
-			}
-			if err := fig.WriteCSV(f); err != nil {
-				f.Close()
-				fatal("writing %s: %v", path, err)
-			}
-			if err := f.Close(); err != nil {
-				fatal("closing %s: %v", path, err)
+			if err := fig.WriteMarkdown(w); err != nil {
+				return err
 			}
 		}
+		return nil
+	})
+	if csvDir == "" {
+		return
+	}
+	if err := os.MkdirAll(csvDir, 0o755); err != nil {
+		fatal("%v", err)
+	}
+	for _, fig := range figs {
+		writeOut(filepath.Join(csvDir, fig.ID+".csv"), fig.WriteCSV)
 	}
 }
 
@@ -810,14 +730,20 @@ func cacheName(cache *syncron.CacheDir) string {
 	return cache.Path()
 }
 
-// writeFile emits results to path, failing loudly on write AND close errors
-// so a truncated results file never exits 0.
-func writeFile(path string, results []syncron.RunResult, emit func(io.Writer, []syncron.RunResult) error) {
+// writeOut runs write on path (- = stdout), failing loudly on create, write
+// AND close errors so a truncated output never exits 0.
+func writeOut(path string, write func(io.Writer) error) {
+	if path == "-" {
+		if err := write(os.Stdout); err != nil {
+			fatal("writing stdout: %v", err)
+		}
+		return
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		fatal("%v", err)
 	}
-	if err := emit(f, results); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		fatal("writing %s: %v", path, err)
 	}

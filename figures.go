@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -160,15 +161,7 @@ func (o FigureOptions) withDefaults() FigureOptions {
 	if len(o.Schemes) == 0 {
 		o.Schemes = []Scheme{SchemeCentral, SchemeHier, SchemeSynCron, SchemeIdeal}
 	}
-	hasBaseline := false
-	for _, s := range o.Schemes {
-		if s == o.Baseline {
-			hasBaseline = true
-		}
-	}
-	if !hasBaseline {
-		o.Schemes = append([]Scheme{o.Baseline}, o.Schemes...)
-	}
+	o.Schemes = withBase(o.Schemes, o.Baseline)
 	if o.Scale == 0 {
 		o.Scale = 0.25
 		if o.Quick {
@@ -184,29 +177,19 @@ func (o FigureOptions) withDefaults() FigureOptions {
 	if o.BaseSeed == 0 {
 		o.BaseSeed = 1
 	}
-	if len(o.Topologies) > 0 {
-		hasBase := false
-		for _, t := range o.Topologies {
-			if t == TopoAllToAll {
-				hasBase = true
-			}
-		}
-		if !hasBase {
-			o.Topologies = append([]Topology{TopoAllToAll}, o.Topologies...)
-		}
-	}
-	if len(o.MemModels) > 0 {
-		hasBase := false
-		for _, m := range o.MemModels {
-			if m == MemModelFlat {
-				hasBase = true
-			}
-		}
-		if !hasBase {
-			o.MemModels = append([]MemModel{MemModelFlat}, o.MemModels...)
-		}
-	}
+	o.Topologies = withBase(o.Topologies, TopoAllToAll)
+	o.MemModels = withBase(o.MemModels, MemModelFlat)
 	return o
+}
+
+// withBase prepends base to a non-empty xs that lacks it, so every
+// normalized view finds its baseline runs in the grid. An empty xs (an
+// optional figure left out) stays empty.
+func withBase[T comparable](xs []T, base T) []T {
+	if len(xs) == 0 || slices.Contains(xs, base) {
+		return xs
+	}
+	return append([]T{base}, xs...)
 }
 
 // Figures runs the canonical grids and renders the paper's evaluation views:
@@ -354,54 +337,35 @@ func figureGridsFor(o FigureOptions) figureGrids {
 		stSizes = stAblationSizesQuick
 	}
 	runner := SpecRunner{Workers: o.Workers, Cache: o.Cache, CacheOnly: o.CacheOnly}
-	g := figureGrids{
-		main: Sweep{
-			Workloads:  o.Workloads,
-			Schemes:    o.Schemes,
-			Params:     WorkloadParams{Scale: o.Scale},
+	grid := func(workloads []string, schemes []Scheme, scale float64) Sweep {
+		return Sweep{
+			Workloads:  workloads,
+			Schemes:    schemes,
+			Params:     WorkloadParams{Scale: scale},
 			Base:       Config{Seed: o.BaseSeed},
 			SpecRunner: runner,
-		},
+		}
+	}
+	g := figureGrids{
+		main: grid(o.Workloads, o.Schemes, o.Scale),
 		// Scaling needs enough work per core to amortize remote accesses, so
 		// the scalability grid runs larger inputs than the main grid (like the
 		// paper, whose Figure 13 uses the full-size applications).
-		scalability: Sweep{
-			Workloads:  registeredOnly(scalabilityWorkloads),
-			Schemes:    []Scheme{SchemeSynCron},
-			Units:      scalUnits,
-			Params:     WorkloadParams{Scale: o.Scale * 5},
-			Base:       Config{Seed: o.BaseSeed},
-			SpecRunner: runner,
-		},
-		stAblation: Sweep{
-			Workloads:  registeredOnly(stAblationWorkloads),
-			Schemes:    []Scheme{SchemeSynCron},
-			STEntries:  stSizes,
-			Params:     WorkloadParams{Scale: o.Scale},
-			Base:       Config{Seed: o.BaseSeed},
-			SpecRunner: runner,
-		},
-		scalUnits: scalUnits,
+		scalability: grid(registeredOnly(scalabilityWorkloads), []Scheme{SchemeSynCron}, o.Scale*5),
+		stAblation:  grid(registeredOnly(stAblationWorkloads), []Scheme{SchemeSynCron}, o.Scale),
+		scalUnits:   scalUnits,
 	}
+	g.scalability.Units = scalUnits
+	g.stAblation.STEntries = stSizes
 	if len(o.Topologies) > 0 {
-		g.topology = &Sweep{
-			Workloads:  registeredOnly(topologyWorkloads),
-			Schemes:    o.Schemes,
-			Topologies: o.Topologies,
-			Params:     WorkloadParams{Scale: o.Scale},
-			Base:       Config{Seed: o.BaseSeed},
-			SpecRunner: runner,
-		}
+		topology := grid(registeredOnly(topologyWorkloads), o.Schemes, o.Scale)
+		topology.Topologies = o.Topologies
+		g.topology = &topology
 	}
 	if len(o.MemModels) > 0 {
-		g.memory = &Sweep{
-			Workloads:  registeredOnly(memoryWorkloads),
-			Schemes:    o.Schemes,
-			MemModels:  o.MemModels,
-			Params:     WorkloadParams{Scale: o.Scale},
-			Base:       Config{Seed: o.BaseSeed},
-			SpecRunner: runner,
-		}
+		memory := grid(registeredOnly(memoryWorkloads), o.Schemes, o.Scale)
+		memory.MemModels = o.MemModels
+		g.memory = &memory
 	}
 	return g
 }

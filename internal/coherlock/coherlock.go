@@ -63,7 +63,6 @@ type waiter struct {
 
 type lockState struct {
 	held     bool
-	holder   int
 	spinners []waiter
 	batch    int
 }
@@ -135,7 +134,7 @@ func (b *Backend) socketLine(addr uint64, core int) uint64 {
 func (b *Backend) lock(addr uint64) *lockState {
 	l, ok := b.locks[addr]
 	if !ok {
-		l = &lockState{holder: -1}
+		l = &lockState{}
 		b.locks[addr] = l
 	}
 	return l
@@ -148,14 +147,14 @@ func (b *Backend) acquire(t sim.Time, core int, addr uint64, done func(sim.Time)
 	case MESILock:
 		// Unconditional RMW.
 		at := b.space.Access(t, core, addr, coherence.RMW)
-		b.m.Engine.Schedule(at, func(at sim.Time) { b.tryWin(at, core, addr, done, true) })
+		b.m.Engine.Schedule(at, func(at sim.Time) { b.tryWin(at, core, addr, done) })
 	case TTAS:
 		// Read first; RMW follows if it looks free.
 		at := b.space.Access(t, core, addr, coherence.Load)
 		b.m.Engine.Schedule(at, func(at sim.Time) {
 			if !l.held {
 				at2 := b.space.Access(at, core, addr, coherence.RMW)
-				b.m.Engine.Schedule(at2, func(at2 sim.Time) { b.tryWin(at2, core, addr, done, false) })
+				b.m.Engine.Schedule(at2, func(at2 sim.Time) { b.tryWin(at2, core, addr, done) })
 				return
 			}
 			l.spinners = append(l.spinners, waiter{core, done})
@@ -166,17 +165,16 @@ func (b *Backend) acquire(t sim.Time, core int, addr uint64, done func(sim.Time)
 		// TTAS when uncontended, but waiters spin on their socket's line.
 		at := b.space.Access(t, core, addr, coherence.RMW) // ticket fetch
 		at = b.space.Access(at, core, b.socketLine(addr, core), coherence.Load)
-		b.m.Engine.Schedule(at, func(at sim.Time) { b.tryWin(at, core, addr, done, false) })
+		b.m.Engine.Schedule(at, func(at sim.Time) { b.tryWin(at, core, addr, done) })
 	}
 }
 
 // tryWin takes the lock if free, otherwise registers the core as a spinner
 // (its subsequent spin reads are local L1 hits until invalidated).
-func (b *Backend) tryWin(t sim.Time, core int, addr uint64, done func(sim.Time), retryRMW bool) {
+func (b *Backend) tryWin(t sim.Time, core int, addr uint64, done func(sim.Time)) {
 	l := b.lock(addr)
 	if !l.held {
 		l.held = true
-		l.holder = core
 		done(t)
 		return
 	}
@@ -191,7 +189,6 @@ func (b *Backend) release(t sim.Time, core int, addr uint64) {
 	wt := b.space.Access(t, core, addr, coherence.Store)
 	b.m.Engine.Schedule(wt, func(wt sim.Time) {
 		l.held = false
-		l.holder = -1
 		if len(l.spinners) == 0 {
 			l.batch = 0
 			return
@@ -236,7 +233,6 @@ func (b *Backend) release(t sim.Time, core int, addr uint64) {
 			winAt = b.space.Access(winAt, win.core, addr, coherence.RMW)
 		}
 		l.held = true
-		l.holder = win.core
 		b.m.Engine.Schedule(winAt, win.done)
 	})
 }

@@ -473,8 +473,8 @@ func (rs ResultSet) ByWorkload() map[string]ResultSet {
 
 // gridKey identifies the grid point a run belongs to with the per-run seed
 // and any axes zeroed by strip removed, so runs differing only in those axes
-// land on the same key. It is the single join-key builder behind
-// JoinBaseline and TopologySensitivity.
+// land on the same key. It is the single key builder behind joinOn (every
+// baseline join) and curves (every curve grouping).
 func gridKey(r RunResult, strip func(*Config)) string {
 	cfg := r.Spec.Config
 	cfg.Seed = 0
@@ -490,15 +490,8 @@ func gridKey(r RunResult, strip func(*Config)) string {
 	return string(key)
 }
 
-// comparisonKey strips the scheme (and seed), so runs of different schemes
-// on the same workload and configuration land on the same key. This is the
-// join key of JoinBaseline.
-func comparisonKey(r RunResult) string {
-	return gridKey(r, func(c *Config) { c.Scheme = "" })
-}
-
-// BaselinePair joins one successful run with the baseline-scheme run of the
-// same workload and grid point.
+// BaselinePair joins one successful run with the baseline run of the same
+// workload and grid point.
 type BaselinePair struct {
 	Run      RunResult
 	Baseline RunResult
@@ -510,26 +503,60 @@ type BaselinePair struct {
 // sweep did not include the baseline scheme at that grid point, or that
 // baseline run failed.
 func (rs ResultSet) JoinBaseline(baseline Scheme) ([]BaselinePair, error) {
-	ok := rs.Ok()
-	base := map[string]RunResult{}
+	return joinOn(rs, baseline, func(c *Config) *Scheme { return &c.Scheme })
+}
+
+// joinOn is the one baseline join of the analysis layer: it pairs every
+// successful run, in result order, with the successful run of the same
+// workload and grid point whose axis equals base. The axis and the seed are
+// left out of the join key, so runs differing only in them are joined. It
+// fails if no run sits on base, or if a run has no counterpart there.
+func joinOn[T comparable](results []RunResult, base T, axis func(*Config) *T) ([]BaselinePair, error) {
+	ok := ResultSet(results).Ok()
+	key := func(r RunResult) string {
+		return gridKey(r, func(c *Config) {
+			var zero T
+			*axis(c) = zero
+		})
+	}
+	bases := map[string]RunResult{}
 	for _, r := range ok {
-		if r.Spec.Config.Scheme == baseline {
-			base[comparisonKey(r)] = r
+		if *axis(&r.Spec.Config) == base {
+			bases[key(r)] = r
 		}
 	}
-	if len(base) == 0 {
-		return nil, fmt.Errorf("syncron: no successful %q runs to use as baseline", baseline)
+	if len(bases) == 0 {
+		return nil, fmt.Errorf("syncron: no successful \"%v\" runs to use as baseline", base)
 	}
 	pairs := make([]BaselinePair, 0, len(ok))
 	for _, r := range ok {
-		b, found := base[comparisonKey(r)]
+		b, found := bases[key(r)]
 		if !found {
-			return nil, fmt.Errorf("syncron: %s under %s has no successful %q baseline at the same grid point",
-				r.Spec.Workload, r.Spec.Config.Scheme, baseline)
+			return nil, fmt.Errorf("syncron: %s under %v has no successful \"%v\" baseline at the same grid point",
+				r.Spec.Workload, *axis(&r.Spec.Config), base)
 		}
 		pairs = append(pairs, BaselinePair{Run: r, Baseline: b})
 	}
 	return pairs, nil
+}
+
+// curves groups rs into the runs that differ only in the axes strip zeroes
+// (and the seed): one group per remaining grid point, groups and the runs in
+// each in first-seen order. Every curve view normalizes within one group.
+func curves(rs ResultSet, strip func(*Config)) []ResultSet {
+	index := map[string]int{}
+	var out []ResultSet
+	for _, r := range rs {
+		key := gridKey(r, strip)
+		i, seen := index[key]
+		if !seen {
+			i = len(out)
+			index[key] = i
+			out = append(out, nil)
+		}
+		out[i] = append(out[i], r)
+	}
+	return out
 }
 
 // WriteJSON emits results as indented JSON.
