@@ -474,7 +474,8 @@ func (rs ResultSet) ByWorkload() map[string]ResultSet {
 // gridKey identifies the grid point a run belongs to with the per-run seed
 // and any axes zeroed by strip removed, so runs differing only in those axes
 // land on the same key. It is the single key builder behind joinOn (every
-// baseline join) and curves (every curve grouping).
+// baseline join), curves (every curve grouping) and the rows of
+// SpeedupVsBaseline.
 func gridKey(r RunResult, strip func(*Config)) string {
 	cfg := r.Spec.Config
 	cfg.Seed = 0
