@@ -9,35 +9,35 @@ import (
 	"fmt"
 
 	"syncron"
-	"syncron/internal/program"
-	"syncron/internal/workloads/graphs"
 )
 
-func main() {
-	g := graphs.Load("wk", 0.1) // synthetic stand-in for wikipedia-20051105
-	fmt.Printf("graph wk: %d vertices, %d edges\n\n", g.N, g.M)
-	fmt.Printf("%-6s  %-10s %-10s %-10s %-10s\n", "app", "central", "hier", "syncron", "ideal")
+// run executes app on the "wk" input (a synthetic stand-in for
+// wikipedia-20051105 at a tenth of the default size) on the default 4-unit
+// system under scheme.
+func run(app string, scheme syncron.Scheme) syncron.RunResult {
+	res := syncron.Execute(syncron.RunSpec{Workload: app + ".wk",
+		Config: syncron.Config{Scheme: scheme}, Params: syncron.WorkloadParams{Scale: 0.1}})
+	if res.Err != "" {
+		panic(fmt.Sprintf("%s under %s: %s", app, scheme, res.Err))
+	}
+	return res
+}
 
-	for _, app := range graphs.Apps() {
+func main() {
+	fmt.Print("graph wk at scale 0.1\n\n")
+	fmt.Printf("%-6s  %-10s %-10s %-10s %-10s\n", "app", "central", "hier", "syncron", "ideal")
+	for _, app := range []string{"bfs", "cc", "sssp", "pr", "tf", "tc"} {
 		var base syncron.Time
 		fmt.Printf("%-6s", app)
 		for _, scheme := range []syncron.Scheme{
 			syncron.SchemeCentral, syncron.SchemeHier,
 			syncron.SchemeSynCron, syncron.SchemeIdeal,
 		} {
-			sys := syncron.New(syncron.Config{Scheme: scheme})
-			part := graphs.HashPartition(g, 4)
-			ly := graphs.NewLayout(sys.Machine(), g, part)
-			a := graphs.NewApp(sys.Machine(), ly, graphs.RunConfig{App: app, Graph: g, Part: part})
-			a.Build(sys.Machine(), sys.Runner())
-			rep := sys.Run()
-			if err := a.Check(); err != nil {
-				panic(fmt.Sprintf("%s under %s produced wrong output: %v", app, scheme, err))
-			}
+			res := run(app, scheme)
 			if scheme == syncron.SchemeCentral {
-				base = rep.Makespan
+				base = res.Makespan
 			}
-			fmt.Printf("  %6.2fx   ", float64(base)/float64(rep.Makespan))
+			fmt.Printf("  %6.2fx   ", float64(base)/float64(res.Makespan))
 		}
 		fmt.Println()
 	}
@@ -45,14 +45,8 @@ func main() {
 	// Data movement: SynCron vs Central on pagerank (Figure 15's story).
 	fmt.Println("\npagerank data movement (bytes across NDP units):")
 	for _, scheme := range []syncron.Scheme{syncron.SchemeCentral, syncron.SchemeSynCron} {
-		sys := syncron.New(syncron.Config{Scheme: scheme})
-		part := graphs.HashPartition(g, 4)
-		ly := graphs.NewLayout(sys.Machine(), g, part)
-		a := graphs.NewApp(sys.Machine(), ly, graphs.RunConfig{App: "pr", Graph: g, Part: part})
-		a.Build(sys.Machine(), sys.Runner())
-		rep := sys.Run()
+		res := run("pr", scheme)
 		fmt.Printf("  %-8s inside %8d KB, across %8d KB\n",
-			rep.Scheme, rep.BytesInsideUnits/1024, rep.BytesAcrossUnits/1024)
+			res.Spec.Config.Scheme, res.BytesInsideUnits/1024, res.BytesAcrossUnits/1024)
 	}
-	var _ program.Program // keep the import explicit for readers
 }

@@ -20,134 +20,96 @@ import (
 	"syncron/internal/sim"
 )
 
-// DataStructure is one benchmarkable concurrent data structure.
-type DataStructure interface {
-	// Name is the Table-6 name.
-	Name() string
+// dataStructure is one benchmarkable concurrent data structure.
+type dataStructure interface {
 	// Op performs one operation (the Table-6 mix) on behalf of the calling
 	// core's program.
-	Op(ctx *program.Ctx, rng *sim.RNG)
+	Op(ctx *program.Ctx)
 	// Check validates functional invariants after a run; it returns an error
 	// describing the first violation.
 	Check() error
 }
 
-// Config scales a data structure.
-type Config struct {
-	// Size is the initial element count (Table 6 column 2).
-	Size int
-	// Units the structure is partitioned across.
-	Units int
+// structure is one Table-6 row: the name, the initial element count and the
+// builder placing size elements on m.
+type structure struct {
+	name  string
+	size  int
+	build func(m *arch.Machine, size int, rng *sim.RNG) dataStructure
 }
 
-// Builder constructs a data structure on machine m.
-type Builder func(m *arch.Machine, cfg Config, rng *sim.RNG) DataStructure
+// structures lists all nine in the paper's Figure-11 order.
+var structures = []structure{
+	{"stack", 100_000, newStack},
+	{"queue", 100_000, newQueue},
+	{"arraymap", 10, newArrayMap},
+	{"priorityqueue", 20_000, newPriorityQueue},
+	{"skiplist", 5_000, newSkipList},
+	{"hashtable", 1_000, newHashTable},
+	{"linkedlist", 20_000, newLinkedList},
+	{"bst_fg", 20_000, newBSTFG},
+	{"bst_drachsler", 10_000, newBSTDrachsler},
+}
+
+func lookup(name string) structure {
+	for _, s := range structures {
+		if s.name == name {
+			return s
+		}
+	}
+	panic(fmt.Sprintf("ds: unknown data structure %q", name))
+}
 
 // Names lists all nine structures in the paper's Figure-11 order.
 func Names() []string {
-	return []string{"stack", "queue", "arraymap", "priorityqueue", "skiplist",
-		"hashtable", "linkedlist", "bst_fg", "bst_drachsler"}
+	names := make([]string, len(structures))
+	for i, s := range structures {
+		names[i] = s.name
+	}
+	return names
 }
 
 // PaperSize returns the Table-6 initial size for a structure.
-func PaperSize(name string) int {
-	switch name {
-	case "stack", "queue":
-		return 100_000
-	case "arraymap":
-		return 10
-	case "priorityqueue", "linkedlist", "bst_fg":
-		return 20_000
-	case "skiplist":
-		return 5_000
-	case "hashtable":
-		return 1_000
-	case "bst_drachsler":
-		return 10_000
-	default:
-		panic("ds: unknown structure " + name)
-	}
+func PaperSize(name string) int { return lookup(name).size }
+
+// Build places the named structure with size initial elements on m, spread
+// across all of its units, and registers one program per core that performs
+// ops operations. It returns the structure's functional check.
+func Build(m *arch.Machine, r *program.Runner, name string, size, ops int) func() error {
+	d := lookup(name).build(m, size, sim.NewRNG(m.Cfg.Seed+100))
+	r.AddN(m.NumCores(), func(int) program.Program {
+		return func(ctx *program.Ctx) {
+			for k := 0; k < ops; k++ {
+				d.Op(ctx)
+			}
+		}
+	})
+	return d.Check
 }
 
-// New builds the named structure.
-func New(name string, m *arch.Machine, cfg Config, rng *sim.RNG) DataStructure {
-	b, ok := builders[name]
-	if !ok {
-		panic(fmt.Sprintf("ds: unknown data structure %q", name))
-	}
-	if cfg.Units == 0 {
-		cfg.Units = m.Cfg.Units
-	}
-	if cfg.Size == 0 {
-		cfg.Size = PaperSize(name)
-	}
-	return b(m, cfg, rng)
-}
+// allocFunc is m.AllocShared for node lines and m.Alloc for synchronization
+// variables: cores only touch those through the synchronization backend, so
+// they live in the cacheable arena (server cores legitimately cache them;
+// SynCron only uses the address as identity + home).
+type allocFunc func(unit int, size uint64) uint64
 
-var builders = map[string]Builder{
-	"stack":         newStack,
-	"queue":         newQueue,
-	"arraymap":      newArrayMap,
-	"priorityqueue": newPriorityQueue,
-	"skiplist":      newSkipList,
-	"hashtable":     newHashTable,
-	"linkedlist":    newLinkedList,
-	"bst_fg":        newBSTFG,
-	"bst_drachsler": newBSTDrachsler,
-}
-
-// partitionAlloc spreads n shared read-write (uncacheable) lines across
-// units in contiguous chunks (the paper's static partitioning).
-func partitionAlloc(m *arch.Machine, n, units int) []uint64 {
-	if units > m.Cfg.Units {
-		units = m.Cfg.Units
-	}
+// partitionAlloc spreads n lines across units in contiguous chunks (the
+// paper's static partitioning).
+func partitionAlloc(alloc allocFunc, n, units int) []uint64 {
 	addrs := make([]uint64, n)
 	per := (n + units - 1) / units
 	for i := 0; i < n; i++ {
-		addrs[i] = m.AllocShared(i/per%units, 64)
+		addrs[i] = alloc(i/per%units, 64)
 	}
 	return addrs
 }
 
-// partitionLocks is partitionAlloc for synchronization variables: cores only
-// touch them through the synchronization backend, so they live in the
-// cacheable arena (server cores legitimately cache them; SynCron only uses
-// the address as identity + home).
-func partitionLocks(m *arch.Machine, n, units int) []uint64 {
-	if units > m.Cfg.Units {
-		units = m.Cfg.Units
-	}
-	addrs := make([]uint64, n)
-	per := (n + units - 1) / units
-	for i := 0; i < n; i++ {
-		addrs[i] = m.Alloc(i/per%units, 64)
-	}
-	return addrs
-}
-
-// randomAlloc spreads n shared lines across units uniformly at random (the
-// paper distributes BSTs randomly).
-func randomAlloc(m *arch.Machine, n, units int, rng *sim.RNG) []uint64 {
-	if units > m.Cfg.Units {
-		units = m.Cfg.Units
-	}
+// randomAlloc spreads n lines across units uniformly at random (the paper
+// distributes BSTs randomly).
+func randomAlloc(alloc allocFunc, n, units int, rng *sim.RNG) []uint64 {
 	addrs := make([]uint64, n)
 	for i := 0; i < n; i++ {
-		addrs[i] = m.AllocShared(rng.Intn(units), 64)
-	}
-	return addrs
-}
-
-// randomLocks is randomAlloc for synchronization variables (see
-// partitionLocks).
-func randomLocks(m *arch.Machine, n, units int, rng *sim.RNG) []uint64 {
-	if units > m.Cfg.Units {
-		units = m.Cfg.Units
-	}
-	addrs := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		addrs[i] = m.Alloc(rng.Intn(units), 64)
+		addrs[i] = alloc(rng.Intn(units), 64)
 	}
 	return addrs
 }

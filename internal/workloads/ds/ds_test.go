@@ -7,7 +7,6 @@ import (
 	"syncron/internal/baselines"
 	"syncron/internal/core"
 	"syncron/internal/program"
-	"syncron/internal/sim"
 	"syncron/internal/workloads/ds"
 )
 
@@ -23,25 +22,19 @@ func smallSize(name string) int {
 	}
 }
 
-func runDS(t *testing.T, name string, mkBackend func() arch.Backend, opsPerCore int) ds.DataStructure {
+// runDS runs opsPerCore operations per core of the named structure on a
+// 2x4 machine and returns the structure's functional check.
+func runDS(t *testing.T, name string, mkBackend func() arch.Backend, opsPerCore int) func() error {
 	t.Helper()
 	cfg := arch.Default()
 	cfg.Units = 2
 	cfg.CoresPerUnit = 4
 	m := arch.NewMachine(cfg)
 	m.Backend = mkBackend()
-	rng := sim.NewRNG(42)
-	d := ds.New(name, m, ds.Config{Size: smallSize(name)}, rng)
 	r := program.NewRunner(m)
-	r.AddN(m.NumCores(), func(i int) program.Program {
-		return func(ctx *program.Ctx) {
-			for k := 0; k < opsPerCore; k++ {
-				d.Op(ctx, ctx.RNG)
-			}
-		}
-	})
+	check := ds.Build(m, r, name, smallSize(name), opsPerCore)
 	r.Run()
-	return d
+	return check
 }
 
 func TestAllStructuresAllSchemes(t *testing.T) {
@@ -55,8 +48,7 @@ func TestAllStructuresAllSchemes(t *testing.T) {
 		for bname, mk := range backends {
 			name, bname, mk := name, bname, mk
 			t.Run(name+"/"+bname, func(t *testing.T) {
-				d := runDS(t, name, mk, 10)
-				if err := d.Check(); err != nil {
+				if err := runDS(t, name, mk, 10)(); err != nil {
 					t.Fatalf("%s on %s: %v", name, bname, err)
 				}
 			})
@@ -81,8 +73,7 @@ func TestStackOverflowWithTinyST(t *testing.T) {
 			mk := func() arch.Backend {
 				return core.NewCoordinator(core.Options{Topology: core.TopoHier, HardwareSE: true, STEntries: 4})
 			}
-			d := runDS(t, name, mk, 8)
-			if err := d.Check(); err != nil {
+			if err := runDS(t, name, mk, 8)(); err != nil {
 				t.Fatal(err)
 			}
 		})

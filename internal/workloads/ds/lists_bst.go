@@ -26,11 +26,11 @@ type linkedList struct {
 	maxKey int
 }
 
-func newLinkedList(m *arch.Machine, cfg Config, rng *sim.RNG) DataStructure {
-	keys := keysSorted(cfg.Size, rng)
-	addrs := partitionAlloc(m, cfg.Size, cfg.Units)
-	locks := partitionLocks(m, cfg.Size, cfg.Units)
-	ll := &linkedList{nkeys: cfg.Size, maxKey: keys[len(keys)-1]}
+func newLinkedList(m *arch.Machine, size int, rng *sim.RNG) dataStructure {
+	keys := keysSorted(size, rng)
+	addrs := partitionAlloc(m.AllocShared, size, m.Cfg.Units)
+	locks := partitionAlloc(m.Alloc, size, m.Cfg.Units)
+	ll := &linkedList{nkeys: size, maxKey: keys[len(keys)-1]}
 	var prev *listNode
 	for i := len(keys) - 1; i >= 0; i-- {
 		prev = &listNode{key: keys[i], addr: addrs[i], lock: locks[i], next: prev}
@@ -39,10 +39,8 @@ func newLinkedList(m *arch.Machine, cfg Config, rng *sim.RNG) DataStructure {
 	return ll
 }
 
-func (ll *linkedList) Name() string { return "linkedlist" }
-
-func (ll *linkedList) Op(ctx *program.Ctx, rng *sim.RNG) {
-	target := rng.Intn(ll.maxKey + 1)
+func (ll *linkedList) Op(ctx *program.Ctx) {
+	target := ctx.RNG.Intn(ll.maxKey + 1)
 	// Lock coupling: hold the current node's lock while locking the next.
 	cur := ll.head.next
 	if cur == nil {
@@ -109,22 +107,20 @@ func buildExternal(keys []int, addrs, locks []uint64, lo, hi int, next *int) *bs
 	return n
 }
 
-func newBSTFG(m *arch.Machine, cfg Config, rng *sim.RNG) DataStructure {
-	keys := keysSorted(cfg.Size, rng)
+func newBSTFG(m *arch.Machine, size int, rng *sim.RNG) dataStructure {
+	keys := keysSorted(size, rng)
 	// External tree: size leaves + size-1 routers; placed randomly (the
 	// paper distributes BSTs randomly across units).
-	total := 2*cfg.Size - 1
-	addrs := randomAlloc(m, total, cfg.Units, rng)
-	locks := randomLocks(m, total, cfg.Units, rng)
+	total := 2*size - 1
+	addrs := randomAlloc(m.AllocShared, total, m.Cfg.Units, rng)
+	locks := randomAlloc(m.Alloc, total, m.Cfg.Units, rng)
 	next := 0
-	root := buildExternal(keys, addrs, locks, 0, cfg.Size-1, &next)
-	return &bstFG{root: root, nkeys: cfg.Size, maxKey: keys[len(keys)-1]}
+	root := buildExternal(keys, addrs, locks, 0, size-1, &next)
+	return &bstFG{root: root, nkeys: size, maxKey: keys[len(keys)-1]}
 }
 
-func (t *bstFG) Name() string { return "bst_fg" }
-
-func (t *bstFG) Op(ctx *program.Ctx, rng *sim.RNG) {
-	target := rng.Intn(t.maxKey + 1)
+func (t *bstFG) Op(ctx *program.Ctx) {
+	target := ctx.RNG.Intn(t.maxKey + 1)
 	cur := t.root
 	ctx.Lock(cur.lock)
 	ctx.Read(cur.addr)
@@ -196,19 +192,17 @@ func buildInternal(keys []int, addrs, locks []uint64, lo, hi int, next *int) *bs
 	return n
 }
 
-func newBSTDrachsler(m *arch.Machine, cfg Config, rng *sim.RNG) DataStructure {
-	keys := keysSorted(cfg.Size, rng)
-	addrs := randomAlloc(m, cfg.Size, cfg.Units, rng)
-	locks := randomLocks(m, cfg.Size, cfg.Units, rng)
+func newBSTDrachsler(m *arch.Machine, size int, rng *sim.RNG) dataStructure {
+	keys := keysSorted(size, rng)
+	addrs := randomAlloc(m.AllocShared, size, m.Cfg.Units, rng)
+	locks := randomAlloc(m.Alloc, size, m.Cfg.Units, rng)
 	next := 0
-	root := buildInternal(keys, addrs, locks, 0, cfg.Size-1, &next)
-	return &bstDrachsler{root: root, nkeys: cfg.Size, maxKey: keys[len(keys)-1]}
+	root := buildInternal(keys, addrs, locks, 0, size-1, &next)
+	return &bstDrachsler{root: root, nkeys: size, maxKey: keys[len(keys)-1]}
 }
 
-func (t *bstDrachsler) Name() string { return "bst_drachsler" }
-
-func (t *bstDrachsler) Op(ctx *program.Ctx, rng *sim.RNG) {
-	target := rng.Intn(t.maxKey + 1)
+func (t *bstDrachsler) Op(ctx *program.Ctx) {
+	target := ctx.RNG.Intn(t.maxKey + 1)
 	// Lock-free search (reads only) with parent tracking.
 	var parent *bstNode
 	cur := t.root

@@ -16,16 +16,14 @@ type arrayMap struct {
 	slots []uint64
 }
 
-func newArrayMap(m *arch.Machine, cfg Config, rng *sim.RNG) DataStructure {
+func newArrayMap(m *arch.Machine, size int, rng *sim.RNG) dataStructure {
 	am := &arrayMap{lock: m.Alloc(0, 64)}
-	am.slots = partitionAlloc(m, cfg.Size, 1) // 10 slots live in one unit
+	am.slots = partitionAlloc(m.AllocShared, size, 1) // 10 slots live in one unit
 	return am
 }
 
-func (am *arrayMap) Name() string { return "arraymap" }
-
-func (am *arrayMap) Op(ctx *program.Ctx, rng *sim.RNG) {
-	key := rng.Intn(len(am.slots))
+func (am *arrayMap) Op(ctx *program.Ctx) {
+	key := ctx.RNG.Intn(len(am.slots))
 	ctx.Lock(am.lock)
 	// Linear scan up to the key's slot (uniform average: half the array).
 	for i := 0; i <= key; i++ {
@@ -44,14 +42,14 @@ type hashTable struct {
 	keys        int
 }
 
-func newHashTable(m *arch.Machine, cfg Config, rng *sim.RNG) DataStructure {
-	nbuckets := cfg.Size / 4
+func newHashTable(m *arch.Machine, size int, rng *sim.RNG) dataStructure {
+	nbuckets := size / 4
 	if nbuckets < 4 {
 		nbuckets = 4
 	}
-	ht := &hashTable{keys: cfg.Size}
-	ht.bucketLocks = partitionLocks(m, nbuckets, cfg.Units)
-	nodes := partitionAlloc(m, cfg.Size, cfg.Units)
+	ht := &hashTable{keys: size}
+	ht.bucketLocks = partitionAlloc(m.Alloc, nbuckets, m.Cfg.Units)
+	nodes := partitionAlloc(m.AllocShared, size, m.Cfg.Units)
 	ht.buckets = make([][]uint64, nbuckets)
 	for i, n := range nodes {
 		b := i % nbuckets
@@ -60,10 +58,8 @@ func newHashTable(m *arch.Machine, cfg Config, rng *sim.RNG) DataStructure {
 	return ht
 }
 
-func (ht *hashTable) Name() string { return "hashtable" }
-
-func (ht *hashTable) Op(ctx *program.Ctx, rng *sim.RNG) {
-	key := rng.Intn(ht.keys)
+func (ht *hashTable) Op(ctx *program.Ctx) {
+	key := ctx.RNG.Intn(ht.keys)
 	b := key % len(ht.buckets)
 	ctx.Lock(ht.bucketLocks[b])
 	chain := ht.buckets[b]

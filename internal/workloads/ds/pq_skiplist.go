@@ -18,32 +18,26 @@ type priorityQueue struct {
 	dels  int
 }
 
-func newPriorityQueue(m *arch.Machine, cfg Config, rng *sim.RNG) DataStructure {
-	pq := &priorityQueue{lock: m.Alloc(0, 64), size: cfg.Size}
+func newPriorityQueue(m *arch.Machine, size int, rng *sim.RNG) dataStructure {
+	pq := &priorityQueue{lock: m.Alloc(0, 64), size: size}
 	// Only the top levels of the heap are touched by sift-down paths; map
 	// heap indices onto a bounded set of lines. The heap array is
 	// line-interleaved across units (array striping) so the hot top levels
 	// do not all land in one unit.
-	n := cfg.Size
+	n := size
 	if n > 4096 {
 		n = 4096
 	}
-	units := cfg.Units
-	if units > m.Cfg.Units {
-		units = m.Cfg.Units
-	}
 	pq.slots = make([]uint64, n)
 	for i := range pq.slots {
-		pq.slots[i] = m.AllocShared(i%units, 64)
+		pq.slots[i] = m.AllocShared(i%m.Cfg.Units, 64)
 	}
 	return pq
 }
 
-func (pq *priorityQueue) Name() string { return "priorityqueue" }
-
 func (pq *priorityQueue) slot(i int) uint64 { return pq.slots[i%len(pq.slots)] }
 
-func (pq *priorityQueue) Op(ctx *program.Ctx, rng *sim.RNG) {
+func (pq *priorityQueue) Op(ctx *program.Ctx) {
 	ctx.Lock(pq.lock)
 	if pq.size > 1 {
 		ctx.Read(pq.slot(0))           // min
@@ -94,15 +88,15 @@ type skipList struct {
 	deleted  int
 }
 
-func newSkipList(m *arch.Machine, cfg Config, rng *sim.RNG) DataStructure {
+func newSkipList(m *arch.Machine, size int, rng *sim.RNG) dataStructure {
 	sl := &skipList{maxLevel: 1}
-	for 1<<sl.maxLevel < cfg.Size {
+	for 1<<sl.maxLevel < size {
 		sl.maxLevel++
 	}
-	keys := keysSorted(cfg.Size, rng)
-	addrs := partitionAlloc(m, cfg.Size, cfg.Units)
-	locks := partitionLocks(m, cfg.Size+1, cfg.Units) // +1: head sentinel lock
-	sl.head = &skipNode{key: -1, height: sl.maxLevel, lock: locks[cfg.Size],
+	keys := keysSorted(size, rng)
+	addrs := partitionAlloc(m.AllocShared, size, m.Cfg.Units)
+	locks := partitionAlloc(m.Alloc, size+1, m.Cfg.Units) // +1: head sentinel lock
+	sl.head = &skipNode{key: -1, height: sl.maxLevel, lock: locks[size],
 		next: make([]*skipNode, sl.maxLevel)}
 	// Build bottom-up deterministically: node i gets height = trailing
 	// zeros of i+1 (a classic deterministic skip-list shape).
@@ -118,14 +112,12 @@ func newSkipList(m *arch.Machine, cfg Config, rng *sim.RNG) DataStructure {
 			prev[l] = n
 		}
 	}
-	sl.nkeys = cfg.Size
+	sl.nkeys = size
 	return sl
 }
 
-func (sl *skipList) Name() string { return "skiplist" }
-
-func (sl *skipList) Op(ctx *program.Ctx, rng *sim.RNG) {
-	target := rng.Intn(sl.nkeys * 8)
+func (sl *skipList) Op(ctx *program.Ctx) {
+	target := ctx.RNG.Intn(sl.nkeys * 8)
 	// Search from the top level, reading each visited node.
 	preds := make([]*skipNode, sl.maxLevel)
 	cur := sl.head
@@ -143,7 +135,7 @@ func (sl *skipList) Op(ctx *program.Ctx, rng *sim.RNG) {
 	ctx.Read(victim.addr)
 	// Lock predecessor and victim (fine-grained deletion), in global address
 	// order to stay deadlock-free.
-	lo, hi := preds[0].lockAddr(sl), victim.lock
+	lo, hi := preds[0].lock, victim.lock
 	if lo > hi {
 		lo, hi = hi, lo
 	}
@@ -173,7 +165,7 @@ func (sl *skipList) Op(ctx *program.Ctx, rng *sim.RNG) {
 		}
 		sl.deleted++
 		for l := 0; l < unlinked; l++ {
-			ctx.Write(preds[l].lockAddr(sl)) // unlink write on pred's line
+			ctx.Write(preds[l].lock) // unlink write on pred's line
 		}
 	}
 	if hi != lo {
@@ -181,10 +173,6 @@ func (sl *skipList) Op(ctx *program.Ctx, rng *sim.RNG) {
 	}
 	ctx.Unlock(lo)
 }
-
-// lockAddr returns the node's lock line (every node, including the head
-// sentinel, owns one).
-func (n *skipNode) lockAddr(sl *skipList) uint64 { return n.lock }
 
 func (sl *skipList) Check() error {
 	// The level-0 chain must stay sorted and contain no dead nodes.

@@ -21,20 +21,18 @@ type stack struct {
 	pushes  int
 }
 
-func newStack(m *arch.Machine, cfg Config, rng *sim.RNG) DataStructure {
+func newStack(m *arch.Machine, size int, rng *sim.RNG) dataStructure {
 	s := &stack{
 		lock:  m.Alloc(0, 64),
 		head:  m.AllocShared(0, 64),
-		depth: cfg.Size,
+		depth: size,
 	}
 	// Nodes pushed during the run are partitioned like the initial body.
-	s.pool = partitionAlloc(m, 4096, cfg.Units)
+	s.pool = partitionAlloc(m.AllocShared, 4096, m.Cfg.Units)
 	return s
 }
 
-func (s *stack) Name() string { return "stack" }
-
-func (s *stack) Op(ctx *program.Ctx, rng *sim.RNG) {
+func (s *stack) Op(ctx *program.Ctx) {
 	node := s.pool[s.nextIdx%len(s.pool)]
 	s.nextIdx++
 	ctx.Write(node) // fill payload (thread-local prep)
@@ -66,23 +64,21 @@ type queue struct {
 	size  int
 }
 
-func newQueue(m *arch.Machine, cfg Config, rng *sim.RNG) DataStructure {
+func newQueue(m *arch.Machine, size int, rng *sim.RNG) dataStructure {
 	q := &queue{
 		headLock: m.Alloc(0, 64),
 		head:     m.AllocShared(0, 64),
-		size:     cfg.Size,
+		size:     size,
 	}
-	n := cfg.Size
+	n := size
 	if n > 8192 {
 		n = 8192 // only the popped prefix needs real addresses
 	}
-	q.nodes = partitionAlloc(m, n, cfg.Units)
+	q.nodes = partitionAlloc(m.AllocShared, n, m.Cfg.Units)
 	return q
 }
 
-func (q *queue) Name() string { return "queue" }
-
-func (q *queue) Op(ctx *program.Ctx, rng *sim.RNG) {
+func (q *queue) Op(ctx *program.Ctx) {
 	ctx.Lock(q.headLock)
 	ctx.Read(q.head) // head pointer
 	if q.size > 0 {

@@ -2,40 +2,58 @@ package graphs
 
 import (
 	"fmt"
+	"slices"
 
 	"syncron/internal/arch"
 	"syncron/internal/program"
 )
 
+// body is one core's program over its vertices.
+type body func(ctx *program.Ctx, mine []int)
+
+// app is one graph application: setup returns, for a placed layout, the
+// per-core body and the check of the output against a host-side reference.
+type app struct {
+	name  string
+	setup func(ly *layout) (body, func() error)
+}
+
+// apps lists the six applications in Table-6 order.
+var apps = []app{{"bfs", bfs}, {"cc", cc}, {"sssp", sssp}, {"pr", pr}, {"tf", tf}, {"tc", tc}}
+
 // Apps lists the six applications in Table-6 order.
-func Apps() []string { return []string{"bfs", "cc", "sssp", "pr", "tf", "tc"} }
-
-// UsesBarriers reports whether the app synchronizes with barriers (Table 6:
-// tf uses only locks).
-func UsesBarriers(app string) bool { return app != "tf" }
-
-// RunConfig parameterizes one graph-application run.
-type RunConfig struct {
-	App   string
-	Graph *Graph
-	Part  Partition // vertex -> NDP unit placement
-	Iters int       // safety cap on propagation rounds (default 64)
+func Apps() []string {
+	names := make([]string, len(apps))
+	for i, a := range apps {
+		names[i] = a.name
+	}
+	return names
 }
 
-// Layout is the simulated-memory placement of a graph: per-vertex output
+// maxIters caps the propagation rounds of bfs, cc and sssp.
+const maxIters = 64
+
+// layout is the simulated-memory placement of a graph: per-vertex output
 // data and lock lines in the vertex's unit (shared read-write), adjacency
-// lists in the vertex's unit (shared read-only, cacheable).
-type Layout struct {
-	G    *Graph
-	Part Partition
-	data []uint64
-	lock []uint64
-	adj  []uint64
+// lists in the vertex's unit (shared read-only, cacheable), and one barrier
+// across every core (placed for every app; tf never reaches it).
+type layout struct {
+	g       *Graph
+	data    []uint64
+	lock    []uint64
+	adj     []uint64
+	barrier uint64
+	cores   int
 }
 
-// NewLayout places g on machine m according to part.
-func NewLayout(m *arch.Machine, g *Graph, part Partition) *Layout {
-	ly := &Layout{G: g, Part: part,
+// Build places g on m according to part, registers the named application's
+// program on every core and returns the application's functional check.
+func Build(m *arch.Machine, r *program.Runner, name string, g *Graph, part Partition) func() error {
+	i := slices.IndexFunc(apps, func(a app) bool { return a.name == name })
+	if i < 0 {
+		panic(fmt.Sprintf("graphs: unknown app %q", name))
+	}
+	ly := &layout{g: g, cores: m.NumCores(),
 		data: make([]uint64, g.N), lock: make([]uint64, g.N), adj: make([]uint64, g.N)}
 	for v := 0; v < g.N; v++ {
 		u := part[v]
@@ -50,12 +68,17 @@ func NewLayout(m *arch.Machine, g *Graph, part Partition) *Layout {
 		}
 		ly.adj[v] = m.Alloc(u, sz)
 	}
-	return ly
+	ly.barrier = m.Alloc(0, 64)
+	body, check := apps[i].setup(ly)
+	r.AddN(ly.cores, func(int) program.Program {
+		return func(ctx *program.Ctx) { body(ctx, mine(m, part, ctx.ID)) }
+	})
+	return check
 }
 
-// ReadAdj models reading v's adjacency list (8 neighbors per line).
-func (ly *Layout) ReadAdj(ctx *program.Ctx, v int) {
-	lines := (len(ly.G.Adj[v]) + 7) / 8
+// readAdj models reading v's adjacency list (8 neighbors per line).
+func (ly *layout) readAdj(ctx *program.Ctx, v int) {
+	lines := (len(ly.g.Adj[v]) + 7) / 8
 	if lines == 0 {
 		lines = 1
 	}
@@ -64,76 +87,45 @@ func (ly *Layout) ReadAdj(ctx *program.Ctx, v int) {
 	}
 }
 
-// Mine returns the vertices assigned to global core id: each unit's vertices
+// mine returns the vertices assigned to global core id: each unit's vertices
 // are split evenly among that unit's cores (the paper distributes vertex
 // data equally across cores).
-func (ly *Layout) Mine(m *arch.Machine, core int) []int {
+func mine(m *arch.Machine, part Partition, core int) []int {
 	unit := m.UnitOf(core)
 	local := m.LocalOf(core)
 	per := m.Cfg.CoresPerUnit
-	var mine []int
+	var vs []int
 	i := 0
-	for v := 0; v < ly.G.N; v++ {
-		if ly.Part[v] != unit {
+	for v, u := range part {
+		if u != unit {
 			continue
 		}
 		if i%per == local {
-			mine = append(mine, v)
+			vs = append(vs, v)
 		}
 		i++
 	}
-	return mine
-}
-
-// App is a runnable graph application; Check validates its output against a
-// host-side reference.
-type App struct {
-	Build func(m *arch.Machine, r *program.Runner)
-	Check func() error
-}
-
-// NewApp constructs the named application over layout ly.
-func NewApp(m *arch.Machine, ly *Layout, cfg RunConfig) *App {
-	if cfg.Iters == 0 {
-		cfg.Iters = 64
-	}
-	switch cfg.App {
-	case "bfs":
-		return newBFS(m, ly, cfg)
-	case "cc":
-		return newCC(m, ly, cfg)
-	case "sssp":
-		return newSSSP(m, ly, cfg)
-	case "pr":
-		return newPR(m, ly, cfg)
-	case "tf":
-		return newTF(m, ly)
-	case "tc":
-		return newTC(m, ly)
-	default:
-		panic(fmt.Sprintf("graphs: unknown app %q", cfg.App))
-	}
+	return vs
 }
 
 // roundDriver wraps the shared barrier-synchronized round structure: every
 // core runs work(round) over its vertices, all cores barrier, core 0 decides
 // whether another round is needed, all cores barrier again.
 type roundDriver struct {
-	m        *arch.Machine
-	barrier  uint64
+	ly       *layout
 	cont     bool
 	maxIters int
 	prep     func(round int) bool // returns true to continue; run by core 0
 }
 
-func (rd *roundDriver) run(ctx *program.Ctx, n int, work func(round int)) {
+func (rd *roundDriver) run(ctx *program.Ctx, work func(round int)) {
 	for round := 0; ; round++ {
 		work(round)
-		ctx.BarrierAcrossUnits(rd.barrier, n)
+		ctx.BarrierAcrossUnits(rd.ly.barrier, rd.ly.cores)
 		if ctx.ID == 0 {
 			rd.cont = rd.prep(round) && round+1 < rd.maxIters
 		}
-		ctx.BarrierAcrossUnits(rd.barrier, n)
+		ctx.BarrierAcrossUnits(rd.ly.barrier, rd.ly.cores)
 		if !rd.cont {
 			return
 		}
@@ -172,8 +164,8 @@ func hub(g *Graph) int {
 
 // ---- BFS ----
 
-func newBFS(m *arch.Machine, ly *Layout, cfg RunConfig) *App {
-	g := ly.G
+func bfs(ly *layout) (body, func() error) {
+	g := ly.g
 	src := hub(g)
 	dist := make([]int32, g.N)
 	for v := range dist {
@@ -184,7 +176,7 @@ func newBFS(m *arch.Machine, ly *Layout, cfg RunConfig) *App {
 	next := make([]bool, g.N)
 	active[src] = true
 	anyNext := false
-	rd := &roundDriver{m: m, barrier: m.Alloc(0, 64), maxIters: cfg.Iters,
+	rd := &roundDriver{ly: ly, maxIters: maxIters,
 		prep: func(round int) bool {
 			active, next = next, active
 			for v := range next {
@@ -194,41 +186,34 @@ func newBFS(m *arch.Machine, ly *Layout, cfg RunConfig) *App {
 			anyNext = false
 			return cont
 		}}
-	app := &App{}
-	app.Build = func(m *arch.Machine, r *program.Runner) {
-		n := m.NumCores()
-		r.AddN(n, func(i int) program.Program {
-			return func(ctx *program.Ctx) {
-				mine := ly.Mine(m, ctx.ID)
-				rd.run(ctx, n, func(round int) {
-					for _, v := range mine {
-						if !active[v] {
-							continue
-						}
-						ctx.Read(ly.data[v])
-						ly.ReadAdj(ctx, v)
-						ctx.Compute(vertexInstrs)
-						for _, nb := range g.Adj[v] {
-							ctx.Compute(edgeInstrs)
-							ctx.Read(ly.data[nb]) // unlocked check first
-							if dist[nb] >= 0 {
-								continue
-							}
-							ctx.Lock(ly.lock[nb])
-							if dist[nb] < 0 { // recheck under the lock
-								dist[nb] = dist[v] + 1
-								ctx.Write(ly.data[nb])
-								next[nb] = true
-								anyNext = true
-							}
-							ctx.Unlock(ly.lock[nb])
-						}
+	run := func(ctx *program.Ctx, mine []int) {
+		rd.run(ctx, func(round int) {
+			for _, v := range mine {
+				if !active[v] {
+					continue
+				}
+				ctx.Read(ly.data[v])
+				ly.readAdj(ctx, v)
+				ctx.Compute(vertexInstrs)
+				for _, nb := range g.Adj[v] {
+					ctx.Compute(edgeInstrs)
+					ctx.Read(ly.data[nb]) // unlocked check first
+					if dist[nb] >= 0 {
+						continue
 					}
-				})
+					ctx.Lock(ly.lock[nb])
+					if dist[nb] < 0 { // recheck under the lock
+						dist[nb] = dist[v] + 1
+						ctx.Write(ly.data[nb])
+						next[nb] = true
+						anyNext = true
+					}
+					ctx.Unlock(ly.lock[nb])
+				}
 			}
 		})
 	}
-	app.Check = func() error {
+	return run, func() error {
 		ref := bfsRef(g, src)
 		for v := range ref {
 			if ref[v] != dist[v] {
@@ -237,7 +222,6 @@ func newBFS(m *arch.Machine, ly *Layout, cfg RunConfig) *App {
 		}
 		return nil
 	}
-	return app
 }
 
 func bfsRef(g *Graph, src int) []int32 {
@@ -262,49 +246,42 @@ func bfsRef(g *Graph, src int) []int32 {
 
 // ---- Connected Components (label propagation) ----
 
-func newCC(m *arch.Machine, ly *Layout, cfg RunConfig) *App {
-	g := ly.G
+func cc(ly *layout) (body, func() error) {
+	g := ly.g
 	label := make([]int32, g.N)
 	for v := range label {
 		label[v] = int32(v)
 	}
 	changed := false
-	rd := &roundDriver{m: m, barrier: m.Alloc(0, 64), maxIters: cfg.Iters,
+	rd := &roundDriver{ly: ly, maxIters: maxIters,
 		prep: func(round int) bool {
 			c := changed
 			changed = false
 			return c
 		}}
-	app := &App{}
-	app.Build = func(m *arch.Machine, r *program.Runner) {
-		n := m.NumCores()
-		r.AddN(n, func(i int) program.Program {
-			return func(ctx *program.Ctx) {
-				mine := ly.Mine(m, ctx.ID)
-				rd.run(ctx, n, func(round int) {
-					for _, v := range mine {
-						ctx.Read(ly.data[v])
-						ly.ReadAdj(ctx, v)
-						ctx.Compute(vertexInstrs)
-						for _, nb := range g.Adj[v] {
-							ctx.Compute(edgeInstrs)
-							ctx.Read(ly.data[nb]) // unlocked check first
-							if label[v] < label[nb] {
-								ctx.Lock(ly.lock[nb])
-								if label[v] < label[nb] {
-									label[nb] = label[v]
-									ctx.Write(ly.data[nb])
-									changed = true
-								}
-								ctx.Unlock(ly.lock[nb])
-							}
+	run := func(ctx *program.Ctx, mine []int) {
+		rd.run(ctx, func(round int) {
+			for _, v := range mine {
+				ctx.Read(ly.data[v])
+				ly.readAdj(ctx, v)
+				ctx.Compute(vertexInstrs)
+				for _, nb := range g.Adj[v] {
+					ctx.Compute(edgeInstrs)
+					ctx.Read(ly.data[nb]) // unlocked check first
+					if label[v] < label[nb] {
+						ctx.Lock(ly.lock[nb])
+						if label[v] < label[nb] {
+							label[nb] = label[v]
+							ctx.Write(ly.data[nb])
+							changed = true
 						}
+						ctx.Unlock(ly.lock[nb])
 					}
-				})
+				}
 			}
 		})
 	}
-	app.Check = func() error {
+	return run, func() error {
 		for v := 0; v < g.N; v++ {
 			for _, nb := range g.Adj[v] {
 				if label[v] != label[nb] {
@@ -315,13 +292,12 @@ func newCC(m *arch.Machine, ly *Layout, cfg RunConfig) *App {
 		}
 		return nil
 	}
-	return app
 }
 
 // ---- SSSP (Bellman-Ford rounds) ----
 
-func newSSSP(m *arch.Machine, ly *Layout, cfg RunConfig) *App {
-	g := ly.G
+func sssp(ly *layout) (body, func() error) {
+	g := ly.g
 	src := hub(g)
 	const inf = int32(1 << 30)
 	dist := make([]int32, g.N)
@@ -330,46 +306,39 @@ func newSSSP(m *arch.Machine, ly *Layout, cfg RunConfig) *App {
 	}
 	dist[src] = 0
 	changed := false
-	rd := &roundDriver{m: m, barrier: m.Alloc(0, 64), maxIters: cfg.Iters,
+	rd := &roundDriver{ly: ly, maxIters: maxIters,
 		prep: func(round int) bool {
 			c := changed
 			changed = false
 			return c
 		}}
-	app := &App{}
-	app.Build = func(m *arch.Machine, r *program.Runner) {
-		n := m.NumCores()
-		r.AddN(n, func(i int) program.Program {
-			return func(ctx *program.Ctx) {
-				mine := ly.Mine(m, ctx.ID)
-				rd.run(ctx, n, func(round int) {
-					for _, v := range mine {
-						if dist[v] >= inf {
-							continue
+	run := func(ctx *program.Ctx, mine []int) {
+		rd.run(ctx, func(round int) {
+			for _, v := range mine {
+				if dist[v] >= inf {
+					continue
+				}
+				ctx.Read(ly.data[v])
+				ly.readAdj(ctx, v)
+				ctx.Compute(vertexInstrs)
+				for _, nb := range g.Adj[v] {
+					ctx.Compute(edgeInstrs)
+					nd := dist[v] + edgeWeight(int32(v), nb)
+					ctx.Read(ly.data[nb]) // unlocked check first
+					if nd < dist[nb] {
+						ctx.Lock(ly.lock[nb])
+						if nd < dist[nb] {
+							dist[nb] = nd
+							ctx.Write(ly.data[nb])
+							changed = true
 						}
-						ctx.Read(ly.data[v])
-						ly.ReadAdj(ctx, v)
-						ctx.Compute(vertexInstrs)
-						for _, nb := range g.Adj[v] {
-							ctx.Compute(edgeInstrs)
-							nd := dist[v] + edgeWeight(int32(v), nb)
-							ctx.Read(ly.data[nb]) // unlocked check first
-							if nd < dist[nb] {
-								ctx.Lock(ly.lock[nb])
-								if nd < dist[nb] {
-									dist[nb] = nd
-									ctx.Write(ly.data[nb])
-									changed = true
-								}
-								ctx.Unlock(ly.lock[nb])
-							}
-						}
+						ctx.Unlock(ly.lock[nb])
 					}
-				})
+				}
 			}
 		})
 	}
-	app.Check = func() error {
+	return run, func() error {
 		// Triangle inequality at fixpoint: no edge can relax further.
 		for v := 0; v < g.N; v++ {
 			if dist[v] >= inf {
@@ -386,55 +355,47 @@ func newSSSP(m *arch.Machine, ly *Layout, cfg RunConfig) *App {
 		}
 		return nil
 	}
-	return app
 }
 
 // ---- PageRank (push) ----
 
-func newPR(m *arch.Machine, ly *Layout, cfg RunConfig) *App {
-	g := ly.G
+func pr(ly *layout) (body, func() error) {
+	g := ly.g
 	iters := 3
 	rank := make([]float64, g.N)
 	next := make([]float64, g.N)
 	for v := range rank {
 		rank[v] = 1.0 / float64(g.N)
 	}
-	rd := &roundDriver{m: m, barrier: m.Alloc(0, 64), maxIters: iters + 1,
+	rd := &roundDriver{ly: ly, maxIters: iters + 1,
 		prep: func(round int) bool {
 			rank, next = next, rank
 			return round+1 < iters
 		}}
-	app := &App{}
-	app.Build = func(m *arch.Machine, r *program.Runner) {
-		n := m.NumCores()
-		r.AddN(n, func(i int) program.Program {
-			return func(ctx *program.Ctx) {
-				mine := ly.Mine(m, ctx.ID)
-				rd.run(ctx, n, func(round int) {
-					// CRONO-style iteration: gather neighbor ranks (reads on
-					// the shared read-write output array), then update the
-					// own vertex's entry under its fine-grained lock.
-					for _, v := range mine {
-						ly.ReadAdj(ctx, v)
-						ctx.Compute(vertexInstrs)
-						sum := 0.0
-						for _, nb := range g.Adj[v] {
-							ctx.Compute(edgeInstrs)
-							ctx.Read(ly.data[nb])
-							if d := g.Degree(int(nb)); d > 0 {
-								sum += rank[nb] / float64(d)
-							}
-						}
-						ctx.Lock(ly.lock[v])
-						next[v] = 0.15/float64(g.N) + 0.85*sum
-						ctx.Write(ly.data[v])
-						ctx.Unlock(ly.lock[v])
+	run := func(ctx *program.Ctx, mine []int) {
+		rd.run(ctx, func(round int) {
+			// CRONO-style iteration: gather neighbor ranks (reads on the
+			// shared read-write output array), then update the own vertex's
+			// entry under its fine-grained lock.
+			for _, v := range mine {
+				ly.readAdj(ctx, v)
+				ctx.Compute(vertexInstrs)
+				sum := 0.0
+				for _, nb := range g.Adj[v] {
+					ctx.Compute(edgeInstrs)
+					ctx.Read(ly.data[nb])
+					if d := g.Degree(int(nb)); d > 0 {
+						sum += rank[nb] / float64(d)
 					}
-				})
+				}
+				ctx.Lock(ly.lock[v])
+				next[v] = 0.15/float64(g.N) + 0.85*sum
+				ctx.Write(ly.data[v])
+				ctx.Unlock(ly.lock[v])
 			}
 		})
 	}
-	app.Check = func() error {
+	return run, func() error {
 		var sum float64
 		for _, r := range rank {
 			if r < 0 {
@@ -447,46 +408,38 @@ func newPR(m *arch.Machine, ly *Layout, cfg RunConfig) *App {
 		}
 		return nil
 	}
-	return app
 }
 
 // ---- Teenage Followers (locks only, no barriers) ----
 
-func newTF(m *arch.Machine, ly *Layout) *App {
-	g := ly.G
+func tf(ly *layout) (body, func() error) {
+	g := ly.g
 	age := func(v int) int { return int(uint64(v)*0x9e3779b9>>7) % 40 }
 	count := make([]int32, g.N)
-	app := &App{}
-	app.Build = func(m *arch.Machine, r *program.Runner) {
-		n := m.NumCores()
-		r.AddN(n, func(i int) program.Program {
-			return func(ctx *program.Ctx) {
-				mine := ly.Mine(m, ctx.ID)
-				// Count each vertex's teenage followers by scanning its
-				// neighborhood, then update the shared counter under the
-				// vertex's lock (lock-only app: no barriers, Table 6).
-				for _, v := range mine {
-					ly.ReadAdj(ctx, v)
-					ctx.Compute(vertexInstrs)
-					teen := int32(0)
-					for _, nb := range g.Adj[v] {
-						ctx.Compute(edgeInstrs)
-						ctx.Read(ly.data[nb])
-						if age(int(nb)) < 20 {
-							teen++
-						}
-					}
-					if teen > 0 {
-						ctx.Lock(ly.lock[v])
-						count[v] += teen
-						ctx.Write(ly.data[v])
-						ctx.Unlock(ly.lock[v])
-					}
+	// Count each vertex's teenage followers by scanning its neighborhood,
+	// then update the shared counter under the vertex's lock (lock-only app:
+	// no barriers, Table 6).
+	run := func(ctx *program.Ctx, mine []int) {
+		for _, v := range mine {
+			ly.readAdj(ctx, v)
+			ctx.Compute(vertexInstrs)
+			teen := int32(0)
+			for _, nb := range g.Adj[v] {
+				ctx.Compute(edgeInstrs)
+				ctx.Read(ly.data[nb])
+				if age(int(nb)) < 20 {
+					teen++
 				}
 			}
-		})
+			if teen > 0 {
+				ctx.Lock(ly.lock[v])
+				count[v] += teen
+				ctx.Write(ly.data[v])
+				ctx.Unlock(ly.lock[v])
+			}
+		}
 	}
-	app.Check = func() error {
+	return run, func() error {
 		for v := 0; v < g.N; v++ {
 			want := int32(0)
 			for _, nb := range g.Adj[v] {
@@ -500,48 +453,39 @@ func newTF(m *arch.Machine, ly *Layout) *App {
 		}
 		return nil
 	}
-	return app
 }
 
 // ---- Triangle Counting ----
 
-func newTC(m *arch.Machine, ly *Layout) *App {
-	g := ly.G
+func tc(ly *layout) (body, func() error) {
+	g := ly.g
 	count := make([]int64, g.N)
-	bar := m.Alloc(0, 64)
-	app := &App{}
-	app.Build = func(m *arch.Machine, r *program.Runner) {
-		n := m.NumCores()
-		r.AddN(n, func(i int) program.Program {
-			return func(ctx *program.Ctx) {
-				mine := ly.Mine(m, ctx.ID)
-				for _, v := range mine {
-					ly.ReadAdj(ctx, v)
-					ctx.Compute(vertexInstrs)
-					tri := int64(0)
-					for _, nb := range g.Adj[v] {
-						if int(nb) <= v {
-							continue
-						}
-						// Intersect adjacency lists; reads charged on the
-						// neighbor's (possibly remote) list.
-						ly.ReadAdj(ctx, int(nb))
-						ctx.Compute(int64(min(len(g.Adj[v]), len(g.Adj[nb]))) * 2)
-						tri += intersect(g.Adj[v], g.Adj[nb])
-					}
-					if tri > 0 {
-						ctx.Lock(ly.lock[v])
-						ctx.Read(ly.data[v])
-						count[v] += tri
-						ctx.Write(ly.data[v])
-						ctx.Unlock(ly.lock[v])
-					}
+	run := func(ctx *program.Ctx, mine []int) {
+		for _, v := range mine {
+			ly.readAdj(ctx, v)
+			ctx.Compute(vertexInstrs)
+			tri := int64(0)
+			for _, nb := range g.Adj[v] {
+				if int(nb) <= v {
+					continue
 				}
-				ctx.BarrierAcrossUnits(bar, n)
+				// Intersect adjacency lists; reads charged on the neighbor's
+				// (possibly remote) list.
+				ly.readAdj(ctx, int(nb))
+				ctx.Compute(int64(min(len(g.Adj[v]), len(g.Adj[nb]))) * 2)
+				tri += intersect(g.Adj[v], g.Adj[nb])
 			}
-		})
+			if tri > 0 {
+				ctx.Lock(ly.lock[v])
+				ctx.Read(ly.data[v])
+				count[v] += tri
+				ctx.Write(ly.data[v])
+				ctx.Unlock(ly.lock[v])
+			}
+		}
+		ctx.BarrierAcrossUnits(ly.barrier, ly.cores)
 	}
-	app.Check = func() error {
+	return run, func() error {
 		for v, c := range count {
 			if c < 0 {
 				return fmt.Errorf("tc: negative count at %d", v)
@@ -549,7 +493,6 @@ func newTC(m *arch.Machine, ly *Layout) *App {
 		}
 		return nil
 	}
-	return app
 }
 
 // intersect counts common neighbors (both lists unsorted; use a map).

@@ -3,8 +3,10 @@
 // fine-grained per-vertex locks on the read-write output array and
 // across-unit barriers between iterations, running on synthetic power-law
 // graphs that stand in for the paper's real inputs (wikipedia-20051105,
-// soc-LiveJournal1, sx-stackoverflow, com-Orkut — see DESIGN.md §3 for the
-// substitution rationale).
+// soc-LiveJournal1, sx-stackoverflow, com-Orkut). The real datasets are not
+// shipped; what the synchronization traffic depends on is each input's degree
+// skew and the share of edges that cross NDP units, and the generator
+// reproduces both deterministically at any scale.
 package graphs
 
 import (
@@ -140,13 +142,14 @@ func GreedyPartition(g *Graph, units int) Partition {
 		counts[u]++
 	}
 	limit := (g.N+units-1)/units + g.N/(units*10) + 1
+	nb := make([]int, units) // neighbors of v per part
 	for pass := 0; pass < 4; pass++ {
 		moved := false
 		for v := 0; v < g.N; v++ {
 			if len(g.Adj[v]) == 0 {
 				continue
 			}
-			var nb [16]int
+			clear(nb)
 			for _, w := range g.Adj[v] {
 				nb[p[w]]++
 			}

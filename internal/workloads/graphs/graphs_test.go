@@ -57,6 +57,28 @@ func TestGreedyPartitionReducesCrossings(t *testing.T) {
 	}
 }
 
+// Beyond 16 units every part must stay a valid unit index and within the
+// balance limit (the neighbor tally once had a fixed 16-part capacity).
+func TestGreedyPartitionManyUnits(t *testing.T) {
+	g := graphs.Load("wk", 0.1)
+	for _, units := range []int{17, 32} {
+		p := graphs.GreedyPartition(g, units)
+		limit := (g.N+units-1)/units + g.N/(units*10) + 1
+		counts := make([]int, units)
+		for v, u := range p {
+			if u < 0 || u >= units {
+				t.Fatalf("%d units: vertex %d in part %d", units, v, u)
+			}
+			counts[u]++
+		}
+		for u, c := range counts {
+			if c > limit {
+				t.Errorf("%d units: part %d holds %d vertices, limit %d", units, u, c, limit)
+			}
+		}
+	}
+}
+
 func runApp(t *testing.T, app string, mk func() arch.Backend) {
 	t.Helper()
 	cfg := arch.Default()
@@ -65,13 +87,10 @@ func runApp(t *testing.T, app string, mk func() arch.Backend) {
 	m := arch.NewMachine(cfg)
 	m.Backend = mk()
 	g := graphs.Load("wk", 0.05)
-	part := graphs.HashPartition(g, cfg.Units)
-	ly := graphs.NewLayout(m, g, part)
-	a := graphs.NewApp(m, ly, graphs.RunConfig{App: app, Graph: g, Part: part})
 	r := program.NewRunner(m)
-	a.Build(m, r)
+	check := graphs.Build(m, r, app, g, graphs.HashPartition(g, cfg.Units))
 	r.Run()
-	if err := a.Check(); err != nil {
+	if err := check(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -89,17 +108,6 @@ func TestAppsAllSchemes(t *testing.T) {
 			t.Run(app+"/"+bname, func(t *testing.T) {
 				runApp(t, app, mk)
 			})
-		}
-	}
-}
-
-func TestBarrierUsageTable(t *testing.T) {
-	if graphs.UsesBarriers("tf") {
-		t.Error("tf should not use barriers (Table 6)")
-	}
-	for _, app := range []string{"bfs", "cc", "sssp", "pr", "tc"} {
-		if !graphs.UsesBarriers(app) {
-			t.Errorf("%s should use barriers", app)
 		}
 	}
 }

@@ -4,9 +4,10 @@
 // unit (shared read-only, cacheable); the output profile is a read-write
 // array partitioned across units, protected by fine-grained locks; cores
 // process anti-diagonals of the distance matrix and synchronize with
-// barriers. The real datasets are replaced by deterministic synthetic
-// random-walk series (see DESIGN.md §3): SCRIMP's synchronization pattern is
-// independent of the data values.
+// barriers. The real datasets are not shipped; deterministic synthetic
+// random-walk series of the same window lengths replace them, because
+// SCRIMP's synchronization pattern depends on the series length and window,
+// not on the data values.
 package tseries
 
 import (
@@ -69,8 +70,8 @@ func (s *Series) dist(i, j int) float64 {
 	return d
 }
 
-// Workload is a runnable matrix-profile computation.
-type Workload struct {
+// workload is one placed matrix-profile computation.
+type workload struct {
 	s       *Series
 	profile []float64
 
@@ -81,9 +82,13 @@ type Workload struct {
 	exclZone int
 }
 
-// New places the workload on machine m.
-func New(m *arch.Machine, s *Series) *Workload {
-	w := &Workload{s: s, exclZone: s.Window / 4}
+// Build places the matrix-profile computation of s on machine m and registers
+// the SCRIMP programs on r: diagonals are distributed round-robin across
+// cores; each diagonal element costs an incremental dot-product update (O(1)
+// compute) plus two profile updates (row and column). It returns the check of
+// the computed profile against a host-side reference.
+func Build(m *arch.Machine, r *program.Runner, s *Series) func() error {
+	w := &workload{s: s, exclZone: s.Window / 4}
 	np := s.Profiles()
 	w.profile = make([]float64, np)
 	for i := range w.profile {
@@ -102,33 +107,8 @@ func New(m *arch.Machine, s *Series) *Workload {
 		w.outLock = append(w.outLock, m.Alloc(u, 64))
 	}
 	w.barrier = m.Alloc(0, 64)
-	return w
-}
 
-// update folds distance d into profile[i]: an unlocked read checks whether d
-// improves the current minimum; only improvements take the line lock (the
-// standard SCRIMP update pattern — still lock-heavy early on, when the
-// profile is all +Inf and most comparisons improve it).
-func (w *Workload) update(ctx *program.Ctx, i int, d float64) {
-	line := i / 8
-	ctx.Read(w.outData[line])
-	if d >= w.profile[i] {
-		return
-	}
-	ctx.Lock(w.outLock[line])
-	if d < w.profile[i] { // recheck under the lock
-		w.profile[i] = d
-		ctx.Write(w.outData[line])
-	}
-	ctx.Unlock(w.outLock[line])
-}
-
-// Build registers the SCRIMP programs: diagonals are distributed round-robin
-// across cores; each diagonal element costs an incremental dot-product
-// update (O(1) compute) plus two profile updates (row and column).
-func (w *Workload) Build(m *arch.Machine, r *program.Runner) {
 	n := m.NumCores()
-	np := w.s.Profiles()
 	r.AddN(n, func(core int) program.Program {
 		return func(ctx *program.Ctx) {
 			unit := m.UnitOf(ctx.ID)
@@ -149,10 +129,29 @@ func (w *Workload) Build(m *arch.Machine, r *program.Runner) {
 			ctx.BarrierAcrossUnits(w.barrier, n)
 		}
 	})
+	return w.check
 }
 
-// Check validates the computed profile against a host-side reference.
-func (w *Workload) Check() error {
+// update folds distance d into profile[i]: an unlocked read checks whether d
+// improves the current minimum; only improvements take the line lock (the
+// standard SCRIMP update pattern — still lock-heavy early on, when the
+// profile is all +Inf and most comparisons improve it).
+func (w *workload) update(ctx *program.Ctx, i int, d float64) {
+	line := i / 8
+	ctx.Read(w.outData[line])
+	if d >= w.profile[i] {
+		return
+	}
+	ctx.Lock(w.outLock[line])
+	if d < w.profile[i] { // recheck under the lock
+		w.profile[i] = d
+		ctx.Write(w.outData[line])
+	}
+	ctx.Unlock(w.outLock[line])
+}
+
+// check validates the computed profile against a host-side reference.
+func (w *workload) check() error {
 	np := w.s.Profiles()
 	for i := 0; i < np; i++ {
 		want := math.Inf(1)

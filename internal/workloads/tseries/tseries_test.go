@@ -26,11 +26,10 @@ func TestMatrixProfileAllSchemes(t *testing.T) {
 				m := arch.NewMachine(cfg)
 				m.Backend = mk()
 				s := tseries.Load(input, 0.15)
-				w := tseries.New(m, s)
 				r := program.NewRunner(m)
-				w.Build(m, r)
+				check := tseries.Build(m, r, s)
 				r.Run()
-				if err := w.Check(); err != nil {
+				if err := check(); err != nil {
 					t.Fatal(err)
 				}
 			})

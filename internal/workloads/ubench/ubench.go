@@ -43,9 +43,6 @@ func Run(m *arch.Machine, cfg Config) sim.Time {
 // Build registers the benchmark's programs on runner r.
 func Build(m *arch.Machine, r *program.Runner, cfg Config) {
 	n := m.NumCores()
-	if cfg.Rounds == 0 {
-		cfg.Rounds = 50
-	}
 	v := m.Alloc(0, 64)
 	switch cfg.Primitive {
 	case Lock:

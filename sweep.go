@@ -78,9 +78,9 @@ type RunResult struct {
 	Cached bool `json:"-"`
 
 	// GridIndex is the run's position in the spec list its sweep ran, so
-	// OnResult observers and serve job streams (which see completion order)
-	// can re-anchor a result. It is bookkeeping of one sweep, not part of the
-	// result: the cache strips it, and Execute (which sees no grid) leaves it 0.
+	// serve job streams (which see completion order) can re-anchor a result.
+	// It is bookkeeping of one sweep, not part of the result: the cache
+	// strips it, and Execute (which sees no grid) leaves it 0.
 	GridIndex int `json:"grid_index"`
 
 	// Err is non-empty when the run failed (unknown workload, failed
@@ -169,7 +169,7 @@ type Sweep struct {
 	// Params applies to every run.
 	Params WorkloadParams
 	// SpecRunner is the execution policy Run uses: workers, seed
-	// derivation, caching, fail-fast and the OnResult hook.
+	// derivation, caching and fail-fast.
 	SpecRunner
 }
 
@@ -271,13 +271,6 @@ type SpecRunner struct {
 	// FailFast cancels unstarted runs once any run fails; they report an Err
 	// naming that failure. Which runs it cancels depends on worker timing.
 	FailFast bool
-	// OnResult, when non-nil, is invoked once per completed run — simulated,
-	// cache-served, failed, or canceled — as results become available.
-	// Invocations are serialized (never concurrent) but arrive in completion
-	// order, not spec order; use RunResult.GridIndex to re-anchor. It is the
-	// progress hook of long-running callers (the serve daemon streams run
-	// completions from it).
-	OnResult func(RunResult)
 }
 
 // Run resolves seeds over the spec list and executes it on the worker pool.
@@ -296,7 +289,7 @@ func (r SpecRunner) Run(specs []RunSpec) []RunResult {
 // still returned and cached. Canceled runs are reported, never dropped: the
 // returned slice always has one result per spec, in spec order, and a
 // canceled run carries a non-empty Err naming the context error, so callers
-// (and OnResult observers) can tell "not run" apart from "lost".
+// can tell "not run" apart from "lost".
 func (r SpecRunner) RunContext(ctx context.Context, specs []RunSpec) []RunResult {
 	resolved := ResolveSeeds(specs, r.BaseSeed)
 
@@ -311,7 +304,6 @@ func (r SpecRunner) RunContext(ctx context.Context, specs []RunSpec) []RunResult
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var failed atomic.Pointer[RunResult]
-	var cbMu sync.Mutex // serializes OnResult across workers
 	pos := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -320,11 +312,6 @@ func (r SpecRunner) RunContext(ctx context.Context, specs []RunSpec) []RunResult
 			defer wg.Done()
 			for i := range pos {
 				results[i] = r.runOne(runCtx, resolved[i], i, &failed, cancel)
-				if r.OnResult != nil {
-					cbMu.Lock()
-					r.OnResult(results[i])
-					cbMu.Unlock()
-				}
 			}
 		}()
 	}

@@ -168,9 +168,41 @@ func TestWorkloadRegistryCoverage(t *testing.T) {
 			t.Fatalf("workload %q not registered (have %v)", n, names)
 		}
 	}
-	w, ok := syncron.LookupWorkload("pr.wk")
-	if !ok || w.Kind() != syncron.KindGraph {
-		t.Fatalf("pr.wk lookup: ok=%v kind=%v", ok, w.Kind())
+	for kind, want := range map[syncron.WorkloadKind]int{
+		syncron.KindPrimitive:     4,
+		syncron.KindDataStructure: 9,
+		syncron.KindGraph:         24,
+		syncron.KindTimeSeries:    2,
+	} {
+		if got := syncron.WorkloadNamesOfKind(kind); len(got) != want {
+			t.Errorf("kind %q has %d workloads, want %d: %v", kind, len(got), want, got)
+		}
+	}
+	for _, want := range []syncron.WorkloadInfo{
+		{Name: "lock", Kind: syncron.KindPrimitive, Family: "lock"},
+		{Name: "stack", Kind: syncron.KindDataStructure, Family: "stack"},
+		{Name: "pr.wk", Kind: syncron.KindGraph, Family: "pr"},
+		{Name: "ts.air", Kind: syncron.KindTimeSeries, Family: "ts"},
+	} {
+		if got, ok := syncron.LookupInfo(want.Name); !ok || got != want {
+			t.Errorf("LookupInfo(%q) = %+v, %v; want %+v", want.Name, got, ok, want)
+		}
+		// One workload per family must place a program on every core of a
+		// 2x2 machine and pass its functional check.
+		w, _ := syncron.LookupWorkload(want.Name)
+		sys := syncron.New(syncron.Config{Units: 2, CoresPerUnit: 2})
+		prep, err := w.Prepare(sys, syncron.WorkloadParams{Scale: 0.05, OpsPerCore: 6, Rounds: 8})
+		if err != nil {
+			t.Fatalf("%s: Prepare: %v", want.Name, err)
+		}
+		if rep := sys.Run(); len(rep.PerCore) != sys.NumCores() {
+			t.Errorf("%s ran programs on %d of %d cores", want.Name, len(rep.PerCore), sys.NumCores())
+		}
+		if prep.Check != nil {
+			if err := prep.Check(); err != nil {
+				t.Errorf("%s: %v", want.Name, err)
+			}
+		}
 	}
 	if _, ok := syncron.LookupWorkload("bogus"); ok {
 		t.Fatal("bogus workload resolved")
@@ -313,28 +345,25 @@ func TestExecuteRejectsNegativeParameters(t *testing.T) {
 	}
 }
 
+// cancelingCache misses every lookup, and each lookup cancels the context.
+type cancelingCache struct{ cancel context.CancelFunc }
+
+func (c cancelingCache) Get(string) ([]byte, bool) { c.cancel(); return nil, false }
+func (cancelingCache) Put(string, []byte) error    { return nil }
+
 // A canceled RunContext must report every not-yet-started run as a canceled
 // result — same length, same order, Err set — never silently drop it. The
-// cancel fires from OnResult after the first completion, so later runs are
-// guaranteed to observe the dead context.
+// cancel fires from the first run's cache lookup, after that run passed its
+// context check, so it completes and every later run observes the dead
+// context.
 func TestRunContextCancelReportsRemainingRuns(t *testing.T) {
 	specs := syncron.ResolveSeeds(tinySweep(1).Expand(), 7)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var completions int
-	r := syncron.SpecRunner{
-		Workers: 1,
-		OnResult: func(syncron.RunResult) {
-			completions++
-			cancel() // after the first run finishes, doom the rest
-		},
-	}
+	r := syncron.SpecRunner{Workers: 1, Cache: cancelingCache{cancel}}
 	results := r.RunContext(ctx, specs)
 	if len(results) != len(specs) {
 		t.Fatalf("canceled run returned %d results for %d specs", len(results), len(specs))
-	}
-	if completions != len(specs) {
-		t.Fatalf("OnResult fired %d times, want once per spec (%d)", completions, len(specs))
 	}
 	var canceled int
 	for i, res := range results {
@@ -382,31 +411,5 @@ func TestCachedFlagSetButNeverSerialized(t *testing.T) {
 	}
 	if !bytes.Equal(coldJSON.Bytes(), warmJSON.Bytes()) {
 		t.Fatal("warm results serialize differently from cold results")
-	}
-}
-
-// OnResult observes cache hits too, and its invocations are serialized even
-// with a parallel worker pool (the callback mutates shared state freely).
-func TestOnResultObservesCacheHits(t *testing.T) {
-	cache, err := syncron.DirCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := syncron.ResolveSeeds(tinySweep(1).Expand(), 7)
-	syncron.SpecRunner{Workers: 4, Cache: cache}.Run(specs)
-	var hits, total int
-	r := syncron.SpecRunner{
-		Workers: 4,
-		Cache:   cache,
-		OnResult: func(res syncron.RunResult) {
-			total++ // shared state: safe only because invocations serialize
-			if res.Cached {
-				hits++
-			}
-		},
-	}
-	r.Run(specs)
-	if total != len(specs) || hits != len(specs) {
-		t.Fatalf("warm OnResult saw %d results, %d cached; want %d of each", total, hits, len(specs))
 	}
 }

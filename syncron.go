@@ -468,7 +468,3 @@ func (s *System) Run() Report {
 // Machine exposes the underlying machine for advanced use (experiments,
 // custom workloads in internal packages).
 func (s *System) Machine() *arch.Machine { return s.m }
-
-// Runner exposes the underlying program runner, for adding programs to
-// cores.
-func (s *System) Runner() *program.Runner { return s.r }
