@@ -198,7 +198,7 @@ func (n *Network) busySlot(unit, port int) *sim.Time {
 // time t inside unit, destined for local endpoint dstPort (an arbitrary id
 // used for queueing separation: core index, -1 for SE, -2 for memory).
 func (n *Network) IntraDelay(t sim.Time, unit, dstPort, bytes int) sim.Time {
-	cfg := n.cfg
+	cfg := &n.cfg
 	flits := int64((bytes + cfg.FlitBytes - 1) / cfg.FlitBytes)
 	if flits < 1 {
 		flits = 1
@@ -235,7 +235,7 @@ func linkSerialization(bytes int, bytesPerSec int64) sim.Time {
 // linkDelay computes the arrival time at l.Dst of a message of size bytes
 // entering link l at time t, and accounts the link's traffic.
 func (n *Network) linkDelay(t sim.Time, l Link, bytes int) sim.Time {
-	cfg := n.cfg
+	cfg := &n.cfg
 	ser := linkSerialization(bytes, cfg.LinkBytesPerSec)
 	slot := &n.linkBusy[l.Src*n.nodes+l.Dst]
 	start := t

@@ -4,7 +4,8 @@ import "testing"
 
 // The engine benchmarks cover the three hot shapes model code produces:
 // schedule-then-pop through the heap, zero-delay self-scheduling through the
-// same-timestamp FIFO, and a deep resident queue. All must report
+// same-timestamp FIFO, a deep resident queue, and the shallow near-future
+// queue of the figure grids. All must report
 // 0 allocs/op in steady state (TestEngineSteadyStateAllocFree pins that as a
 // hard test); the CI perf gate compares their ns/op against the PR base.
 
@@ -55,6 +56,37 @@ func BenchmarkEngineHeapChurn(b *testing.B) {
 		}
 	}
 	for i := 0; i < depth && i < b.N; i++ {
+		e.Schedule(Time(i+1), self)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkEngineNearFuture has the heap shape of the figures-quick grid:
+// 60 resident events, one per simulated core, each rescheduling itself a
+// short seeded delay ahead. One delay in eight is under 128 ps, so about 11%
+// of pushes become the new heap minimum, the share measured on that grid.
+func BenchmarkEngineNearFuture(b *testing.B) {
+	const resident = 60
+	rng := NewRNG(1)
+	var delays [1024]Time
+	for i := range delays {
+		if rng.Intn(8) == 0 {
+			delays[i] = Time(1 + rng.Intn(1<<7))
+		} else {
+			delays[i] = Time(1 + rng.Intn(1<<16))
+		}
+	}
+	e := NewEngine()
+	count := 0
+	var self func(Time)
+	self = func(at Time) {
+		if count++; count < b.N {
+			e.Schedule(at+delays[count%len(delays)], self)
+		}
+	}
+	for i := 0; i < resident && i < b.N; i++ {
 		e.Schedule(Time(i+1), self)
 	}
 	b.ReportAllocs()

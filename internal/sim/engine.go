@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // event is one scheduled callback. The queues store events by value — the
 // ordering keys (at, seq) sit next to the callback, so heapify never chases a
@@ -13,11 +16,16 @@ type event struct {
 
 // before orders events by (at, seq): timestamp first, schedule order within
 // one timestamp.
-func (a event) before(b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+func (a event) before(b event) bool { return a.borrow(b) != 0 }
+
+// borrow is 1 if a runs before b and 0 otherwise: the borrow out of the
+// 128-bit subtraction (at, seq) - (b.at, b.seq). Time is never negative, so
+// comparing at as unsigned is exact, and the result needs no data-dependent
+// branch.
+func (a event) borrow(b event) uint64 {
+	_, lo := bits.Sub64(a.seq, b.seq, 0)
+	_, hi := bits.Sub64(uint64(a.at), uint64(b.at), lo)
+	return hi
 }
 
 // Engine is a deterministic discrete-event simulator. It is not safe for
@@ -60,7 +68,10 @@ func (e *Engine) Now() Time { return e.now }
 // are appended to a same-timestamp FIFO, which preserves the global (at, seq)
 // order because every event already in the heap at this timestamp was
 // scheduled earlier (smaller seq) and later heap arrivals are strictly in the
-// future.
+// future. A future event enters the heap by sifting the hole up from the
+// tail to its place; the sift stays inline here because, as a function of
+// its own, it exceeds the compiler's inlining budget and costs every
+// schedule a call.
 func (e *Engine) Schedule(at Time, fn func(Time)) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
@@ -69,13 +80,8 @@ func (e *Engine) Schedule(at Time, fn func(Time)) {
 	ev := event{at: at, seq: e.seq, fn: fn}
 	if at == e.now {
 		e.nowQ = append(e.nowQ, ev)
-	} else {
-		e.push(ev)
+		return
 	}
-}
-
-// push adds ev to the heap, sifting the hole up to its place.
-func (e *Engine) push(ev event) {
 	h := append(e.heap, ev)
 	i := len(h) - 1
 	for i > 0 {
@@ -91,7 +97,9 @@ func (e *Engine) push(ev event) {
 }
 
 // pop removes and returns the heap's minimum. The vacated tail entry is
-// zeroed so its callback can be collected.
+// zeroed so its callback can be collected. The sift adds the borrow to the
+// left child's index to reach the smaller child, so choosing it takes no
+// data-dependent branch.
 func (e *Engine) pop() event {
 	h := e.heap
 	top := h[0]
@@ -106,8 +114,8 @@ func (e *Engine) pop() event {
 			if c >= n {
 				break
 			}
-			if r := c + 1; r < n && h[r].before(h[c]) {
-				c = r
+			if c+1 < n {
+				c += int(h[c+1].borrow(h[c]))
 			}
 			if !h[c].before(last) {
 				break

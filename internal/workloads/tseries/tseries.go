@@ -62,9 +62,11 @@ func (s *Series) Profiles() int { return len(s.Values) - s.Window + 1 }
 // subsequences starting at i and j; SCRIMP-style incremental update is
 // modelled by the per-step compute cost in the simulated kernel.
 func (s *Series) dist(i, j int) float64 {
+	a := s.Values[i : i+s.Window]
+	b := s.Values[j : j+len(a)]
 	var d float64
-	for k := 0; k < s.Window; k++ {
-		x := s.Values[i+k] - s.Values[j+k]
+	for k, v := range a {
+		x := v - b[k]
 		d += x * x
 	}
 	return d
@@ -88,6 +90,11 @@ type workload struct {
 // compute) plus two profile updates (row and column). It returns the check of
 // the computed profile against a host-side reference.
 func Build(m *arch.Machine, r *program.Runner, s *Series) func() error {
+	return place(m, r, s).check
+}
+
+// place is Build's body; it returns the placed workload.
+func place(m *arch.Machine, r *program.Runner, s *Series) *workload {
 	w := &workload{s: s, exclZone: s.Window / 4}
 	np := s.Profiles()
 	w.profile = make([]float64, np)
@@ -119,7 +126,7 @@ func Build(m *arch.Machine, r *program.Runner, s *Series) func() error {
 				for i := 0; i+d < np; i++ {
 					// Incremental SCRIMP update: O(1) flops + input reads
 					// from the local replica.
-					ctx.Read(w.inBase[unit] + uint64((i%len(w.s.Values))*8/64*64))
+					ctx.Read(w.inBase[unit] + uint64(i*8/64*64))
 					ctx.Compute(16)
 					dist := w.s.dist(i, i+d)
 					w.update(ctx, i, dist)
@@ -129,7 +136,7 @@ func Build(m *arch.Machine, r *program.Runner, s *Series) func() error {
 			ctx.BarrierAcrossUnits(w.barrier, n)
 		}
 	})
-	return w.check
+	return w
 }
 
 // update folds distance d into profile[i]: an unlocked read checks whether d
@@ -151,24 +158,28 @@ func (w *workload) update(ctx *program.Ctx, i int, d float64) {
 }
 
 // check validates the computed profile against a host-side reference.
+// dist(i, j) equals dist(j, i) bit for bit, so each pair outside the
+// exclusion zone is computed once and folded into both of its ends.
 func (w *workload) check() error {
 	np := w.s.Profiles()
+	want := make([]float64, np)
+	for i := range want {
+		want[i] = math.Inf(1)
+	}
 	for i := 0; i < np; i++ {
-		want := math.Inf(1)
-		for j := 0; j < np; j++ {
-			dd := j - i
-			if dd < 0 {
-				dd = -dd
+		for j := i + w.exclZone + 1; j < np; j++ {
+			d := w.s.dist(i, j)
+			if d < want[i] {
+				want[i] = d
 			}
-			if dd <= w.exclZone {
-				continue
-			}
-			if d := w.s.dist(i, j); d < want {
-				want = d
+			if d < want[j] {
+				want[j] = d
 			}
 		}
-		if math.Abs(want-w.profile[i]) > 1e-9 {
-			return fmt.Errorf("ts: profile[%d] = %g, want %g", i, w.profile[i], want)
+	}
+	for i, got := range w.profile {
+		if math.Abs(want[i]-got) > 1e-9 {
+			return fmt.Errorf("ts: profile[%d] = %g, want %g", i, got, want[i])
 		}
 	}
 	return nil

@@ -9,7 +9,6 @@ import (
 
 	"syncron/internal/arch"
 	"syncron/internal/program"
-	"syncron/internal/sim"
 )
 
 // Primitive selects the microbenchmark.
@@ -31,13 +30,6 @@ type Config struct {
 	Primitive Primitive
 	Interval  int64 // instructions between synchronization points
 	Rounds    int   // synchronization points per core
-}
-
-// Run executes the microbenchmark on machine m and returns the makespan.
-func Run(m *arch.Machine, cfg Config) sim.Time {
-	r := program.NewRunner(m)
-	Build(m, r, cfg)
-	return r.Run()
 }
 
 // Build registers the benchmark's programs on runner r.

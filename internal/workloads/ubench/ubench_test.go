@@ -6,9 +6,17 @@ import (
 	"syncron/internal/arch"
 	"syncron/internal/baselines"
 	"syncron/internal/core"
+	"syncron/internal/program"
 	"syncron/internal/sim"
 	"syncron/internal/workloads/ubench"
 )
+
+// makespan builds the microbenchmark on m and returns the makespan.
+func makespan(m *arch.Machine, cfg ubench.Config) sim.Time {
+	r := program.NewRunner(m)
+	ubench.Build(m, r, cfg)
+	return r.Run()
+}
 
 func TestAllPrimitivesComplete(t *testing.T) {
 	backends := map[string]func() arch.Backend{
@@ -26,7 +34,7 @@ func TestAllPrimitivesComplete(t *testing.T) {
 				cfg.CoresPerUnit = 4
 				m := arch.NewMachine(cfg)
 				m.Backend = mk()
-				end := ubench.Run(m, ubench.Config{Primitive: prim, Interval: 100, Rounds: 10})
+				end := makespan(m, ubench.Config{Primitive: prim, Interval: 100, Rounds: 10})
 				if end <= 0 {
 					t.Fatalf("%s on %s made no progress", prim, bname)
 				}
@@ -42,7 +50,7 @@ func TestIntervalScalesMakespan(t *testing.T) {
 		cfg.CoresPerUnit = 4
 		m := arch.NewMachine(cfg)
 		m.Backend = baselines.NewIdeal()
-		return ubench.Run(m, ubench.Config{Primitive: ubench.Lock, Interval: interval, Rounds: 20})
+		return makespan(m, ubench.Config{Primitive: ubench.Lock, Interval: interval, Rounds: 20})
 	}
 	if run(2000) <= run(100) {
 		t.Fatal("larger interval should produce larger makespan under Ideal")
@@ -54,7 +62,7 @@ func TestSynCronBeatsCentralAtSmallInterval(t *testing.T) {
 		cfg := arch.Default()
 		m := arch.NewMachine(cfg)
 		m.Backend = b
-		return ubench.Run(m, ubench.Config{Primitive: ubench.Barrier, Interval: 50, Rounds: 10})
+		return makespan(m, ubench.Config{Primitive: ubench.Barrier, Interval: 50, Rounds: 10})
 	}
 	central := run(baselines.NewCentral())
 	syncron := run(core.NewSynCron())
