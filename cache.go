@@ -23,8 +23,10 @@ import (
 // History: v2 added Config.MemModel (the DRAM timing-model axis); v3 retired
 // the split-access event order, so every workload models its accesses inline;
 // v4 runs Compute and L1 hits inside the core's coroutine, so program code
-// after a Compute runs at the previous operation's completion (sssp moved).
-const SpecKeyVersion = 4
+// after a Compute runs at the previous operation's completion (sssp moved);
+// v5 counts each overflowed request once, so OverflowedFraction is a share
+// of requests at most 1 (it counted message hops before).
+const SpecKeyVersion = 5
 
 // specKeyRecord is the canonical, versioned encoding of one RunSpec. Every
 // semantic field of RunSpec/Config/WorkloadParams appears explicitly, always

@@ -49,9 +49,9 @@ func TestSpecKeyGolden(t *testing.T) {
 			Interval: 200, Rounds: 8, Metis: true},
 	}
 	for name, want := range map[syncron.RunSpec]string{
-		base: "v4-49392b8a9c131d87dc3be498fe0c866a93885d9794e8f3ccec716a4d4f633cae",
-		full: "v4-6e7081ab9027c3a92b7852381c958e72974e9b93ba81aaabe802539ef703f09b",
-		{}:   "v4-ffd6b631a515ace33ec4d6521bcd486a0a836077e240e224323ad8e71756b0bb",
+		base: "v5-16d83479075185450d61a1757cb7b6ac51ae197b550c531210937508cefb6647",
+		full: "v5-e8a4d880efdb4f3de8d0aee25a611de197620c0f4b6ff704d2c41a8bf533ea1d",
+		{}:   "v5-557be3ece619529fb68cef9f23b045fe096d6d6ef6a48b808221076efe6a5ea7",
 	} {
 		if got := syncron.SpecKey(name); got != want {
 			t.Errorf("SpecKey(%+v)\n  got  %s\n  want %s", name, got, want)

@@ -95,7 +95,9 @@ type BackendStats interface {
 	// STOccupancy returns the max and time-weighted mean fraction [0,1] of ST
 	// entries occupied, across all SEs.
 	STOccupancy() (max, mean float64)
-	// OverflowedFraction returns the fraction of requests serviced via the
-	// memory fallback.
+	// OverflowedFraction returns the share of sync requests serviced
+	// outside the STs, counting each request once when it is issued: its
+	// variable is in a software fallback, or its first stop or its master
+	// services it via memory. It lies in [0, 1].
 	OverflowedFraction() float64
 }

@@ -21,7 +21,7 @@ func (c *Coordinator) barrierWithinLocal(pt sim.Time, local *node, core int, add
 	if !ok {
 		local.memEnter(addr)
 		o := c.op(opBarrierCoreArrive)
-		o.addr, o.info, o.core, o.done, o.nd = addr, uint64(n), core, done, local
+		o.addr, o.info, o.core, o.done, o.nd, o.flag = addr, uint64(n), core, done, local, true
 		c.nodeToNode(pt, local, c.masterNode(addr), addr, o.fn)
 		return
 	}
@@ -39,7 +39,7 @@ func (c *Coordinator) barrierAcrossLocal(pt sim.Time, local *node, core int, add
 	if n != c.m.NumCores() {
 		// One-level: redirect to the master (costed as a relay hop).
 		o := c.op(opBarrierCoreArrive)
-		o.addr, o.info, o.core, o.done, o.nd = addr, uint64(n), core, done, local
+		o.addr, o.info, o.core, o.done, o.nd, o.flag = addr, uint64(n), core, done, local, false
 		c.nodeToNode(pt, local, master, addr, o.fn)
 		return
 	}
@@ -47,7 +47,7 @@ func (c *Coordinator) barrierAcrossLocal(pt sim.Time, local *node, core int, add
 	if !ok {
 		local.memEnter(addr)
 		o := c.op(opBarrierCoreArrive)
-		o.addr, o.info, o.core, o.done, o.nd = addr, uint64(n), core, done, local
+		o.addr, o.info, o.core, o.done, o.nd, o.flag = addr, uint64(n), core, done, local, true
 		c.nodeToNode(pt, local, master, addr, o.fn)
 		return
 	}
@@ -64,24 +64,19 @@ func (c *Coordinator) barrierAcrossLocal(pt sim.Time, local *node, core int, add
 func (c *Coordinator) masterBarrierNodeArrive(t sim.Time, addr uint64, n int, from *node) {
 	ms := c.master(addr)
 	c.masterHold(t, ms)
-	if c.masterNode(addr).viaMemory(addr) {
-		c.overflowReqs++
-	}
 	ms.barNodes = append(ms.barNodes, from)
 	ms.barArrived += c.m.Cfg.CoresPerUnit
 	c.masterBarrierMaybeDepart(t, ms, addr, n)
 }
 
-// masterBarrierCoreArrive records a single core arrival at the master.
-func (c *Coordinator) masterBarrierCoreArrive(t sim.Time, addr uint64, n int, ref holderRef) {
+// masterBarrierCoreArrive records a single core arrival at the master;
+// overflow is set when ref.relay redirected it on an ST overflow.
+func (c *Coordinator) masterBarrierCoreArrive(t sim.Time, addr uint64, n int, ref holderRef, overflow bool) {
 	ms := c.master(addr)
 	c.masterHold(t, ms)
-	if ref.relay != nil {
+	if overflow {
 		ms.overflowSEs[ref.relay] = true
 		c.masterNode(addr).memEnter(addr)
-	}
-	if c.masterNode(addr).viaMemory(addr) {
-		c.overflowReqs++
 	}
 	ms.barCores = append(ms.barCores, ref)
 	ms.barArrived++

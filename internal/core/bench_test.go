@@ -11,7 +11,10 @@ import (
 // BenchmarkCoordinator measures the protocol layer under each
 // message-passing scheme on a 2-unit, 8-core machine: a contended lock, an
 // across-unit barrier of every core (the two-level scheme under hier), and
-// a semaphore homed in the other unit. One op is one whole run.
+// a semaphore homed in the other unit. One op is one whole run; building
+// the machine and installing the programs is outside the timed region (a
+// b.N loop, since b.Loop in Go 1.24 never ends when its body stops the
+// timer).
 func BenchmarkCoordinator(b *testing.B) {
 	const rounds = 64
 	workloads := []struct {
@@ -53,7 +56,8 @@ func BenchmarkCoordinator(b *testing.B) {
 			b.Run(s.name+"/"+w.name, func(b *testing.B) {
 				b.ReportAllocs()
 				var events uint64
-				for b.Loop() {
+				for range b.N {
+					b.StopTimer()
 					m := arch.NewMachine(arch.Config{Units: 2, CoresPerUnit: 4})
 					m.Backend = core.NewCoordinator(s.opt)
 					r := program.NewRunner(m)
@@ -61,6 +65,7 @@ func BenchmarkCoordinator(b *testing.B) {
 					for c := 0; c < m.NumCores(); c++ {
 						r.AddAt(c, p)
 					}
+					b.StartTimer()
 					r.Run()
 					events = m.Engine.Executed
 				}

@@ -36,9 +36,6 @@ func (c *Coordinator) condWaitAtLocal(pt sim.Time, local *node, core int, addr, 
 func (c *Coordinator) condWaitRegister(mt sim.Time, core int, addr, lock uint64, done func(sim.Time), relay *node) {
 	ms := c.master(addr)
 	c.masterHold(mt, ms)
-	if c.masterNode(addr).viaMemory(addr) {
-		c.overflowReqs++
-	}
 	ms.condQ = append(ms.condQ, condWaiter{core: core, lock: lock, done: done, relay: relay})
 }
 
@@ -70,7 +67,7 @@ func (c *Coordinator) condWake(t sim.Time, addr uint64, w condWaiter) {
 	if !c.hierarchical() {
 		// cond_grant travels to the lock's master as a per-core acquire.
 		o := c.op(opMasterCoreAcquire)
-		o.core, o.addr, o.done = w.core, w.lock, w.done
+		o.core, o.addr, o.done, o.flag = w.core, w.lock, w.done, false
 		c.nodeToNode(t, master, c.masterNode(w.lock), w.lock, o.fn)
 		return
 	}

@@ -210,9 +210,12 @@ func (c *Coordinator) hierarchical() bool { return c.opt.Topology == TopoHier }
 
 // Request implements arch.Backend. Release-type ops (req_async) commit once
 // issued; a lock whose master has switched to the software fallback is
-// serviced there.
+// serviced there, and a lock the fallback granted is released there.
 func (c *Coordinator) Request(t sim.Time, core int, req arch.SyncReq, done func(sim.Time)) {
 	c.totalReqs++
+	if c.overflowed(core, req.Addr) {
+		c.overflowReqs++
+	}
 	if !req.Op.Blocking() {
 		done(t + c.m.CoreClock.Cycles(1))
 		done = nil
@@ -225,7 +228,7 @@ func (c *Coordinator) Request(t sim.Time, core int, req arch.SyncReq, done func(
 		}
 		c.route(t, core, req, done, opMasterCoreAcquire, opLockEnqueue)
 	case arch.OpLockRelease:
-		if ms := c.vars[req.Addr]; ms != nil && ms.fallback {
+		if ms := c.vars[req.Addr]; ms != nil && ms.fallbackHeld {
 			c.fallbackLockRelease(t, core, req.Addr)
 			return
 		}
@@ -251,6 +254,18 @@ func (c *Coordinator) Request(t sim.Time, core int, req arch.SyncReq, done func(
 	}
 }
 
+// overflowed reports whether a request for addr issued by core is serviced
+// outside the STs: its variable is in the software fallback, or its first
+// stop (the core's local SE under hier) or its master services addr via
+// memory. It only reads state, so counting a request changes no timing.
+func (c *Coordinator) overflowed(core int, addr uint64) bool {
+	if ms := c.vars[addr]; ms != nil && ms.fallback {
+		return true
+	}
+	return c.masterNode(addr).viaMemory(addr) ||
+		c.hierarchical() && c.nodes[c.m.UnitOf(core)].viaMemory(addr)
+}
+
 // route sends a core's request to its first stop. Under flat or central it
 // goes to the variable's master, which runs masterKind. Under hier it goes to
 // the core's local SE, which runs localKind; localKind is opForwardMaster
@@ -264,7 +279,7 @@ func (c *Coordinator) route(t sim.Time, core int, req arch.SyncReq, done func(si
 	} else {
 		to = c.masterNode(req.Addr)
 	}
-	o.core, o.addr, o.info, o.lock, o.done = core, req.Addr, req.Info, req.Lock, done
+	o.core, o.addr, o.info, o.lock, o.flag, o.done = core, req.Addr, req.Info, req.Lock, false, done
 	c.coreToNode(t, core, to, req.Addr, o.fn)
 }
 

@@ -65,7 +65,6 @@ func (c *Coordinator) fallbackService(t sim.Time, addr uint64) sim.Time {
 
 // fallbackLockAcquire services a lock acquire through the software fallback.
 func (c *Coordinator) fallbackLockAcquire(t sim.Time, core int, addr uint64, done func(sim.Time)) {
-	c.overflowReqs++
 	unit := c.fallbackUnit(addr)
 	arr := c.m.Net.Transfer(t, c.m.UnitOf(core), unit, network.PortSE, arch.SyncReqBytes)
 	c.m.Engine.Schedule(arr, func(arr sim.Time) {
@@ -74,8 +73,7 @@ func (c *Coordinator) fallbackLockAcquire(t sim.Time, core int, addr uint64, don
 			ms := c.master(addr)
 			ref := holderRef{core: core, done: done}
 			if !ms.lockHeld {
-				ms.lockHeld = true
-				c.fallbackGrant(fin, addr, ref)
+				c.grantLock(fin, ms, ref)
 				return
 			}
 			ms.queue = append(ms.queue, ref)
@@ -96,8 +94,7 @@ func (c *Coordinator) fallbackLockRelease(t sim.Time, core int, addr uint64) {
 				c.masterFree(fin, ms)
 				return
 			}
-			ms.lockHeld = true
-			c.fallbackGrant(fin, addr, removeAt(&ms.queue, 0))
+			c.grantLock(fin, ms, removeAt(&ms.queue, 0))
 		})
 	})
 }

@@ -183,7 +183,9 @@ var policyNames = map[core.OverflowPolicy]string{
 
 // protocolFingerprint runs every scheme × ST size × overflow policy ×
 // program and returns one line of timing and accounting results per run.
-func protocolFingerprint() string {
+// It fails t when a run's overflowed share is outside [0, 1], or is not 0
+// with STs of 64 entries, which hold every variable these programs use.
+func protocolFingerprint(t *testing.T) string {
 	var b strings.Builder
 	for _, s := range fingerprintSchemes {
 		for _, st := range []int{64, 1} {
@@ -209,9 +211,13 @@ func protocolFingerprint() string {
 					intra, inter := m.DataMovement()
 					e := m.EnergyBreakdown()
 					stMax, stMean := c.STOccupancy()
+					over := c.OverflowedFraction()
+					if over < 0 || over > 1 || st == 64 && over != 0 {
+						t.Errorf("%s st=%d %s %s: overflowed fraction %v", s.name, st, policyNames[pol], p.name, over)
+					}
 					fmt.Fprintf(&b, "] events=%d bytes=%d/%d energy=%v/%v/%v overflowed=%v st=%v/%v aborts=%d",
 						m.Engine.Executed, intra, inter, e.CachePJ, e.NetworkPJ, e.MemoryPJ,
-						c.OverflowedFraction(), stMax, stMean, c.AbortsSent())
+						over, stMax, stMean, c.AbortsSent())
 					for _, v := range rmw {
 						fmt.Fprintf(&b, " rmw=%d", c.RMWValue(v))
 					}
@@ -231,7 +237,7 @@ const fingerprintPath = "testdata/protocol-fingerprint.golden"
 // refactor must leave it byte-identical; regenerate with UPDATE_GOLDEN=1
 // only for a deliberate, documented model change.
 func TestProtocolFingerprint(t *testing.T) {
-	got := protocolFingerprint()
+	got := protocolFingerprint(t)
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(fingerprintPath, []byte(got), 0o644); err != nil {
 			t.Fatal(err)

@@ -23,7 +23,7 @@ func (c *Coordinator) lockEnqueueAt(pt sim.Time, local *node, core int, addr uin
 		// Local ST overflow: redirect to the master with overflow opcodes.
 		local.memEnter(addr)
 		o := c.op(opMasterCoreAcquire)
-		o.core, o.addr, o.done, o.nd = core, addr, done, local
+		o.core, o.addr, o.done, o.nd, o.flag = core, addr, done, local, true
 		c.nodeToNode(pt, local, master, addr, o.fn)
 		return
 	}
@@ -85,9 +85,6 @@ func (c *Coordinator) lockReleaseAt(pt sim.Time, local *node, addr uint64) {
 func (c *Coordinator) masterLockNodeAcquire(t sim.Time, from *node, addr uint64) {
 	ms := c.master(addr)
 	c.masterHold(t, ms)
-	if c.masterNode(addr).viaMemory(addr) {
-		c.overflowReqs++
-	}
 	ref := holderRef{node: from}
 	if !ms.lockHeld {
 		c.grantLock(t, ms, ref)
@@ -97,18 +94,15 @@ func (c *Coordinator) masterLockNodeAcquire(t sim.Time, from *node, addr uint64)
 }
 
 // masterLockCoreAcquire handles a per-core acquire at the master (flat,
-// central, or overflow-redirected via relay).
-func (c *Coordinator) masterLockCoreAcquire(t sim.Time, core int, addr uint64, done func(sim.Time), relay *node) {
+// central, a condition-variable wakeup, or an overflow redirect by relay).
+func (c *Coordinator) masterLockCoreAcquire(t sim.Time, core int, addr uint64, done func(sim.Time), relay *node, overflow bool) {
 	ms := c.master(addr)
 	c.masterHold(t, ms)
-	if relay != nil {
+	if overflow {
 		// §4.3.2: both the overflowed SE and the master service the variable
 		// via memory and track it in their indexing counters.
 		ms.overflowSEs[relay] = true
 		c.masterNode(addr).memEnter(addr)
-	}
-	if c.masterNode(addr).viaMemory(addr) || ms.fallback {
-		c.overflowReqs++
 	}
 	ref := holderRef{core: core, done: done, relay: relay}
 	if !ms.lockHeld {
@@ -159,13 +153,14 @@ func (c *Coordinator) masterLockGrantNext(t sim.Time, ms *masterState, addr uint
 // which then serves its local waiting list, or a grant to a single core
 // (through the software fallback when it is active).
 func (c *Coordinator) grantLock(t sim.Time, ms *masterState, ref holderRef) {
-	ms.lockHeld = true
+	ms.lockHeld, ms.fallbackHeld = true, false
 	switch {
 	case ref.node != nil:
 		o := c.op(opGrantNodeArrived)
 		o.nd, o.addr = ref.node, ms.addr
 		c.nodeToNode(t, c.masterNode(ms.addr), ref.node, ms.addr, o.fn)
 	case ms.fallback:
+		ms.fallbackHeld = true
 		c.fallbackGrant(t, ms.addr, ref)
 	default:
 		c.grantCore(t, ms.addr, ref)

@@ -57,9 +57,10 @@ func (n *node) counterIndex(addr uint64) int {
 // viaMemory reports whether the node must service addr through main memory
 // (SE only): either the variable already overflowed, or it has no ST entry
 // and cannot get one because the ST is full or an aliased indexing counter
-// is non-zero (§4.2.3 aliasing note).
+// is non-zero (§4.2.3 aliasing note). The counters count memVars, so an SE
+// with no variable via memory and a free entry answers without a lookup.
 func (n *node) viaMemory(addr uint64) bool {
-	if n.st == nil {
+	if n.st == nil || len(n.memVars) == 0 && len(n.st) < n.c.opt.STEntries {
 		return false
 	}
 	if n.memVars[addr] {
@@ -82,7 +83,7 @@ func (n *node) acquireRef(t sim.Time, addr uint64) bool {
 		n.st[addr] = refs + 1
 		return true
 	}
-	if n.memVars[addr] || len(n.st) >= n.c.opt.STEntries || n.counters[n.counterIndex(addr)] > 0 {
+	if n.viaMemory(addr) {
 		return false
 	}
 	n.st[addr] = 1
@@ -143,7 +144,6 @@ func (n *node) process(arr sim.Time, addr uint64) sim.Time {
 		// the variable is serviced via memory and this SE is its master.
 		end = start + m.SEClock.Cycles(n.c.opt.SEServiceCycles)
 		if n.viaMemory(addr) {
-			n.c.overflowReqs++
 			end += m.SEClock.Cycles(2)
 			if n.c.masterNode(addr) == n {
 				// Blocking read of the syncronVar, then a fire-and-forget

@@ -82,7 +82,9 @@ const (
 // their previous values, so every draw sets the ones its kind reads. info
 // and lock mirror arch.SyncReq's operands: the barrier participant count,
 // semaphore initial value or fetch-add delta, and a condition variable's
-// lock address.
+// lock address. flag is a node release's requeue bit, and the overflow bit
+// of a per-core acquire or barrier arrival: set only when an SE that
+// overflowed redirects the request to the master.
 type callOp struct {
 	c     *Coordinator
 	kind  opKind
@@ -122,7 +124,7 @@ func (o *callOp) run(t sim.Time) {
 	case opLockEnqueue:
 		c.lockEnqueueAt(t, v.nd, v.core, v.addr, v.done)
 	case opMasterCoreAcquire:
-		c.masterLockCoreAcquire(t, v.core, v.addr, v.done, v.nd)
+		c.masterLockCoreAcquire(t, v.core, v.addr, v.done, v.nd, v.flag)
 	case opLockReleaseAt:
 		c.lockReleaseAt(t, v.nd, v.addr)
 	case opMasterCoreRelease:
@@ -140,7 +142,7 @@ func (o *callOp) run(t sim.Time) {
 	case opBarrierAcrossLocal:
 		c.barrierAcrossLocal(t, v.nd, v.core, v.addr, int(v.info), v.done)
 	case opBarrierCoreArrive:
-		c.masterBarrierCoreArrive(t, v.addr, int(v.info), holderRef{core: v.core, done: v.done, relay: v.nd})
+		c.masterBarrierCoreArrive(t, v.addr, int(v.info), holderRef{core: v.core, done: v.done, relay: v.nd}, v.flag)
 	case opBarrierNodeArrive:
 		c.masterBarrierNodeArrive(t, v.addr, int(v.info), v.nd)
 	case opBarrierDepartLocal:

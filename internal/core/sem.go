@@ -17,9 +17,6 @@ func (c *Coordinator) masterSemWait(t sim.Time, addr uint64, initial int, ref ho
 		ms.semInit = true
 		ms.semCount = initial
 	}
-	if c.masterNode(addr).viaMemory(addr) {
-		c.overflowReqs++
-	}
 	if ms.semCount > 0 {
 		ms.semCount--
 		c.grantCore(t, addr, ref)

@@ -32,8 +32,9 @@ type condWaiter struct {
 type masterState struct {
 	addr uint64
 
-	refHeld  bool // master node holds an ST entry for this variable
-	fallback bool // MiSAR-style software fallback active (Figure 23)
+	refHeld      bool // master node holds an ST entry for this variable
+	fallback     bool // MiSAR-style software fallback active (Figure 23)
+	fallbackHeld bool // the lock's holder was granted it by the fallback
 
 	overflowSEs map[*node]bool // local SEs redirected into overflow mode
 
@@ -137,9 +138,7 @@ func (c *Coordinator) masterFree(t sim.Time, ms *masterState) {
 		n.releaseRef(t, ms.addr)
 		ms.refHeld = false
 	}
-	if n.memVars != nil && n.memVars[ms.addr] {
-		n.memExit(ms.addr)
-	}
+	n.memExit(ms.addr)
 	for se := range ms.overflowSEs {
 		// decrease_indexing_counter message to the overflowed SE.
 		o := c.op(opMemExit)
@@ -152,9 +151,9 @@ func (c *Coordinator) masterFree(t sim.Time, ms *masterState) {
 	}
 	delete(c.vars, ms.addr)
 	// Recycle: idle() plus the resets above leave every semantic field at
-	// its zero value except the sem/rmw scalars, which a fresh state would
-	// also start from zero (they are discarded on free today too).
-	ms.addr = 0
+	// its zero value except the last lock grant's path and the sem/rmw
+	// scalars, which a fresh state would also start from zero.
+	ms.addr, ms.fallbackHeld = 0, false
 	ms.semInit = false
 	ms.semCount = 0
 	ms.rmwValue = 0

@@ -345,6 +345,19 @@ func TestExecuteRejectsNegativeParameters(t *testing.T) {
 	}
 }
 
+// An overflow policy outside the three defined ones is rejected by name
+// instead of running as one of them.
+func TestExecuteRejectsUnknownOverflowPolicy(t *testing.T) {
+	for _, pol := range []syncron.OverflowPolicy{-1, 3, 7} {
+		res := syncron.Execute(syncron.RunSpec{Workload: "lock",
+			Config: syncron.Config{Units: 2, CoresPerUnit: 2, Overflow: pol},
+			Params: syncron.WorkloadParams{Rounds: 2}})
+		if !strings.Contains(res.Err, "Config.Overflow") {
+			t.Fatalf("Overflow %d not rejected by name: Err = %q", pol, res.Err)
+		}
+	}
+}
+
 // cancelingCache misses every lookup, and each lookup cancels the context.
 type cancelingCache struct{ cancel context.CancelFunc }
 

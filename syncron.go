@@ -284,11 +284,11 @@ type System struct {
 }
 
 // New builds a system from cfg; every zero field takes its documented
-// default. A negative machine parameter or an unknown topology, memory model
-// or scheme panics with a message naming it (Execute reports the panic as
-// RunResult.Err).
+// default. A negative machine parameter or an unknown overflow policy,
+// topology, memory model or scheme panics with a message naming it (Execute
+// reports the panic as RunResult.Err).
 func New(cfg Config) *System {
-	cfg.mustBeNonNegative()
+	cfg.mustBeValid()
 	if cfg.Scheme == "" {
 		cfg.Scheme = SchemeSynCron
 	}
@@ -327,9 +327,9 @@ func New(cfg Config) *System {
 	return &System{cfg: cfg, m: m, r: program.NewRunner(m)}
 }
 
-// mustBeNonNegative panics on the first negative machine parameter: zero
-// means "default", a negative value has no meaning.
-func (cfg Config) mustBeNonNegative() {
+// mustBeValid panics on the first negative machine parameter (zero means
+// "default", a negative value has no meaning) or an unknown overflow policy.
+func (cfg Config) mustBeValid() {
 	negative := func(field string, v any) {
 		panic(fmt.Sprintf("syncron: Config.%s must not be negative (got %v)", field, v))
 	}
@@ -346,6 +346,8 @@ func (cfg Config) mustBeNonNegative() {
 		negative("FairnessThreshold", cfg.FairnessThreshold)
 	case cfg.SEServiceCycles < 0:
 		negative("SEServiceCycles", cfg.SEServiceCycles)
+	case cfg.Overflow < OverflowIntegrated || cfg.Overflow > OverflowDistrib:
+		panic(fmt.Sprintf("syncron: Config.Overflow must be an overflow policy (got %d)", cfg.Overflow))
 	}
 }
 

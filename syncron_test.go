@@ -1,6 +1,7 @@
 package syncron_test
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -144,6 +145,30 @@ func TestCoherenceLockSchemesRejectUnmodeledOps(t *testing.T) {
 					Params: syncron.WorkloadParams{Scale: 0.05}})
 				if !strings.Contains(res.Err, tc.op) || !strings.Contains(res.Err, string(scheme)) {
 					t.Fatalf("Err = %q, want an error naming %s and %s", res.Err, tc.op, scheme)
+				}
+			})
+		}
+	}
+}
+
+// Every overflow policy must carry an overflowing workload to completion:
+// bst_fg keeps more live locks than a 2-, 4- or 8-entry ST holds, so each
+// run below switches variables to memory or to the software fallback while
+// other cores hold or wait for them. The overflowed share counts each
+// request at most once.
+func TestOverflowPoliciesCompleteBstFg(t *testing.T) {
+	for _, pol := range []syncron.OverflowPolicy{syncron.OverflowIntegrated,
+		syncron.OverflowCentral, syncron.OverflowDistrib} {
+		for _, st := range []int{2, 4, 8} {
+			t.Run(fmt.Sprintf("policy%d/st%d", pol, st), func(t *testing.T) {
+				res := syncron.Execute(syncron.RunSpec{Workload: "bst_fg",
+					Config: syncron.Config{Scheme: syncron.SchemeSynCron, STEntries: st, Overflow: pol},
+					Params: syncron.WorkloadParams{Scale: 0.05}})
+				if res.Err != "" {
+					t.Fatal(res.Err)
+				}
+				if f := res.OverflowedFraction; f <= 0 || f > 1 {
+					t.Fatalf("overflowed fraction %v, want in (0, 1]", f)
 				}
 			})
 		}
