@@ -58,3 +58,13 @@ func BenchmarkPerfGrid(b *testing.B) {
 	}
 	b.ReportMetric(float64(events), "events/op")
 }
+
+// BenchmarkNew measures building the default 60-core machine: caches,
+// memories, network and sync backend, the per-run set-up before a workload
+// is placed.
+func BenchmarkNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		syncron.New(syncron.Config{})
+	}
+}

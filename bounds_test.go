@@ -1,0 +1,50 @@
+package syncron_test
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"syncron"
+)
+
+// Under Ideal a sync op costs nothing, so each core completes one op per
+// interval of compute and the machine's throughput is exactly the compute
+// bound: cores × CoreMHz × 1000 / interval ops/ms. The identity is checked
+// for every primitive at several unit counts, core counts and intervals.
+func TestIdealIsComputeBound(t *testing.T) {
+	points := []struct {
+		units, cores int
+		interval     int64
+	}{
+		{4, 60, 200}, // 750,000 ops/ms
+		{2, 30, 200}, // 375,000
+		{4, 60, 100}, // 1,500,000
+		{4, 8, 50},   // 400,000
+	}
+	for _, p := range points {
+		for _, w := range []string{"lock", "barrier", "semaphore", "condvar"} {
+			t.Run(fmt.Sprintf("%s/u%d-c%d-i%d", w, p.units, p.cores, p.interval), func(t *testing.T) {
+				cfg := syncron.Config{Scheme: syncron.SchemeIdeal, Units: p.units, CoresPerUnit: p.cores / p.units}
+				res := syncron.Execute(syncron.RunSpec{Workload: w, Config: cfg,
+					Params: syncron.WorkloadParams{Scale: 0.05, Interval: p.interval}})
+				if res.Err != "" {
+					t.Fatal(res.Err)
+				}
+				// The identity in integers, with the makespan in picoseconds:
+				// ops × (ps per ms) × interval == cores × MHz × 1000 × makespan.
+				// OpsPerMs is the same ratio in floating point.
+				mhz := syncron.New(cfg).Machine().Cfg.CoreMHz
+				lhs := int64(res.Ops) * int64(syncron.Millisecond) * p.interval
+				rhs := int64(p.cores) * mhz * 1000 * int64(res.Makespan)
+				if lhs != rhs || res.Ops == 0 {
+					t.Fatalf("%d ops in %v: %v ops/ms, want the compute bound %d",
+						res.Ops, res.Makespan, res.OpsPerMs, int64(p.cores)*mhz*1000/p.interval)
+				}
+				if want := float64(int64(p.cores)*mhz*1000) / float64(p.interval); math.Abs(res.OpsPerMs-want) > 1e-9*want {
+					t.Fatalf("OpsPerMs %v, want %v", res.OpsPerMs, want)
+				}
+			})
+		}
+	}
+}

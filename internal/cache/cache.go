@@ -7,7 +7,12 @@
 // machine model knows the sharing class of each allocation).
 package cache
 
-import "syncron/internal/sim"
+import (
+	"fmt"
+	"math/bits"
+
+	"syncron/internal/sim"
+)
 
 // LineSize is the cache line size in bytes.
 const LineSize = 64
@@ -49,27 +54,29 @@ type way struct {
 	lru   uint64
 }
 
-// Cache is a single L1 cache instance.
+// Cache is a single L1 cache instance. Its ways live in one flat slice:
+// set s occupies ways[s*Ways : (s+1)*Ways].
 type Cache struct {
-	cfg   Config
-	sets  [][]way
-	nsets uint64
-	ticks uint64
-	Stats Stats
+	cfg      Config
+	ways     []way
+	setMask  uint64 // nsets-1; nsets is a power of two
+	setShift uint   // log2(nsets)
+	ticks    uint64
+	Stats    Stats
 }
 
-// New builds a cache from cfg.
+// New builds a cache from cfg. It panics if cfg's set count is not a power
+// of two, since the set index is taken from the line address's low bits.
 func New(cfg Config) *Cache {
 	nsets := cfg.SizeBytes / (LineSize * cfg.Ways)
 	if nsets <= 0 {
 		nsets = 1
 	}
-	sets := make([][]way, nsets)
-	backing := make([]way, nsets*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
+	if nsets&(nsets-1) != 0 {
+		panic(fmt.Sprintf("cache: %d B %d-way has %d sets, not a power of two", cfg.SizeBytes, cfg.Ways, nsets))
 	}
-	return &Cache{cfg: cfg, sets: sets, nsets: uint64(nsets)}
+	return &Cache{cfg: cfg, ways: make([]way, nsets*cfg.Ways),
+		setMask: uint64(nsets - 1), setShift: uint(bits.TrailingZeros(uint(nsets)))}
 }
 
 // Result reports the outcome of a cache access.
@@ -80,24 +87,40 @@ type Result struct {
 	LatencyCycles int64  // core cycles consumed inside the cache
 }
 
+// lookup returns the ways of addr's set, the line's tag and the index of
+// the way holding it, or -1 if it is not resident.
+func (c *Cache) lookup(addr uint64) (ws []way, set, tag uint64, hit int) {
+	line := addr / LineSize
+	set = line & c.setMask
+	tag = line >> c.setShift
+	n := uint64(c.cfg.Ways)
+	ws = c.ways[set*n : (set+1)*n]
+	for i := range ws {
+		if ws[i].valid && ws[i].tag == tag {
+			return ws, set, tag, i
+		}
+	}
+	return ws, set, tag, -1
+}
+
+// hit applies a hit to w: LRU, dirty state and the hit count.
+func (c *Cache) hit(w *way, write bool) {
+	w.lru = c.ticks
+	if write {
+		w.dirty = true
+	}
+	c.Stats.Hits.Inc()
+}
+
 // Access performs a load (write=false) or store (write=true) of the line
 // containing addr, updating LRU and dirty state. On a miss the line is
 // allocated (write-allocate) and the victim is reported.
 func (c *Cache) Access(addr uint64, write bool) Result {
 	c.ticks++
-	line := addr / LineSize
-	set := line % c.nsets
-	tag := line / c.nsets
-	ws := c.sets[set]
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			ws[i].lru = c.ticks
-			if write {
-				ws[i].dirty = true
-			}
-			c.Stats.Hits.Inc()
-			return Result{Hit: true, LatencyCycles: c.cfg.HitCycles}
-		}
+	ws, set, tag, i := c.lookup(addr)
+	if i >= 0 {
+		c.hit(&ws[i], write)
+		return Result{Hit: true, LatencyCycles: c.cfg.HitCycles}
 	}
 	// Miss: pick the LRU way (or an invalid one).
 	victim := 0
@@ -113,12 +136,26 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	res := Result{LatencyCycles: c.cfg.HitCycles}
 	if ws[victim].valid && ws[victim].dirty {
 		res.Writeback = true
-		res.VictimAddr = (ws[victim].tag*c.nsets + set) * LineSize
+		res.VictimAddr = (ws[victim].tag<<c.setShift | set) * LineSize
 		c.Stats.Writebacks.Inc()
 	}
 	ws[victim] = way{tag: tag, valid: true, dirty: write, lru: c.ticks}
 	c.Stats.Misses.Inc()
 	return res
+}
+
+// AccessIfHit performs Access(addr, write) if it would hit, updating LRU,
+// dirty state, the hit count and the access tick exactly as Access does,
+// and returns the hit latency in core cycles. On a miss it changes nothing
+// and returns ok=false; the caller then takes the miss path through Access.
+func (c *Cache) AccessIfHit(addr uint64, write bool) (latencyCycles int64, ok bool) {
+	ws, _, _, i := c.lookup(addr)
+	if i < 0 {
+		return 0, false
+	}
+	c.ticks++
+	c.hit(&ws[i], write)
+	return c.cfg.HitCycles, true
 }
 
 // Bypass records an uncacheable access for statistics.
@@ -127,28 +164,19 @@ func (c *Cache) Bypass() { c.Stats.Bypasses.Inc() }
 // Contains reports whether the line holding addr is resident, i.e. whether
 // an Access to it would hit. It touches no LRU, dirty or statistics state.
 func (c *Cache) Contains(addr uint64) bool {
-	line := addr / LineSize
-	set := line % c.nsets
-	tag := line / c.nsets
-	for _, w := range c.sets[set] {
-		if w.valid && w.tag == tag {
-			return true
-		}
-	}
-	return false
+	_, _, _, i := c.lookup(addr)
+	return i >= 0
 }
 
 // Flush invalidates the whole cache, returning the number of dirty lines
 // dropped (the model does not simulate flush traffic; used between phases).
 func (c *Cache) Flush() int {
 	dirty := 0
-	for _, ws := range c.sets {
-		for i := range ws {
-			if ws[i].valid && ws[i].dirty {
-				dirty++
-			}
-			ws[i] = way{}
+	for i := range c.ways {
+		if c.ways[i].valid && c.ways[i].dirty {
+			dirty++
 		}
+		c.ways[i] = way{}
 	}
 	return dirty
 }

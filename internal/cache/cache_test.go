@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -122,5 +123,71 @@ func TestEnergyAccounting(t *testing.T) {
 	want := cfg.MissEnergyPJ + cfg.HitEnergyPJ
 	if got := c.Stats.EnergyPJ(cfg); got != want {
 		t.Fatalf("energy = %f, want %f", got, want)
+	}
+}
+
+// Property: AccessIfHit followed, on a miss, by Access leaves the cache in
+// exactly the state Access alone does (ways, LRU ticks and statistics), and
+// a miss through AccessIfHit changes nothing.
+func TestAccessIfHitMatchesAccess(t *testing.T) {
+	cfg := Config{SizeBytes: 1024, Ways: 2, HitCycles: 4}
+	ref, got := New(cfg), New(cfg)
+	if err := quick.Check(func(addr uint64, write bool) bool {
+		addr %= 4 * uint64(cfg.SizeBytes)
+		want := ref.Access(addr, write)
+		before := append([]way(nil), got.ways...)
+		ticks, stats := got.ticks, got.Stats
+		lat, ok := got.AccessIfHit(addr, write)
+		if ok != want.Hit {
+			return false
+		}
+		if ok {
+			if lat != cfg.HitCycles {
+				return false
+			}
+		} else {
+			if got.ticks != ticks || got.Stats != stats || !slices.Equal(got.ways, before) {
+				return false
+			}
+			if got.Access(addr, write) != want {
+				return false
+			}
+		}
+		return got.ticks == ref.ticks && got.Stats == ref.Stats && slices.Equal(got.ways, ref.ways)
+	}, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestNewRejectsNonPowerOfTwoSets(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a 3-set geometry")
+		}
+	}()
+	New(Config{SizeBytes: 3 * 2 * LineSize, Ways: 2})
+}
+
+// BenchmarkCacheAccess mixes stores, loads and residency lookups over a
+// footprint four times the L1, so hits, clean and dirty evictions all occur.
+// One op is one Access or one Contains.
+func BenchmarkCacheAccess(b *testing.B) {
+	cfg := DefaultConfig()
+	c := New(cfg)
+	addrs := make([]uint64, 4096)
+	x := uint64(1)
+	for i := range addrs {
+		x = x*6364136223846793005 + 1442695040888963407
+		addrs[i] = (x >> 33) % uint64(4*cfg.SizeBytes)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := addrs[i%len(addrs)]
+		if i%4 == 3 {
+			c.Contains(a)
+		} else {
+			c.Access(a, i%3 == 0)
+		}
 	}
 }

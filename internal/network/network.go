@@ -107,8 +107,20 @@ type Network struct {
 	tr        trace.Tracer
 	linkNames []string
 
+	// xbarSer[b] is the crossbar serialization of a b-byte message (its flit
+	// count in core cycles) for every b below xbarTableBytes; xbarFixed is
+	// the arbiter-plus-hops latency every crossbar traversal adds. Both are
+	// fixed by the config, so IntraDelay need not divide per message.
+	xbarSer   []sim.Time
+	xbarFixed sim.Time
+
 	Stats Stats
 }
+
+// xbarTableBytes bounds the message sizes whose crossbar serialization New
+// tabulates; every simulated message is smaller (the largest is a cache
+// line plus its header), and larger ones are computed per message.
+const xbarTableBytes = 256
 
 // New builds the interconnect for the units of topo.
 func New(cfg Config, topo Topology) *Network {
@@ -121,16 +133,32 @@ func New(cfg Config, topo Topology) *Network {
 			}
 		}
 	}
-	return &Network{
-		cfg:      cfg,
-		topo:     topo,
-		units:    units,
-		nodes:    nodes,
-		xbarBusy: make([][]sim.Time, units),
-		linkBusy: make([]sim.Time, nodes*nodes),
-		linkBits: make([]uint64, nodes*nodes),
-		routes:   routes,
+	n := &Network{
+		cfg:       cfg,
+		topo:      topo,
+		units:     units,
+		nodes:     nodes,
+		xbarBusy:  make([][]sim.Time, units),
+		linkBusy:  make([]sim.Time, nodes*nodes),
+		linkBits:  make([]uint64, nodes*nodes),
+		routes:    routes,
+		xbarSer:   make([]sim.Time, xbarTableBytes),
+		xbarFixed: cfg.CoreClock.Cycles(cfg.ArbiterCycles + cfg.HopCycles*cfg.Hops),
 	}
+	for b := range n.xbarSer {
+		n.xbarSer[b] = n.xbarSerialization(b)
+	}
+	return n
+}
+
+// xbarSerialization is the time a message of size bytes occupies a crossbar
+// output port: one core cycle per flit, at least one flit.
+func (n *Network) xbarSerialization(bytes int) sim.Time {
+	flits := int64((bytes + n.cfg.FlitBytes - 1) / n.cfg.FlitBytes)
+	if flits < 1 {
+		flits = 1
+	}
+	return n.cfg.CoreClock.Cycles(flits)
 }
 
 // NewAllToAll builds the default full point-to-point interconnect for n
@@ -198,12 +226,12 @@ func (n *Network) busySlot(unit, port int) *sim.Time {
 // time t inside unit, destined for local endpoint dstPort (an arbitrary id
 // used for queueing separation: core index, -1 for SE, -2 for memory).
 func (n *Network) IntraDelay(t sim.Time, unit, dstPort, bytes int) sim.Time {
-	cfg := &n.cfg
-	flits := int64((bytes + cfg.FlitBytes - 1) / cfg.FlitBytes)
-	if flits < 1 {
-		flits = 1
+	var ser sim.Time
+	if uint(bytes) < uint(len(n.xbarSer)) {
+		ser = n.xbarSer[bytes]
+	} else {
+		ser = n.xbarSerialization(bytes)
 	}
-	ser := cfg.CoreClock.Cycles(flits)
 	start := t
 	slot := n.busySlot(unit, dstPort)
 	if *slot > start {
@@ -212,7 +240,7 @@ func (n *Network) IntraDelay(t sim.Time, unit, dstPort, bytes int) sim.Time {
 	*slot = start + ser
 	n.Stats.IntraBits.Add(uint64(bytes * 8))
 	n.Stats.IntraMsgs.Inc()
-	return start + ser + cfg.CoreClock.Cycles(cfg.ArbiterCycles+cfg.HopCycles*cfg.Hops)
+	return start + ser + n.xbarFixed
 }
 
 // EnergyPJ returns total network energy. Inter-unit energy is per link

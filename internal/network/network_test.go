@@ -22,6 +22,28 @@ func TestIntraLatencyComposition(t *testing.T) {
 	}
 }
 
+// Every message size, inside the tabulated range and beyond it, costs
+// ceil(bytes/FlitBytes) flits (at least one) plus arbiter and hops, and
+// holds its port for the flits alone; the flit width here is not 16.
+func TestIntraDelayEverySize(t *testing.T) {
+	cfg := DefaultConfig(sim.NewClock(2500))
+	cfg.FlitBytes = 12
+	n := NewAllToAll(cfg, 1)
+	fixed := cfg.CoreClock.Cycles(cfg.ArbiterCycles + cfg.HopCycles*cfg.Hops)
+	at := sim.Time(0)
+	for bytes := 0; bytes <= 2*xbarTableBytes; bytes++ {
+		flits := int64(max(1, (bytes+cfg.FlitBytes-1)/cfg.FlitBytes))
+		ser := cfg.CoreClock.Cycles(flits)
+		at += sim.Microsecond // past the port's horizon: no queueing
+		if got, want := n.IntraDelay(at, 0, PortSE, bytes), at+ser+fixed; got != want {
+			t.Fatalf("%d bytes: arrival %v, want %v", bytes, got, want)
+		}
+		if got := n.IntraDelay(at, 0, PortSE, 0); got != at+ser+cfg.CoreClock.Cycles(1)+fixed {
+			t.Fatalf("%d bytes held the port until %v, want %v", bytes, got-cfg.CoreClock.Cycles(1)-fixed, at+ser)
+		}
+	}
+}
+
 func TestIntraPortQueueing(t *testing.T) {
 	n := newNet(1)
 	a := n.IntraDelay(0, 0, PortSE, 64)

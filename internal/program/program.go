@@ -10,16 +10,19 @@
 // Cores are in-order and blocking (paper §5): each operation completes
 // before the next one issues. Core-private operations — Compute and L1 hits
 // — run inside the coroutine: they touch only the core's own state (a core's
-// L1 is private and only this core's CoreAccess touches it), so the program
-// applies them at once and queues their delays. Only an L1 miss, an
-// uncacheable access or a sync op yields (and, at a small fixed cap, a full
-// delay queue). The step event then plays the queue as a chain of engine
-// events, one per delay, each scheduling the next, and the last one models
-// the yielded operation: a Read or Write schedules one resume event at its
-// completion time, and a sync request goes straight to the backend. Each
-// chained event is scheduled at the time, and from the event, that a resume
-// after its core-private operation would be, so engine order, event counts,
-// traces and lock-checker timing are those of one round trip per operation.
+// L1 is private and only this core's accesses touch it), so the program
+// applies them at once and queues their delays. A cacheable access makes one
+// L1 lookup (cache.AccessIfHit): a hit updates the L1 exactly as Access
+// would, and a miss leaves it untouched for the step event's CoreAccess.
+// Only an L1 miss, an uncacheable access or a sync op yields (and, at a
+// small fixed cap, a full delay queue). The step event then plays the queue
+// as a chain of engine events, one per delay, each scheduling the next, and
+// the last one models the yielded operation: a Read or Write schedules one
+// resume event at its completion time, and a sync request goes straight to
+// the backend. Each chained event is scheduled at the time, and from the
+// event, that a resume after its core-private operation would be, so engine
+// order, event counts, traces and lock-checker timing are those of one round
+// trip per operation.
 //
 // Host-order contract: a program's Go code runs inside its core's step
 // event, at the completion time of its previous miss, uncacheable access or
@@ -422,9 +425,10 @@ func (c *Ctx) Read(addr uint64) { c.access(addr, false) }
 // Write models a blocking store to addr.
 func (c *Ctx) Write(addr uint64) { c.access(addr, true) }
 
-// access serves an L1 hit in the coroutine: only this core's CoreAccess
-// touches its L1, so the hit updates LRU and dirty state in program order.
-// A miss or an uncacheable access yields to the step event.
+// access serves an L1 hit in the coroutine: only this core's accesses touch
+// its L1, so the hit updates LRU and dirty state in program order. A miss
+// (which AccessIfHit leaves untouched) or an uncacheable access yields to
+// the step event.
 func (c *Ctx) access(addr uint64, write bool) {
 	kind := opRead
 	if write {
@@ -433,9 +437,11 @@ func (c *Ctx) access(addr uint64, write bool) {
 	} else {
 		c.p.Reads++
 	}
-	if c.m.Cacheable(addr) && c.m.Caches[c.ID].Contains(addr) {
-		c.delay(c.m.CoreAccess(c.now, c.ID, addr, write) - c.now)
-		return
+	if c.m.Cacheable(addr) {
+		if lat, ok := c.m.Caches[c.ID].AccessIfHit(addr, write); ok {
+			c.delay(c.m.CoreClock.Cycles(lat))
+			return
+		}
 	}
 	c.do(op{kind: kind, addr: addr})
 }

@@ -66,16 +66,46 @@ func Load(name string, scale float64) *Graph {
 // structure means a contiguous vertex partition keeps ~75-80% of edges
 // internal — matching the paper's observation that ~24% of pr.wk's accesses
 // go to remote NDP units (§6.4.2).
+//
+// The lists share one backing array. A first pass over the edge sequence
+// counts degrees; a second, replaying the same RNG draws, fills each list
+// in edge order. Each list's capacity ends where it does, so an append to
+// one list cannot overwrite the next.
 func Generate(name string, n, outDeg int, seed uint64) *Graph {
+	deg := make([]int, n)
+	m := generateEdges(n, outDeg, seed, deg, nil)
+	backing := make([]int32, 2*m)
+	adj := make([][]int32, n)
+	off := 0
+	for v, d := range deg {
+		adj[v] = backing[off : off : off+d]
+		off += d
+	}
+	generateEdges(n, outDeg, seed, nil, adj)
+	return &Graph{Name: name, N: n, Adj: adj, M: m}
+}
+
+// generateEdges walks the undirected edges of Generate's graph in
+// generation order and returns the edge count. It counts each edge into
+// both endpoints' deg entries when deg is non-nil, and appends each edge to
+// both endpoints' adj lists when adj is non-nil. The sequence depends only
+// on n, outDeg and seed.
+func generateEdges(n, outDeg int, seed uint64, deg []int, adj [][]int32) int {
 	rng := sim.NewRNG(seed)
-	g := &Graph{Name: name, N: n, Adj: make([][]int32, n)}
+	m := 0
 	addEdge := func(u, v int) {
 		if u == v {
 			return
 		}
-		g.Adj[u] = append(g.Adj[u], int32(v))
-		g.Adj[v] = append(g.Adj[v], int32(u))
-		g.M++
+		if deg != nil {
+			deg[u]++
+			deg[v]++
+		}
+		if adj != nil {
+			adj[u] = append(adj[u], int32(v))
+			adj[v] = append(adj[v], int32(u))
+		}
+		m++
 	}
 	k := outDeg + 1
 	if k > n {
@@ -112,7 +142,7 @@ func Generate(name string, n, outDeg int, seed uint64) *Graph {
 			addEdge(u, v)
 		}
 	}
-	return g
+	return m
 }
 
 // Partition assigns each vertex to one of units parts.
