@@ -161,13 +161,6 @@ func (c *Cache) AccessIfHit(addr uint64, write bool) (latencyCycles int64, ok bo
 // Bypass records an uncacheable access for statistics.
 func (c *Cache) Bypass() { c.Stats.Bypasses.Inc() }
 
-// Contains reports whether the line holding addr is resident, i.e. whether
-// an Access to it would hit. It touches no LRU, dirty or statistics state.
-func (c *Cache) Contains(addr uint64) bool {
-	_, _, _, i := c.lookup(addr)
-	return i >= 0
-}
-
 // Flush invalidates the whole cache, returning the number of dirty lines
 // dropped (the model does not simulate flush traffic; used between phases).
 func (c *Cache) Flush() int {

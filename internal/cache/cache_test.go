@@ -6,6 +6,12 @@ import (
 	"testing/quick"
 )
 
+// resident reports whether the line holding addr is in c, touching nothing.
+func resident(c *Cache, addr uint64) bool {
+	_, _, _, i := c.lookup(addr)
+	return i >= 0
+}
+
 func TestHitAfterMiss(t *testing.T) {
 	c := New(DefaultConfig())
 	if r := c.Access(0x1000, false); r.Hit {
@@ -35,10 +41,10 @@ func TestLRUWithinSet(t *testing.T) {
 	c.Access(b, false)
 	c.Access(a, false) // a is MRU
 	c.Access(d, false) // evicts b
-	if !c.Contains(a) || !c.Contains(d) {
+	if !resident(c, a) || !resident(c, d) {
 		t.Fatal("MRU or new line evicted")
 	}
-	if c.Contains(b) {
+	if resident(c, b) {
 		t.Fatal("LRU line survived")
 	}
 }
@@ -69,12 +75,12 @@ func TestFlush(t *testing.T) {
 	if dirty := c.Flush(); dirty != 1 {
 		t.Fatalf("Flush dropped %d dirty lines, want 1", dirty)
 	}
-	if c.Contains(0x80) || c.Contains(0x100) {
+	if resident(c, 0x80) || resident(c, 0x100) {
 		t.Fatal("lines survived flush")
 	}
 }
 
-// Property: Contains(addr) is true immediately after any access, and stats
+// Property: addr's line is resident immediately after any access, and stats
 // counters match accesses.
 func TestAccessContainsProperty(t *testing.T) {
 	c := New(DefaultConfig())
@@ -83,7 +89,7 @@ func TestAccessContainsProperty(t *testing.T) {
 		addr %= 1 << 30
 		c.Access(addr, write)
 		n++
-		ok := c.Contains(addr)
+		ok := resident(c, addr)
 		total := c.Stats.Hits.Value() + c.Stats.Misses.Value()
 		return ok && total == uint64(n)
 	}, &quick.Config{MaxCount: 2000}); err != nil {
@@ -97,7 +103,7 @@ func TestCapacityProperty(t *testing.T) {
 	c := New(cfg)
 	capacity := cfg.SizeBytes / LineSize
 	if err := quick.Check(func(addrs []uint64) bool {
-		resident := map[uint64]bool{}
+		held := map[uint64]bool{}
 		for _, a := range addrs {
 			a %= 1 << 20
 			c.Access(a, false)
@@ -105,11 +111,11 @@ func TestCapacityProperty(t *testing.T) {
 		// Count resident lines by probing all touched lines.
 		for _, a := range addrs {
 			a %= 1 << 20
-			if c.Contains(a) {
-				resident[a/LineSize] = true
+			if resident(c, a) {
+				held[a/LineSize] = true
 			}
 		}
-		return len(resident) <= capacity
+		return len(held) <= capacity
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
@@ -168,26 +174,31 @@ func TestNewRejectsNonPowerOfTwoSets(t *testing.T) {
 	New(Config{SizeBytes: 3 * 2 * LineSize, Ways: 2})
 }
 
-// BenchmarkCacheAccess mixes stores, loads and residency lookups over a
-// footprint four times the L1, so hits, clean and dirty evictions all occur.
-// One op is one Access or one Contains.
+// BenchmarkCacheAccess times what a core's cacheable access costs the L1:
+// AccessIfHit, then Access on a miss (program.Ctx.access). One figures-quick
+// pass makes 1,619,608 cacheable accesses: 1,539,788 hits, 79,820 misses and
+// 232 stores. So the benchmark makes loads, uniform over F lines: under LRU
+// they hit C/F of the time for an L1 of C lines, and F = C/ratio gives
+// figures-quick's hit ratio. One op is one access; hits/op reports the ratio.
 func BenchmarkCacheAccess(b *testing.B) {
+	const hitRatio = 1539788.0 / 1619608
 	cfg := DefaultConfig()
 	c := New(cfg)
-	addrs := make([]uint64, 4096)
+	lines := uint64(float64(cfg.SizeBytes/LineSize)/hitRatio + 0.5)
+	addrs := make([]uint64, 1<<14)
 	x := uint64(1)
 	for i := range addrs {
 		x = x*6364136223846793005 + 1442695040888963407
-		addrs[i] = (x >> 33) % uint64(4*cfg.SizeBytes)
+		addrs[i] = (x>>33)%lines*LineSize + x>>58
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := addrs[i%len(addrs)]
-		if i%4 == 3 {
-			c.Contains(a)
-		} else {
-			c.Access(a, i%3 == 0)
+		if _, ok := c.AccessIfHit(a, false); !ok {
+			c.Access(a, false)
 		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(c.Stats.Hits.Value())/float64(b.N), "hits/op")
 }

