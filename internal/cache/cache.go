@@ -47,12 +47,18 @@ func (s *Stats) EnergyPJ(cfg Config) float64 {
 	return float64(s.Hits.Value())*cfg.HitEnergyPJ + float64(s.Misses.Value())*cfg.MissEnergyPJ
 }
 
-type way struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64
-}
+// A way is one line slot in a single word: the tag shifted left by two, a
+// dirty bit and a valid bit. The zero way is empty. Each set keeps its ways
+// in recency order, most recently used first, so empty ways sit behind every
+// resident line and the last way is the miss victim: an empty slot if the
+// set has one, else the least recently used line.
+type way uint64
+
+const (
+	wayValid way = 1 << iota
+	wayDirty
+	wayFlags = 2 // bits below the tag
+)
 
 // Cache is a single L1 cache instance. Its ways live in one flat slice:
 // set s occupies ways[s*Ways : (s+1)*Ways].
@@ -61,7 +67,6 @@ type Cache struct {
 	ways     []way
 	setMask  uint64 // nsets-1; nsets is a power of two
 	setShift uint   // log2(nsets)
-	ticks    uint64
 	Stats    Stats
 }
 
@@ -87,28 +92,39 @@ type Result struct {
 	LatencyCycles int64  // core cycles consumed inside the cache
 }
 
-// lookup returns the ways of addr's set, the line's tag and the index of
-// the way holding it, or -1 if it is not resident.
-func (c *Cache) lookup(addr uint64) (ws []way, set, tag uint64, hit int) {
-	line := addr / LineSize
-	set = line & c.setMask
-	tag = line >> c.setShift
+// lookup returns the ways of addr's set, the set index, addr's line as a
+// clean valid way, and the index of the way holding that line, or -1 if it
+// is not resident.
+func (c *Cache) lookup(addr uint64) (ws []way, set uint64, line way, hit int) {
+	l := addr / LineSize
+	set = l & c.setMask
+	line = way(l>>c.setShift)<<wayFlags | wayValid
 	n := uint64(c.cfg.Ways)
 	ws = c.ways[set*n : (set+1)*n]
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			return ws, set, tag, i
+	for i, w := range ws {
+		if w&^wayDirty == line {
+			return ws, set, line, i
 		}
 	}
-	return ws, set, tag, -1
+	return ws, set, line, -1
 }
 
-// hit applies a hit to w: LRU, dirty state and the hit count.
-func (c *Cache) hit(w *way, write bool) {
-	w.lru = c.ticks
-	if write {
-		w.dirty = true
+// toFront moves ws[i] to the front of its set as w, shifting the more
+// recently used ways back by one.
+func toFront(ws []way, i int, w way) {
+	for ; i > 0; i-- {
+		ws[i] = ws[i-1]
 	}
+	ws[0] = w
+}
+
+// hit applies a hit on ws[i]: recency order, dirty state and the hit count.
+func (c *Cache) hit(ws []way, i int, write bool) {
+	w := ws[i]
+	if write {
+		w |= wayDirty
+	}
+	toFront(ws, i, w)
 	c.Stats.Hits.Inc()
 }
 
@@ -116,45 +132,36 @@ func (c *Cache) hit(w *way, write bool) {
 // containing addr, updating LRU and dirty state. On a miss the line is
 // allocated (write-allocate) and the victim is reported.
 func (c *Cache) Access(addr uint64, write bool) Result {
-	c.ticks++
-	ws, set, tag, i := c.lookup(addr)
+	ws, set, line, i := c.lookup(addr)
 	if i >= 0 {
-		c.hit(&ws[i], write)
+		c.hit(ws, i, write)
 		return Result{Hit: true, LatencyCycles: c.cfg.HitCycles}
 	}
-	// Miss: pick the LRU way (or an invalid one).
-	victim := 0
-	for i := 1; i < len(ws); i++ {
-		if !ws[i].valid {
-			victim = i
-			break
-		}
-		if ws[victim].valid && ws[i].lru < ws[victim].lru {
-			victim = i
-		}
-	}
 	res := Result{LatencyCycles: c.cfg.HitCycles}
-	if ws[victim].valid && ws[victim].dirty {
+	last := len(ws) - 1
+	if victim := ws[last]; victim&wayDirty != 0 {
 		res.Writeback = true
-		res.VictimAddr = (ws[victim].tag<<c.setShift | set) * LineSize
+		res.VictimAddr = (uint64(victim>>wayFlags)<<c.setShift | set) * LineSize
 		c.Stats.Writebacks.Inc()
 	}
-	ws[victim] = way{tag: tag, valid: true, dirty: write, lru: c.ticks}
+	if write {
+		line |= wayDirty
+	}
+	toFront(ws, last, line)
 	c.Stats.Misses.Inc()
 	return res
 }
 
 // AccessIfHit performs Access(addr, write) if it would hit, updating LRU,
-// dirty state, the hit count and the access tick exactly as Access does,
-// and returns the hit latency in core cycles. On a miss it changes nothing
-// and returns ok=false; the caller then takes the miss path through Access.
+// dirty state and the hit count exactly as Access does, and returns the hit
+// latency in core cycles. On a miss it changes nothing and returns
+// ok=false; the caller then takes the miss path through Access.
 func (c *Cache) AccessIfHit(addr uint64, write bool) (latencyCycles int64, ok bool) {
 	ws, _, _, i := c.lookup(addr)
 	if i < 0 {
 		return 0, false
 	}
-	c.ticks++
-	c.hit(&ws[i], write)
+	c.hit(ws, i, write)
 	return c.cfg.HitCycles, true
 }
 
@@ -165,11 +172,11 @@ func (c *Cache) Bypass() { c.Stats.Bypasses.Inc() }
 // dropped (the model does not simulate flush traffic; used between phases).
 func (c *Cache) Flush() int {
 	dirty := 0
-	for i := range c.ways {
-		if c.ways[i].valid && c.ways[i].dirty {
+	for i, w := range c.ways {
+		if w&wayDirty != 0 {
 			dirty++
 		}
-		c.ways[i] = way{}
+		c.ways[i] = 0
 	}
 	return dirty
 }

@@ -133,7 +133,7 @@ func TestEnergyAccounting(t *testing.T) {
 }
 
 // Property: AccessIfHit followed, on a miss, by Access leaves the cache in
-// exactly the state Access alone does (ways, LRU ticks and statistics), and
+// exactly the state Access alone does (ways, recency order and statistics), and
 // a miss through AccessIfHit changes nothing.
 func TestAccessIfHitMatchesAccess(t *testing.T) {
 	cfg := Config{SizeBytes: 1024, Ways: 2, HitCycles: 4}
@@ -142,7 +142,7 @@ func TestAccessIfHitMatchesAccess(t *testing.T) {
 		addr %= 4 * uint64(cfg.SizeBytes)
 		want := ref.Access(addr, write)
 		before := append([]way(nil), got.ways...)
-		ticks, stats := got.ticks, got.Stats
+		stats := got.Stats
 		lat, ok := got.AccessIfHit(addr, write)
 		if ok != want.Hit {
 			return false
@@ -152,16 +152,106 @@ func TestAccessIfHitMatchesAccess(t *testing.T) {
 				return false
 			}
 		} else {
-			if got.ticks != ticks || got.Stats != stats || !slices.Equal(got.ways, before) {
+			if got.Stats != stats || !slices.Equal(got.ways, before) {
 				return false
 			}
 			if got.Access(addr, write) != want {
 				return false
 			}
 		}
-		return got.ticks == ref.ticks && got.Stats == ref.Stats && slices.Equal(got.ways, ref.ways)
+		return got.Stats == ref.Stats && slices.Equal(got.ways, ref.ways)
 	}, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// tickLRU is a reference L1: every way stamps the access count of its last
+// use, and a miss evicts the valid way with the oldest stamp unless the set
+// has an empty way.
+type tickLRU struct {
+	sets  [][]tickWay
+	ticks uint64
+}
+
+type tickWay struct {
+	tag          uint64
+	valid, dirty bool
+	lru          uint64
+}
+
+func newTickLRU(cfg Config) *tickLRU {
+	r := &tickLRU{sets: make([][]tickWay, cfg.SizeBytes/(LineSize*cfg.Ways))}
+	for i := range r.sets {
+		r.sets[i] = make([]tickWay, cfg.Ways)
+	}
+	return r
+}
+
+func (r *tickLRU) access(addr uint64, write bool) Result {
+	r.ticks++
+	nsets := uint64(len(r.sets))
+	line := addr / LineSize
+	set, tag := line%nsets, line/nsets
+	ws := r.sets[set]
+	for i := range ws {
+		if ws[i].valid && ws[i].tag == tag {
+			ws[i].lru = r.ticks
+			ws[i].dirty = ws[i].dirty || write
+			return Result{Hit: true}
+		}
+	}
+	victim := 0
+	for i := range ws {
+		if !ws[i].valid {
+			victim = i
+			break
+		}
+		if ws[i].lru < ws[victim].lru {
+			victim = i
+		}
+	}
+	var res Result
+	if ws[victim].valid && ws[victim].dirty {
+		res.Writeback, res.VictimAddr = true, (ws[victim].tag*nsets+set)*LineSize
+	}
+	ws[victim] = tickWay{tag: tag, valid: true, dirty: write, lru: r.ticks}
+	return res
+}
+
+// Property: the recency-ordered sets give the same hits, writebacks, victim
+// addresses and flush counts as per-way LRU stamps, across geometries from
+// direct-mapped to fully associative.
+func TestRecencyOrderMatchesTickLRU(t *testing.T) {
+	for _, cfg := range []Config{
+		{SizeBytes: 8 * LineSize, Ways: 1},
+		{SizeBytes: 16 * LineSize, Ways: 2},
+		{SizeBytes: 16 * LineSize, Ways: 4},
+		{SizeBytes: 8 * LineSize, Ways: 8},
+	} {
+		c, ref := New(cfg), newTickLRU(cfg)
+		lines := 3 * uint64(cfg.SizeBytes/LineSize)
+		for step := range 20000 {
+			x := uint64(step)*0x9E3779B97F4A7C15 ^ uint64(step)>>7
+			x ^= x >> 29
+			x *= 0xBF58476D1CE4E5B9
+			addr, write := (x>>8)%lines*LineSize+(x&(LineSize-1)), x>>63 == 1
+			want := ref.access(addr, write)
+			want.LatencyCycles = cfg.HitCycles
+			if got := c.Access(addr, write); got != want {
+				t.Fatalf("%d-way, step %d, addr %#x: got %+v, want %+v", cfg.Ways, step, addr, got, want)
+			}
+		}
+		dirty := 0
+		for _, ws := range ref.sets {
+			for _, w := range ws {
+				if w.valid && w.dirty {
+					dirty++
+				}
+			}
+		}
+		if got := c.Flush(); got != dirty {
+			t.Fatalf("%d-way: Flush dropped %d dirty lines, want %d", cfg.Ways, got, dirty)
+		}
 	}
 }
 
