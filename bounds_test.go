@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"syncron"
+	"syncron/internal/arch"
 )
 
 // Under Ideal a sync op costs nothing, so each core completes one op per
@@ -34,7 +35,7 @@ func TestIdealIsComputeBound(t *testing.T) {
 				// The identity in integers, with the makespan in picoseconds:
 				// ops × (ps per ms) × interval == cores × MHz × 1000 × makespan.
 				// OpsPerMs is the same ratio in floating point.
-				mhz := syncron.New(cfg).Machine().Cfg.CoreMHz
+				mhz := int64(arch.CoreMHz)
 				lhs := int64(res.Ops) * int64(syncron.Millisecond) * p.interval
 				rhs := int64(p.cores) * mhz * 1000 * int64(res.Makespan)
 				if lhs != rhs || res.Ops == 0 {

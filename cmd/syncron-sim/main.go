@@ -140,16 +140,14 @@ func configFlags(fs *flag.FlagSet) (func() syncron.Config, *int, *string, *strin
 		}
 		// A zero LinkLatency means the 40 ns default, so an explicit
 		// -link-ns 0 would silently run at 40 ns.
-		if *linkNS < 0 || *linkNS == 0 && flagSet(fs, "link-ns") {
-			fatal("-link-ns must be positive (got %d); omit it for the 40 ns default", *linkNS)
+		if *linkNS == 0 && flagSet(fs, "link-ns") {
+			fatal("-link-ns must be positive (got 0); omit it for the 40 ns default")
 		}
-		nonNegative("st", int64(*stSize))
-		nonNegative("fairness", int64(*fairness))
 		memory, err := syncron.ParseMemory(*memTech)
 		if err != nil {
 			fatal("%v", err)
 		}
-		cfg := syncron.Config{
+		return syncron.Config{
 			Units:             *units,
 			Memory:            memory,
 			LinkLatency:       syncron.Time(*linkNS) * syncron.Nanosecond,
@@ -157,16 +155,7 @@ func configFlags(fs *flag.FlagSet) (func() syncron.Config, *int, *string, *strin
 			FairnessThreshold: *fairness,
 			Seed:              *seed,
 		}
-		return cfg
 	}, cores, topology, memModel
-}
-
-// nonNegative fails on a negative machine-parameter flag before any run
-// starts (zero keeps the default).
-func nonNegative(flagName string, v int64) {
-	if v < 0 {
-		fatal("-%s must not be negative (got %d)", flagName, v)
-	}
 }
 
 // flagSet reports whether the named flag was given on the command line.
@@ -247,8 +236,8 @@ func runCmd(args []string) {
 		fatal("%v", err)
 	}
 	spec.Config.MemModel = mmodel
-	if _, ok := syncron.LookupWorkload(*workload); !ok {
-		fatal("unknown workload %q (try `syncron-sim list`)", *workload)
+	if err := spec.Validate(); err != nil {
+		fatal("%v", err)
 	}
 	if *printSpec {
 		enc := json.NewEncoder(os.Stdout)
@@ -426,14 +415,8 @@ func sweepCmd(args []string) {
 		}
 	}
 
-	names := splitList(*workloads)
-	for _, name := range names {
-		if _, ok := syncron.LookupWorkload(name); !ok {
-			fatal("unknown workload %q (try `syncron-sim list`)", name)
-		}
-	}
 	sw := syncron.Sweep{
-		Workloads:  names,
+		Workloads:  splitList(*workloads),
 		Topologies: parseList(*topology, syncron.ParseTopology),
 		MemModels:  parseList(*memModel, syncron.ParseMemModel),
 		Base:       cfg(),
@@ -449,19 +432,21 @@ func sweepCmd(args []string) {
 		sw.Units = append(sw.Units, u)
 	}
 	for _, s := range splitList(*stList) {
-		st := parseInt(s, "st-list")
-		nonNegative("st-list", int64(st))
-		sw.STEntries = append(sw.STEntries, st)
+		sw.STEntries = append(sw.STEntries, parseInt(s, "st-list"))
 	}
 	specs := sw.Expand()
 	// -cores fixes the TOTAL client core count, so per-unit cores must track
-	// the -units-list axis rather than the base -units value.
+	// the -units-list axis rather than the base -units value. Every spec is
+	// validated before the first run starts.
 	for i := range specs {
 		perUnit, err := coresPerUnit(*cores, specs[i].Config.Units)
 		if err != nil {
 			fatal("%v", err)
 		}
 		specs[i].Config.CoresPerUnit = perUnit
+		if err := specs[i].Validate(); err != nil {
+			fatal("%v", err)
+		}
 	}
 
 	var cols []*syncron.TraceCollector
@@ -559,12 +544,7 @@ func figuresCmd(args []string) {
 	if cache != nil {
 		opt.Cache = cache
 	}
-	for _, name := range splitList(*workloads) {
-		if _, ok := syncron.LookupWorkload(name); !ok {
-			fatal("unknown workload %q (try `syncron-sim list`)", name)
-		}
-		opt.Workloads = append(opt.Workloads, name)
-	}
+	opt.Workloads = splitList(*workloads)
 
 	figs, err := syncron.Figures(opt)
 	if err != nil {

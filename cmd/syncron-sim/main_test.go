@@ -2,11 +2,14 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"syncron"
 )
 
 func TestCoresPerUnit(t *testing.T) {
@@ -99,5 +102,33 @@ func TestLinkNSZeroRejected(t *testing.T) {
 	code, out := runCLI(t, "run", "-workload", "lock", "-print-spec")
 	if code != 0 || strings.Contains(out, "link_latency") {
 		t.Errorf("run without -link-ns: exit %d, spec %q; want exit 0 and the default link latency", code, out)
+	}
+}
+
+// run (with or without -print-spec), sweep and figures validate every spec
+// before the first run: a bad value exits 2 naming the field, and nothing
+// simulates (no run report, no sweep banner).
+func TestInvalidSpecExitsBeforeAnyRun(t *testing.T) {
+	tooMany := fmt.Sprint(syncron.MaxUnits + 1)
+	for _, tc := range []struct{ args, want string }{
+		{"run -workload pr.wk -scale NaN", "WorkloadParams.Scale"},
+		{"run -workload pr.wk -scale -1", "WorkloadParams.Scale"},
+		{"run -workload lock -interval -50", "WorkloadParams.Interval"},
+		{"run -workload stack -ops -3 -print-spec", "WorkloadParams.OpsPerCore"},
+		{"run -workload lock -st -1", "Config.STEntries"},
+		{"run -workload lock -fairness -2 -print-spec", "Config.FairnessThreshold"},
+		{"run -workload lock -link-ns -5", "Config.LinkLatency"},
+		{"run -workload lock -units " + tooMany + " -cores " + tooMany, "Config.Units"},
+		{"run -workload no.such", "unknown workload"},
+		{"sweep -workloads lock,no.such", "unknown workload"},
+		{"sweep -workloads lock -st-list 8,-1", "Config.STEntries"},
+		{"sweep -workloads lock -scale NaN", "WorkloadParams.Scale"},
+		{"figures --quick -workloads lock,no.such", "unknown workload"},
+		{"figures --quick -scale NaN", "WorkloadParams.Scale"},
+	} {
+		code, out := runCLI(t, strings.Fields(tc.args)...)
+		if code != 2 || !strings.Contains(out, tc.want) || strings.Contains(out, "makespan") || strings.Contains(out, "sweeping") {
+			t.Errorf("%s: exit %d, output %q; want exit 2 naming %s before any run", tc.args, code, out, tc.want)
+		}
 	}
 }

@@ -214,11 +214,19 @@ func withBase[T comparable](xs []T, base T) []T {
 //     is non-empty)
 //
 // Output is deterministic for fixed options: runs get seeds derived from
-// BaseSeed and grid position, independent of Workers. Any failed run aborts
-// with an error naming it.
+// BaseSeed and grid position, independent of Workers. A spec Validate
+// rejects aborts before any run; any failed run aborts with an error naming
+// it.
 func Figures(opt FigureOptions) ([]*Figure, error) {
 	o := opt.withDefaults()
 	grids := figureGridsFor(o)
+	for _, s := range FigureSweeps(opt) {
+		for _, spec := range s.Expand() {
+			if err := spec.Validate(); err != nil {
+				return nil, err
+			}
+		}
+	}
 
 	grid, err := runGrid(grids.main)
 	if err != nil {

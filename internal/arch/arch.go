@@ -23,9 +23,6 @@ type Config struct {
 	Units        int // NDP units
 	CoresPerUnit int // client NDP cores per unit (the paper uses 15 clients + 1 server/SE)
 
-	CoreMHz int64 // NDP core clock (default 2500)
-	SEMHz   int64 // Synchronization Engine clock (default 1000)
-
 	Mem mem.Tech // memory technology (default HBM / 2.5D)
 
 	// MemModel selects the DRAM timing model (default mem.ModelFlat; see
@@ -52,24 +49,20 @@ type Config struct {
 	Tracer trace.Tracer
 }
 
-// Default returns the paper's evaluated configuration: 4 NDP units with 15
-// client cores each, 2.5 GHz cores, HBM memory.
-func Default() Config {
-	return Config{Units: 4, CoresPerUnit: 15, CoreMHz: 2500, SEMHz: 1000, Mem: mem.HBM, Seed: 1}
-}
+// Clock frequencies of Table 5. No configuration varies them.
+const (
+	CoreMHz = 2500 // NDP core clock
+	SEMHz   = 1000 // Synchronization Engine clock
+)
 
+// withDefaults fills every zero field with the paper's evaluated
+// configuration: 4 NDP units with 15 client cores each (HBM, the zero Mem).
 func (c Config) withDefaults() Config {
 	if c.Units == 0 {
 		c.Units = 4
 	}
 	if c.CoresPerUnit == 0 {
 		c.CoresPerUnit = 15
-	}
-	if c.CoreMHz == 0 {
-		c.CoreMHz = 2500
-	}
-	if c.SEMHz == 0 {
-		c.SEMHz = 1000
 	}
 	if c.Topology == "" {
 		c.Topology = network.KindAllToAll
@@ -107,9 +100,8 @@ type Machine struct {
 	// The program runner reads it at Run time to emit synchronization spans.
 	Tracer trace.Tracer
 
-	allocNext  []uint64 // per-unit bump pointer (cacheable arena)
-	allocNextU []uint64 // per-unit bump pointer (uncacheable arena)
-	cacheCfg   cache.Config
+	allocNext  []uint64          // per-unit bump pointer (cacheable arena)
+	allocNextU []uint64          // per-unit bump pointer (uncacheable arena)
 	engHook    *trace.EngineHook // engine dispatch adapter; nil when untraced
 }
 
@@ -118,8 +110,8 @@ type Machine struct {
 func NewMachine(cfg Config) *Machine {
 	cfg = cfg.withDefaults()
 	eng := sim.NewEngine()
-	coreClk := sim.NewClock(cfg.CoreMHz)
-	seClk := sim.NewClock(cfg.SEMHz)
+	coreClk := sim.NewClock(CoreMHz)
+	seClk := sim.NewClock(SEMHz)
 	ncfg := network.DefaultConfig(coreClk)
 	if cfg.LinkLatency != 0 {
 		ncfg.LinkLatency = cfg.LinkLatency
@@ -131,7 +123,6 @@ func NewMachine(cfg Config) *Machine {
 		SEClock:    seClk,
 		Net:        network.New(ncfg, network.MustBuild(cfg.Topology, cfg.Units)),
 		RNG:        sim.NewRNG(cfg.Seed),
-		cacheCfg:   cache.DefaultConfig(),
 		allocNext:  make([]uint64, cfg.Units),
 		allocNextU: make([]uint64, cfg.Units),
 	}
@@ -142,7 +133,7 @@ func NewMachine(cfg Config) *Machine {
 		m.allocNextU[u] = mem.Line
 	}
 	for c := 0; c < cfg.Units*cfg.CoresPerUnit; c++ {
-		m.Caches = append(m.Caches, cache.New(m.cacheCfg))
+		m.Caches = append(m.Caches, cache.New(cache.DefaultConfig()))
 	}
 	if cfg.Tracer != nil {
 		m.Tracer = cfg.Tracer
@@ -291,7 +282,7 @@ func (e Energy) Total() float64 { return e.CachePJ + e.NetworkPJ + e.MemoryPJ }
 func (m *Machine) EnergyBreakdown() Energy {
 	var e Energy
 	for _, c := range m.Caches {
-		e.CachePJ += c.Stats.EnergyPJ(cache.DefaultConfig())
+		e.CachePJ += c.EnergyPJ()
 	}
 	if m.Backend != nil {
 		e.CachePJ += m.Backend.ExtraCacheEnergyPJ()

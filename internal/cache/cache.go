@@ -42,11 +42,6 @@ type Stats struct {
 	Bypasses   sim.Counter // uncacheable accesses
 }
 
-// EnergyPJ returns total cache energy under cfg.
-func (s *Stats) EnergyPJ(cfg Config) float64 {
-	return float64(s.Hits.Value())*cfg.HitEnergyPJ + float64(s.Misses.Value())*cfg.MissEnergyPJ
-}
-
 // A way is one line slot in a single word: the tag shifted left by two, a
 // dirty bit and a valid bit. The zero way is empty. Each set keeps its ways
 // in recency order, most recently used first, so empty ways sit behind every
@@ -163,6 +158,12 @@ func (c *Cache) AccessIfHit(addr uint64, write bool) (latencyCycles int64, ok bo
 	}
 	c.hit(ws, i, write)
 	return c.cfg.HitCycles, true
+}
+
+// EnergyPJ returns the cache's access energy so far: its hits and misses
+// at the per-access energies of its Config.
+func (c *Cache) EnergyPJ() float64 {
+	return float64(c.Stats.Hits.Value())*c.cfg.HitEnergyPJ + float64(c.Stats.Misses.Value())*c.cfg.MissEnergyPJ
 }
 
 // Bypass records an uncacheable access for statistics.

@@ -127,7 +127,7 @@ func TestEnergyAccounting(t *testing.T) {
 	c.Access(0, false) // miss: 47 pJ
 	c.Access(0, false) // hit: 23 pJ
 	want := cfg.MissEnergyPJ + cfg.HitEnergyPJ
-	if got := c.Stats.EnergyPJ(cfg); got != want {
+	if got := c.EnergyPJ(); got != want {
 		t.Fatalf("energy = %f, want %f", got, want)
 	}
 }

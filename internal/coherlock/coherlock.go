@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"syncron/internal/arch"
+	"syncron/internal/baselines"
 	"syncron/internal/coherence"
 	"syncron/internal/sim"
 )
@@ -45,15 +46,16 @@ func (a Algorithm) String() string {
 
 // Backend is a coherence-based lock scheme. Only lock semantics are
 // supported (like SSB/LCU, these schemes have no barrier/semaphore/condvar
-// primitives); barrier requests fall back to an ideal barrier so mixed
+// primitives); barrier requests go to the embedded Ideal scheme so mixed
 // workloads can still run, and any other operation panics.
 type Backend struct {
 	Alg Algorithm
+	// Ideal serves barriers: zero-cost, granted when the last core arrives.
+	baselines.Ideal
 
 	m     *arch.Machine
 	space *coherence.Space
 	locks map[uint64]*lockState
-	bars  map[uint64]*barState
 }
 
 type waiter struct {
@@ -67,11 +69,6 @@ type lockState struct {
 	batch    int
 }
 
-type barState struct {
-	arrived int
-	done    []func(sim.Time)
-}
-
 // htlLocalBatch bounds HTL's consecutive same-unit lock handoffs.
 const htlLocalBatch = 8
 
@@ -83,14 +80,11 @@ func (b *Backend) Name() string { return b.Alg.String() }
 
 // Attach implements arch.Backend.
 func (b *Backend) Attach(m *arch.Machine) {
+	b.Ideal.Attach(m)
 	b.m = m
 	b.space = coherence.NewSpace(m)
 	b.locks = make(map[uint64]*lockState)
-	b.bars = make(map[uint64]*barState)
 }
-
-// ExtraCacheEnergyPJ implements arch.Backend.
-func (b *Backend) ExtraCacheEnergyPJ() float64 { return 0 }
 
 // Space exposes the coherence model for stats (tests, experiments).
 func (b *Backend) Space() *coherence.Space { return b.space }
@@ -104,21 +98,7 @@ func (b *Backend) Request(t sim.Time, core int, req arch.SyncReq, done func(sim.
 		done(t + b.m.CoreClock.Cycles(1))
 		b.release(t, core, req.Addr)
 	case arch.OpBarrierWithinUnit, arch.OpBarrierAcrossUnits:
-		// Ideal barrier fallback (coherence lock schemes provide only locks).
-		bs, ok := b.bars[req.Addr]
-		if !ok {
-			bs = &barState{}
-			b.bars[req.Addr] = bs
-		}
-		bs.arrived++
-		bs.done = append(bs.done, done)
-		if bs.arrived >= int(req.Info) {
-			ds := bs.done
-			delete(b.bars, req.Addr)
-			for _, d := range ds {
-				b.m.Engine.Schedule(t, d)
-			}
-		}
+		b.Ideal.Request(t, core, req, done)
 	default:
 		panic(fmt.Sprintf("coherlock: scheme %s does not model %v", b.Alg, req.Op))
 	}

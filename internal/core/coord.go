@@ -288,7 +288,7 @@ func (c *Coordinator) ExtraCacheEnergyPJ() float64 {
 	var pj float64
 	for _, n := range c.nodes {
 		if n.l1 != nil {
-			pj += n.l1.Stats.EnergyPJ(n.l1Cfg)
+			pj += n.l1.EnergyPJ()
 		}
 	}
 	return pj

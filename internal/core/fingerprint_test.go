@@ -194,7 +194,7 @@ func protocolFingerprint(t *testing.T) string {
 					opt := s.opt
 					opt.STEntries, opt.Overflow = st, pol
 					c := core.NewCoordinator(opt)
-					cfg := arch.Default()
+					cfg := arch.Config{}
 					cfg.Units, cfg.CoresPerUnit = 2, 4
 					m := arch.NewMachine(cfg)
 					m.Backend = c

@@ -24,7 +24,7 @@ func backendsUnderTest() map[string]func() arch.Backend {
 
 func newTestMachine(t *testing.T, b arch.Backend) *arch.Machine {
 	t.Helper()
-	cfg := arch.Default()
+	cfg := arch.Config{}
 	cfg.Units = 2
 	cfg.CoresPerUnit = 4
 	m := arch.NewMachine(cfg)
@@ -222,7 +222,7 @@ func TestConditionVariableSignal(t *testing.T) {
 
 func TestLockFairnessThreshold(t *testing.T) {
 	b := core.NewCoordinator(core.Options{Topology: core.TopoHier, HardwareSE: true, FairnessThreshold: 2})
-	cfg := arch.Default()
+	cfg := arch.Config{}
 	cfg.Units = 2
 	cfg.CoresPerUnit = 4
 	m := arch.NewMachine(cfg)
@@ -249,7 +249,7 @@ func TestSTOverflowIntegrated(t *testing.T) {
 	// A tiny ST forces overflow; correctness must be preserved and the
 	// overflow fraction must be visible in stats.
 	b := core.NewCoordinator(core.Options{Topology: core.TopoHier, HardwareSE: true, STEntries: 2})
-	cfg := arch.Default()
+	cfg := arch.Config{}
 	cfg.Units = 2
 	cfg.CoresPerUnit = 4
 	m := arch.NewMachine(cfg)
@@ -298,7 +298,7 @@ func TestOverflowFallbackPolicies(t *testing.T) {
 		t.Run(fmt.Sprint(pol), func(t *testing.T) {
 			b := core.NewCoordinator(core.Options{Topology: core.TopoHier, HardwareSE: true,
 				STEntries: 1, Overflow: pol})
-			cfg := arch.Default()
+			cfg := arch.Config{}
 			cfg.Units = 2
 			cfg.CoresPerUnit = 4
 			m := arch.NewMachine(cfg)
@@ -331,7 +331,7 @@ func TestOverflowFallbackPolicies(t *testing.T) {
 
 func TestFetchAddRMW(t *testing.T) {
 	b := core.NewSynCron()
-	cfg := arch.Default()
+	cfg := arch.Config{}
 	cfg.Units = 2
 	cfg.CoresPerUnit = 4
 	m := arch.NewMachine(cfg)

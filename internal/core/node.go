@@ -25,8 +25,7 @@ type node struct {
 
 	// Server state (nil for SEs): the software handler's L1 through which it
 	// accesses variable state in memory.
-	l1    *cache.Cache
-	l1Cfg cache.Config
+	l1 *cache.Cache
 
 	// local per-variable protocol state (used in TopoHier).
 	locals map[uint64]*localState
@@ -39,8 +38,7 @@ func newNode(c *Coordinator, unit int) *node {
 		n.counters = make([]int, indexingCounters)
 		n.memVars = make(map[uint64]bool)
 	} else {
-		n.l1Cfg = cache.DefaultConfig()
-		n.l1 = cache.New(n.l1Cfg)
+		n.l1 = cache.New(cache.DefaultConfig())
 	}
 	return n
 }

@@ -35,7 +35,7 @@ func TestSchemesFunctionallyEquivalent(t *testing.T) {
 			func() arch.Backend { return baselines.NewIdeal() },
 		} {
 			b := mk()
-			cfg := arch.Default()
+			cfg := arch.Config{}
 			cfg.Units = 2
 			cfg.CoresPerUnit = (cores + 1) / 2
 			m := arch.NewMachine(cfg)
@@ -107,7 +107,7 @@ func TestDeterministicMakespans(t *testing.T) {
 // variant (the Figure 21b mechanism).
 func TestHierarchyReducesInterUnitTraffic(t *testing.T) {
 	traffic := func(mk func() arch.Backend) uint64 {
-		cfg := arch.Default()
+		cfg := arch.Config{}
 		cfg.Units = 4
 		cfg.CoresPerUnit = 8
 		m := arch.NewMachine(cfg)

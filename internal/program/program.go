@@ -93,9 +93,8 @@ type op struct {
 const maxDelays = 16
 
 type proc struct {
-	id       int
-	done     bool
-	finishAt sim.Time
+	Stats // the core's id, counters and finish time
+	done  bool
 
 	// next runs the program coroutine to its next yielded operation (ok is
 	// false once it returned) and stop unwinds it; resumeAt carries the
@@ -121,13 +120,6 @@ type proc struct {
 	grantFn func(sim.Time) // backend grant callback for pend
 	pend    arch.SyncReq
 	issued  sim.Time
-
-	// statistics
-	Instrs   uint64
-	Reads    uint64
-	Writes   uint64
-	SyncOps  uint64
-	SyncWait sim.Time // time spent blocked in acquire-type sync ops
 }
 
 // Runner drives a set of programs to completion on a machine.
@@ -210,7 +202,7 @@ func (r *Runner) Run() sim.Time {
 		if pg == nil {
 			continue
 		}
-		p := &proc{id: i}
+		p := &proc{Stats: Stats{Core: i}}
 		p.stepFn = func(at sim.Time) { r.step(p, at) }
 		p.playFn = func(at sim.Time) { r.play(p, at) }
 		p.grantFn = func(done sim.Time) {
@@ -249,9 +241,9 @@ func (r *Runner) Run() sim.Time {
 	var makespan sim.Time
 	var blocked []string
 	for _, p := range r.procs {
-		makespan = max(makespan, p.finishAt)
+		makespan = max(makespan, p.Finish)
 		if !p.done {
-			blocked = append(blocked, fmt.Sprintf("core %d on %v %#x", p.id, p.pend.Op, p.pend.Addr))
+			blocked = append(blocked, fmt.Sprintf("core %d on %v %#x", p.Core, p.pend.Op, p.pend.Addr))
 		}
 	}
 	if blocked != nil {
@@ -290,18 +282,18 @@ func (r *Runner) play(p *proc, at sim.Time) {
 	p.queued = 0
 	switch o := p.op; o.kind {
 	case opRead, opWrite:
-		r.M.Engine.Schedule(r.M.CoreAccess(at, p.id, o.addr, o.kind == opWrite), p.stepFn)
+		r.M.Engine.Schedule(r.M.CoreAccess(at, p.Core, o.addr, o.kind == opWrite), p.stepFn)
 	case opFlush:
 		r.step(p, at)
 	case opEnd:
 		p.done = true
-		p.finishAt = at
+		p.Finish = at
 	case opSync:
 		p.SyncOps++
 		p.pend = o.req
 		p.issued = at
 		r.checkIssue(p, o.req, at)
-		r.M.Backend.Request(at, p.id, o.req, p.grantFn)
+		r.M.Backend.Request(at, p.Core, o.req, p.grantFn)
 	}
 }
 
@@ -312,14 +304,14 @@ func (r *Runner) checkIssue(p *proc, req arch.SyncReq, at sim.Time) {
 	switch req.Op {
 	case arch.OpLockRelease:
 		lock = req.Addr
-		if h, held := r.holders[lock]; !held || h.core != p.id {
+		if h, held := r.holders[lock]; !held || h.core != p.Core {
 			violation("core %d released lock %#x it does not hold (holder %d, held=%v)",
-				p.id, lock, h.core, held)
+				p.Core, lock, h.core, held)
 		}
 	case arch.OpCondWait:
 		lock = req.Lock
-		if h, held := r.holders[lock]; !held || h.core != p.id {
-			violation("core %d cond_wait on %#x without holding lock %#x", p.id, req.Addr, lock)
+		if h, held := r.holders[lock]; !held || h.core != p.Core {
+			violation("core %d cond_wait on %#x without holding lock %#x", p.Core, req.Addr, lock)
 		}
 	default:
 		return
@@ -338,14 +330,14 @@ func (r *Runner) checkGrant(p *proc, req arch.SyncReq, at sim.Time) {
 	case arch.OpLockAcquire:
 		if h, held := r.holders[req.Addr]; held {
 			violation("mutual exclusion violated: lock %#x granted to core %d while held by %d at %v",
-				req.Addr, p.id, h.core, at)
+				req.Addr, p.Core, h.core, at)
 		}
-		r.holders[req.Addr] = holding{p.id, at}
+		r.holders[req.Addr] = holding{p.Core, at}
 	case arch.OpCondWait:
 		if h, held := r.holders[req.Lock]; held {
-			violation("cond_wait woke core %d with lock %#x held by %d", p.id, req.Lock, h.core)
+			violation("cond_wait woke core %d with lock %#x held by %d", p.Core, req.Lock, h.core)
 		}
-		r.holders[req.Lock] = holding{p.id, at}
+		r.holders[req.Lock] = holding{p.Core, at}
 	}
 }
 
@@ -504,14 +496,15 @@ func (c *Ctx) FetchAdd(addr uint64, delta uint64) {
 	c.do(op{kind: opSync, req: arch.SyncReq{Op: arch.OpFetchAdd, Addr: addr, Info: delta}})
 }
 
-// Stats returns per-core statistics after a run.
+// Stats holds one core's counters: each proc embeds one, and Runner.Stats
+// copies them out after a run.
 type Stats struct {
 	Core     int
 	Instrs   uint64
 	Reads    uint64
 	Writes   uint64
 	SyncOps  uint64
-	SyncWait sim.Time
+	SyncWait sim.Time // time spent blocked in acquire-type sync ops
 	Finish   sim.Time
 }
 
@@ -520,8 +513,7 @@ type Stats struct {
 func (r *Runner) Stats() []Stats {
 	out := make([]Stats, len(r.procs))
 	for i, p := range r.procs {
-		out[i] = Stats{Core: p.id, Instrs: p.Instrs, Reads: p.Reads, Writes: p.Writes,
-			SyncOps: p.SyncOps, SyncWait: p.SyncWait, Finish: p.finishAt}
+		out[i] = p.Stats
 	}
 	return out
 }

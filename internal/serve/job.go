@@ -41,8 +41,8 @@ type SweepGrid struct {
 // memory; it is deliberately far above the full figures grid.
 const maxJobSpecs = 4096
 
-// expand canonicalizes the request into its spec list, validating every
-// workload name. The returned specs are NOT yet seed-resolved.
+// expand canonicalizes the request into its spec list and validates every
+// spec with RunSpec.Validate. The returned specs are NOT yet seed-resolved.
 func (req SubmitRequest) expand() ([]syncron.RunSpec, error) {
 	if len(req.Specs) > 0 && req.Sweep != nil {
 		return nil, fmt.Errorf("request names both specs and a sweep grid; use one")
@@ -69,12 +69,9 @@ func (req SubmitRequest) expand() ([]syncron.RunSpec, error) {
 	if len(specs) > maxJobSpecs {
 		return nil, fmt.Errorf("job expands to %d runs (limit %d); split it", len(specs), maxJobSpecs)
 	}
-	for _, spec := range specs {
-		if _, ok := syncron.LookupWorkload(spec.Workload); !ok {
-			return nil, fmt.Errorf("unknown workload %q (GET /workloads is `syncron-sim list`)", spec.Workload)
-		}
-		if _, err := syncron.ParseTopology(string(spec.Config.Topology)); err != nil {
-			return nil, fmt.Errorf("spec %q: %v", spec.Workload, err)
+	for i, spec := range specs {
+		if err := spec.Validate(); err != nil {
+			return nil, fmt.Errorf("spec %d: %v", i, err)
 		}
 	}
 	return specs, nil

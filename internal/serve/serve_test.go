@@ -418,20 +418,39 @@ func TestCancelReportsPendingRuns(t *testing.T) {
 }
 
 // TestSubmitValidation pins the 400 surface: unknown workloads, empty jobs,
-// and both-specs-and-sweep requests are rejected before touching the queue.
+// both-specs-and-sweep requests, and every spec RunSpec.Validate rejects,
+// listed or expanded from a grid, are rejected before touching the queue.
 func TestSubmitValidation(t *testing.T) {
-	_, hs := newTestServer(t, Options{Workers: 1, QueueDepth: 2})
+	s, hs := newTestServer(t, Options{Workers: 1, QueueDepth: 2})
+	with := func(edit func(*syncron.RunSpec)) SubmitRequest {
+		spec := tinySpec(1)
+		edit(&spec)
+		return SubmitRequest{Specs: []syncron.RunSpec{tinySpec(2), spec}}
+	}
 	for name, req := range map[string]SubmitRequest{
 		"empty":    {},
 		"unknown":  {Specs: []syncron.RunSpec{{Workload: "no.such"}}},
 		"both":     {Specs: []syncron.RunSpec{tinySpec(1)}, Sweep: &SweepGrid{Workloads: []string{"stack"}}},
 		"badtopo":  {Specs: []syncron.RunSpec{{Workload: "stack", Config: syncron.Config{Topology: "moebius"}}}},
 		"toolarge": {Sweep: &SweepGrid{Workloads: []string{"stack"}, Units: manyUnits(maxJobSpecs + 1)}},
+		"scheme":   with(func(s *syncron.RunSpec) { s.Config.Scheme = "bogus" }),
+		"units":    with(func(s *syncron.RunSpec) { s.Config.Units = -1 }),
+		"memory":   with(func(s *syncron.RunSpec) { s.Config.Memory = 7 }),
+		"memmodel": with(func(s *syncron.RunSpec) { s.Config.MemModel = "dram9" }),
+		"overflow": with(func(s *syncron.RunSpec) { s.Config.Overflow = 9 }),
+		"maxunits": with(func(s *syncron.RunSpec) { s.Config.Units, s.Config.CoresPerUnit = syncron.MaxUnits+1, 1 }),
+		"maxcores": with(func(s *syncron.RunSpec) { s.Config.Units, s.Config.CoresPerUnit = 1, syncron.MaxCoresPerUnit+1 }),
+		"ops":      with(func(s *syncron.RunSpec) { s.Params.OpsPerCore = -3 }),
+		"scale":    with(func(s *syncron.RunSpec) { s.Params.Scale = -1 }),
+		"gridst":   {Sweep: &SweepGrid{Workloads: []string{"stack"}, STEntries: []int{8, -1}}},
 	} {
 		_, resp := submit(t, hs.URL, req)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
 		}
+	}
+	if m := s.Metrics(); m.Simulated != 0 || m.SpecsAccepted != 0 || m.JobsSubmitted != 0 {
+		t.Fatalf("rejected submissions reached the scheduler: %+v", m)
 	}
 }
 

@@ -26,7 +26,7 @@ func smallSize(name string) int {
 // 2x4 machine and returns the structure's functional check.
 func runDS(t *testing.T, name string, mkBackend func() arch.Backend, opsPerCore int) func() error {
 	t.Helper()
-	cfg := arch.Default()
+	cfg := arch.Config{}
 	cfg.Units = 2
 	cfg.CoresPerUnit = 4
 	m := arch.NewMachine(cfg)

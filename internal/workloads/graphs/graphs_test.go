@@ -81,7 +81,7 @@ func TestGreedyPartitionManyUnits(t *testing.T) {
 
 func runApp(t *testing.T, app string, mk func() arch.Backend) {
 	t.Helper()
-	cfg := arch.Default()
+	cfg := arch.Config{}
 	cfg.Units = 2
 	cfg.CoresPerUnit = 4
 	m := arch.NewMachine(cfg)

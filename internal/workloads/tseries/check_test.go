@@ -14,7 +14,7 @@ import (
 // run places s on a 2x2 machine under the ideal scheme, runs it and returns
 // the placed workload with its computed profile.
 func run(t testing.TB, s *Series) *workload {
-	cfg := arch.Default()
+	cfg := arch.Config{}
 	cfg.Units = 2
 	cfg.CoresPerUnit = 2
 	m := arch.NewMachine(cfg)

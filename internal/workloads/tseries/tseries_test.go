@@ -20,7 +20,7 @@ func TestMatrixProfileAllSchemes(t *testing.T) {
 		for bname, mk := range backends {
 			input, bname, mk := input, bname, mk
 			t.Run(input+"/"+bname, func(t *testing.T) {
-				cfg := arch.Default()
+				cfg := arch.Config{}
 				cfg.Units = 2
 				cfg.CoresPerUnit = 4
 				m := arch.NewMachine(cfg)

@@ -29,7 +29,7 @@ func TestAllPrimitivesComplete(t *testing.T) {
 		for bname, mk := range backends {
 			prim, bname, mk := prim, bname, mk
 			t.Run(string(prim)+"/"+bname, func(t *testing.T) {
-				cfg := arch.Default()
+				cfg := arch.Config{}
 				cfg.Units = 2
 				cfg.CoresPerUnit = 4
 				m := arch.NewMachine(cfg)
@@ -45,7 +45,7 @@ func TestAllPrimitivesComplete(t *testing.T) {
 
 func TestIntervalScalesMakespan(t *testing.T) {
 	run := func(interval int64) sim.Time {
-		cfg := arch.Default()
+		cfg := arch.Config{}
 		cfg.Units = 2
 		cfg.CoresPerUnit = 4
 		m := arch.NewMachine(cfg)
@@ -59,7 +59,7 @@ func TestIntervalScalesMakespan(t *testing.T) {
 
 func TestSynCronBeatsCentralAtSmallInterval(t *testing.T) {
 	run := func(b arch.Backend) sim.Time {
-		cfg := arch.Default()
+		cfg := arch.Config{}
 		m := arch.NewMachine(cfg)
 		m.Backend = b
 		return makespan(m, ubench.Config{Primitive: ubench.Barrier, Interval: 50, Rounds: 10})

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # serve_smoke.sh — end-to-end smoke test of the serve daemon, as CI runs it.
 #
-# Starts `syncron-sim serve` on an ephemeral port, submits a spec over HTTP,
+# Starts `syncron-sim serve` on an ephemeral port, requires an invalid spec to
+# be rejected with HTTP 400 before anything simulates, submits a spec over HTTP,
 # polls the job to completion, diffs the served result against the batch
 # CLI's `run -json` output for the same spec (the byte-identity contract),
 # then SIGTERMs the daemon and requires a clean drain (exit 0). A second
@@ -69,6 +70,14 @@ spec=$("$sim" run "${run_flags[@]}" -print-spec)
 
 echo "==> starting serve daemon"
 start_daemon "$workdir/serve1.log"
+
+echo "==> rejecting an invalid spec at admission"
+code=$(curl -sS -o "$workdir/bad.json" -w '%{http_code}' -X POST "$base/jobs" \
+  -d '{"specs":[{"workload":"stack","config":{"scheme":"bogus"}}]}')
+[ "$code" = 400 ] \
+  || { echo "invalid spec got HTTP $code, want 400: $(cat "$workdir/bad.json")" >&2; exit 1; }
+curl -fsS "$base/metrics" | grep -q '"simulated": 0' \
+  || { echo "daemon simulated the rejected spec" >&2; exit 1; }
 
 echo "==> submitting spec"
 submit=$(curl -fsS -X POST "$base/jobs" -d "{\"specs\":[$spec]}")

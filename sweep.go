@@ -23,6 +23,21 @@ type RunSpec struct {
 	Params WorkloadParams `json:"params"`
 }
 
+// Validate returns an error naming the first rule spec breaks, or nil: a
+// registered workload; a known scheme, topology, memory model, memory
+// technology and overflow policy; no negative machine parameter; at most
+// MaxUnits units of MaxCoresPerUnit cores; no negative WorkloadParams value
+// and a finite Scale. Execute, SpecRunner, the CLI and serve call it first.
+func (spec RunSpec) Validate() error {
+	if _, ok := LookupWorkload(spec.Workload); !ok {
+		return fmt.Errorf("unknown workload %q (see WorkloadNames or `syncron-sim list`)", spec.Workload)
+	}
+	if err := spec.Config.validate(); err != nil {
+		return err
+	}
+	return spec.Params.validate()
+}
+
 // RunResult is the structured outcome of executing one RunSpec.
 type RunResult struct {
 	Spec RunSpec      `json:"spec"`
@@ -65,10 +80,10 @@ type RunResult struct {
 	Events uint64 `json:"events,omitempty"`
 
 	// Key is the SpecKey of the spec as REQUESTED (before Execute resolves
-	// config defaults into Spec.Config), always set by SpecRunner.Run. It is
-	// the run's cache identity: CacheResult needs it because the requested
-	// spec is no longer recoverable from the resolved one. Empty on results
-	// from a bare Execute call.
+	// config defaults into Spec.Config), set by SpecRunner.Run on every spec
+	// Validate accepts. It is the run's cache identity: CacheResult needs it
+	// because the requested spec is no longer recoverable from the resolved
+	// one. Empty on results from a bare Execute call.
 	Key string `json:"spec_key,omitempty"`
 
 	// Cached reports that this result was served from a ResultCache rather
@@ -83,7 +98,7 @@ type RunResult struct {
 	// strips it, and Execute (which sees no grid) leaves it 0.
 	GridIndex int `json:"grid_index"`
 
-	// Err is non-empty when the run failed (unknown workload, failed
+	// Err is non-empty when the run failed (a spec Validate rejects, failed
 	// functional check, simulator panic, a cache-only miss, or fail-fast
 	// cancellation).
 	Err string `json:"error,omitempty"`
@@ -94,24 +109,25 @@ func (r RunResult) TotalEnergyPJ() float64 {
 	return r.CacheEnergyPJ + r.NetworkEnergyPJ + r.MemoryEnergyPJ
 }
 
-// Execute runs one spec to completion and captures the structured result.
-// Failures (including simulator panics) are reported in RunResult.Err rather
-// than propagated, so sweeps survive individual bad runs. A failed run leaves
-// nothing behind: the program runner stops every core's program on every
-// exit path (deadlock, program panic, checker violation, MaxEvents), so
-// Execute is safe to call repeatedly from a long-lived service.
+// Execute validates spec, runs it to completion and captures the structured
+// result. Failures (a spec Validate rejects, simulator panics) are reported
+// in RunResult.Err rather than propagated, so sweeps survive individual bad
+// runs. A failed run leaves nothing behind: the program runner stops every
+// core's program on every exit path (deadlock, program panic, checker
+// violation, MaxEvents), so Execute is safe to call repeatedly from a
+// long-lived service.
 func Execute(spec RunSpec) (res RunResult) {
 	res = RunResult{Spec: spec, Seed: spec.Config.Seed}
+	if err := spec.Validate(); err != nil {
+		res.Err = err.Error()
+		return res
+	}
 	defer func() {
 		if p := recover(); p != nil {
 			res.Err = fmt.Sprint(p)
 		}
 	}()
-	w, ok := LookupWorkload(spec.Workload)
-	if !ok {
-		res.Err = fmt.Sprintf("unknown workload %q (see WorkloadNames)", spec.Workload)
-		return res
-	}
+	w, _ := LookupWorkload(spec.Workload)
 	res.Kind = w.Kind()
 	sys := New(spec.Config)
 	res.Spec.Config = sys.Config()
@@ -326,10 +342,7 @@ func (r SpecRunner) RunContext(ctx context.Context, specs []RunSpec) []RunResult
 // runOne executes (or cache-serves, or cancels) one seed-resolved spec.
 func (r SpecRunner) runOne(ctx context.Context, spec RunSpec, gridIndex int,
 	failed *atomic.Pointer[RunResult], cancel context.CancelFunc) RunResult {
-	// The key hashes the spec as requested, before Execute resolves config
-	// defaults into the result; it is computed whether or not a cache is
-	// wired so cached and uncached sweeps serialize identically.
-	key := SpecKey(spec)
+	var key string
 	finish := func(res RunResult) RunResult {
 		res.Key = key
 		res.GridIndex = gridIndex
@@ -340,6 +353,15 @@ func (r SpecRunner) runOne(ctx context.Context, spec RunSpec, gridIndex int,
 		}
 		return res
 	}
+	// Validate comes first: a spec it rejects is never served from a cache
+	// holding a result under its key, and SpecKey cannot encode a NaN Scale.
+	if err := spec.Validate(); err != nil {
+		return finish(RunResult{Spec: spec, Seed: spec.Config.Seed, Err: err.Error()})
+	}
+	// The key hashes the spec as requested, before Execute resolves config
+	// defaults into the result; it is computed whether or not a cache is
+	// wired so cached and uncached sweeps serialize identically.
+	key = SpecKey(spec)
 	if ctx.Err() != nil {
 		res := RunResult{Spec: spec, Seed: spec.Config.Seed, Key: key, GridIndex: gridIndex}
 		// A fail-fast failure is always recorded before the internal cancel, so

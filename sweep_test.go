@@ -3,6 +3,7 @@ package syncron_test
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -319,27 +320,61 @@ func TestExecuteRejectsUnknownTopology(t *testing.T) {
 	}
 }
 
-// A negative machine parameter is rejected up front, naming the field,
-// rather than simulating a meaningless machine or failing mid-run.
+// A negative machine parameter, an out-of-range or unknown value, or a
+// negative or non-finite workload parameter is rejected up front, naming
+// the field, rather than simulating a meaningless machine or failing
+// mid-run. Each bound is tried one past its limit with the other dimension
+// at 1, so the machine a missing check would build stays small.
 func TestExecuteRejectsNegativeParameters(t *testing.T) {
 	for _, tc := range []struct {
 		field string
-		set   func(*syncron.Config)
+		want  string // Err substring; empty means "Config.<field> must not be negative"
+		set   func(*syncron.RunSpec)
 	}{
-		{"Units", func(c *syncron.Config) { c.Units = -1 }},
-		{"CoresPerUnit", func(c *syncron.Config) { c.CoresPerUnit = -2 }},
-		{"LinkLatency", func(c *syncron.Config) { c.LinkLatency = -5 * syncron.Nanosecond }},
-		{"STEntries", func(c *syncron.Config) { c.STEntries = -1 }},
-		{"FairnessThreshold", func(c *syncron.Config) { c.FairnessThreshold = -3 }},
-		{"SEServiceCycles", func(c *syncron.Config) { c.SEServiceCycles = -12 }},
+		{"Units", "", func(s *syncron.RunSpec) { s.Config.Units = -1 }},
+		{"CoresPerUnit", "", func(s *syncron.RunSpec) { s.Config.CoresPerUnit = -2 }},
+		{"LinkLatency", "", func(s *syncron.RunSpec) { s.Config.LinkLatency = -5 * syncron.Nanosecond }},
+		{"STEntries", "", func(s *syncron.RunSpec) { s.Config.STEntries = -1 }},
+		{"FairnessThreshold", "", func(s *syncron.RunSpec) { s.Config.FairnessThreshold = -3 }},
+		{"SEServiceCycles", "", func(s *syncron.RunSpec) { s.Config.SEServiceCycles = -12 }},
+		{"UnitsAboveMax", "Config.Units must be at most", func(s *syncron.RunSpec) {
+			s.Config.Units, s.Config.CoresPerUnit = syncron.MaxUnits+1, 1
+		}},
+		{"CoresPerUnitAboveMax", "Config.CoresPerUnit must be at most", func(s *syncron.RunSpec) {
+			s.Config.Units, s.Config.CoresPerUnit = 1, syncron.MaxCoresPerUnit+1
+		}},
+		{"Scheme", "unknown scheme", func(s *syncron.RunSpec) { s.Config.Scheme = "bogus" }},
+		{"Memory", "unknown memory technology", func(s *syncron.RunSpec) { s.Config.Memory = 7 }},
+		{"MemModel", "unknown memory model", func(s *syncron.RunSpec) { s.Config.MemModel = "dram9" }},
+		{"Rounds", "WorkloadParams.Rounds must not be negative", func(s *syncron.RunSpec) { s.Params.Rounds = -3 }},
+		{"OpsPerCore", "WorkloadParams.OpsPerCore must not be negative", func(s *syncron.RunSpec) {
+			s.Workload, s.Params.OpsPerCore = "stack", -3
+		}},
+		{"Size", "WorkloadParams.Size must not be negative", func(s *syncron.RunSpec) {
+			s.Workload, s.Params.Size = "stack", -1
+		}},
+		{"Interval", "WorkloadParams.Interval must not be negative", func(s *syncron.RunSpec) { s.Params.Interval = -50 }},
+		{"ScaleNaN", "WorkloadParams.Scale must be finite", func(s *syncron.RunSpec) { s.Params.Scale = math.NaN() }},
+		{"ScaleInf", "WorkloadParams.Scale must be finite", func(s *syncron.RunSpec) { s.Params.Scale = math.Inf(1) }},
+		{"ScaleNegative", "WorkloadParams.Scale must be finite and not negative", func(s *syncron.RunSpec) {
+			s.Params.Scale = -1
+		}},
 	} {
 		t.Run(tc.field, func(t *testing.T) {
-			cfg := syncron.Config{Units: 2, CoresPerUnit: 2}
-			tc.set(&cfg)
-			res := syncron.Execute(syncron.RunSpec{Workload: "lock", Config: cfg,
-				Params: syncron.WorkloadParams{Rounds: 2}})
-			if !strings.Contains(res.Err, "Config."+tc.field+" must not be negative") {
-				t.Fatalf("negative %s not rejected by name: Err = %q", tc.field, res.Err)
+			spec := syncron.RunSpec{Workload: "lock", Config: syncron.Config{Units: 2, CoresPerUnit: 2},
+				Params: syncron.WorkloadParams{Rounds: 2}}
+			tc.set(&spec)
+			want := tc.want
+			if want == "" {
+				want = "Config." + tc.field + " must not be negative"
+			}
+			if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Validate() = %v, want an error containing %q", err, want)
+			}
+			res := syncron.Execute(spec)
+			if !strings.Contains(res.Err, want) || res.Events != 0 || res.Ops != 0 {
+				t.Fatalf("Execute: Err = %q, %d events, %d ops; want Err containing %q and no simulation",
+					res.Err, res.Events, res.Ops, want)
 			}
 		})
 	}
@@ -348,13 +383,44 @@ func TestExecuteRejectsNegativeParameters(t *testing.T) {
 // An overflow policy outside the three defined ones is rejected by name
 // instead of running as one of them.
 func TestExecuteRejectsUnknownOverflowPolicy(t *testing.T) {
-	for _, pol := range []syncron.OverflowPolicy{-1, 3, 7} {
+	for _, pol := range []syncron.OverflowPolicy{-1, 3, 7, 9} {
 		res := syncron.Execute(syncron.RunSpec{Workload: "lock",
 			Config: syncron.Config{Units: 2, CoresPerUnit: 2, Overflow: pol},
 			Params: syncron.WorkloadParams{Rounds: 2}})
 		if !strings.Contains(res.Err, "Config.Overflow") {
 			t.Fatalf("Overflow %d not rejected by name: Err = %q", pol, res.Err)
 		}
+	}
+}
+
+// anyKeyCache answers every lookup with the last payload stored in it.
+type anyKeyCache struct{ payload []byte }
+
+func (c *anyKeyCache) Get(string) ([]byte, bool)          { return c.payload, c.payload != nil }
+func (c *anyKeyCache) Put(_ string, payload []byte) error { c.payload = payload; return nil }
+
+// SpecRunner validates a spec before its key and cache lookup, so a result a
+// cache holds under an invalid spec's key is never served as that spec's
+// success.
+func TestSpecRunnerValidatesBeforeCache(t *testing.T) {
+	cache := &anyKeyCache{}
+	r := syncron.SpecRunner{Workers: 1, Cache: cache}
+	valid := syncron.RunSpec{Workload: "lock", Config: syncron.Config{Units: 2, CoresPerUnit: 2},
+		Params: syncron.WorkloadParams{Rounds: 2}}
+	if res := r.Run([]syncron.RunSpec{valid})[0]; res.Err != "" || cache.payload == nil {
+		t.Fatalf("valid run: Err = %q, stored %t", res.Err, cache.payload != nil)
+	}
+	bad := valid
+	bad.Params.Rounds = -3
+	res := r.Run([]syncron.RunSpec{bad})[0]
+	if res.Cached || !strings.Contains(res.Err, "WorkloadParams.Rounds") {
+		t.Fatalf("invalid spec: cached %t, Err = %q; want a validation error, not the cached result", res.Cached, res.Err)
+	}
+	// A NaN Scale has no SpecKey; it fails validation instead of panicking.
+	bad = valid
+	bad.Params.Scale = math.NaN()
+	if res := r.Run([]syncron.RunSpec{bad})[0]; !strings.Contains(res.Err, "WorkloadParams.Scale") {
+		t.Fatalf("NaN Scale: Err = %q, want a validation error", res.Err)
 	}
 }
 

@@ -50,6 +50,7 @@ package syncron
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"syncron/internal/arch"
@@ -284,40 +285,22 @@ type System struct {
 }
 
 // New builds a system from cfg; every zero field takes its documented
-// default. A negative machine parameter or an unknown overflow policy,
-// topology, memory model or scheme panics with a message naming it (Execute
-// reports the panic as RunResult.Err).
+// default. A config that RunSpec.Validate rejects panics with the same
+// message naming the field (Execute validates first and reports it as
+// RunResult.Err).
 func New(cfg Config) *System {
-	cfg.mustBeValid()
+	if err := cfg.validate(); err != nil {
+		panic(err)
+	}
 	if cfg.Scheme == "" {
 		cfg.Scheme = SchemeSynCron
 	}
-	acfg := arch.Default()
-	if cfg.Units != 0 {
-		acfg.Units = cfg.Units
-	}
-	if cfg.CoresPerUnit != 0 {
-		acfg.CoresPerUnit = cfg.CoresPerUnit
-	}
-	acfg.Mem = cfg.Memory
-	topo, err := ParseTopology(string(cfg.Topology))
-	if err != nil {
-		panic(err) // Execute recovers sweep runs; direct callers get a loud failure
-	}
-	acfg.Topology = topo
-	cfg.Topology = topo
-	mmodel, err := ParseMemModel(string(cfg.MemModel))
-	if err != nil {
-		panic(err)
-	}
-	acfg.MemModel = mmodel
-	cfg.MemModel = mmodel
-	acfg.LinkLatency = cfg.LinkLatency
-	if cfg.Seed != 0 {
-		acfg.Seed = cfg.Seed
-	}
-	acfg.Tracer = cfg.Tracer
-	m := arch.NewMachine(acfg)
+	cfg.Topology, _ = ParseTopology(string(cfg.Topology)) // validated above
+	cfg.MemModel, _ = ParseMemModel(string(cfg.MemModel))
+	// NewMachine gives every zero field its default.
+	m := arch.NewMachine(arch.Config{Units: cfg.Units, CoresPerUnit: cfg.CoresPerUnit,
+		Mem: cfg.Memory, MemModel: cfg.MemModel, Topology: cfg.Topology,
+		LinkLatency: cfg.LinkLatency, Seed: cfg.Seed, Tracer: cfg.Tracer})
 	m.Backend = newBackend(cfg)
 	// Record the machine-level defaults the run will actually use, so
 	// Config() (and sweep results built from it) report resolved values.
@@ -327,28 +310,57 @@ func New(cfg Config) *System {
 	return &System{cfg: cfg, m: m, r: program.NewRunner(m)}
 }
 
-// mustBeValid panics on the first negative machine parameter (zero means
-// "default", a negative value has no meaning) or an unknown overflow policy.
-func (cfg Config) mustBeValid() {
-	negative := func(field string, v any) {
-		panic(fmt.Sprintf("syncron: Config.%s must not be negative (got %v)", field, v))
-	}
+// Machine-size bounds, well above every evaluated point (the paper's 4 units
+// of 15 cores, fig2a's 60 cores in one unit). Validate rejects a larger
+// machine before anything is allocated for it.
+const (
+	// MaxUnits bounds Config.Units: network.New allocates a link slot per
+	// ordered node pair and a route per ordered unit pair, Units² of each.
+	MaxUnits = 64
+	// MaxCoresPerUnit bounds Config.CoresPerUnit: every core gets its own
+	// L1 and its own program coroutine.
+	MaxCoresPerUnit = 64
+)
+
+// validate is the Config part of RunSpec.Validate, which New applies too.
+// A zero machine parameter means "default"; a negative one has no meaning.
+func (cfg Config) validate() error {
+	_, topoErr := ParseTopology(string(cfg.Topology))
+	_, modelErr := ParseMemModel(string(cfg.MemModel))
 	switch {
+	case cfg.Scheme != "" && !slices.Contains(Schemes(), cfg.Scheme):
+		return fmt.Errorf("syncron: unknown scheme %q", cfg.Scheme)
+	case topoErr != nil:
+		return topoErr
+	case modelErr != nil:
+		return modelErr
+	case cfg.Memory < HBM || cfg.Memory > DDR4:
+		return fmt.Errorf("syncron: unknown memory technology %v", cfg.Memory)
 	case cfg.Units < 0:
-		negative("Units", cfg.Units)
+		return negative("Config.Units", cfg.Units)
 	case cfg.CoresPerUnit < 0:
-		negative("CoresPerUnit", cfg.CoresPerUnit)
+		return negative("Config.CoresPerUnit", cfg.CoresPerUnit)
 	case cfg.LinkLatency < 0:
-		negative("LinkLatency", cfg.LinkLatency)
+		return negative("Config.LinkLatency", cfg.LinkLatency)
 	case cfg.STEntries < 0:
-		negative("STEntries", cfg.STEntries)
+		return negative("Config.STEntries", cfg.STEntries)
 	case cfg.FairnessThreshold < 0:
-		negative("FairnessThreshold", cfg.FairnessThreshold)
+		return negative("Config.FairnessThreshold", cfg.FairnessThreshold)
 	case cfg.SEServiceCycles < 0:
-		negative("SEServiceCycles", cfg.SEServiceCycles)
+		return negative("Config.SEServiceCycles", cfg.SEServiceCycles)
+	case cfg.Units > MaxUnits:
+		return fmt.Errorf("syncron: Config.Units must be at most %d (got %d)", MaxUnits, cfg.Units)
+	case cfg.CoresPerUnit > MaxCoresPerUnit:
+		return fmt.Errorf("syncron: Config.CoresPerUnit must be at most %d (got %d)", MaxCoresPerUnit, cfg.CoresPerUnit)
 	case cfg.Overflow < OverflowIntegrated || cfg.Overflow > OverflowDistrib:
-		panic(fmt.Sprintf("syncron: Config.Overflow must be an overflow policy (got %d)", cfg.Overflow))
+		return fmt.Errorf("syncron: Config.Overflow must be an overflow policy (got %d)", cfg.Overflow)
 	}
+	return nil
+}
+
+// negative is the error for a field that must not be negative.
+func negative(field string, v any) error {
+	return fmt.Errorf("syncron: %s must not be negative (got %v)", field, v)
 }
 
 func newBackend(cfg Config) arch.Backend {

@@ -2,6 +2,7 @@ package syncron
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -81,6 +82,24 @@ type WorkloadParams struct {
 	// Metis selects the METIS-like greedy graph partitioner instead of the
 	// default hash partitioner (graph applications).
 	Metis bool `json:"metis,omitempty"`
+}
+
+// validate returns an error naming the first negative field of p (zero
+// means the workload's default) or a Scale that is infinite or NaN.
+func (p WorkloadParams) validate() error {
+	switch {
+	case !(p.Scale >= 0) || math.IsInf(p.Scale, 1): // NaN fails every comparison
+		return fmt.Errorf("syncron: WorkloadParams.Scale must be finite and not negative (got %v)", p.Scale)
+	case p.OpsPerCore < 0:
+		return negative("WorkloadParams.OpsPerCore", p.OpsPerCore)
+	case p.Size < 0:
+		return negative("WorkloadParams.Size", p.Size)
+	case p.Interval < 0:
+		return negative("WorkloadParams.Interval", p.Interval)
+	case p.Rounds < 0:
+		return negative("WorkloadParams.Rounds", p.Rounds)
+	}
+	return nil
 }
 
 // scale returns the effective scale factor.
