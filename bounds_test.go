@@ -7,6 +7,9 @@ import (
 
 	"syncron"
 	"syncron/internal/arch"
+	"syncron/internal/core"
+	"syncron/internal/network"
+	"syncron/internal/sim"
 )
 
 // Under Ideal a sync op costs nothing, so each core completes one op per
@@ -46,6 +49,38 @@ func TestIdealIsComputeBound(t *testing.T) {
 					t.Fatalf("OpsPerMs %v, want %v", res.OpsPerMs, want)
 				}
 			})
+		}
+	}
+}
+
+// On one core of one unit a SynCron lock round has no contention, so its
+// time is a closed form in the model's constants: the acquire request
+// crosses the crossbar to the local SE, the SE serves it, the grant crosses
+// back, the release takes one issue cycle, and the core computes its
+// interval. syncron and syncron-flat coincide here, since one unit has one
+// SE and nothing to aggregate.
+func TestSynCronLockRoundClosedForm(t *testing.T) {
+	const interval = 200
+	coreClk, seClk := sim.NewClock(arch.CoreMHz), sim.NewClock(arch.SEMHz)
+	// One crossbar leg: ceil(bytes / FlitBytes) flits plus arbiter and hops.
+	xbar := func(bytes int64) sim.Time {
+		flits := (bytes + network.FlitBytes - 1) / network.FlitBytes
+		return coreClk.Cycles(flits + network.ArbiterCycles + network.HopCycles*network.Hops)
+	}
+	round := xbar(arch.SyncReqBytes) + seClk.Cycles(core.DefaultSEServiceCycles) +
+		xbar(arch.SyncRespBytes) + coreClk.Cycles(core.AsyncIssueCycles) + coreClk.Cycles(interval)
+	for _, scheme := range []syncron.Scheme{syncron.SchemeSynCron, syncron.SchemeSynCronFlat} {
+		for _, rounds := range []int{1, 10, 100} {
+			res := syncron.Execute(syncron.RunSpec{Workload: "lock",
+				Config: syncron.Config{Scheme: scheme, Units: 1, CoresPerUnit: 1},
+				Params: syncron.WorkloadParams{Interval: interval, Rounds: rounds}})
+			if res.Err != "" {
+				t.Fatal(res.Err)
+			}
+			if want := sim.Time(rounds) * round; res.Makespan != want {
+				t.Errorf("%s, %d rounds: makespan %v, want %d x %v = %v",
+					scheme, rounds, res.Makespan, rounds, round, want)
+			}
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 
 	"syncron/internal/runcache"
 )
@@ -50,12 +52,26 @@ type specKeyRecord struct {
 	SEServiceCycles   int64  `json:"se_service_cycles"`
 	Seed              uint64 `json:"seed"`
 
-	Scale      float64 `json:"scale"`
-	OpsPerCore int     `json:"ops_per_core"`
-	Size       int     `json:"size"`
-	Interval   int64   `json:"interval"`
-	Rounds     int     `json:"rounds"`
-	Metis      bool    `json:"metis"`
+	Scale      keyFloat `json:"scale"`
+	OpsPerCore int      `json:"ops_per_core"`
+	Size       int      `json:"size"`
+	Interval   int64    `json:"interval"`
+	Rounds     int      `json:"rounds"`
+	Metis      bool     `json:"metis"`
+}
+
+// keyFloat encodes a finite value exactly as encoding/json encodes a
+// float64, and NaN, +Inf and -Inf, which encoding/json rejects, as the
+// strings "NaN", "+Inf" and "-Inf". So every spec has a key, and the keys of
+// finite specs are those of a plain float64 field.
+type keyFloat float64
+
+func (f keyFloat) MarshalJSON() ([]byte, error) {
+	v := float64(f)
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return strconv.AppendQuote(nil, strconv.FormatFloat(v, 'g', -1, 64)), nil
+	}
+	return json.Marshal(v)
 }
 
 // canonicalSpec serializes the spec's canonical encoding.
@@ -78,7 +94,7 @@ func canonicalSpec(spec RunSpec) []byte {
 		SEServiceCycles:   cfg.SEServiceCycles,
 		Seed:              cfg.Seed,
 
-		Scale:      p.Scale,
+		Scale:      keyFloat(p.Scale),
 		OpsPerCore: p.OpsPerCore,
 		Size:       p.Size,
 		Interval:   p.Interval,
@@ -87,7 +103,7 @@ func canonicalSpec(spec RunSpec) []byte {
 	}
 	enc, err := json.Marshal(rec)
 	if err != nil {
-		panic(fmt.Sprintf("syncron: marshaling spec key record: %v", err)) // no marshalable-field can fail
+		panic(fmt.Sprintf("syncron: marshaling spec key record: %v", err)) // no field can fail
 	}
 	return enc
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -56,6 +57,19 @@ func TestSpecKeyGolden(t *testing.T) {
 		if got := syncron.SpecKey(name); got != want {
 			t.Errorf("SpecKey(%+v)\n  got  %s\n  want %s", name, got, want)
 		}
+	}
+}
+
+// A Scale that Validate rejects still has a key: NaN, +Inf and -Inf hash
+// without a panic, and apart from each other and from 0.
+func TestSpecKeyNonFiniteScale(t *testing.T) {
+	seen := map[string]float64{}
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0} {
+		key := syncron.SpecKey(syncron.RunSpec{Workload: "pr.wk", Params: syncron.WorkloadParams{Scale: scale}})
+		if prev, dup := seen[key]; dup {
+			t.Fatalf("Scale %v and %v share key %s", prev, scale, key)
+		}
+		seen[key] = scale
 	}
 }
 

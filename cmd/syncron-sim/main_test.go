@@ -119,6 +119,8 @@ func TestInvalidSpecExitsBeforeAnyRun(t *testing.T) {
 		{"run -workload lock -fairness -2 -print-spec", "Config.FairnessThreshold"},
 		{"run -workload lock -link-ns -5", "Config.LinkLatency"},
 		{"run -workload lock -units " + tooMany + " -cores " + tooMany, "Config.Units"},
+		{"run -workload condvar -scheme ttas", `scheme ttas models only locks and barriers, but workload "condvar"`},
+		{"sweep -workloads lock,semaphore -schemes syncron,htl", `scheme htl models only locks and barriers, but workload "semaphore"`},
 		{"run -workload no.such", "unknown workload"},
 		{"sweep -workloads lock,no.such", "unknown workload"},
 		{"sweep -workloads lock -st-list 8,-1", "Config.STEntries"},

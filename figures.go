@@ -220,7 +220,7 @@ func withBase[T comparable](xs []T, base T) []T {
 func Figures(opt FigureOptions) ([]*Figure, error) {
 	o := opt.withDefaults()
 	grids := figureGridsFor(o)
-	for _, s := range FigureSweeps(opt) {
+	for _, s := range grids.sweeps() {
 		for _, spec := range s.Expand() {
 			if err := spec.Validate(); err != nil {
 				return nil, err
@@ -311,7 +311,11 @@ func Figures(opt FigureOptions) ([]*Figure, error) {
 // memory grids. The perfbench figures-quick workload replays exactly these
 // grids, so the benchmark runs the same work the figures pipeline does.
 func FigureSweeps(opt FigureOptions) []Sweep {
-	g := figureGridsFor(opt.withDefaults())
+	return figureGridsFor(opt.withDefaults()).sweeps()
+}
+
+// sweeps lists the grids in FigureSweeps's order.
+func (g figureGrids) sweeps() []Sweep {
 	sweeps := []Sweep{g.main, g.scalability, g.stAblation}
 	if g.topology != nil {
 		sweeps = append(sweeps, *g.topology)

@@ -70,6 +70,9 @@ func (c Config) withDefaults() Config {
 	if c.MemModel == "" {
 		c.MemModel = mem.ModelFlat
 	}
+	if c.LinkLatency == 0 {
+		c.LinkLatency = network.DefaultLinkLatency
+	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -112,16 +115,12 @@ func NewMachine(cfg Config) *Machine {
 	eng := sim.NewEngine()
 	coreClk := sim.NewClock(CoreMHz)
 	seClk := sim.NewClock(SEMHz)
-	ncfg := network.DefaultConfig(coreClk)
-	if cfg.LinkLatency != 0 {
-		ncfg.LinkLatency = cfg.LinkLatency
-	}
 	m := &Machine{
 		Cfg:        cfg,
 		Engine:     eng,
 		CoreClock:  coreClk,
 		SEClock:    seClk,
-		Net:        network.New(ncfg, network.MustBuild(cfg.Topology, cfg.Units)),
+		Net:        network.New(coreClk, cfg.LinkLatency, network.MustBuild(cfg.Topology, cfg.Units)),
 		RNG:        sim.NewRNG(cfg.Seed),
 		allocNext:  make([]uint64, cfg.Units),
 		allocNextU: make([]uint64, cfg.Units),

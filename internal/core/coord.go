@@ -104,17 +104,26 @@ type Options struct {
 	// is transferred to another waiting unit (§4.4.2). Zero disables it.
 	FairnessThreshold int
 
-	// SEServiceCycles is the SE occupancy per message in SE cycles (paper:
-	// 12, the slowest opcode).
+	// SEServiceCycles is the SE occupancy per message in SE cycles; zero
+	// means DefaultSEServiceCycles.
 	SEServiceCycles int64
 }
+
+const (
+	// DefaultSEServiceCycles is the paper's SE occupancy per message in SE
+	// cycles: 12, the slowest opcode.
+	DefaultSEServiceCycles = 12
+	// AsyncIssueCycles is the core time a release-type op (req_async) takes
+	// to issue; the core does not wait for its message.
+	AsyncIssueCycles = 1
+)
 
 func (o Options) withDefaults() Options {
 	if o.STEntries == 0 {
 		o.STEntries = 64
 	}
 	if o.SEServiceCycles == 0 {
-		o.SEServiceCycles = 12
+		o.SEServiceCycles = DefaultSEServiceCycles
 	}
 	return o
 }
@@ -217,7 +226,7 @@ func (c *Coordinator) Request(t sim.Time, core int, req arch.SyncReq, done func(
 		c.overflowReqs++
 	}
 	if !req.Op.Blocking() {
-		done(t + c.m.CoreClock.Cycles(1))
+		done(t + c.m.CoreClock.Cycles(AsyncIssueCycles))
 		done = nil
 	}
 	switch req.Op {

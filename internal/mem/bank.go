@@ -171,17 +171,6 @@ func NewBank(eng *sim.Engine, unit int, timing Timing, bt BankTiming) *Memory {
 	return m
 }
 
-// Model returns the DRAM timing model this Memory runs.
-func (m *Memory) Model() Model {
-	if m.bank != nil {
-		return ModelBank
-	}
-	return ModelFlat
-}
-
-// Bank returns the bank parameters, or nil under the flat model.
-func (m *Memory) Bank() *BankTiming { return m.bank }
-
 // mapAddr decomposes a line address for the bank model. The low line bits
 // interleave channels exactly as the flat model (channelOf), then per-channel
 // lines fill a row's columns before moving to the next bank, and banks before
@@ -283,23 +272,13 @@ func (m *Memory) bankAccess(t sim.Time, addr uint64, write bool) sim.Time {
 // activate/precharge energy.
 func (m *Memory) EnergyPJ() float64 {
 	if m.bank == nil {
-		return m.Stats.EnergyPJ(m.Timing)
+		return float64(m.Stats.Accesses()) * Line * 8 * m.Timing.EnergyPJPerBit
 	}
 	bt := m.bank
 	return float64(m.Stats.Activates.Value())*bt.ActivatePJ +
 		float64(m.Stats.Reads.Value())*bt.ReadPJ +
 		float64(m.Stats.Writes.Value())*bt.WritePJ +
 		float64(m.Stats.Precharges.Value())*bt.PrechargePJ
-}
-
-// RowHitRate returns the fraction of accesses that hit an open row (0 under
-// the flat model or before any access).
-func (m *Memory) RowHitRate() float64 {
-	hits, misses := m.Stats.RowHits.Value(), m.Stats.RowMisses.Value()
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
 }
 
 // SetTracer attaches the tracing layer to this stack, pre-interning its

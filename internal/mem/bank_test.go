@@ -124,7 +124,7 @@ func TestBankGeometryTable(t *testing.T) {
 func TestBankRowHitLatency(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewModel(eng, 0, TimingFor(HBM), ModelBank)
-	bt := m.Bank()
+	bt := BankTimingFor(HBM)
 	first := m.Read(0, 0)
 	wantFirst := bt.ActivateLat + bt.ColReadLat + m.Timing.ChannelBusy
 	if first != wantFirst {
@@ -138,8 +138,8 @@ func TestBankRowHitLatency(t *testing.T) {
 	if hits := m.Stats.RowHits.Value(); hits != 1 {
 		t.Fatalf("row hits = %d, want 1", hits)
 	}
-	if m.RowHitRate() != 0.5 {
-		t.Fatalf("row hit rate = %f, want 0.5", m.RowHitRate())
+	if misses := m.Stats.RowMisses.Value(); misses != 1 {
+		t.Fatalf("row misses = %d, want 1", misses)
 	}
 }
 
@@ -149,7 +149,7 @@ func TestBankRowHitLatency(t *testing.T) {
 func TestBankBackToBackSameRowWrites(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewModel(eng, 0, TimingFor(DDR4), ModelBank)
-	bt := m.Bank()
+	bt := BankTimingFor(DDR4)
 	first := m.Write(0, 0)
 	second := m.Write(0, Line)
 	bankDoneFirst := first - m.Timing.ChannelBusy
@@ -174,7 +174,7 @@ func TestBankBackToBackSameRowWrites(t *testing.T) {
 func TestBankRowConflictUnderQueuePressure(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewModel(eng, 0, TimingFor(HBM), ModelBank)
-	bt := m.Bank()
+	bt := BankTimingFor(HBM)
 	rowStride := bt.RowBytes * uint64(bt.Banks) * uint64(m.Timing.Channels)
 	var prev sim.Time
 	for i := 0; i < 16; i++ {
@@ -360,7 +360,7 @@ func TestFlatModelTracesNothing(t *testing.T) {
 	if col.Len() != 0 {
 		t.Fatalf("flat model emitted %d trace records, want 0", col.Len())
 	}
-	if m.Model() != ModelFlat || NewModel(eng, 0, TimingFor(HBM), "").Model() != ModelFlat {
+	if m.bank != nil || NewModel(eng, 0, TimingFor(HBM), "").bank != nil {
 		t.Fatal("flat/default model identity broken")
 	}
 }

@@ -103,12 +103,6 @@ type Stats struct {
 // Accesses returns the total access count.
 func (s *Stats) Accesses() uint64 { return s.Reads.Value() + s.Writes.Value() }
 
-// EnergyPJ returns the DRAM access energy in picojoules under timing t.
-func (s *Stats) EnergyPJ(t Timing) float64 {
-	bits := float64(s.Accesses()) * Line * 8
-	return bits * t.EnergyPJPerBit
-}
-
 // Memory models one NDP unit's DRAM stack. With New it runs the flat model
 // above; with NewBank (or NewModel with ModelBank) the bank/row-buffer model
 // of bank.go refines the same channel interleave and blocking Access

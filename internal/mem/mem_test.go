@@ -81,7 +81,7 @@ func TestEnergyPJ(t *testing.T) {
 	m.Write(0, 64)
 	// 2 accesses x 64B x 8b x 7pJ/bit
 	want := 2.0 * 64 * 8 * 7
-	if got := m.Stats.EnergyPJ(m.Timing); got != want {
+	if got := m.EnergyPJ(); got != want {
 		t.Fatalf("energy = %f, want %f", got, want)
 	}
 }

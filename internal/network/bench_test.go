@@ -13,7 +13,7 @@ import (
 func BenchmarkTransfer(b *testing.B) {
 	for _, kind := range Kinds() {
 		b.Run(string(kind), func(b *testing.B) {
-			n := New(DefaultConfig(sim.NewClock(2500)), MustBuild(kind, 4))
+			n := New(clock, DefaultLinkLatency, MustBuild(kind, 4))
 			ports := []int{PortSE, PortMemory, PortCore(0), PortCore(7), PortCore(14)}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -7,9 +7,8 @@
 // How the units are wired is a Topology (topology.go): AllToAll reproduces
 // the paper's full point-to-point interconnect, while Mesh2D, Ring, and Star
 // open the sensitivity axis the paper varies. Transfer walks the route link
-// by link; every link keeps its own serialization horizon and traffic
-// counter, and messages forwarded through an intermediate unit also cross
-// that unit's crossbar.
+// by link; every link keeps its own serialization horizon, and messages
+// forwarded through an intermediate unit also cross that unit's crossbar.
 //
 // The package also owns the traffic accounting used for Figures 14 and 15:
 // bits moved inside NDP units vs across them, and the corresponding energy
@@ -24,37 +23,27 @@ import (
 	"syncron/internal/trace"
 )
 
-// Config holds the interconnect parameters.
-type Config struct {
-	CoreClock sim.Clock // clock used for cycle-denominated latencies
-
+// The Table-5 interconnect. Only the serial-link latency varies across the
+// evaluation (Figures 16, 17 and 21), so it is the one parameter of New.
+const (
 	// Intra-unit crossbar.
-	HopCycles        int64 // per-hop latency
-	Hops             int64 // hops for a core<->SE/memory traversal
-	ArbiterCycles    int64 // arbitration
-	IntraPJPerBitHop float64
+	HopCycles        = 1   // per-hop latency, core cycles
+	Hops             = 2   // hops for a core<->SE/memory traversal
+	ArbiterCycles    = 1   // arbitration, core cycles
+	IntraPJPerBitHop = 0.4 // crossbar energy per bit per hop
 
 	// Inter-unit serial links.
-	LinkLatency     sim.Time // fixed transfer latency per cache line (default 40ns)
-	LinkFixedCycles int64    // additional fixed cycles (default 20)
-	LinkBytesPerSec int64    // per-direction bandwidth (default 12.8 GB/s)
-	InterPJPerBit   float64
-}
+	LinkFixedCycles = 20             // fixed cycles per transfer, on top of the link latency
+	LinkBytesPerSec = 12_800_000_000 // per-direction bandwidth (12.8 GB/s)
+	InterPJPerBit   = 4.0            // link energy per bit per link traversed
 
-// DefaultConfig returns the Table-5 interconnect.
-func DefaultConfig(coreClock sim.Clock) Config {
-	return Config{
-		CoreClock:        coreClock,
-		HopCycles:        1,
-		Hops:             2,
-		ArbiterCycles:    1,
-		IntraPJPerBitHop: 0.4,
-		LinkLatency:      40 * sim.Nanosecond,
-		LinkFixedCycles:  20,
-		LinkBytesPerSec:  12_800_000_000,
-		InterPJPerBit:    4.0,
-	}
-}
+	// DefaultLinkLatency is Table 5's fixed transfer latency per cache line.
+	DefaultLinkLatency = 40 * sim.Nanosecond
+
+	// FlitBytes is the crossbar port width: a port passes one flit per
+	// core cycle.
+	FlitBytes = 16
+)
 
 // Stats aggregates network traffic for energy and data-movement reporting.
 type Stats struct {
@@ -77,8 +66,7 @@ func (s *Stats) AvgRouteLinks() float64 {
 // Network models the whole system's interconnect: one crossbar per unit plus
 // the serial links of the configured Topology.
 type Network struct {
-	cfg   Config
-	topo  Topology
+	clock sim.Clock // core clock, for cycle-denominated latencies
 	units int
 	nodes int // units plus topology switch nodes (Star hub)
 
@@ -89,9 +77,8 @@ type Network struct {
 	xbarBusy [][]sim.Time
 
 	// linkBusy[src*nodes+dst] is the per-direction serialization horizon of
-	// the (src, dst) link; linkBits is its lifetime traffic.
+	// the (src, dst) link.
 	linkBusy []sim.Time
-	linkBits []uint64
 
 	// routes caches topo.Route for every ordered unit pair (routes are
 	// deterministic), keeping Transfer allocation-free on the hot path.
@@ -106,18 +93,16 @@ type Network struct {
 	linkNames []string
 
 	// xbarFixed is the arbiter-plus-hops latency every crossbar traversal
-	// adds; it is fixed by the config, so New computes it once.
-	xbarFixed sim.Time
+	// adds, and linkFixed the link latency plus LinkFixedCycles every link
+	// traversal adds; New computes both once.
+	xbarFixed, linkFixed sim.Time
 
 	Stats Stats
 }
 
-// flitBytes is the crossbar port width: a port passes one flit per core
-// cycle.
-const flitBytes = 16
-
-// New builds the interconnect for the units of topo.
-func New(cfg Config, topo Topology) *Network {
+// New builds the interconnect for the units of topo, clocked by clock, with
+// linkLatency as the fixed per-message latency of every serial link.
+func New(clock sim.Clock, linkLatency sim.Time, topo Topology) *Network {
 	units, nodes := topo.Units(), topo.Nodes()
 	routes := make([][]Link, units*units)
 	for src := 0; src < units; src++ {
@@ -128,26 +113,16 @@ func New(cfg Config, topo Topology) *Network {
 		}
 	}
 	return &Network{
-		cfg:       cfg,
-		topo:      topo,
+		clock:     clock,
 		units:     units,
 		nodes:     nodes,
 		xbarBusy:  make([][]sim.Time, units),
 		linkBusy:  make([]sim.Time, nodes*nodes),
-		linkBits:  make([]uint64, nodes*nodes),
 		routes:    routes,
-		xbarFixed: cfg.CoreClock.Cycles(cfg.ArbiterCycles + cfg.HopCycles*cfg.Hops),
+		xbarFixed: clock.Cycles(ArbiterCycles + HopCycles*Hops),
+		linkFixed: linkLatency + clock.Cycles(LinkFixedCycles),
 	}
 }
-
-// NewAllToAll builds the default full point-to-point interconnect for n
-// units — the pre-topology behavior, preserved bit for bit.
-func NewAllToAll(cfg Config, n int) *Network {
-	return New(cfg, MustBuild(KindAllToAll, n))
-}
-
-// Config returns the active configuration.
-func (n *Network) Config() Config { return n.cfg }
 
 // SetTracer installs tr (nil disables tracing) and pre-interns the per-link
 // labels, so the traced path never formats strings per message.
@@ -162,12 +137,6 @@ func (n *Network) SetTracer(tr trace.Tracer) {
 		}
 	}
 }
-
-// Topology returns the interconnect topology.
-func (n *Network) Topology() Topology { return n.topo }
-
-// Units returns the number of NDP units connected.
-func (n *Network) Units() int { return n.units }
 
 // portIndex maps a sparse crossbar port id to a dense slice index:
 // PortSE -> 0, PortMemory -> 1, link egress port towards node u -> 2+u,
@@ -211,7 +180,7 @@ func (n *Network) IntraDelay(t sim.Time, unit, dstPort, bytes int) sim.Time {
 		start = *slot
 	}
 	// The message holds the port one core cycle per flit, at least one.
-	ser := n.cfg.CoreClock.Cycles(max(1, int64((bytes+flitBytes-1)/flitBytes)))
+	ser := n.clock.Cycles(max(1, int64((bytes+FlitBytes-1)/FlitBytes)))
 	*slot = start + ser
 	n.Stats.IntraBits.Add(uint64(bytes * 8))
 	n.Stats.IntraMsgs.Inc()
@@ -222,31 +191,28 @@ func (n *Network) IntraDelay(t sim.Time, unit, dstPort, bytes int) sim.Time {
 // traversed: InterBits already accumulates once per link on the route, so
 // multi-hop topologies pay proportionally more without any constant here.
 func (n *Network) EnergyPJ() float64 {
-	intra := float64(n.Stats.IntraBits.Value()) * n.cfg.IntraPJPerBitHop * float64(n.cfg.Hops)
-	inter := float64(n.Stats.InterBits.Value()) * n.cfg.InterPJPerBit
+	intra := float64(n.Stats.IntraBits.Value()) * IntraPJPerBitHop * Hops
+	inter := float64(n.Stats.InterBits.Value()) * InterPJPerBit
 	return intra + inter
 }
 
 // linkSerialization is the time bytes occupy a serial link. It is computed
-// in integer picoseconds (truncating, matching the historical float64 math
-// on the default power-of-two-friendly bandwidth) so results are
-// byte-identical across platforms and compilers.
-func linkSerialization(bytes int, bytesPerSec int64) sim.Time {
-	return sim.Time(int64(bytes) * int64(sim.Second) / bytesPerSec)
+// in integer picoseconds (truncating, matching the historical float64 math)
+// so results are byte-identical across platforms and compilers.
+func linkSerialization(bytes int) sim.Time {
+	return sim.Time(int64(bytes) * int64(sim.Second) / LinkBytesPerSec)
 }
 
 // linkDelay computes the arrival time at l.Dst of a message of size bytes
 // entering link l at time t, and accounts the link's traffic.
 func (n *Network) linkDelay(t sim.Time, l Link, bytes int) sim.Time {
-	cfg := &n.cfg
-	ser := linkSerialization(bytes, cfg.LinkBytesPerSec)
+	ser := linkSerialization(bytes)
 	slot := &n.linkBusy[l.Src*n.nodes+l.Dst]
 	start := t
 	if *slot > start {
 		start = *slot
 	}
 	*slot = start + ser
-	n.linkBits[l.Src*n.nodes+l.Dst] += uint64(bytes * 8)
 	n.Stats.InterBits.Add(uint64(bytes * 8))
 	n.Stats.LinkHops.Inc()
 	if n.tr != nil {
@@ -257,18 +223,7 @@ func (n *Network) linkDelay(t sim.Time, l Link, bytes int) sim.Time {
 			Where: n.linkNames[l.Src*n.nodes+l.Dst], What: trace.WhatLinkXfer,
 			Value: float64(bytes), Unit: "bytes"})
 	}
-	return start + ser + cfg.LinkLatency + cfg.CoreClock.Cycles(cfg.LinkFixedCycles)
-}
-
-// InterDelay computes the arrival time at unit dst of a message of size bytes
-// sent from unit src at time t over the direct (src, dst) link. src must
-// differ from dst. Most callers want Transfer, which also routes and crosses
-// the endpoint crossbars; InterDelay is the single-link building block.
-func (n *Network) InterDelay(t sim.Time, src, dst, bytes int) sim.Time {
-	if src == dst {
-		panic(fmt.Sprintf("network: InterDelay within unit %d", src))
-	}
-	return n.linkDelay(t, Link{src, dst}, bytes)
+	return start + ser + n.linkFixed
 }
 
 // Transfer computes the arrival time of a message from (srcUnit) to
@@ -294,26 +249,6 @@ func (n *Network) Transfer(t sim.Time, srcUnit, dstUnit, dstPort, bytes int) sim
 	}
 	// destination crossbar -> endpoint
 	return n.IntraDelay(cur, dstUnit, dstPort, bytes)
-}
-
-// LinkLoad describes one directed link's lifetime traffic.
-type LinkLoad struct {
-	Link Link
-	Bits uint64
-}
-
-// LinkLoads returns the traffic of every link that carried at least one bit,
-// ordered by (Src, Dst).
-func (n *Network) LinkLoads() []LinkLoad {
-	var loads []LinkLoad
-	for src := 0; src < n.nodes; src++ {
-		for dst := 0; dst < n.nodes; dst++ {
-			if bits := n.linkBits[src*n.nodes+dst]; bits > 0 {
-				loads = append(loads, LinkLoad{Link{src, dst}, bits})
-			}
-		}
-	}
-	return loads
 }
 
 // linkPort is the crossbar port id for the egress link towards node u.

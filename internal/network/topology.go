@@ -7,8 +7,8 @@ import (
 
 // Link is one directed inter-unit link of a topology. Endpoints are node
 // ids: NDP units 0..Units()-1, plus any switch nodes a topology introduces
-// (the Star hub). Each Link owns its own serialization horizon and traffic
-// accounting inside Network.
+// (the Star hub). Each Link owns its own serialization horizon inside
+// Network.
 type Link struct {
 	Src, Dst int
 }
@@ -28,8 +28,6 @@ type Topology interface {
 	// unit dst traverses. src and dst must be distinct units; the first
 	// link leaves src and the last link enters dst.
 	Route(src, dst int) []Link
-	// Degree is the maximum number of outgoing links at any node.
-	Degree() int
 	// Diameter is the maximum route length (in links) between any unit pair.
 	Diameter() int
 }
@@ -108,7 +106,6 @@ func (t allToAll) Route(src, dst int) []Link {
 	checkPair(t, src, dst)
 	return []Link{{src, dst}}
 }
-func (t allToAll) Degree() int { return t.n - 1 }
 func (t allToAll) Diameter() int {
 	if t.n < 2 {
 		return 0
@@ -164,16 +161,6 @@ func (t mesh2D) Route(src, dst int) []Link {
 	}
 	return route
 }
-func (t mesh2D) Degree() int {
-	// A dimension of length 2 contributes one neighbor, longer ones two.
-	deg := func(size int) int {
-		if size > 2 {
-			return 2
-		}
-		return size - 1
-	}
-	return deg(t.w) + deg(t.h)
-}
 func (t mesh2D) Diameter() int { return (t.w - 1) + (t.h - 1) }
 
 // ring connects unit u to (u+1)%n and (u-1+n)%n; routes take the shorter
@@ -198,12 +185,6 @@ func (t ring) Route(src, dst int) []Link {
 	}
 	return route
 }
-func (t ring) Degree() int {
-	if t.n <= 2 {
-		return t.n - 1
-	}
-	return 2
-}
 func (t ring) Diameter() int { return t.n / 2 }
 
 // star routes everything through one shared switch node (id n): src -> hub,
@@ -211,8 +192,6 @@ func (t ring) Diameter() int { return t.n / 2 }
 // contention shows up on its per-destination links.
 type star struct{ n int }
 
-// Hub returns the switch's node id.
-func (t star) Hub() int   { return t.n }
 func (t star) Kind() Kind { return KindStar }
 func (t star) Units() int { return t.n }
 func (t star) Nodes() int { return t.n + 1 }
@@ -220,7 +199,6 @@ func (t star) Route(src, dst int) []Link {
 	checkPair(t, src, dst)
 	return []Link{{src, t.n}, {t.n, dst}}
 }
-func (t star) Degree() int { return t.n } // the hub fans out to every unit
 func (t star) Diameter() int {
 	if t.n < 2 {
 		return 0

@@ -443,6 +443,9 @@ func TestSubmitValidation(t *testing.T) {
 		"ops":      with(func(s *syncron.RunSpec) { s.Params.OpsPerCore = -3 }),
 		"scale":    with(func(s *syncron.RunSpec) { s.Params.Scale = -1 }),
 		"gridst":   {Sweep: &SweepGrid{Workloads: []string{"stack"}, STEntries: []int{8, -1}}},
+		"semcond": with(func(s *syncron.RunSpec) {
+			s.Workload, s.Config.Scheme = "semaphore", syncron.SchemeMESILock
+		}),
 	} {
 		_, resp := submit(t, hs.URL, req)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -27,13 +27,19 @@ type RunSpec struct {
 // registered workload; a known scheme, topology, memory model, memory
 // technology and overflow policy; no negative machine parameter; at most
 // MaxUnits units of MaxCoresPerUnit cores; no negative WorkloadParams value
-// and a finite Scale. Execute, SpecRunner, the CLI and serve call it first.
+// and a finite Scale; and no coherence-lock scheme (mesi-lock, ttas, htl),
+// which models only locks and barriers, on a workload that issues semaphore
+// or condition-variable ops. Execute, SpecRunner, the CLI and serve call it
+// first.
 func (spec RunSpec) Validate() error {
 	if _, ok := LookupWorkload(spec.Workload); !ok {
 		return fmt.Errorf("unknown workload %q (see WorkloadNames or `syncron-sim list`)", spec.Workload)
 	}
 	if err := spec.Config.validate(); err != nil {
 		return err
+	}
+	if s := spec.Config.Scheme; (s == SchemeMESILock || s == SchemeTTAS || s == SchemeHTL) && issuesSemCond(spec.Workload) {
+		return fmt.Errorf("syncron: scheme %s models only locks and barriers, but workload %q issues semaphore or condition-variable ops", s, spec.Workload)
 	}
 	return spec.Params.validate()
 }

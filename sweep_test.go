@@ -359,6 +359,16 @@ func TestExecuteRejectsNegativeParameters(t *testing.T) {
 		{"ScaleNegative", "WorkloadParams.Scale must be finite and not negative", func(s *syncron.RunSpec) {
 			s.Params.Scale = -1
 		}},
+		// The coherence-lock schemes model only locks and barriers.
+		{"SemaphoreUnderMESILock", `scheme mesi-lock models only locks and barriers, but workload "semaphore"`, func(s *syncron.RunSpec) {
+			s.Workload, s.Config.Scheme = "semaphore", syncron.SchemeMESILock
+		}},
+		{"CondvarUnderTTAS", `scheme ttas models only locks and barriers, but workload "condvar"`, func(s *syncron.RunSpec) {
+			s.Workload, s.Config.Scheme = "condvar", syncron.SchemeTTAS
+		}},
+		{"SemaphoreUnderHTL", `scheme htl models only locks and barriers, but workload "semaphore"`, func(s *syncron.RunSpec) {
+			s.Workload, s.Config.Scheme = "semaphore", syncron.SchemeHTL
+		}},
 	} {
 		t.Run(tc.field, func(t *testing.T) {
 			spec := syncron.RunSpec{Workload: "lock", Config: syncron.Config{Units: 2, CoresPerUnit: 2},

@@ -130,22 +130,34 @@ func TestBankRunAllocsPerEvent(t *testing.T) {
 	t.Logf("%.4f allocs/event over %d events", perEvent, rep.Events)
 }
 
-// The coherence-lock schemes model only locks and barriers: a workload that
+// The coherence-lock schemes model only locks and barriers: a program that
 // needs any other primitive fails with an error naming the scheme and the op
-// instead of having it granted at once.
+// instead of having it granted at once. (RunSpec.Validate rejects the
+// registered workloads that would do so before they run; see
+// TestExecuteRejectsNegativeParameters.)
 func TestCoherenceLockSchemesRejectUnmodeledOps(t *testing.T) {
 	for _, scheme := range []syncron.Scheme{syncron.SchemeMESILock, syncron.SchemeTTAS, syncron.SchemeHTL} {
-		for _, tc := range []struct{ workload, op string }{
-			{"semaphore", "sem_wait"},
-			{"condvar", "cond_wait"},
+		for _, tc := range []struct {
+			workload, op string
+			body         func(ctx *syncron.Context, v uint64)
+		}{
+			{"semaphore", "sem_wait", func(ctx *syncron.Context, v uint64) { ctx.SemWait(v, 0) }},
+			{"condvar", "cond_wait", func(ctx *syncron.Context, v uint64) {
+				ctx.Lock(v + 64)
+				ctx.CondWait(v, v+64)
+			}},
 		} {
 			t.Run(string(scheme)+"/"+tc.workload, func(t *testing.T) {
-				res := syncron.Execute(syncron.RunSpec{Workload: tc.workload,
-					Config: syncron.Config{Scheme: scheme, Units: 2, CoresPerUnit: 2},
-					Params: syncron.WorkloadParams{Scale: 0.05}})
-				if !strings.Contains(res.Err, tc.op) || !strings.Contains(res.Err, string(scheme)) {
-					t.Fatalf("Err = %q, want an error naming %s and %s", res.Err, tc.op, scheme)
-				}
+				sys := syncron.New(syncron.Config{Scheme: scheme, Units: 2, CoresPerUnit: 2})
+				v := sys.AllocLocal(0, 128)
+				sys.Spawn(sys.NumCores(), func(ctx *syncron.Context) { tc.body(ctx, v) })
+				defer func() {
+					msg := fmt.Sprint(recover())
+					if !strings.Contains(msg, tc.op) || !strings.Contains(msg, string(scheme)) {
+						t.Fatalf("panic %q, want one naming %s and %s", msg, tc.op, scheme)
+					}
+				}()
+				sys.Run()
 			})
 		}
 	}

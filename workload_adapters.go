@@ -32,6 +32,13 @@ func init() {
 	}
 }
 
+// issuesSemCond reports whether the registered workload name issues
+// semaphore or condition-variable ops: of the built-in workloads, only the
+// semaphore and condvar primitives do.
+func issuesSemCond(name string) bool {
+	return name == string(ubench.Semaphore) || name == string(ubench.CondVar)
+}
+
 // builtin is one workload of the paper's evaluation.
 type builtin struct {
 	name    string
