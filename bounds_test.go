@@ -7,6 +7,7 @@ import (
 
 	"syncron"
 	"syncron/internal/arch"
+	"syncron/internal/cache"
 	"syncron/internal/core"
 	"syncron/internal/network"
 	"syncron/internal/sim"
@@ -82,5 +83,40 @@ func TestSynCronLockRoundClosedForm(t *testing.T) {
 					scheme, rounds, res.Makespan, rounds, round, want)
 			}
 		}
+	}
+}
+
+// On one core of one unit a Central lock round is a closed form too, once
+// the server's L1 holds the lock's state: the acquire request crosses the
+// crossbar to the server core, which runs its software handler and two
+// accesses to the variable's state, both L1 hits, the grant crosses back,
+// the release takes one issue cycle (the server handles it while the core
+// computes), and the core computes its interval. The first rounds also pay
+// the server's cold misses, so the steady-state round is measured between
+// 10 and 100 rounds.
+func TestCentralLockRoundClosedForm(t *testing.T) {
+	const interval = 200
+	coreClk := sim.NewClock(arch.CoreMHz)
+	// One crossbar leg: ceil(bytes / FlitBytes) flits plus arbiter and hops.
+	xbar := func(bytes int64) sim.Time {
+		flits := (bytes + network.FlitBytes - 1) / network.FlitBytes
+		return coreClk.Cycles(flits + network.ArbiterCycles + network.HopCycles*network.Hops)
+	}
+	server := coreClk.Cycles(core.ServerHandlerInstrs + core.ServerVarAccesses*cache.DefaultConfig().HitCycles)
+	round := xbar(arch.SyncReqBytes) + server + xbar(arch.SyncRespBytes) +
+		coreClk.Cycles(core.AsyncIssueCycles) + coreClk.Cycles(interval)
+	makespan := func(rounds int) sim.Time {
+		res := syncron.Execute(syncron.RunSpec{Workload: "lock",
+			Config: syncron.Config{Scheme: syncron.SchemeCentral, Units: 1, CoresPerUnit: 1},
+			Params: syncron.WorkloadParams{Interval: interval, Rounds: rounds}})
+		if res.Err != "" {
+			t.Fatal(res.Err)
+		}
+		return res.Makespan
+	}
+	t10, t100 := makespan(10), makespan(100)
+	if got := (t100 - t10) / 90; got != round || (t100-t10)%90 != 0 {
+		t.Errorf("steady-state round (T(100) - T(10)) / 90 = (%v - %v) / 90 = %v, want %v",
+			t100, t10, got, round)
 	}
 }

@@ -73,13 +73,13 @@ const (
 // Software server costs: the server cores of the Central/Hier baselines and
 // the overflow fallback servers.
 const (
-	// serverHandlerInstrs is the software message-handler cost, in core
+	// ServerHandlerInstrs is the software message-handler cost, in core
 	// instructions.
-	serverHandlerInstrs = 60
+	ServerHandlerInstrs = 60
 
-	// serverVarAccesses is how many loads/stores to the synchronization
+	// ServerVarAccesses is how many loads/stores to the synchronization
 	// variable's state a server performs per message (through its L1).
-	serverVarAccesses = 2
+	ServerVarAccesses = 2
 )
 
 // indexingCounters is the overflow-tracking counter count of each SE

@@ -56,7 +56,7 @@ func (c *Coordinator) fallbackService(t sim.Time, addr uint64) sim.Time {
 	if c.fallbackBusy[unit] > start {
 		start = c.fallbackBusy[unit]
 	}
-	end := start + c.m.CoreClock.Cycles(serverHandlerInstrs)
+	end := start + c.m.CoreClock.Cycles(ServerHandlerInstrs)
 	end = c.m.AccessFrom(end, unit, network.PortSE, nil, addr, false)
 	end = c.m.AccessFrom(end, unit, network.PortSE, nil, addr, true)
 	c.fallbackBusy[unit] = end

@@ -155,9 +155,9 @@ func (n *node) process(arr sim.Time, addr uint64) sim.Time {
 		// Server core: software handler instructions plus variable-state
 		// accesses through the server's own L1 (cacheable: the state is
 		// private to the server).
-		end = start + m.CoreClock.Cycles(serverHandlerInstrs)
-		for i := 0; i < serverVarAccesses; i++ {
-			write := i == serverVarAccesses-1
+		end = start + m.CoreClock.Cycles(ServerHandlerInstrs)
+		for i := 0; i < ServerVarAccesses; i++ {
+			write := i == ServerVarAccesses-1
 			end = m.AccessFrom(end, n.unit, n.port(), n.l1, varStateAddr(addr, i), write)
 		}
 	}

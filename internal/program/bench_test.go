@@ -80,3 +80,32 @@ func BenchmarkProgramMemOps(b *testing.B) {
 	}
 	b.ReportMetric(float64(opsPerRun), "ops/run")
 }
+
+// BenchmarkProgramSettledReads is BenchmarkProgramMemOps with the shared
+// read written as ReadSettled on a check that already holds: the read is
+// queued and played as a chained event like the hit, so the program runs
+// without a coroutine handoff until its queue fills. The engine work is
+// that of BenchmarkProgramMemOps; the difference between the two is the
+// handoffs saved.
+func BenchmarkProgramSettledReads(b *testing.B) {
+	const opsPerRun = 4096
+	settled := func() bool { return true }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := arch.NewMachine(arch.Config{Units: 2, CoresPerUnit: 2})
+		m.Backend = &instantBackend{}
+		r := NewRunner(m)
+		for c := 0; c < m.NumCores(); c++ {
+			hot := m.Alloc(m.UnitOf(c), 64)
+			shared := m.AllocShared(c%m.Cfg.Units, 64)
+			r.Add(func(ctx *Ctx) {
+				for k := 0; k < opsPerRun/8; k++ {
+					ctx.Read(hot)
+					ctx.ReadSettled(shared, settled)
+				}
+			})
+		}
+		r.Run()
+	}
+	b.ReportMetric(float64(opsPerRun), "ops/run")
+}

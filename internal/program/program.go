@@ -14,28 +14,41 @@
 // applies them at once and queues their delays. A cacheable access makes one
 // L1 lookup (cache.AccessIfHit): a hit updates the L1 exactly as Access
 // would, and a miss leaves it untouched for the step event's CoreAccess.
-// Only an L1 miss, an uncacheable access or a sync op yields (and, at a
-// small fixed cap, a full delay queue). The step event then plays the queue
-// as a chain of engine events, one per delay, each scheduling the next, and
-// the last one models the yielded operation: a Read or Write schedules one
-// resume event at its completion time, and a sync request goes straight to
-// the backend. Each chained event is scheduled at the time, and from the
-// event, that a resume after its core-private operation would be, so engine
-// order, event counts, traces and lock-checker timing are those of one round
-// trip per operation.
+// ReadSettled queues an uncacheable read the same way when the program's
+// check on its outcome is already settled (see below). Only an L1 miss, any
+// other uncacheable access or a sync op yields (and, at a small fixed cap, a
+// full queue). The step event then plays the queue as a chain of engine
+// events, one per entry, each scheduling the next: a delay's event schedules
+// the next link at the delay's end, a queued read's event models the read
+// with CoreAccess and schedules the next link at its completion. The last
+// link models the yielded operation: a Read or Write schedules one resume
+// event at its completion time, and a sync request goes straight to the
+// backend. Each chained event is scheduled at the time, and from the event,
+// that a resume after its queued operation would be, so engine order, event
+// counts, traces and lock-checker timing are those of one round trip per
+// operation.
 //
 // Host-order contract: a program's Go code runs inside its core's step
-// event, at the completion time of its previous miss, uncacheable access or
-// sync op — not after any Compute or L1 hit in between. Ctx.Now already
-// includes that queued compute and hit time. Folding hits is safe because
-// cacheable data is private or read-only by construction (shared read-write
-// data is AllocShared, hence uncacheable). Code that reads shared Go state
-// outside simulated locks — sssp's unlocked distance reads, the optimistic
+// event, at the completion time of its previous yielding operation (a miss,
+// an uncacheable access that was not queued, or a sync op) — not after any
+// queued operation in between. Ctx.Now includes queued compute and hit time;
+// while a read is queued the program is ahead of its core's simulated time,
+// which is not known until the queue is played, so Now then plays the queue
+// first (without adding an event). Folding hits is safe because cacheable
+// data is private or read-only by construction (shared read-write data is
+// AllocShared, hence uncacheable). Code that reads shared Go state outside
+// simulated locks — sssp's unlocked distance reads, the optimistic
 // structures' unlocked probes (stack's top, skiplist's search over next
 // pointers and deletion marks, bst_drachsler's lock-free tree walk) — thus
 // observes that state as of that step event, after every earlier event and
-// before every later one. A change to when program code runs relative to
-// other events changes what such code sees.
+// before every later one. While a read is queued, and until its next
+// yielding operation, a program may read only host state that no other core
+// can write before then, and write only host state that no other core reads
+// before then. The one exception is a settled predicate passed to
+// ReadSettled: a condition on shared state that, once true, stays true (a
+// minimum that only falls, a distance set once), so seeing it true early
+// means it is true at the read's completion too. A change to when program
+// code runs relative to other events changes what such code sees.
 //
 // The runner is the only caller of the machine's synchronization backend, so
 // it observes every sync op's issue and grant, the same way under every
@@ -69,6 +82,7 @@ type Ctx struct {
 	p     *proc
 	yield func(op) bool // hands the next operation to the core's step event
 	now   sim.Time
+	ahead bool // a read is queued, so now is not the core's time yet
 }
 
 type opKind int
@@ -77,7 +91,7 @@ const (
 	opRead opKind = iota
 	opWrite
 	opSync
-	opFlush // the delay queue is full: play it, then resume the program
+	opFlush // play the queue, then resume the program
 	opEnd   // the program returned: play the queue, then finish
 )
 
@@ -87,10 +101,18 @@ type op struct {
 	req  arch.SyncReq
 }
 
-// maxDelays sizes a core's fixed queue of pending core-private delays; a
-// program that fills it yields to have it played, so a long compute-only
-// loop runs in bounded memory.
-const maxDelays = 16
+// maxQueued sizes a core's fixed queue of pending operations; a program that
+// fills it yields to have it played, so a long compute-only loop runs in
+// bounded memory.
+const maxQueued = 16
+
+// entry is one queued operation: a core-private delay d or, when read is
+// set, an uncacheable read of addr.
+type entry struct {
+	d    sim.Time
+	addr uint64
+	read bool
+}
 
 type proc struct {
 	Stats // the core's id, counters and finish time
@@ -103,10 +125,10 @@ type proc struct {
 	stop     func()
 	resumeAt sim.Time
 
-	// delays[:queued] are the core-private delays (Compute, L1 hits) the
+	// queue[:queued] are the operations (Compute, L1 hits, settled reads) the
 	// program ran through before yielding op; played counts the ones whose
 	// events are scheduled.
-	delays         [maxDelays]sim.Time
+	queue          [maxQueued]entry
 	queued, played int
 	op             op
 
@@ -116,7 +138,7 @@ type proc struct {
 	// cores have at most one), which is what lets grantFn be prebound instead
 	// of capturing per-op state.
 	stepFn  func(sim.Time) // resumes the program
-	playFn  func(sim.Time) // plays the next queued delay
+	playFn  func(sim.Time) // plays the next queued operation
 	grantFn func(sim.Time) // backend grant callback for pend
 	pend    arch.SyncReq
 	issued  sim.Time
@@ -258,7 +280,7 @@ type stopped struct{}
 
 // step resumes core p's program at time at, the completion time of its
 // previous operation, runs it to its next yielded operation (or its end) and
-// starts playing the delays it queued on the way.
+// starts playing the operations it queued on the way.
 func (r *Runner) step(p *proc, at sim.Time) {
 	p.resumeAt = at
 	o, ok := p.next()
@@ -269,13 +291,19 @@ func (r *Runner) step(p *proc, at sim.Time) {
 	r.play(p, at)
 }
 
-// play is core p's event at time at while it works through its queued
-// delays: it schedules the event that ends the next delay or, once every
-// delay has run, models the operation the program yielded after them.
+// play is core p's event at time at while it works through its queue: it
+// schedules the event that ends the next queued operation (modelling it here
+// if it is a read) or, once every entry has run, models the operation the
+// program yielded after them.
 func (r *Runner) play(p *proc, at sim.Time) {
 	if p.played < p.queued {
-		at += p.delays[p.played]
+		e := &p.queue[p.played]
 		p.played++
+		if e.read {
+			at = r.M.CoreAccess(at, p.Core, e.addr, false)
+		} else {
+			at += e.d
+		}
 		r.M.Engine.Schedule(at, p.playFn)
 		return
 	}
@@ -383,24 +411,35 @@ func (c *Ctx) do(o op) sim.Time {
 	if !c.yield(o) { // Run is stopping the program
 		panic(stopped{})
 	}
-	c.now = c.p.resumeAt
+	c.now, c.ahead = c.p.resumeAt, false
 	return c.now
 }
 
-// delay queues d of core-private time for the step event to play, yielding
-// to have the queue played once it is full.
+// delay queues d of core-private time for the step event to play.
 func (c *Ctx) delay(d sim.Time) {
 	c.now += d
+	c.enqueue(entry{d: d})
+}
+
+// enqueue appends e to the core's queue, yielding to have the queue played
+// once it is full.
+func (c *Ctx) enqueue(e entry) {
 	p := c.p
-	p.delays[p.queued] = d
-	if p.queued++; p.queued == maxDelays {
+	p.queue[p.queued] = e
+	if p.queued++; p.queued == maxQueued {
 		c.do(op{kind: opFlush})
 	}
 }
 
 // Now returns the core's current simulated time, including any queued
-// compute and L1-hit time.
-func (c *Ctx) Now() sim.Time { return c.now }
+// compute and L1-hit time. While a read is queued that time is not known
+// yet, so Now first has the queue played, which adds no event.
+func (c *Ctx) Now() sim.Time {
+	if c.ahead {
+		c.do(op{kind: opFlush})
+	}
+	return c.now
+}
 
 // Compute models n instructions of local computation (1 instruction/cycle).
 func (c *Ctx) Compute(n int64) {
@@ -416,6 +455,27 @@ func (c *Ctx) Read(addr uint64) { c.access(addr, false) }
 
 // Write models a blocking store to addr.
 func (c *Ctx) Write(addr uint64) { c.access(addr, true) }
+
+// ReadSettled models a blocking load from addr that the program follows with
+// a check on shared host state, and returns the check's outcome. settled
+// must be a condition that, once true, stays true however other cores
+// change that state, and must touch no simulated state. If it holds already,
+// the read's outcome cannot change it: the read is queued like a core-private
+// operation and the program runs on without yielding. Otherwise it is Read,
+// and settled is evaluated at the read's completion, exactly where code after
+// Read would. Either way the engine runs the same events as Read followed by
+// the check; only the host time at which later program code runs moves (see
+// the host-order contract in the package doc).
+func (c *Ctx) ReadSettled(addr uint64, settled func() bool) bool {
+	if c.m.Cacheable(addr) || !settled() {
+		c.Read(addr)
+		return settled()
+	}
+	c.p.Reads++
+	c.ahead = true
+	c.enqueue(entry{addr: addr, read: true})
+	return true
+}
 
 // access serves an L1 hit in the coroutine: only this core's accesses touch
 // its L1, so the hit updates LRU and dirty state in program order. A miss

@@ -212,26 +212,29 @@ func TestTooManyProgramsPanics(t *testing.T) {
 }
 
 // Every operation costs exactly one engine event: one event for each
-// Compute, Read and Write — a queued delay's event for Compute and L1 hits,
-// which run inside the coroutine, a resume event for a miss — and a grant
-// event plus a resume event for each sync request. A change to the
-// per-operation event order shows here first.
+// Compute, Read and Write — a queued entry's event for Compute, L1 hits and
+// settled reads, which run inside the coroutine, a resume event for a miss —
+// and a grant event plus a resume event for each sync request. A change to
+// the per-operation event order shows here first.
 func TestOneEventPerOperation(t *testing.T) {
 	m := newM()
 	r := NewRunner(m)
 	a := m.Alloc(0, 64) // cacheable: the second Read hits the core's L1
+	shared := m.AllocShared(1, 64)
 	lock := m.Alloc(0, 64)
 	r.Add(func(ctx *Ctx) {
 		ctx.Compute(10)
-		ctx.Read(a) // L1 miss
-		ctx.Read(a) // L1 hit
+		ctx.Read(a)                                          // L1 miss
+		ctx.Read(a)                                          // L1 hit
+		ctx.ReadSettled(shared, func() bool { return true }) // queued
 		ctx.Lock(lock)
 		ctx.Unlock(lock)
 	})
 	r.Run()
-	// 1 first step + 3 events ending Compute/miss/hit + 2 x (grant + resume)
-	// for Lock and Unlock; the final resume finds the program returned.
-	const want = 1 + 3 + 2*2
+	// 1 first step + 4 events ending Compute/miss/hit/settled read + 2 x
+	// (grant + resume) for Lock and Unlock; the final resume finds the
+	// program returned.
+	const want = 1 + 4 + 2*2
 	if got := m.Engine.Executed; got != want {
 		t.Fatalf("executed %d events, want %d", got, want)
 	}

@@ -9,6 +9,8 @@
 // The functional state of each structure is mirrored in host Go data so that
 // operations are semantically checked (a pop really pops, a deletion really
 // unlinks) while the simulator charges the memory and synchronization costs.
+// Every shared read here is Read, never ReadSettled: the unlocked probes
+// follow pointers that other cores change, so no check on them settles.
 package ds
 
 import (

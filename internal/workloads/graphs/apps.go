@@ -76,6 +76,10 @@ func Build(m *arch.Machine, r *program.Runner, name string, g *Graph, part Parti
 	return check
 }
 
+// always is the settled predicate of a read whose value the program uses
+// but whose outcome no other core can change before it is used.
+func always() bool { return true }
+
 // readAdj models reading v's adjacency list (8 neighbors per line).
 func (ly *layout) readAdj(ctx *program.Ctx, v int) {
 	lines := (len(ly.g.Adj[v]) + 7) / 8
@@ -197,8 +201,9 @@ func bfs(ly *layout) (body, func() error) {
 				ctx.Compute(vertexInstrs)
 				for _, nb := range g.Adj[v] {
 					ctx.Compute(edgeInstrs)
-					ctx.Read(ly.data[nb]) // unlocked check first
-					if dist[nb] >= 0 {
+					// Unlocked check first. Settled: dist is set once, so a
+					// visited neighbor stays visited.
+					if ctx.ReadSettled(ly.data[nb], func() bool { return dist[nb] >= 0 }) {
 						continue
 					}
 					ctx.Lock(ly.lock[nb])
@@ -267,7 +272,9 @@ func cc(ly *layout) (body, func() error) {
 				ctx.Compute(vertexInstrs)
 				for _, nb := range g.Adj[v] {
 					ctx.Compute(edgeInstrs)
-					ctx.Read(ly.data[nb]) // unlocked check first
+					// Unlocked check first. Not ReadSettled: label[v] can fall
+					// too, so label[v] >= label[nb] does not stay true.
+					ctx.Read(ly.data[nb])
 					if label[v] < label[nb] {
 						ctx.Lock(ly.lock[nb])
 						if label[v] < label[nb] {
@@ -324,7 +331,10 @@ func sssp(ly *layout) (body, func() error) {
 				for _, nb := range g.Adj[v] {
 					ctx.Compute(edgeInstrs)
 					nd := dist[v] + edgeWeight(int32(v), nb)
-					ctx.Read(ly.data[nb]) // unlocked check first
+					// Unlocked check first. Not ReadSettled: nd comes from
+					// dist[v], which can fall, so code past a queued read
+					// would compute it from a stale distance.
+					ctx.Read(ly.data[nb])
 					if nd < dist[nb] {
 						ctx.Lock(ly.lock[nb])
 						if nd < dist[nb] {
@@ -383,7 +393,9 @@ func pr(ly *layout) (body, func() error) {
 				sum := 0.0
 				for _, nb := range g.Adj[v] {
 					ctx.Compute(edgeInstrs)
-					ctx.Read(ly.data[nb])
+					// Data only: rank is last round's array, swapped only
+					// between barriers, so no core writes it this round.
+					ctx.ReadSettled(ly.data[nb], always)
 					if d := g.Degree(int(nb)); d > 0 {
 						sum += rank[nb] / float64(d)
 					}
@@ -426,7 +438,8 @@ func tf(ly *layout) (body, func() error) {
 			teen := int32(0)
 			for _, nb := range g.Adj[v] {
 				ctx.Compute(edgeInstrs)
-				ctx.Read(ly.data[nb])
+				// Data only: age is pure, so the read's outcome is settled.
+				ctx.ReadSettled(ly.data[nb], always)
 				if age(int(nb)) < 20 {
 					teen++
 				}

@@ -145,8 +145,8 @@ func place(m *arch.Machine, r *program.Runner, s *Series) *workload {
 // profile is all +Inf and most comparisons improve it).
 func (w *workload) update(ctx *program.Ctx, i int, d float64) {
 	line := i / 8
-	ctx.Read(w.outData[line])
-	if d >= w.profile[i] {
+	// Settled: the profile only decreases, so once d >= profile[i] it stays so.
+	if ctx.ReadSettled(w.outData[line], func() bool { return d >= w.profile[i] }) {
 		return
 	}
 	ctx.Lock(w.outLock[line])

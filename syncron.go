@@ -269,9 +269,9 @@ type Config struct {
 const ParallelismSerial = -1
 
 // Context is the interface a simulated core's program uses; see
-// program.Ctx for the full method set (Compute, Read, Write, Lock, Unlock,
-// BarrierWithinUnit, BarrierAcrossUnits, SemWait, SemPost, CondWait,
-// CondSignal, CondBroadcast, FetchAdd, Now).
+// program.Ctx for the full method set (Compute, Read, Write, ReadSettled,
+// Lock, Unlock, BarrierWithinUnit, BarrierAcrossUnits, SemWait, SemPost,
+// CondWait, CondSignal, CondBroadcast, FetchAdd, Now).
 type Context = program.Ctx
 
 // Program is one simulated core's code.
