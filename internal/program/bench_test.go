@@ -109,3 +109,29 @@ func BenchmarkProgramSettledReads(b *testing.B) {
 	}
 	b.ReportMetric(float64(opsPerRun), "ops/run")
 }
+
+// BenchmarkProgramScanReads measures a scan of shared reads whose check
+// never holds, the shape of cc's and sssp's neighbor loops: each element is
+// a Compute and an uncacheable read, and the core's events run the elements
+// and their checks without a coroutine handoff, so a core's whole scan costs
+// one. The engine work is that of the same loop written with Compute, Read
+// and the check, which hands off at every read.
+func BenchmarkProgramScanReads(b *testing.B) {
+	const opsPerRun = 4096
+	never := func(int) bool { return false }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := arch.NewMachine(arch.Config{Units: 2, CoresPerUnit: 2})
+		m.Backend = &instantBackend{}
+		r := NewRunner(m)
+		for c := 0; c < m.NumCores(); c++ {
+			shared := m.AllocShared(c%m.Cfg.Units, 64)
+			addr := func(int) uint64 { return shared }
+			r.Add(func(ctx *Ctx) {
+				ctx.ScanReads(0, opsPerRun/8, 1, addr, never)
+			})
+		}
+		r.Run()
+	}
+	b.ReportMetric(float64(opsPerRun), "ops/run")
+}

@@ -48,6 +48,23 @@ func TestRunStopsEveryProgram(t *testing.T) {
 				}
 			})
 		}, true},
+		{"scan callback panic", func(r *Runner) {
+			shared := r.M.AllocShared(1, 64)
+			r.Add(func(ctx *Ctx) {
+				ctx.ScanReads(0, 8, 1, func(int) uint64 { return shared },
+					func(i int) bool {
+						if i == 2 {
+							panic("workload bug")
+						}
+						return false
+					})
+			})
+			r.Add(func(ctx *Ctx) {
+				for i := 0; i < 10000; i++ {
+					ctx.Compute(1)
+				}
+			})
+		}, true},
 		{"checker violation", func(r *Runner) {
 			lock := r.M.Alloc(0, 64)
 			r.Add(func(ctx *Ctx) { ctx.Unlock(lock) }) // never acquired

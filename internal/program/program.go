@@ -23,10 +23,13 @@
 // with CoreAccess and schedules the next link at its completion. The last
 // link models the yielded operation: a Read or Write schedules one resume
 // event at its completion time, and a sync request goes straight to the
-// backend. Each chained event is scheduled at the time, and from the event,
-// that a resume after its queued operation would be, so engine order, event
-// counts, traces and lock-checker timing are those of one round trip per
-// operation.
+// backend. ScanReads yields once for a whole loop of Compute, an uncacheable
+// read and a check: the event at each read's completion runs the check and,
+// while it fails, the next element's delay and read, resuming the program
+// only when the check holds or the loop ends. Each chained event is
+// scheduled at the time, and from the event, that a resume after its queued
+// operation would be, so engine order, event counts, traces and lock-checker
+// timing are those of one round trip per operation.
 //
 // Host-order contract: a program's Go code runs inside its core's step
 // event, at the completion time of its previous yielding operation (a miss,
@@ -37,17 +40,20 @@
 // first (without adding an event). Folding hits is safe because cacheable
 // data is private or read-only by construction (shared read-write data is
 // AllocShared, hence uncacheable). Code that reads shared Go state outside
-// simulated locks — sssp's unlocked distance reads, the optimistic
-// structures' unlocked probes (stack's top, skiplist's search over next
-// pointers and deletion marks, bst_drachsler's lock-free tree walk) — thus
-// observes that state as of that step event, after every earlier event and
-// before every later one. While a read is queued, and until its next
+// simulated locks — the optimistic structures' unlocked probes (stack's top,
+// skiplist's search over next pointers and deletion marks, bst_drachsler's
+// lock-free tree walk) — thus observes that state as of that step event,
+// after every earlier event and before every later one. While a read is queued, and until its next
 // yielding operation, a program may read only host state that no other core
 // can write before then, and write only host state that no other core reads
 // before then. The one exception is a settled predicate passed to
 // ReadSettled: a condition on shared state that, once true, stays true (a
 // minimum that only falls, a distance set once), so seeing it true early
-// means it is true at the read's completion too. A change to when program
+// means it is true at the read's completion too. ScanReads needs no
+// exception: its callbacks run in the core's events, outside the coroutine,
+// at the program's own host points — addr(i) where the code before element
+// i's read would run, stop(i) where the code after it would — and the
+// program does not run ahead past a scanned read. A change to when program
 // code runs relative to other events changes what such code sees.
 //
 // The runner is the only caller of the machine's synchronization backend, so
@@ -91,6 +97,7 @@ const (
 	opRead opKind = iota
 	opWrite
 	opSync
+	opScan  // a ScanReads element's read, checked in the core's events
 	opFlush // play the queue, then resume the program
 	opEnd   // the program returned: play the queue, then finish
 )
@@ -104,7 +111,7 @@ type op struct {
 // maxQueued sizes a core's fixed queue of pending operations; a program that
 // fills it yields to have it played, so a long compute-only loop runs in
 // bounded memory.
-const maxQueued = 16
+const maxQueued = 64
 
 // entry is one queued operation: a core-private delay d or, when read is
 // set, an uncacheable read of addr.
@@ -132,6 +139,10 @@ type proc struct {
 	queued, played int
 	op             op
 
+	// scan is the ScanReads the core's events are running while op is
+	// opScan.
+	scan scan
+
 	// The callbacks below are bound once at launch so the per-operation hot
 	// path schedules without allocating a fresh closure per event. pend and
 	// issued are the arena for the in-flight sync request (in-order blocking
@@ -139,6 +150,7 @@ type proc struct {
 	// of capturing per-op state.
 	stepFn  func(sim.Time) // resumes the program
 	playFn  func(sim.Time) // plays the next queued operation
+	scanFn  func(sim.Time) // checks a scanned read at its completion
 	grantFn func(sim.Time) // backend grant callback for pend
 	pend    arch.SyncReq
 	issued  sim.Time
@@ -227,6 +239,7 @@ func (r *Runner) Run() sim.Time {
 		p := &proc{Stats: Stats{Core: i}}
 		p.stepFn = func(at sim.Time) { r.step(p, at) }
 		p.playFn = func(at sim.Time) { r.play(p, at) }
+		p.scanFn = func(at sim.Time) { r.scanNext(p, at) }
 		p.grantFn = func(done sim.Time) {
 			req := p.pend
 			if done < p.issued {
@@ -311,6 +324,8 @@ func (r *Runner) play(p *proc, at sim.Time) {
 	switch o := p.op; o.kind {
 	case opRead, opWrite:
 		r.M.Engine.Schedule(r.M.CoreAccess(at, p.Core, o.addr, o.kind == opWrite), p.stepFn)
+	case opScan:
+		r.M.Engine.Schedule(r.M.CoreAccess(at, p.Core, o.addr, false), p.scanFn)
 	case opFlush:
 		r.step(p, at)
 	case opEnd:
@@ -323,6 +338,37 @@ func (r *Runner) play(p *proc, at sim.Time) {
 		r.checkIssue(p, o.req, at)
 		r.M.Backend.Request(at, p.Core, o.req, p.grantFn)
 	}
+}
+
+// scanNext is core p's event at the completion of scanned element s.i's
+// read, where a resume after Read would be: it runs the program's check
+// there and, while the check fails, the code before the next element's read
+// and that read, as the resumed program would, without resuming it. The
+// program resumes once the check holds, the scan ends, or the next address
+// is cacheable (the program then reads it itself).
+func (r *Runner) scanNext(p *proc, at sim.Time) {
+	s := &p.scan
+	if s.stop(s.i) {
+		r.step(p, at)
+		return
+	}
+	if s.i++; s.i == s.n {
+		r.step(p, at)
+		return
+	}
+	a := s.addr(s.i)
+	if r.M.Cacheable(a) {
+		s.next, s.cached = a, true
+		r.step(p, at)
+		return
+	}
+	p.Reads++
+	if s.instrs > 0 {
+		p.Instrs += uint64(s.instrs)
+		p.queue[0], p.queued = entry{d: r.M.CoreClock.Cycles(s.instrs)}, 1
+	}
+	p.op.addr, p.played = a, 0
+	r.play(p, at)
 }
 
 // checkIssue runs the release-side lock checks when a sync request is
@@ -475,6 +521,61 @@ func (c *Ctx) ReadSettled(addr uint64, settled func() bool) bool {
 	c.ahead = true
 	c.enqueue(entry{addr: addr, read: true})
 	return true
+}
+
+// ScanReads models, for i = from, from+1, ..., n-1, Compute(instrs), a
+// blocking read of addr(i), then the program's check stop(i) at the read's
+// completion, and returns the first i whose check holds, or n. addr(i) is the
+// program's code before element i's read and stop(i) its code after it; both
+// may read and write host state like any program code, but must make no Ctx
+// call. Element i's read and check are those of
+//
+//	ctx.Compute(instrs)
+//	a := addr(i)
+//	ctx.Read(a)
+//	if stop(i) { return i }
+//
+// and on a cacheable address ScanReads is that loop. From the first
+// uncacheable read on, the program yields once and the core's own events
+// run the elements without resuming it: each callback runs in the event, and
+// at the simulated time, where the loop's code would run after a resume. So
+// the engine runs the same events in the same order, with the same counters,
+// and the callbacks observe shared state exactly where that code would.
+func (c *Ctx) ScanReads(from, n int, instrs int64, addr func(i int) uint64, stop func(i int) bool) int {
+	for i := from; i < n; i++ {
+		c.Compute(instrs)
+		a := addr(i)
+		if !c.m.Cacheable(a) {
+			p := c.p
+			p.scan = scan{i: i, n: n, instrs: instrs, addr: addr, stop: stop}
+			p.Reads++
+			c.do(op{kind: opScan, addr: a})
+			if !p.scan.cached {
+				return p.scan.i
+			}
+			// The events stopped before element i's read, on a cacheable
+			// address: its compute and read run here.
+			i, a = p.scan.i, p.scan.next
+			c.Compute(instrs)
+		}
+		c.Read(a)
+		if stop(i) {
+			return i
+		}
+	}
+	return n
+}
+
+// scan is a running ScanReads: element i of from..n-1 is in flight, and each
+// element computes instrs instructions before its read. cached reports that
+// element i's address, next, is cacheable, so the program reads it itself.
+type scan struct {
+	i, n   int
+	instrs int64
+	addr   func(int) uint64
+	stop   func(int) bool
+	next   uint64
+	cached bool
 }
 
 // access serves an L1 hit in the coroutine: only this core's accesses touch

@@ -213,9 +213,11 @@ func TestTooManyProgramsPanics(t *testing.T) {
 
 // Every operation costs exactly one engine event: one event for each
 // Compute, Read and Write — a queued entry's event for Compute, L1 hits and
-// settled reads, which run inside the coroutine, a resume event for a miss —
-// and a grant event plus a resume event for each sync request. A change to
-// the per-operation event order shows here first.
+// settled reads, which run inside the coroutine, a resume event for a miss,
+// and for each scanned read the event at its completion that runs the
+// program's check, whether or not the program resumes there — and a grant
+// event plus a resume event for each sync request. A change to the
+// per-operation event order shows here first.
 func TestOneEventPerOperation(t *testing.T) {
 	m := newM()
 	r := NewRunner(m)
@@ -227,14 +229,16 @@ func TestOneEventPerOperation(t *testing.T) {
 		ctx.Read(a)                                          // L1 miss
 		ctx.Read(a)                                          // L1 hit
 		ctx.ReadSettled(shared, func() bool { return true }) // queued
+		ctx.ScanReads(0, 2, 0, func(int) uint64 { return shared },
+			func(int) bool { return false }) // two scanned reads
 		ctx.Lock(lock)
 		ctx.Unlock(lock)
 	})
 	r.Run()
-	// 1 first step + 4 events ending Compute/miss/hit/settled read + 2 x
-	// (grant + resume) for Lock and Unlock; the final resume finds the
-	// program returned.
-	const want = 1 + 4 + 2*2
+	// 1 first step + 4 events ending Compute/miss/hit/settled read + 2
+	// scanned reads + 2 x (grant + resume) for Lock and Unlock; the final
+	// resume finds the program returned.
+	const want = 1 + 4 + 2 + 2*2
 	if got := m.Engine.Executed; got != want {
 		t.Fatalf("executed %d events, want %d", got, want)
 	}

@@ -265,25 +265,31 @@ func cc(ly *layout) (body, func() error) {
 			return c
 		}}
 	run := func(ctx *program.Ctx, mine []int) {
+		// The scan's callbacks, built once per core over the vertex v and
+		// neighbor list adj that the loop below sets.
+		var v int
+		var adj []int32
+		addr := func(i int) uint64 { return ly.data[adj[i]] }
+		improves := func(i int) bool { return label[v] < label[adj[i]] }
+		scan := func(from int) int { return ctx.ScanReads(from, len(adj), edgeInstrs, addr, improves) }
 		rd.run(ctx, func(round int) {
-			for _, v := range mine {
+			for _, v = range mine {
 				ctx.Read(ly.data[v])
 				ly.readAdj(ctx, v)
 				ctx.Compute(vertexInstrs)
-				for _, nb := range g.Adj[v] {
-					ctx.Compute(edgeInstrs)
-					// Unlocked check first. Not ReadSettled: label[v] can fall
-					// too, so label[v] >= label[nb] does not stay true.
-					ctx.Read(ly.data[nb])
+				adj = g.Adj[v]
+				// Unlocked check first. It does not settle (label[v] can
+				// fall too), so ScanReads runs it at each read's completion,
+				// where code after Read would, and never ahead of the read.
+				for i := scan(0); i < len(adj); i = scan(i + 1) {
+					nb := adj[i]
+					ctx.Lock(ly.lock[nb])
 					if label[v] < label[nb] {
-						ctx.Lock(ly.lock[nb])
-						if label[v] < label[nb] {
-							label[nb] = label[v]
-							ctx.Write(ly.data[nb])
-							changed = true
-						}
-						ctx.Unlock(ly.lock[nb])
+						label[nb] = label[v]
+						ctx.Write(ly.data[nb])
+						changed = true
 					}
+					ctx.Unlock(ly.lock[nb])
 				}
 			}
 		})
@@ -320,30 +326,40 @@ func sssp(ly *layout) (body, func() error) {
 			return c
 		}}
 	run := func(ctx *program.Ctx, mine []int) {
+		// The scan's callbacks, built once per core over the vertex v and
+		// neighbor list adj that the loop below sets. addr computes the
+		// candidate distance nd before each read, as the kernel does.
+		var v int
+		var adj []int32
+		var nd int32
+		addr := func(i int) uint64 {
+			nd = dist[v] + edgeWeight(int32(v), adj[i])
+			return ly.data[adj[i]]
+		}
+		improves := func(i int) bool { return nd < dist[adj[i]] }
+		scan := func(from int) int { return ctx.ScanReads(from, len(adj), edgeInstrs, addr, improves) }
 		rd.run(ctx, func(round int) {
-			for _, v := range mine {
+			for _, v = range mine {
 				if dist[v] >= inf {
 					continue
 				}
 				ctx.Read(ly.data[v])
 				ly.readAdj(ctx, v)
 				ctx.Compute(vertexInstrs)
-				for _, nb := range g.Adj[v] {
-					ctx.Compute(edgeInstrs)
-					nd := dist[v] + edgeWeight(int32(v), nb)
-					// Unlocked check first. Not ReadSettled: nd comes from
-					// dist[v], which can fall, so code past a queued read
-					// would compute it from a stale distance.
-					ctx.Read(ly.data[nb])
+				adj = g.Adj[v]
+				// Unlocked check first. It does not settle (nd comes from
+				// dist[v], which can fall), so ScanReads computes nd where
+				// the code before each read runs and checks it at the read's
+				// completion, never ahead of the core's time.
+				for i := scan(0); i < len(adj); i = scan(i + 1) {
+					nb := adj[i]
+					ctx.Lock(ly.lock[nb])
 					if nd < dist[nb] {
-						ctx.Lock(ly.lock[nb])
-						if nd < dist[nb] {
-							dist[nb] = nd
-							ctx.Write(ly.data[nb])
-							changed = true
-						}
-						ctx.Unlock(ly.lock[nb])
+						dist[nb] = nd
+						ctx.Write(ly.data[nb])
+						changed = true
 					}
+					ctx.Unlock(ly.lock[nb])
 				}
 			}
 		})

@@ -270,8 +270,8 @@ const ParallelismSerial = -1
 
 // Context is the interface a simulated core's program uses; see
 // program.Ctx for the full method set (Compute, Read, Write, ReadSettled,
-// Lock, Unlock, BarrierWithinUnit, BarrierAcrossUnits, SemWait, SemPost,
-// CondWait, CondSignal, CondBroadcast, FetchAdd, Now).
+// ScanReads, Lock, Unlock, BarrierWithinUnit, BarrierAcrossUnits, SemWait,
+// SemPost, CondWait, CondSignal, CondBroadcast, FetchAdd, Now).
 type Context = program.Ctx
 
 // Program is one simulated core's code.
