@@ -53,6 +53,32 @@ func BenchmarkProgramSyncOps(b *testing.B) {
 	}
 }
 
+// BenchmarkProgramRunAhead is BenchmarkProgramSyncOps with each program
+// calling RunAhead: its sync ops are queued and issued by the core's events,
+// so the program hands off only when its queue fills. The engine work is
+// that of BenchmarkProgramSyncOps; the difference between the two is the
+// handoffs saved.
+func BenchmarkProgramRunAhead(b *testing.B) {
+	const roundsPerCore = 512
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := arch.NewMachine(arch.Config{Units: 2, CoresPerUnit: 2})
+		m.Backend = &instantBackend{}
+		r := NewRunner(m)
+		lock := m.Alloc(0, 64)
+		for c := 0; c < m.NumCores(); c++ {
+			r.Add(func(ctx *Ctx) {
+				ctx.RunAhead()
+				for k := 0; k < roundsPerCore; k++ {
+					ctx.Lock(lock)
+					ctx.Unlock(lock)
+				}
+			})
+		}
+		r.Run()
+	}
+}
+
 // BenchmarkProgramMemOps measures the per-operation cost of the memory path:
 // each core alternates a read of a line it keeps resident in its L1 (a hit,
 // served inside the coroutine and played as one chained event) with a read

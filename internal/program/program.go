@@ -15,15 +15,18 @@
 // L1 lookup (cache.AccessIfHit): a hit updates the L1 exactly as Access
 // would, and a miss leaves it untouched for the step event's CoreAccess.
 // ReadSettled queues an uncacheable read the same way when the program's
-// check on its outcome is already settled (see below). Only an L1 miss, any
-// other uncacheable access or a sync op yields (and, at a small fixed cap, a
-// full queue). The step event then plays the queue as a chain of engine
-// events, one per entry, each scheduling the next: a delay's event schedules
-// the next link at the delay's end, a queued read's event models the read
-// with CoreAccess and schedules the next link at its completion. The last
-// link models the yielded operation: a Read or Write schedules one resume
-// event at its completion time, and a sync request goes straight to the
-// backend. ScanReads yields once for a whole loop of Compute, an uncacheable
+// check on its outcome is already settled, and after Ctx.RunAhead every sync
+// op is queued too (see below). Only an L1 miss, any other uncacheable access
+// or a sync op that is not queued yields (and, at a small fixed cap, a full
+// queue). The step event then plays the queue as a chain of engine events,
+// one per entry, each scheduling the next: a delay's event schedules the next
+// link at the delay's end, a queued read's event models the read with
+// CoreAccess and schedules the next link at its completion, and a sync op's
+// event issues it to the backend, whose grant schedules the next link. The
+// last link models the yielded operation: a Read or Write schedules one
+// resume event at its completion time. A sync op that yields is the last
+// entry of the queue it flushes, so its grant event resumes the program.
+// ScanReads yields once for a whole loop of Compute, an uncacheable
 // read and a check: the event at each read's completion runs the check and,
 // while it fails, the next element's delay and read, resuming the program
 // only when the check holds or the loop ends. Each chained event is
@@ -33,11 +36,12 @@
 //
 // Host-order contract: a program's Go code runs inside its core's step
 // event, at the completion time of its previous yielding operation (a miss,
-// an uncacheable access that was not queued, or a sync op) — not after any
+// an uncacheable access or a sync op that was not queued) — not after any
 // queued operation in between. Ctx.Now includes queued compute and hit time;
-// while a read is queued the program is ahead of its core's simulated time,
-// which is not known until the queue is played, so Now then plays the queue
-// first (without adding an event). Folding hits is safe because cacheable
+// while a read or sync op is queued the program is ahead of its core's
+// simulated time, which is not known until the queue is played, so Now then
+// plays the queue first (without adding an event): the program catches up
+// with its core. Folding hits is safe because cacheable
 // data is private or read-only by construction (shared read-write data is
 // AllocShared, hence uncacheable). Code that reads shared Go state outside
 // simulated locks — the optimistic structures' unlocked probes (stack's top,
@@ -53,8 +57,15 @@
 // exception: its callbacks run in the core's events, outside the coroutine,
 // at the program's own host points — addr(i) where the code before element
 // i's read would run, stop(i) where the code after it would — and the
-// program does not run ahead past a scanned read. A change to when program
-// code runs relative to other events changes what such code sees.
+// program does not run ahead past a scanned read. RunAhead is opt-in because
+// it widens the window: from the call on, the program may touch host state
+// that another core or the model can change only after catching up, at Now
+// or at an operation that yields (an L1 miss, an uncacheable Read or Write,
+// an unsettled ReadSettled, ScanReads). The Figure-10 microbenchmarks opt in;
+// they share no host state, or read it only after Now. A change to when
+// program code runs relative to other events changes what such code sees; a
+// test-only lockstep mode, in which nothing but Compute and L1 hits is
+// queued, is the reference every run must match byte for byte.
 //
 // The runner is the only caller of the machine's synchronization backend, so
 // it observes every sync op's issue and grant, the same way under every
@@ -88,7 +99,9 @@ type Ctx struct {
 	p     *proc
 	yield func(op) bool // hands the next operation to the core's step event
 	now   sim.Time
-	ahead bool // a read is queued, so now is not the core's time yet
+	ahead bool // a read or sync op is queued, so now is not the core's time yet
+
+	runAhead bool // RunAhead was called: sync ops are queued too
 }
 
 type opKind int
@@ -96,7 +109,6 @@ type opKind int
 const (
 	opRead opKind = iota
 	opWrite
-	opSync
 	opScan  // a ScanReads element's read, checked in the core's events
 	opFlush // play the queue, then resume the program
 	opEnd   // the program returned: play the queue, then finish
@@ -105,7 +117,6 @@ const (
 type op struct {
 	kind opKind
 	addr uint64
-	req  arch.SyncReq
 }
 
 // maxQueued sizes a core's fixed queue of pending operations; a program that
@@ -113,12 +124,49 @@ type op struct {
 // bounded memory.
 const maxQueued = 64
 
-// entry is one queued operation: a core-private delay d or, when read is
-// set, an uncacheable read of addr.
+// entry is one queued operation: a core-private delay d, an uncacheable read
+// of addr, or a sync request of op sync on addr. A sync request's Info, or
+// its Lock for a condition-variable op (no op uses both), is stored in d,
+// which keeps the entry at three words.
 type entry struct {
 	d    sim.Time
 	addr uint64
-	read bool
+	kind entryKind
+	sync uint8 // a sync request's arch.SyncOp
+}
+
+type entryKind uint8
+
+const (
+	entryDelay entryKind = iota
+	entryRead
+	entrySync
+)
+
+// syncEntry is the queue entry of sync request req.
+func syncEntry(req arch.SyncReq) entry {
+	x := req.Info
+	if carriesLock(req.Op) {
+		x = req.Lock
+	}
+	return entry{d: sim.Time(x), addr: req.Addr, kind: entrySync, sync: uint8(req.Op)}
+}
+
+// req is the sync request that sync entry e queues.
+func (e *entry) req() arch.SyncReq {
+	req := arch.SyncReq{Op: arch.SyncOp(e.sync), Addr: e.addr}
+	if carriesLock(req.Op) {
+		req.Lock = uint64(e.d)
+	} else {
+		req.Info = uint64(e.d)
+	}
+	return req
+}
+
+// carriesLock reports whether a request of op names a lock (Lock) rather
+// than a count or operand (Info).
+func carriesLock(op arch.SyncOp) bool {
+	return op == arch.OpCondWait || op == arch.OpCondSignal || op == arch.OpCondBroadcast
 }
 
 type proc struct {
@@ -132,9 +180,10 @@ type proc struct {
 	stop     func()
 	resumeAt sim.Time
 
-	// queue[:queued] are the operations (Compute, L1 hits, settled reads) the
-	// program ran through before yielding op; played counts the ones whose
-	// events are scheduled.
+	// queue[:queued] are the operations (Compute, L1 hits, settled reads and,
+	// after RunAhead, sync ops) the program ran through before yielding op;
+	// played counts the ones whose events are scheduled or, for a sync op,
+	// whose request is issued.
 	queue          [maxQueued]entry
 	queued, played int
 	op             op
@@ -253,7 +302,7 @@ func (r *Runner) Run() sim.Time {
 			if r.M.Tracer != nil {
 				r.traceWait(req, p.issued, done)
 			}
-			eng.Schedule(done, p.stepFn)
+			eng.Schedule(done, p.playFn)
 		}
 		ctx := &Ctx{ID: i, Unit: r.M.UnitOf(i), RNG: r.M.RNG.Fork(), m: r.M, p: p}
 		// The coroutine starts at the core's first step event. A program's own
@@ -306,16 +355,25 @@ func (r *Runner) step(p *proc, at sim.Time) {
 
 // play is core p's event at time at while it works through its queue: it
 // schedules the event that ends the next queued operation (modelling it here
-// if it is a read) or, once every entry has run, models the operation the
-// program yielded after them.
+// if it is a read), issues it if it is a sync op (whose grant plays on) or,
+// once every entry has run, models the operation the program yielded after
+// them.
 func (r *Runner) play(p *proc, at sim.Time) {
 	if p.played < p.queued {
 		e := &p.queue[p.played]
 		p.played++
-		if e.read {
-			at = r.M.CoreAccess(at, p.Core, e.addr, false)
-		} else {
+		switch e.kind {
+		case entryDelay:
 			at += e.d
+		case entryRead:
+			at = r.M.CoreAccess(at, p.Core, e.addr, false)
+		case entrySync:
+			req := e.req()
+			p.SyncOps++
+			p.pend, p.issued = req, at
+			r.checkIssue(p, req, at)
+			r.M.Backend.Request(at, p.Core, req, p.grantFn)
+			return
 		}
 		r.M.Engine.Schedule(at, p.playFn)
 		return
@@ -331,12 +389,6 @@ func (r *Runner) play(p *proc, at sim.Time) {
 	case opEnd:
 		p.done = true
 		p.Finish = at
-	case opSync:
-		p.SyncOps++
-		p.pend = o.req
-		p.issued = at
-		r.checkIssue(p, o.req, at)
-		r.M.Backend.Request(at, p.Core, o.req, p.grantFn)
 	}
 }
 
@@ -478,8 +530,9 @@ func (c *Ctx) enqueue(e entry) {
 }
 
 // Now returns the core's current simulated time, including any queued
-// compute and L1-hit time. While a read is queued that time is not known
-// yet, so Now first has the queue played, which adds no event.
+// compute and L1-hit time. While a read or sync op is queued that time is not
+// known yet, so Now first has the queue played, which adds no event: the
+// program has caught up with its core.
 func (c *Ctx) Now() sim.Time {
 	if c.ahead {
 		c.do(op{kind: opFlush})
@@ -513,13 +566,13 @@ func (c *Ctx) Write(addr uint64) { c.access(addr, true) }
 // the check; only the host time at which later program code runs moves (see
 // the host-order contract in the package doc).
 func (c *Ctx) ReadSettled(addr uint64, settled func() bool) bool {
-	if c.m.Cacheable(addr) || !settled() {
+	if lockstep || c.m.Cacheable(addr) || !settled() {
 		c.Read(addr)
 		return settled()
 	}
 	c.p.Reads++
 	c.ahead = true
-	c.enqueue(entry{addr: addr, read: true})
+	c.enqueue(entry{addr: addr, kind: entryRead})
 	return true
 }
 
@@ -541,11 +594,15 @@ func (c *Ctx) ReadSettled(addr uint64, settled func() bool) bool {
 // at the simulated time, where the loop's code would run after a resume. So
 // the engine runs the same events in the same order, with the same counters,
 // and the callbacks observe shared state exactly where that code would.
+// After RunAhead, ScanReads first catches up with the core, as Now does.
 func (c *Ctx) ScanReads(from, n int, instrs int64, addr func(i int) uint64, stop func(i int) bool) int {
+	if c.runAhead {
+		c.Now()
+	}
 	for i := from; i < n; i++ {
 		c.Compute(instrs)
 		a := addr(i)
-		if !c.m.Cacheable(a) {
+		if !lockstep && !c.m.Cacheable(a) {
 			p := c.p
 			p.scan = scan{i: i, n: n, instrs: instrs, addr: addr, stop: stop}
 			p.Reads++
@@ -599,62 +656,82 @@ func (c *Ctx) access(addr uint64, write bool) {
 	c.do(op{kind: kind, addr: addr})
 }
 
-// Sync issues a raw synchronization request.
-func (c *Ctx) Sync(req arch.SyncReq) { c.do(op{kind: opSync, req: req}) }
+// RunAhead lets the program run ahead past its sync ops for the rest of its
+// run: each one is queued like a settled read instead of yielding, and the
+// core's events issue it where the yielded op would have been issued and play
+// on from its grant. Engine events, traces and lock-checker timing are those
+// of one round trip per op; only the host time at which later program code
+// runs moves. So from the call on, the program may touch host state that
+// another core or the model can change only after catching up with its core:
+// at Now, or at an operation that yields (an L1 miss, an uncacheable Read or
+// Write, an unsettled ReadSettled, ScanReads). A program that shares no host
+// state, or reads it only after such a catch-up, gets the same run with far
+// fewer coroutine handoffs.
+func (c *Ctx) RunAhead() { c.runAhead = !lockstep }
+
+// lockstep, set only by tests, makes every program run in lockstep with its
+// core: RunAhead is ignored, ReadSettled is Read plus the check and ScanReads
+// is the plain loop, so only Compute and L1 hits are queued. It is the
+// reference that running ahead must match byte for byte.
+var lockstep bool
+
+// Sync issues a raw synchronization request. Only the field its op uses is
+// kept: Lock for a condition-variable op, Info for every other op.
+func (c *Ctx) Sync(req arch.SyncReq) {
+	c.ahead = true
+	c.enqueue(syncEntry(req))
+	if !c.runAhead {
+		c.Now()
+	}
+}
 
 // Lock acquires the lock at addr (req_sync lock_acquire). When the runner's
 // checker is on, mutual exclusion is verified engine-side at grant time.
-func (c *Ctx) Lock(addr uint64) {
-	c.do(op{kind: opSync, req: arch.SyncReq{Op: arch.OpLockAcquire, Addr: addr}})
-}
+func (c *Ctx) Lock(addr uint64) { c.Sync(arch.SyncReq{Op: arch.OpLockAcquire, Addr: addr}) }
 
 // Unlock releases the lock at addr (req_async lock_release). The checker
 // verifies the release against the holder engine-side at issue time.
-func (c *Ctx) Unlock(addr uint64) {
-	c.do(op{kind: opSync, req: arch.SyncReq{Op: arch.OpLockRelease, Addr: addr}})
-}
+func (c *Ctx) Unlock(addr uint64) { c.Sync(arch.SyncReq{Op: arch.OpLockRelease, Addr: addr}) }
 
 // BarrierWithinUnit waits on a barrier among n cores of the caller's unit.
 func (c *Ctx) BarrierWithinUnit(addr uint64, n int) {
-	c.do(op{kind: opSync, req: arch.SyncReq{Op: arch.OpBarrierWithinUnit, Addr: addr, Info: uint64(n)}})
+	c.Sync(arch.SyncReq{Op: arch.OpBarrierWithinUnit, Addr: addr, Info: uint64(n)})
 }
 
 // BarrierAcrossUnits waits on a barrier among n cores across NDP units.
 func (c *Ctx) BarrierAcrossUnits(addr uint64, n int) {
-	c.do(op{kind: opSync, req: arch.SyncReq{Op: arch.OpBarrierAcrossUnits, Addr: addr, Info: uint64(n)}})
+	c.Sync(arch.SyncReq{Op: arch.OpBarrierAcrossUnits, Addr: addr, Info: uint64(n)})
 }
 
 // SemWait performs P() on the semaphore at addr with the given initial value
 // (communicated on first touch, as in the paper's API).
 func (c *Ctx) SemWait(addr uint64, initial int) {
-	c.do(op{kind: opSync, req: arch.SyncReq{Op: arch.OpSemWait, Addr: addr, Info: uint64(initial)}})
+	c.Sync(arch.SyncReq{Op: arch.OpSemWait, Addr: addr, Info: uint64(initial)})
 }
 
 // SemPost performs V() on the semaphore at addr.
-func (c *Ctx) SemPost(addr uint64) {
-	c.do(op{kind: opSync, req: arch.SyncReq{Op: arch.OpSemPost, Addr: addr}})
-}
+func (c *Ctx) SemPost(addr uint64) { c.Sync(arch.SyncReq{Op: arch.OpSemPost, Addr: addr}) }
 
 // CondWait atomically releases lock and waits on the condition variable at
 // addr; the lock is re-acquired before return. The checker verifies the
 // release at issue time and the re-acquisition at wakeup, engine-side.
 func (c *Ctx) CondWait(addr, lock uint64) {
-	c.do(op{kind: opSync, req: arch.SyncReq{Op: arch.OpCondWait, Addr: addr, Lock: lock}})
+	c.Sync(arch.SyncReq{Op: arch.OpCondWait, Addr: addr, Lock: lock})
 }
 
 // CondSignal wakes one waiter of the condition variable at addr.
 func (c *Ctx) CondSignal(addr, lock uint64) {
-	c.do(op{kind: opSync, req: arch.SyncReq{Op: arch.OpCondSignal, Addr: addr, Lock: lock}})
+	c.Sync(arch.SyncReq{Op: arch.OpCondSignal, Addr: addr, Lock: lock})
 }
 
 // CondBroadcast wakes all waiters of the condition variable at addr.
 func (c *Ctx) CondBroadcast(addr, lock uint64) {
-	c.do(op{kind: opSync, req: arch.SyncReq{Op: arch.OpCondBroadcast, Addr: addr, Lock: lock}})
+	c.Sync(arch.SyncReq{Op: arch.OpCondBroadcast, Addr: addr, Lock: lock})
 }
 
 // FetchAdd performs the §4.4.1 RMW extension on SynCron backends.
 func (c *Ctx) FetchAdd(addr uint64, delta uint64) {
-	c.do(op{kind: opSync, req: arch.SyncReq{Op: arch.OpFetchAdd, Addr: addr, Info: delta}})
+	c.Sync(arch.SyncReq{Op: arch.OpFetchAdd, Addr: addr, Info: delta})
 }
 
 // Stats holds one core's counters: each proc embeds one, and Runner.Stats

@@ -216,34 +216,41 @@ func TestTooManyProgramsPanics(t *testing.T) {
 // settled reads, which run inside the coroutine, a resume event for a miss,
 // and for each scanned read the event at its completion that runs the
 // program's check, whether or not the program resumes there — and a grant
-// event plus a resume event for each sync request. A change to the
+// event plus a resume event for each sync request. After RunAhead a sync
+// request is queued too, and its resume event plays the rest of the queue
+// instead of resuming the program: the count is the same. A change to the
 // per-operation event order shows here first.
 func TestOneEventPerOperation(t *testing.T) {
-	m := newM()
-	r := NewRunner(m)
-	a := m.Alloc(0, 64) // cacheable: the second Read hits the core's L1
-	shared := m.AllocShared(1, 64)
-	lock := m.Alloc(0, 64)
-	r.Add(func(ctx *Ctx) {
-		ctx.Compute(10)
-		ctx.Read(a)                                          // L1 miss
-		ctx.Read(a)                                          // L1 hit
-		ctx.ReadSettled(shared, func() bool { return true }) // queued
-		ctx.ScanReads(0, 2, 0, func(int) uint64 { return shared },
-			func(int) bool { return false }) // two scanned reads
-		ctx.Lock(lock)
-		ctx.Unlock(lock)
-	})
-	r.Run()
-	// 1 first step + 4 events ending Compute/miss/hit/settled read + 2
-	// scanned reads + 2 x (grant + resume) for Lock and Unlock; the final
-	// resume finds the program returned.
-	const want = 1 + 4 + 2 + 2*2
-	if got := m.Engine.Executed; got != want {
-		t.Fatalf("executed %d events, want %d", got, want)
-	}
-	if st := &m.Caches[0].Stats; st.Hits.Value() != 1 || st.Misses.Value() != 1 {
-		t.Fatalf("L1 hits %d, misses %d; want one each", st.Hits.Value(), st.Misses.Value())
+	for _, ahead := range []bool{false, true} {
+		m := newM()
+		r := NewRunner(m)
+		a := m.Alloc(0, 64) // cacheable: the second Read hits the core's L1
+		shared := m.AllocShared(1, 64)
+		lock := m.Alloc(0, 64)
+		r.Add(func(ctx *Ctx) {
+			if ahead {
+				ctx.RunAhead()
+			}
+			ctx.Compute(10)
+			ctx.Read(a)                                          // L1 miss
+			ctx.Read(a)                                          // L1 hit
+			ctx.ReadSettled(shared, func() bool { return true }) // queued
+			ctx.ScanReads(0, 2, 0, func(int) uint64 { return shared },
+				func(int) bool { return false }) // two scanned reads
+			ctx.Lock(lock)
+			ctx.Unlock(lock)
+		})
+		r.Run()
+		// 1 first step + 4 events ending Compute/miss/hit/settled read + 2
+		// scanned reads + 2 x (grant + resume) for Lock and Unlock; the final
+		// resume finds the program returned.
+		const want = 1 + 4 + 2 + 2*2
+		if got := m.Engine.Executed; got != want {
+			t.Fatalf("RunAhead %v: executed %d events, want %d", ahead, got, want)
+		}
+		if st := &m.Caches[0].Stats; st.Hits.Value() != 1 || st.Misses.Value() != 1 {
+			t.Fatalf("L1 hits %d, misses %d; want one each", st.Hits.Value(), st.Misses.Value())
+		}
 	}
 }
 

@@ -274,7 +274,10 @@ func cc(ly *layout) (body, func() error) {
 		scan := func(from int) int { return ctx.ScanReads(from, len(adj), edgeInstrs, addr, improves) }
 		rd.run(ctx, func(round int) {
 			for _, v = range mine {
-				ctx.Read(ly.data[v])
+				// Nothing up to the scan's first read checks shared state:
+				// only the cacheable adjacency reads, the vertex's compute
+				// and addr's read-only lookup run before the next yield.
+				ctx.ReadSettled(ly.data[v], always)
 				ly.readAdj(ctx, v)
 				ctx.Compute(vertexInstrs)
 				adj = g.Adj[v]

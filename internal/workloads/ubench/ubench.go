@@ -2,6 +2,13 @@
 // synchronization primitives exercised by 60 cores that repeatedly reach a
 // single synchronization variable, with a configurable instruction interval
 // between synchronization points.
+//
+// Every program calls Ctx.RunAhead: its sync ops are queued instead of each
+// handing control back to the engine, and the core's events issue them at
+// the same simulated times. The lock, barrier and semaphore programs share
+// no host state, so nothing else is needed. The condition-variable programs
+// share a token count, which each reads and writes only after catching up
+// with its core (Ctx.Now) under the lock.
 package ubench
 
 import (
@@ -41,6 +48,7 @@ func Build(m *arch.Machine, r *program.Runner, cfg Config) {
 		// Empty critical section; interval of work between acquisitions.
 		r.AddN(n, func(i int) program.Program {
 			return func(ctx *program.Ctx) {
+				ctx.RunAhead()
 				for k := 0; k < cfg.Rounds; k++ {
 					ctx.Lock(v)
 					ctx.Unlock(v)
@@ -51,6 +59,7 @@ func Build(m *arch.Machine, r *program.Runner, cfg Config) {
 	case Barrier:
 		r.AddN(n, func(i int) program.Program {
 			return func(ctx *program.Ctx) {
+				ctx.RunAhead()
 				for k := 0; k < cfg.Rounds; k++ {
 					ctx.Compute(cfg.Interval)
 					ctx.BarrierAcrossUnits(v, n)
@@ -63,6 +72,7 @@ func Build(m *arch.Machine, r *program.Runner, cfg Config) {
 		r.AddN(n, func(i int) program.Program {
 			if i < half {
 				return func(ctx *program.Ctx) {
+					ctx.RunAhead()
 					for k := 0; k < cfg.Rounds; k++ {
 						ctx.SemWait(v, 0)
 						ctx.Compute(cfg.Interval)
@@ -70,6 +80,7 @@ func Build(m *arch.Machine, r *program.Runner, cfg Config) {
 				}
 			}
 			return func(ctx *program.Ctx) {
+				ctx.RunAhead()
 				for k := 0; k < cfg.Rounds; k++ {
 					ctx.SemPost(v)
 					ctx.Compute(cfg.Interval)
@@ -81,17 +92,22 @@ func Build(m *arch.Machine, r *program.Runner, cfg Config) {
 		// absorbed by the count.
 	case CondVar:
 		// Half wait on the condition, half signal; a token counter gives
-		// Mesa-safe semantics (no lost wakeups).
+		// Mesa-safe semantics (no lost wakeups). tokens is shared host
+		// state, so each side catches up with its core (Now) once it holds
+		// the lock, before touching it.
 		lock := m.Alloc(0, 64)
 		half := n / 2
 		tokens := 0
 		r.AddN(n, func(i int) program.Program {
 			if i < half {
 				return func(ctx *program.Ctx) {
+					ctx.RunAhead()
 					for k := 0; k < cfg.Rounds; k++ {
 						ctx.Lock(lock)
+						ctx.Now()
 						for tokens == 0 {
 							ctx.CondWait(v, lock)
+							ctx.Now()
 						}
 						tokens--
 						ctx.Unlock(lock)
@@ -100,8 +116,10 @@ func Build(m *arch.Machine, r *program.Runner, cfg Config) {
 				}
 			}
 			return func(ctx *program.Ctx) {
+				ctx.RunAhead()
 				for k := 0; k < cfg.Rounds; k++ {
 					ctx.Lock(lock)
+					ctx.Now()
 					tokens++
 					ctx.CondSignal(v, lock)
 					ctx.Unlock(lock)

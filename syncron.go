@@ -271,7 +271,7 @@ const ParallelismSerial = -1
 // Context is the interface a simulated core's program uses; see
 // program.Ctx for the full method set (Compute, Read, Write, ReadSettled,
 // ScanReads, Lock, Unlock, BarrierWithinUnit, BarrierAcrossUnits, SemWait,
-// SemPost, CondWait, CondSignal, CondBroadcast, FetchAdd, Now).
+// SemPost, CondWait, CondSignal, CondBroadcast, FetchAdd, Now, RunAhead).
 type Context = program.Ctx
 
 // Program is one simulated core's code.
