@@ -14,9 +14,9 @@ import (
 	"syncron/internal/trace"
 )
 
-// The lockstep oracle for the host-order contract. Running ahead (queued L1
-// hits aside: settled reads, scanned reads and RunAhead's sync ops) moves
-// only the host time at which program code runs, never the simulation. So
+// The lockstep oracle for the host-order contract. Running ahead past settled
+// reads, scanned reads and RunAhead's sync ops moves only the host time at
+// which program code runs, never the simulation. So
 // every registered workload, under every scheme that models it, at 1 and 4
 // units, must give byte-identical RunResult JSON and trace with and without
 // lockstep. The trace is compared record by record in emission order, which
@@ -25,7 +25,10 @@ import (
 // differing run.
 func TestLockstepOracle(t *testing.T) {
 	seed := maphash.MakeSeed()
-	run := func(spec syncron.RunSpec) (res []byte, tr *traceHash) {
+	run := func(spec syncron.RunSpec, lockstep bool) (res []byte, tr *traceHash) {
+		if lockstep {
+			defer program.UseLockstep()()
+		}
 		tr = &traceHash{}
 		tr.h.SetSeed(seed)
 		spec.Config.Tracer = tr
@@ -50,10 +53,8 @@ func TestLockstepOracle(t *testing.T) {
 					continue // a coherence-lock scheme on a semaphore or condvar
 				}
 				name := fmt.Sprintf("%s/%s/%d", w, scheme, units)
-				gotRes, gotTrace := run(spec)
-				restore := program.UseLockstep()
-				wantRes, wantTrace := run(spec)
-				restore()
+				gotRes, gotTrace := run(spec, false)
+				wantRes, wantTrace := run(spec, true)
 				if !bytes.Equal(gotRes, wantRes) {
 					t.Errorf("%s: RunResult\n%s\nin lockstep\n%s", name, gotRes, wantRes)
 				}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"syncron/internal/arch"
 	"syncron/internal/core"
@@ -203,5 +204,23 @@ func TestRunAheadDeadlockNamesQueuedOp(t *testing.T) {
 	if want := fmt.Sprintf("core 0 on lock_acquire %#x", lock); !strings.Contains(msg, "deadlock") ||
 		!strings.Contains(msg, want) {
 		t.Fatalf("Run panicked with %#v, want a deadlock report naming %q", v, want)
+	}
+}
+
+// A sync op's queue entry carries its op and its Info or Lock in the words
+// every entry has, so queuing sync ops does not grow the core's queue.
+func TestQueueEntryIsThreeWords(t *testing.T) {
+	if size := unsafe.Sizeof(entry{}); size != 24 {
+		t.Fatalf("queue entry is %d bytes, want 24", size)
+	}
+	for _, req := range []arch.SyncReq{
+		{Op: arch.OpBarrierAcrossUnits, Addr: 0x40, Info: 60},
+		{Op: arch.OpCondWait, Addr: 0x80, Lock: 0xc0},
+		{Op: arch.OpFetchAdd, Addr: 0x100, Info: 1 << 63},
+	} {
+		e := syncEntry(req)
+		if got := e.req(); got != req {
+			t.Errorf("queued %+v, issued %+v", req, got)
+		}
 	}
 }
