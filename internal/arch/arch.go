@@ -147,8 +147,8 @@ func NewMachine(cfg Config) *Machine {
 }
 
 // FlushTrace finalizes the tracing layer after a run: it emits the engine
-// hook's last partial bucket and drains the memory stacks' buffered bank
-// spans. A no-op when tracing is disabled; callers (syncron.System.Run)
+// hook's last partial bucket and the memory stacks' run-total row
+// counters. A no-op when tracing is disabled; callers (syncron.System.Run)
 // invoke it unconditionally once the engine drains.
 func (m *Machine) FlushTrace() {
 	if m.engHook != nil {

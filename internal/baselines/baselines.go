@@ -52,7 +52,6 @@ type idealBarrier struct {
 }
 
 type idealSem struct {
-	init  bool
 	count int
 	queue []func(sim.Time)
 }
@@ -118,7 +117,7 @@ func (b *Ideal) Request(t sim.Time, coreID int, req arch.SyncReq, done func(sim.
 	case arch.OpSemWait:
 		s, ok := b.sems[req.Addr]
 		if !ok {
-			s = &idealSem{init: true, count: int(req.Info)}
+			s = &idealSem{count: int(req.Info)}
 			b.sems[req.Addr] = s
 		}
 		if s.count > 0 {
@@ -131,7 +130,7 @@ func (b *Ideal) Request(t sim.Time, coreID int, req arch.SyncReq, done func(sim.
 		at(done)
 		s, ok := b.sems[req.Addr]
 		if !ok {
-			s = &idealSem{init: true}
+			s = &idealSem{}
 			b.sems[req.Addr] = s
 		}
 		if len(s.queue) > 0 {

@@ -259,7 +259,7 @@ func (m *Memory) bankAccess(t sim.Time, addr uint64, write bool) sim.Time {
 		bk.pos = 0
 	}
 	if m.tr != nil {
-		m.spans = append(m.spans, trace.Record{Start: start, End: done,
+		m.tr.Emit(trace.Record{Start: start, End: done,
 			Where: m.where, What: trace.WhatBankBusy,
 			Value: float64(ch*bt.Banks + bank), Unit: "bank"})
 	}
@@ -282,29 +282,21 @@ func (m *Memory) EnergyPJ() float64 {
 }
 
 // SetTracer attaches the tracing layer to this stack, pre-interning its
-// component label. Access never emits into the tracer directly: bank_busy
-// records buffer in the Memory and FlushTrace emits them once the run ends,
-// so a tracer receives each stack's bank records as one block followed by
-// its run-total row counters. Only the bank model emits; under the
-// flat model the tracer is attached but produces nothing, keeping flat traces
-// byte-identical with or without this call.
+// component label. Under the bank model each access emits its bank_busy
+// record as it is modeled, and FlushTrace adds the run-total row counters;
+// under the flat model the tracer is attached but produces nothing, keeping
+// flat traces byte-identical with or without this call.
 func (m *Memory) SetTracer(tr trace.Tracer) {
 	m.tr = tr
 	m.where = fmt.Sprintf("dram.u%d", m.Unit)
 }
 
-// FlushTrace drains the buffered bank_busy spans and emits the run-total
-// row_hit/row_miss counters. Callers (arch.Machine.FlushTrace) invoke it
-// after the engine drains; it resets the buffer, so one
-// Memory can trace several runs.
+// FlushTrace emits the run-total row_hit/row_miss counters. Callers
+// (arch.Machine.FlushTrace) invoke it after the engine drains.
 func (m *Memory) FlushTrace() {
 	if m.tr == nil || m.bank == nil {
 		return
 	}
-	for _, r := range m.spans {
-		m.tr.Emit(r)
-	}
-	m.spans = m.spans[:0]
 	end := m.eng.Now()
 	m.tr.Emit(trace.Record{Start: 0, End: end, Where: m.where,
 		What: trace.WhatRowHit, Value: float64(m.Stats.RowHits.Value()), Unit: "accesses"})

@@ -299,9 +299,8 @@ func TestBankAccessSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// Traced bank accesses buffer locally and only FlushTrace emits — including
-// the run-total row_hit/row_miss counters — so emission happens on the
-// engine goroutine regardless of which unit ran the access.
+// Traced bank accesses emit one bank_busy record each as they are modeled;
+// FlushTrace adds exactly the run-total row_hit/row_miss counters.
 func TestBankTraceEmission(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewModel(eng, 0, TimingFor(HBM), ModelBank)
@@ -309,10 +308,18 @@ func TestBankTraceEmission(t *testing.T) {
 	m.SetTracer(col)
 	m.Read(0, 0)
 	m.Read(0, Line*uint64(m.Timing.Channels))
-	if col.Len() != 0 {
-		t.Fatalf("accesses emitted %d records before FlushTrace", col.Len())
+	for i, r := range col.Records() {
+		if r.What != trace.WhatBankBusy {
+			t.Fatalf("access emitted record %d = %+v, want bank_busy", i, r)
+		}
+	}
+	if col.Len() != 2 {
+		t.Fatalf("accesses emitted %d records, want 2 bank_busy", col.Len())
 	}
 	m.FlushTrace()
+	if col.Len() != 4 {
+		t.Fatalf("FlushTrace emitted %d records, want 2 (row_hit, row_miss)", col.Len()-2)
+	}
 	recs := col.Records()
 	var busy, hit, miss int
 	for _, r := range recs {
@@ -337,7 +344,7 @@ func TestBankTraceEmission(t *testing.T) {
 	if busy != 2 || hit != 1 || miss != 1 {
 		t.Fatalf("records = %d bank_busy, %d row_hit, %d row_miss; want 2,1,1", busy, hit, miss)
 	}
-	// The buffer resets: a second flush emits only fresh counters.
+	// A second flush emits only the counters again, no bank_busy.
 	col.Reset()
 	m.FlushTrace()
 	for _, r := range col.Records() {

@@ -120,7 +120,6 @@ type Memory struct {
 	banks []bankState
 	tr    trace.Tracer
 	where string
-	spans []trace.Record
 }
 
 // New returns a memory stack for the given unit.

@@ -47,24 +47,24 @@
 // simulated locks — the optimistic structures' unlocked probes (stack's top,
 // skiplist's search over next pointers and deletion marks, bst_drachsler's
 // lock-free tree walk) — thus observes that state as of that step event,
-// after every earlier event and before every later one. While a read is queued, and until its next
-// yielding operation, a program may read only host state that no other core
-// can write before then, and write only host state that no other core reads
-// before then. The one exception is a settled predicate passed to
-// ReadSettled: a condition on shared state that, once true, stays true (a
-// minimum that only falls, a distance set once), so seeing it true early
-// means it is true at the read's completion too. ScanReads needs no
-// exception: its callbacks run in the core's events, outside the coroutine,
-// at the program's own host points — addr(i) where the code before element
-// i's read would run, stop(i) where the code after it would — and the
-// program does not run ahead past a scanned read. RunAhead is opt-in because
-// it widens the window: from the call on, the program may touch host state
-// that another core or the model can change only after catching up, at Now
-// or at an operation that yields (an L1 miss, an uncacheable Read or Write,
-// an unsettled ReadSettled, ScanReads). The Figure-10 microbenchmarks opt in;
-// they share no host state, or read it only after Now. A change to when
-// program code runs relative to other events changes what such code sees; a
-// test-only lockstep mode, in which nothing but Compute and L1 hits is
+// after every earlier event and before every later one. While a read is
+// queued, and until its next yielding operation, a program may read only host
+// state that no other core can write before then, and write only host state
+// that no other core reads before then. The one exception is a settled
+// predicate passed to ReadSettled: a condition on shared state that, once
+// true, stays true (a minimum that only falls, a distance set once), so
+// seeing it true early means it is true at the read's completion too.
+// ScanReads needs no exception: its callbacks run in the core's events,
+// outside the coroutine, at the program's own host points — addr(i) where the
+// code before element i's read would run, stop(i) where the code after it
+// would — and the program does not run ahead past a scanned read. RunAhead is
+// opt-in because it widens the window: from the call on, the program may touch
+// host state that another core or the model can change only after catching up,
+// at Now or at an operation that yields (an L1 miss, an uncacheable Read or
+// Write, an unsettled ReadSettled, ScanReads). The Figure-10 microbenchmarks
+// opt in; they share no host state, or read it only after Now. A change to
+// when program code runs relative to other events changes what such code sees;
+// a test-only lockstep mode, in which nothing but Compute and L1 hits is
 // queued, is the reference every run must match byte for byte.
 //
 // The runner is the only caller of the machine's synchronization backend, so

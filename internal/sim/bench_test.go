@@ -2,12 +2,12 @@ package sim
 
 import "testing"
 
-// The engine benchmarks cover the three hot shapes model code produces:
-// schedule-then-pop through the heap, zero-delay self-scheduling through the
-// same-timestamp FIFO, a deep resident queue, and the shallow near-future
-// queue of the figure grids. All must report
-// 0 allocs/op in steady state (TestEngineSteadyStateAllocFree pins that as a
-// hard test); the CI perf gate compares their ns/op against the PR base.
+// The engine benchmarks cover the hot shapes model code produces:
+// schedule-then-pop through the heap, zero-delay self-scheduling, a deep
+// resident queue, and the shallow near-future queue of the figure grids. All
+// must report 0 allocs/op in steady state (TestEngineSteadyStateAllocFree
+// pins that as a hard test); the CI perf gate compares their ns/op against
+// the PR base.
 
 // BenchmarkEngineScheduleRun is the canonical schedule+dispatch cycle: one
 // future event through the heap per iteration.
@@ -24,9 +24,9 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineZeroDelayChain measures the same-timestamp fast path: each
-// event self-schedules at the current time, the pattern the program layer's
-// launch and grant handoffs produce.
+// BenchmarkEngineZeroDelayChain times a zero-delay event through the heap:
+// each event self-schedules at the current time, the pattern the program
+// layer's launch and grant handoffs produce.
 func BenchmarkEngineZeroDelayChain(b *testing.B) {
 	e := NewEngine()
 	left := 0

@@ -5,9 +5,9 @@ import (
 	"math/bits"
 )
 
-// event is one scheduled callback. The queues store events by value — the
+// event is one scheduled callback. The heap stores events by value — the
 // ordering keys (at, seq) sit next to the callback, so heapify never chases a
-// pointer and scheduling allocates nothing once the queues have grown.
+// pointer and scheduling allocates nothing once the heap has grown.
 type event struct {
 	at  Time
 	seq uint64
@@ -31,17 +31,13 @@ func (a event) borrow(b event) uint64 {
 // Engine is a deterministic discrete-event simulator. It is not safe for
 // concurrent use; all model code runs on the engine's goroutine.
 //
-// The hot path is allocation-free in steady state: both queues store events
-// by value and reuse their capacity, and events scheduled at the current
-// timestamp (the zero-delay handoff pattern of the program layer) bypass the
-// heap through a FIFO fast path.
+// The hot path is allocation-free in steady state: one binary heap stores
+// events by value and reuses its capacity.
 type Engine struct {
 	now Time
 	seq uint64
 
-	heap    []event // time-ordered binary heap of future events
-	nowQ    []event // FIFO of events scheduled at exactly e.now
-	nowHead int     // first undispatched index into nowQ
+	heap []event // (at, seq)-ordered binary heap of pending events
 
 	hook Hook // nil by default; see SetHook
 
@@ -64,24 +60,17 @@ func (e *Engine) Now() Time { return e.now }
 // Schedule runs fn at time at; fn receives that timestamp. Scheduling in the
 // past panics: the model has a causality bug that must not be masked.
 //
-// Events scheduled at exactly the current time skip the priority queue: they
-// are appended to a same-timestamp FIFO, which preserves the global (at, seq)
-// order because every event already in the heap at this timestamp was
-// scheduled earlier (smaller seq) and later heap arrivals are strictly in the
-// future. A future event enters the heap by sifting the hole up from the
-// tail to its place; the sift stays inline here because, as a function of
-// its own, it exceeds the compiler's inlining budget and costs every
-// schedule a call.
+// An event scheduled at the current time carries the largest seq so far, so
+// it runs after every event already pending at this timestamp. The event
+// enters the heap by sifting the hole up from the tail to its place; the
+// sift stays inline here because, as a function of its own, it exceeds the
+// compiler's inlining budget and costs every schedule a call.
 func (e *Engine) Schedule(at Time, fn func(Time)) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
 	e.seq++
 	ev := event{at: at, seq: e.seq, fn: fn}
-	if at == e.now {
-		e.nowQ = append(e.nowQ, ev)
-		return
-	}
 	h := append(e.heap, ev)
 	i := len(h) - 1
 	for i > 0 {
@@ -129,35 +118,16 @@ func (e *Engine) pop() event {
 	return top
 }
 
-// Run executes events in (at, seq) order until the queue drains and returns
-// the final simulation time.
-//
-// The same-timestamp FIFO only ever holds events at e.now, and every heap
-// event at e.now was scheduled before them, so the FIFO head runs next unless
-// the heap top shares its timestamp. Only a heap pop can advance the clock.
+// Run executes events in (at, seq) order until the heap drains and returns
+// the final simulation time. The advance hook fires before the pop that moves
+// the clock, so the reported queue depth covers every event of the new
+// timestamp.
 func (e *Engine) Run() Time {
-	for {
-		var ev event
-		switch {
-		case e.nowHead < len(e.nowQ) && (len(e.heap) == 0 || e.heap[0].at != e.now):
-			ev = e.nowQ[e.nowHead]
-			e.nowQ[e.nowHead] = event{}
-			e.nowHead++
-			if e.nowHead == len(e.nowQ) {
-				e.nowQ = e.nowQ[:0]
-				e.nowHead = 0
-			}
-		case len(e.heap) > 0:
-			// Fire the advance hook before the pop, so the reported queue
-			// depth covers every event of the new timestamp. The FIFO is
-			// empty whenever the clock advances, so the heap holds them all.
-			if at := e.heap[0].at; e.hook != nil && at != e.now {
-				e.hook.OnAdvance(e.now, at, len(e.heap), e.Executed)
-			}
-			ev = e.pop()
-		default:
-			return e.now
+	for len(e.heap) > 0 {
+		if at := e.heap[0].at; e.hook != nil && at != e.now {
+			e.hook.OnAdvance(e.now, at, len(e.heap), e.Executed)
 		}
+		ev := e.pop()
 		e.now = ev.at
 		e.Executed++
 		if e.MaxEvents > 0 && e.Executed > e.MaxEvents {
@@ -165,4 +135,5 @@ func (e *Engine) Run() Time {
 		}
 		ev.fn(ev.at)
 	}
+	return e.now
 }

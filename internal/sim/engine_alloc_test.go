@@ -2,14 +2,14 @@ package sim
 
 import "testing"
 
-// Steady-state Schedule/run must be allocation-free: the heap and FIFO store
-// events by value and reuse their capacity, and dispatch allocates nothing.
+// Steady-state Schedule/run must be allocation-free: the heap stores events
+// by value and reuses its capacity, and dispatch allocates nothing.
 // This is the contract the macro-benchmark (perfbench) and the CI perf gate
 // are built on.
 func TestEngineSteadyStateAllocFree(t *testing.T) {
 	e := NewEngine()
 	nop := func(Time) {}
-	// Warm up heap and FIFO capacity.
+	// Warm up heap capacity.
 	for i := 0; i < 64; i++ {
 		e.Schedule(e.Now()+Time(i+1), nop)
 	}
@@ -27,7 +27,7 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 	hops := 0
 	chain = func(at Time) {
 		if hops++; hops%8 != 0 {
-			e.Schedule(at, chain) // zero-delay self-schedule (nowQ fast path)
+			e.Schedule(at, chain) // zero-delay self-schedule
 		}
 	}
 	if a := testing.AllocsPerRun(1000, func() {

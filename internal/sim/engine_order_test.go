@@ -10,7 +10,7 @@ import (
 // These tests pin the engine's dispatch-order contract — global (at, seq)
 // order — through the shared simtest.CheckOrder invariant checker, across the
 // scenarios that threaten it: many events sharing timestamps inside the heap,
-// and the same-timestamp FIFO fast path interleaving with heap events. The
+// and zero-delay events scheduled while their timestamp is running. The
 // engine fuzz target (fuzz_test.go) reuses the same checker, so every test
 // holds the engine to one definition of "in order".
 
@@ -31,9 +31,9 @@ func TestEngineMixedTimestampOrder(t *testing.T) {
 	rec.Check(t)
 }
 
-// Zero-delay events (the nowQ fast path) must interleave with heap events at
-// the same timestamp in global (at, seq) order.
-func TestZeroDelayFastPathOrdering(t *testing.T) {
+// Zero-delay events, scheduled at the running timestamp, must interleave with
+// the events already pending at that timestamp in global (at, seq) order.
+func TestZeroDelaySameTimestampOrdering(t *testing.T) {
 	e := sim.NewEngine()
 	var rec simtest.Recorder
 	obs := func(seq uint64) func(sim.Time) {

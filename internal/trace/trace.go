@@ -17,16 +17,18 @@
 // Trace output must be byte-identical across repeated runs. Two mechanisms
 // guarantee that:
 //
-//   - every hook point fires on the engine goroutine, from inside the
-//     deterministic event stream: protocol layers, cross-unit network
-//     transfers, and the engine's dispatch hook (sim.Hook), which fires from
-//     the dispatch loop itself. The per-access hot paths (L1 hits, intra-unit
-//     crossbar traversals) are deliberately untraced — their volume would
-//     dwarf the signal;
-//   - the Collector commits records in a total deterministic order: the CSV
-//     writer sorts by the full (start, end, where, what, value, unit) tuple
-//     before emission. Identical record multisets therefore serialize to
-//     identical bytes regardless of emission order.
+//   - every hook point emits at the point it models, on the engine
+//     goroutine, from inside the one deterministic event stream: the program
+//     runner's grants and releases, cross-unit network transfers, bank
+//     accesses, and the engine's dispatch hook (sim.Hook), which fires from
+//     the dispatch loop itself. The single dispatcher thus fixes the emission
+//     order. The per-access hot paths (L1 hits, intra-unit crossbar
+//     traversals) are deliberately untraced — their volume would dwarf the
+//     signal;
+//   - the CSV writer sorts by the full (start, end, where, what, value, unit)
+//     tuple before emission, which fixes the output format: records appear in
+//     start-time order, and identical record multisets serialize to
+//     identical bytes.
 package trace
 
 import (

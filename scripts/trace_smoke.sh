@@ -7,8 +7,10 @@
 # the deterministic commit order), and covers the expected record kinds.
 # Requires lock spans in the traces of the same run under the ideal, central
 # and ttas schemes too.
-# Then re-runs the identical spec and requires a byte-identical trace, and
-# runs a one-run sweep with -trace to check the per-run directory path.
+# Then re-runs the identical spec and requires a byte-identical trace, traces
+# one -mem-model bank run (well-formed, with bank_busy, row_hit and row_miss
+# records, byte-identical on a repeat run), and runs a one-run sweep with
+# -trace to check the per-run directory path.
 #
 # Usage: scripts/trace_smoke.sh
 set -euo pipefail
@@ -26,23 +28,30 @@ run_flags=(-workload stack -scheme syncron -units 2 -cores 8 -ops 20 -seed 7)
 echo "==> tracing a run"
 "$sim" run "${run_flags[@]}" -trace "$workdir/run.trace.csv" > /dev/null
 
-echo "==> checking well-formedness"
-header=$(head -1 "$workdir/run.trace.csv")
-[ "$header" = "start_ps,end_ps,where,what,value,unit" ] \
-  || { echo "bad trace header: $header" >&2; exit 1; }
-lines=$(wc -l < "$workdir/run.trace.csv")
-[ "$lines" -gt 1 ] || { echo "trace is empty" >&2; exit 1; }
-echo "    $((lines - 1)) records"
+# check_wellformed FILE: pinned header, at least one record, 6 fields per
+# line, integer spans with end >= start, monotone non-decreasing start.
+check_wellformed() {
+  local header lines
+  header=$(head -1 "$1")
+  [ "$header" = "start_ps,end_ps,where,what,value,unit" ] \
+    || { echo "bad trace header in $1: $header" >&2; exit 1; }
+  lines=$(wc -l < "$1")
+  [ "$lines" -gt 1 ] || { echo "trace $1 is empty" >&2; exit 1; }
+  echo "    $((lines - 1)) records"
 
-awk -F, '
-  NR == 1 { next }
-  NF != 6 { print "line " NR ": " NF " fields, want 6"; bad = 1; exit }
-  $1 !~ /^[0-9]+$/ || $2 !~ /^[0-9]+$/ { print "line " NR ": non-integer span"; bad = 1; exit }
-  $2 + 0 < $1 + 0 { print "line " NR ": end before start"; bad = 1; exit }
-  $1 + 0 < prev { print "line " NR ": start not monotone (commit order broken)"; bad = 1; exit }
-  { prev = $1 + 0 }
-  END { exit bad }
-' "$workdir/run.trace.csv" || { echo "trace is malformed" >&2; exit 1; }
+  awk -F, '
+    NR == 1 { next }
+    NF != 6 { print "line " NR ": " NF " fields, want 6"; bad = 1; exit }
+    $1 !~ /^[0-9]+$/ || $2 !~ /^[0-9]+$/ { print "line " NR ": non-integer span"; bad = 1; exit }
+    $2 + 0 < $1 + 0 { print "line " NR ": end before start"; bad = 1; exit }
+    $1 + 0 < prev { print "line " NR ": start not monotone (commit order broken)"; bad = 1; exit }
+    { prev = $1 + 0 }
+    END { exit bad }
+  ' "$1" || { echo "trace $1 is malformed" >&2; exit 1; }
+}
+
+echo "==> checking well-formedness"
+check_wellformed "$workdir/run.trace.csv"
 
 for what in queue_depth dispatched lock_wait lock_hold; do
   grep -q ",$what," "$workdir/run.trace.csv" \
@@ -63,6 +72,18 @@ echo "==> tracing must be byte-identical across repeated runs"
 "$sim" run "${run_flags[@]}" -trace "$workdir/again.trace.csv" > /dev/null
 diff "$workdir/run.trace.csv" "$workdir/again.trace.csv" \
   || { echo "repeated traced runs differ" >&2; exit 1; }
+
+echo "==> bank memory model traces bank_busy and row counters"
+bank_flags=(-workload pr.wk -scheme syncron -scale 0.005 -mem-model bank -seed 1)
+"$sim" run "${bank_flags[@]}" -trace "$workdir/bank.trace.csv" > /dev/null
+check_wellformed "$workdir/bank.trace.csv"
+for what in bank_busy row_hit row_miss; do
+  grep -q ",$what," "$workdir/bank.trace.csv" \
+    || { echo "no $what records in the bank trace" >&2; exit 1; }
+done
+"$sim" run "${bank_flags[@]}" -trace "$workdir/bank.again.trace.csv" > /dev/null
+diff "$workdir/bank.trace.csv" "$workdir/bank.again.trace.csv" \
+  || { echo "repeated traced bank runs differ" >&2; exit 1; }
 
 echo "==> sweep -trace writes one trace per run"
 "$sim" sweep -workloads stack -schemes syncron -units 2 -cores 8 -ops 20 \
