@@ -166,7 +166,6 @@ type Coordinator struct {
 	abortsSent   uint64
 
 	// continuation and state freelists (see pool.go).
-	freeDeliver *deliver
 	freeOps     *callOp
 	freeMasters *masterState
 	freeLocals  *localState
@@ -203,7 +202,7 @@ func (c *Coordinator) Attach(m *arch.Machine) {
 		c.nodes = append(c.nodes, newNode(c, unit))
 	}
 	c.fallbackBusy = make([]sim.Time, m.Cfg.Units)
-	c.freeDeliver, c.freeOps, c.freeMasters, c.freeLocals = nil, nil, nil, nil
+	c.freeOps, c.freeMasters, c.freeLocals = nil, nil, nil
 }
 
 // masterNode returns the node coordinating variable addr globally.
@@ -351,7 +350,9 @@ func (c *Coordinator) OverflowedFraction() float64 {
 func (c *Coordinator) coreToNode(t sim.Time, core int, n *node, addr uint64, then func(sim.Time)) {
 	unit := c.m.UnitOf(core)
 	arr := c.m.Net.Transfer(t, unit, n.unit, n.port(), arch.SyncReqBytes)
-	c.m.Engine.Schedule(arr, c.newDeliver(n, addr, then).fn)
+	o := c.op(opDeliver)
+	o.nd, o.addr, o.done = n, addr, then
+	c.m.Engine.Schedule(arr, o.fn)
 }
 
 // nodeToNode delivers a message between nodes. Same-node delivery costs
@@ -362,7 +363,9 @@ func (c *Coordinator) nodeToNode(t sim.Time, from, to *node, addr uint64, then f
 		return
 	}
 	arr := c.m.Net.Transfer(t, from.unit, to.unit, to.port(), arch.SyncReqBytes)
-	c.m.Engine.Schedule(arr, c.newDeliver(to, addr, then).fn)
+	o := c.op(opDeliver)
+	o.nd, o.addr, o.done = to, addr, then
+	c.m.Engine.Schedule(arr, o.fn)
 }
 
 // nodeToCore delivers a grant/notification from a node to a core; done gets

@@ -6,53 +6,21 @@ import "syncron/internal/sim"
 //
 // A fresh closure per message hop would make internal/core the dominant
 // allocation source of the whole simulator, so continuations are pooled:
-// each in-flight message draws a deliver or callOp from a per-Coordinator
-// freelist, carries its operands in plain fields, and is prebound to a
-// reusable func(sim.Time), so scheduling one allocates nothing in steady
-// state. An op frees itself before dispatching, which lets the dispatched
-// handler immediately draw (and reuse) the op it just ran from.
+// each in-flight message draws a callOp from a per-Coordinator freelist,
+// carries its operands in plain fields, and is prebound to a reusable
+// func(sim.Time), so scheduling one allocates nothing in steady state. An op
+// frees itself before dispatching, which lets the dispatched handler
+// immediately draw (and reuse) the op it just ran from.
 //
-// Pools are per Coordinator and every protocol event runs as a serial
-// barrier on the engine goroutine, so no locking is needed.
-
-// deliver is a pooled in-flight message delivery: node processing at the
-// arrival time, then the continuation at the finish time. coreToNode and
-// nodeToNode draw one per hop.
-type deliver struct {
-	c    *Coordinator
-	n    *node
-	addr uint64
-	then func(sim.Time)
-	fn   func(sim.Time) // prebound adapter, allocated once per pooled object
-	next *deliver
-}
-
-func (c *Coordinator) newDeliver(n *node, addr uint64, then func(sim.Time)) *deliver {
-	d := c.freeDeliver
-	if d == nil {
-		d = &deliver{c: c}
-		d.fn = func(at sim.Time) { d.run(at) }
-	} else {
-		c.freeDeliver = d.next
-	}
-	d.n, d.addr, d.then = n, addr, then
-	return d
-}
-
-func (d *deliver) run(at sim.Time) {
-	c, n, addr, then := d.c, d.n, d.addr, d.then
-	d.n, d.then = nil, nil
-	d.next = c.freeDeliver
-	c.freeDeliver = d
-	fin := n.process(at, addr)
-	c.m.Engine.Schedule(fin, then)
-}
+// Pools are per Coordinator and the engine runs one event at a time, so no
+// locking is needed.
 
 // opKind selects which protocol step a pooled callOp performs when it fires.
 type opKind uint8
 
 const (
-	opLockEnqueue opKind = iota
+	opDeliver opKind = iota // a message reaches nd: process it, then run done
+	opLockEnqueue
 	opMasterCoreAcquire
 	opLockReleaseAt
 	opMasterCoreRelease
@@ -121,6 +89,8 @@ func (o *callOp) run(t sim.Time) {
 	o.next = c.freeOps
 	c.freeOps = o
 	switch v.kind {
+	case opDeliver:
+		c.m.Engine.Schedule(v.nd.process(t, v.addr), v.done)
 	case opLockEnqueue:
 		c.lockEnqueueAt(t, v.nd, v.core, v.addr, v.done)
 	case opMasterCoreAcquire:

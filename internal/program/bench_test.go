@@ -82,7 +82,7 @@ func BenchmarkProgramRunAhead(b *testing.B) {
 // BenchmarkProgramMemOps measures the per-operation cost of the memory path:
 // each core alternates a read of a line it keeps resident in its L1 (a hit,
 // served inside the coroutine and played as one chained event) with a read
-// of uncacheable shared memory (a miss that yields to the step event and
+// of uncacheable shared memory (a miss that the program yields on, which
 // crosses the network and the memory model), so both halves of CoreAccess
 // are on the path.
 func BenchmarkProgramMemOps(b *testing.B) {

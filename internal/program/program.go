@@ -2,55 +2,56 @@
 //
 // A Program is ordinary Go code written in straight-line style against a
 // *Ctx. Each simulated core runs its program as an iter.Pull coroutine: the
-// core's engine event resumes it, the program runs to its next
-// engine-visible operation and yields it back to the event. The two sides
-// strictly alternate, so program code only runs inside its own core's events
-// and the simulation is deterministic.
+// core's engine event resumes it, and the program runs until it has to wait
+// on an engine-visible operation, then yields back to the event. The two
+// sides strictly alternate, so program code only runs inside its own core's
+// events and the simulation is deterministic.
 //
 // Cores are in-order and blocking (paper §5): each operation completes
-// before the next one issues. Core-private operations — Compute and L1 hits
-// — run inside the coroutine: they touch only the core's own state (a core's
-// L1 is private and only this core's accesses touch it), so the program
-// applies them at once and queues their delays. A cacheable access makes one
-// L1 lookup (cache.AccessIfHit): a hit updates the L1 exactly as Access
-// would, and a miss leaves it untouched for the step event's CoreAccess.
-// ReadSettled queues an uncacheable read the same way when the program's
-// check on its outcome is already settled, and after Ctx.RunAhead every sync
-// op is queued too (see below). Only an L1 miss, any other uncacheable access
-// or a sync op that is not queued yields (and, at a small fixed cap, a full
-// queue). The step event then plays the queue as a chain of engine events,
-// one per entry, each scheduling the next: a delay's event schedules the next
-// link at the delay's end, a queued read's event models the read with
-// CoreAccess and schedules the next link at its completion, and a sync op's
-// event issues it to the backend, whose grant schedules the next link. The
-// last link models the yielded operation: a Read or Write schedules one
-// resume event at its completion time. A sync op that yields is the last
-// entry of the queue it flushes, so its grant event resumes the program.
-// ScanReads yields once for a whole loop of Compute, an uncacheable
-// read and a check: the event at each read's completion runs the check and,
-// while it fails, the next element's delay and read, resuming the program
-// only when the check holds or the loop ends. Each chained event is
-// scheduled at the time, and from the event, that a resume after its queued
-// operation would be, so engine order, event counts, traces and lock-checker
-// timing are those of one round trip per operation.
+// before the next one issues. A program appends its operations to its core's
+// fixed queue, and the core's one event, play, runs them as a chain of engine
+// events, one per entry, each scheduling the next: a delay's event schedules
+// the next link at the delay's end, a read's or write's event models the
+// access with CoreAccess and schedules the next link at its completion, and
+// a sync op's event issues it to the backend, whose grant schedules the next
+// link. The link after the last entry resumes the program.
 //
-// Host-order contract: a program's Go code runs inside its core's step
-// event, at the completion time of its previous yielding operation (a miss,
-// an uncacheable access or a sync op that was not queued) — not after any
-// queued operation in between. Ctx.Now includes queued compute and hit time;
-// while a read or sync op is queued the program is ahead of its core's
-// simulated time, which is not known until the queue is played, so Now then
-// plays the queue first (without adding an event): the program catches up
-// with its core. Folding hits is safe because cacheable
-// data is private or read-only by construction (shared read-write data is
-// AllocShared, hence uncacheable). Code that reads shared Go state outside
-// simulated locks — the optimistic structures' unlocked probes (stack's top,
-// skiplist's search over next pointers and deletion marks, bst_drachsler's
-// lock-free tree walk) — thus observes that state as of that step event,
-// after every earlier event and before every later one. While a read is
-// queued, and until its next yielding operation, a program may read only host
-// state that no other core can write before then, and write only host state
-// that no other core reads before then. The one exception is a settled
+// Core-private operations — Compute and L1 hits — are queued without
+// yielding: they touch only the core's own state (a core's L1 is private and
+// only this core's accesses touch it), so the program applies them at once
+// and queues their delays. A cacheable access makes one L1 lookup
+// (cache.AccessIfHit): a hit updates the L1 exactly as Access would, and a
+// miss leaves it untouched for play's CoreAccess. ReadSettled queues an
+// uncacheable read the same way when the program's check on its outcome is
+// already settled, and after Ctx.RunAhead every sync op is queued too (see
+// below). Any other operation — an L1 miss, an uncacheable access, a sync op
+// that is not run ahead — becomes the last entry of the queue, and the
+// program yields until it completes (a full queue, at a small fixed cap,
+// yields too). ScanReads yields once for a whole loop of Compute, an
+// uncacheable read and a check: the event at each read's completion runs the
+// check and, while it fails, queues the next element's delay and read,
+// resuming the program only when the check holds or the loop ends. Each
+// chained event is scheduled at the time, and from the event, that a resume
+// after its queued operation would be, so engine order, event counts, traces
+// and lock-checker timing are those of one round trip per operation.
+//
+// Host-order contract: a program's Go code runs inside the core event that
+// resumes it, at the completion time of the operation it last yielded on (a
+// miss, an uncacheable access or a sync op that was not run ahead) — not
+// after any queued operation in between. Ctx.Now includes queued compute and
+// hit time; while a read or sync op is queued the program is ahead of its
+// core's simulated time, which is not known until the queue is played, so Now
+// then plays the queue first (without adding an event): the program catches
+// up with its core. Folding hits is safe because cacheable data is private or
+// read-only by construction (shared read-write data is AllocShared, hence
+// uncacheable). Code that reads shared Go state outside simulated locks — the
+// optimistic structures' unlocked probes (stack's top, skiplist's search over
+// next pointers and deletion marks, bst_drachsler's lock-free tree walk) —
+// thus observes that state as of the event that resumed the program, after
+// every earlier event and before every later one. While a read is queued, and
+// until its next yielding operation, a program may read only host state that
+// no other core can write before then, and write only host state that no
+// other core reads before then. The one exception is a settled
 // predicate passed to ReadSettled: a condition on shared state that, once
 // true, stays true (a minimum that only falls, a distance set once), so
 // seeing it true early means it is true at the read's completion too.
@@ -97,26 +98,11 @@ type Ctx struct {
 
 	m     *arch.Machine
 	p     *proc
-	yield func(op) bool // hands the next operation to the core's step event
+	yield func(struct{}) bool // hands control back to the core's event
 	now   sim.Time
 	ahead bool // a read or sync op is queued, so now is not the core's time yet
 
 	runAhead bool // RunAhead was called: sync ops are queued too
-}
-
-type opKind int
-
-const (
-	opRead opKind = iota
-	opWrite
-	opScan  // a ScanReads element's read, checked in the core's events
-	opFlush // play the queue, then resume the program
-	opEnd   // the program returned: play the queue, then finish
-)
-
-type op struct {
-	kind opKind
-	addr uint64
 }
 
 // maxQueued sizes a core's fixed queue of pending operations; a program that
@@ -124,8 +110,8 @@ type op struct {
 // bounded memory.
 const maxQueued = 64
 
-// entry is one queued operation: a core-private delay d, an uncacheable read
-// of addr, or a sync request of op sync on addr. A sync request's Info, or
+// entry is one queued operation: a delay d, an access to addr, a sync
+// request of op sync on addr, or the program's end. A sync request's Info, or
 // its Lock for a condition-variable op (no op uses both), is stored in d,
 // which keeps the entry at three words.
 type entry struct {
@@ -140,7 +126,10 @@ type entryKind uint8
 const (
 	entryDelay entryKind = iota
 	entryRead
+	entryWrite
 	entrySync
+	entryScan // a ScanReads element's read, checked at its completion
+	entryEnd  // the program returned
 )
 
 // syncEntry is the queue entry of sync request req.
@@ -173,23 +162,21 @@ type proc struct {
 	Stats // the core's id, counters and finish time
 	done  bool
 
-	// next runs the program coroutine to its next yielded operation (ok is
-	// false once it returned) and stop unwinds it; resumeAt carries the
-	// previous operation's completion time into the coroutine.
-	next     func() (op, bool)
+	// next runs the program coroutine until it yields (ok is false once it
+	// returned) and stop unwinds it; resumeAt carries the completion time of
+	// the queue it yielded on into the coroutine.
+	next     func() (struct{}, bool)
 	stop     func()
 	resumeAt sim.Time
 
-	// queue[:queued] are the operations (Compute, L1 hits, settled reads and,
-	// after RunAhead, sync ops) the program ran through before yielding op;
-	// played counts the ones whose events are scheduled or, for a sync op,
-	// whose request is issued.
+	// queue[:queued] are the operations the program queued before yielding,
+	// the one it waits on last; played counts the ones whose events are
+	// scheduled or, for a sync op, whose request is issued.
 	queue          [maxQueued]entry
 	queued, played int
-	op             op
 
-	// scan is the ScanReads the core's events are running while op is
-	// opScan.
+	// scan is the ScanReads the core's events are running while the last
+	// entry is an entryScan.
 	scan scan
 
 	// The callbacks below are bound once at launch so the per-operation hot
@@ -197,9 +184,7 @@ type proc struct {
 	// issued are the arena for the in-flight sync request (in-order blocking
 	// cores have at most one), which is what lets grantFn be prebound instead
 	// of capturing per-op state.
-	stepFn  func(sim.Time) // resumes the program
-	playFn  func(sim.Time) // plays the next queued operation
-	scanFn  func(sim.Time) // checks a scanned read at its completion
+	playFn  func(sim.Time) // the core's event: plays the next queued operation
 	grantFn func(sim.Time) // backend grant callback for pend
 	pend    arch.SyncReq
 	issued  sim.Time
@@ -286,9 +271,7 @@ func (r *Runner) Run() sim.Time {
 			continue
 		}
 		p := &proc{Stats: Stats{Core: i}}
-		p.stepFn = func(at sim.Time) { r.step(p, at) }
 		p.playFn = func(at sim.Time) { r.play(p, at) }
-		p.scanFn = func(at sim.Time) { r.scanNext(p, at) }
 		p.grantFn = func(done sim.Time) {
 			req := p.pend
 			if done < p.issued {
@@ -305,9 +288,9 @@ func (r *Runner) Run() sim.Time {
 			eng.Schedule(done, p.playFn)
 		}
 		ctx := &Ctx{ID: i, Unit: r.M.UnitOf(i), RNG: r.M.RNG.Fork(), m: r.M, p: p}
-		// The coroutine starts at the core's first step event. A program's own
+		// The coroutine starts at the core's first event. A program's own
 		// panic passes through, and iter.Pull re-raises it from next.
-		p.next, p.stop = iter.Pull(func(yield func(op) bool) {
+		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 			defer func() {
 				if v := recover(); v != nil && v != (stopped{}) {
 					panic(v)
@@ -319,7 +302,7 @@ func (r *Runner) Run() sim.Time {
 		r.procs = append(r.procs, p)
 	}
 	for _, p := range r.procs {
-		eng.Schedule(0, p.stepFn)
+		eng.Schedule(0, p.playFn)
 	}
 	eng.Run()
 	var makespan sim.Time
@@ -340,64 +323,69 @@ func (r *Runner) Run() sim.Time {
 // stopped is the panic value that unwinds a program stopped mid-operation.
 type stopped struct{}
 
-// step resumes core p's program at time at, the completion time of its
-// previous operation, runs it to its next yielded operation (or its end) and
-// starts playing the operations it queued on the way.
+// step resumes core p's program at time at, the completion time of the queue
+// it yielded on, runs it until it yields again (queuing entryEnd if it
+// returns) and starts playing its queue.
 func (r *Runner) step(p *proc, at sim.Time) {
 	p.resumeAt = at
-	o, ok := p.next()
-	if !ok {
-		o = op{kind: opEnd}
+	if _, ok := p.next(); !ok {
+		p.push(entry{kind: entryEnd})
 	}
-	p.op, p.played = o, 0
 	r.play(p, at)
 }
 
-// play is core p's event at time at while it works through its queue: it
-// schedules the event that ends the next queued operation (modelling it here
-// if it is a read), issues it if it is a sync op (whose grant plays on) or,
-// once every entry has run, models the operation the program yielded after
-// them.
+// play is core p's event at time at: it models the next queued operation and
+// schedules itself at that operation's end, or issues it if it is a sync op,
+// whose grant schedules it. Once the queue is spent it resumes the program,
+// or checks a scanned read if that was the last entry.
 func (r *Runner) play(p *proc, at sim.Time) {
-	if p.played < p.queued {
-		e := &p.queue[p.played]
-		p.played++
-		switch e.kind {
-		case entryDelay:
-			at += e.d
-		case entryRead:
-			at = r.M.CoreAccess(at, p.Core, e.addr, false)
-		case entrySync:
-			req := e.req()
-			p.SyncOps++
-			p.pend, p.issued = req, at
-			r.checkIssue(p, req, at)
-			r.M.Backend.Request(at, p.Core, req, p.grantFn)
-			return
+	if p.played == p.queued {
+		scanned := p.queued > 0 && p.queue[p.queued-1].kind == entryScan
+		p.queued, p.played = 0, 0
+		if scanned {
+			r.scanNext(p, at)
+		} else {
+			r.step(p, at)
 		}
-		r.M.Engine.Schedule(at, p.playFn)
 		return
 	}
-	p.queued = 0
-	switch o := p.op; o.kind {
-	case opRead, opWrite:
-		r.M.Engine.Schedule(r.M.CoreAccess(at, p.Core, o.addr, o.kind == opWrite), p.stepFn)
-	case opScan:
-		r.M.Engine.Schedule(r.M.CoreAccess(at, p.Core, o.addr, false), p.scanFn)
-	case opFlush:
-		r.step(p, at)
-	case opEnd:
+	e := &p.queue[p.played]
+	p.played++
+	switch e.kind {
+	case entryDelay:
+		at += e.d
+	case entryRead, entryScan:
+		at = r.M.CoreAccess(at, p.Core, e.addr, false)
+	case entryWrite:
+		at = r.M.CoreAccess(at, p.Core, e.addr, true)
+	case entrySync:
+		req := e.req()
+		p.SyncOps++
+		p.pend, p.issued = req, at
+		r.checkIssue(p, req, at)
+		r.M.Backend.Request(at, p.Core, req, p.grantFn)
+		return
+	case entryEnd:
 		p.done = true
 		p.Finish = at
+		return
 	}
+	r.M.Engine.Schedule(at, p.playFn)
+}
+
+// push appends e to p's queue. Callers keep queued below maxQueued: the
+// program yields whenever it fills the queue.
+func (p *proc) push(e entry) {
+	p.queue[p.queued] = e
+	p.queued++
 }
 
 // scanNext is core p's event at the completion of scanned element s.i's
 // read, where a resume after Read would be: it runs the program's check
-// there and, while the check fails, the code before the next element's read
-// and that read, as the resumed program would, without resuming it. The
-// program resumes once the check holds, the scan ends, or the next address
-// is cacheable (the program then reads it itself).
+// there and, while the check fails, the code before the next element's read,
+// and queues that read, as the resumed program would, without resuming it.
+// The program resumes once the check holds, the scan ends, or the next
+// address is cacheable (the program then reads it itself).
 func (r *Runner) scanNext(p *proc, at sim.Time) {
 	s := &p.scan
 	if s.stop(s.i) {
@@ -417,9 +405,9 @@ func (r *Runner) scanNext(p *proc, at sim.Time) {
 	p.Reads++
 	if s.instrs > 0 {
 		p.Instrs += uint64(s.instrs)
-		p.queue[0], p.queued = entry{d: r.M.CoreClock.Cycles(s.instrs)}, 1
+		p.push(entry{d: r.M.CoreClock.Cycles(s.instrs)})
 	}
-	p.op.addr, p.played = a, 0
+	p.push(entry{addr: a, kind: entryScan})
 	r.play(p, at)
 }
 
@@ -504,16 +492,22 @@ func (r *Runner) emit(start, end sim.Time, addr uint64, what string) {
 
 // ---- Ctx operations ----
 
-// do yields o to the core's step event and returns o's completion time.
-func (c *Ctx) do(o op) sim.Time {
-	if !c.yield(o) { // Run is stopping the program
+// do yields to the core's event to have the queue played, and resumes at the
+// completion time of its last entry.
+func (c *Ctx) do() {
+	if !c.yield(struct{}{}) { // Run is stopping the program
 		panic(stopped{})
 	}
 	c.now, c.ahead = c.p.resumeAt, false
-	return c.now
 }
 
-// delay queues d of core-private time for the step event to play.
+// wait queues e as the last entry and yields until it completes.
+func (c *Ctx) wait(e entry) {
+	c.p.push(e)
+	c.do()
+}
+
+// delay queues d of core-private time for the core's event to play.
 func (c *Ctx) delay(d sim.Time) {
 	c.now += d
 	c.enqueue(entry{d: d})
@@ -522,10 +516,8 @@ func (c *Ctx) delay(d sim.Time) {
 // enqueue appends e to the core's queue, yielding to have the queue played
 // once it is full.
 func (c *Ctx) enqueue(e entry) {
-	p := c.p
-	p.queue[p.queued] = e
-	if p.queued++; p.queued == maxQueued {
-		c.do(op{kind: opFlush})
+	if c.p.push(e); c.p.queued == maxQueued {
+		c.do()
 	}
 }
 
@@ -535,7 +527,7 @@ func (c *Ctx) enqueue(e entry) {
 // program has caught up with its core.
 func (c *Ctx) Now() sim.Time {
 	if c.ahead {
-		c.do(op{kind: opFlush})
+		c.do()
 	}
 	return c.now
 }
@@ -606,7 +598,7 @@ func (c *Ctx) ScanReads(from, n int, instrs int64, addr func(i int) uint64, stop
 			p := c.p
 			p.scan = scan{i: i, n: n, instrs: instrs, addr: addr, stop: stop}
 			p.Reads++
-			c.do(op{kind: opScan, addr: a})
+			c.wait(entry{addr: a, kind: entryScan})
 			if !p.scan.cached {
 				return p.scan.i
 			}
@@ -637,13 +629,13 @@ type scan struct {
 
 // access serves an L1 hit in the coroutine: only this core's accesses touch
 // its L1, so the hit updates LRU and dirty state in program order. A miss
-// (which AccessIfHit leaves untouched) or an uncacheable access yields to
-// the step event.
+// (which AccessIfHit leaves untouched) or an uncacheable access is queued
+// last, and the program waits for it.
 func (c *Ctx) access(addr uint64, write bool) {
-	kind := opRead
+	kind := entryRead
 	if write {
 		c.p.Writes++
-		kind = opWrite
+		kind = entryWrite
 	} else {
 		c.p.Reads++
 	}
@@ -653,13 +645,13 @@ func (c *Ctx) access(addr uint64, write bool) {
 			return
 		}
 	}
-	c.do(op{kind: kind, addr: addr})
+	c.wait(entry{addr: addr, kind: kind})
 }
 
 // RunAhead lets the program run ahead past its sync ops for the rest of its
-// run: each one is queued like a settled read instead of yielding, and the
-// core's events issue it where the yielded op would have been issued and play
-// on from its grant. Engine events, traces and lock-checker timing are those
+// run: each one is queued like a settled read instead of being the last
+// entry the program waits on, and the core's events issue it at the same
+// time and play on from its grant. Engine events, traces and lock-checker timing are those
 // of one round trip per op; only the host time at which later program code
 // runs moves. So from the call on, the program may touch host state that
 // another core or the model can change only after catching up with its core:
@@ -678,11 +670,12 @@ var lockstep bool
 // Sync issues a raw synchronization request. Only the field its op uses is
 // kept: Lock for a condition-variable op, Info for every other op.
 func (c *Ctx) Sync(req arch.SyncReq) {
+	if !c.runAhead {
+		c.wait(syncEntry(req))
+		return
+	}
 	c.ahead = true
 	c.enqueue(syncEntry(req))
-	if !c.runAhead {
-		c.Now()
-	}
 }
 
 // Lock acquires the lock at addr (req_sync lock_acquire). When the runner's

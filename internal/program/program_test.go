@@ -213,12 +213,13 @@ func TestTooManyProgramsPanics(t *testing.T) {
 
 // Every operation costs exactly one engine event: one event for each
 // Compute, Read and Write — a queued entry's event for Compute, L1 hits and
-// settled reads, which run inside the coroutine, a resume event for a miss,
-// and for each scanned read the event at its completion that runs the
-// program's check, whether or not the program resumes there — and a grant
-// event plus a resume event for each sync request. After RunAhead a sync
-// request is queued too, and its resume event plays the rest of the queue
-// instead of resuming the program: the count is the same. A change to the
+// settled reads, which run inside the coroutine, the event at a miss's
+// completion that resumes the program, and for each scanned read the event
+// at its completion that runs the program's check, whether or not the
+// program resumes there — and a grant event plus the event it schedules for
+// each sync request. After RunAhead a sync request is queued too, and the
+// event its grant schedules plays the rest of the queue instead of resuming
+// the program: the count is the same. A change to the
 // per-operation event order shows here first.
 func TestOneEventPerOperation(t *testing.T) {
 	for _, ahead := range []bool{false, true} {

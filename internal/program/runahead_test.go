@@ -159,7 +159,7 @@ func TestRunAheadMatchesLockstep(t *testing.T) {
 }
 
 // After RunAhead the program's Go code does run ahead: it reaches its end
-// in its first step event, before the engine has run any event of its sync
+// in its core's first event, before the engine has run any event of its sync
 // ops.
 func TestRunAheadRunsAhead(t *testing.T) {
 	atEnd := func(ahead bool) uint64 {

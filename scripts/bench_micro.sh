@@ -21,7 +21,7 @@ benchtime=${BENCHTIME:-1s}
 gate=${GATE_IQR_PCT:-5}
 # Every layer's micro-benchmarks; the whole-grid ones (BenchmarkPerfGrid,
 # BenchmarkSweep*, BenchmarkProfileCheck) are perfbench's job.
-bench=${BENCH:-'BenchmarkEngine|BenchmarkTransfer|BenchmarkIntraDelay|BenchmarkProgram|BenchmarkCoordinator|BenchmarkLock|BenchmarkCacheAccess|BenchmarkSeriesDist|BenchmarkGenerate|BenchmarkNew$'}
+bench=${BENCH:-'BenchmarkEngine|BenchmarkTransfer|BenchmarkIntraDelay|BenchmarkProgram|BenchmarkCoordinator|BenchmarkLock|BenchmarkCacheAccess|BenchmarkMem|BenchmarkSeriesDist|BenchmarkGenerate|BenchmarkNew$'}
 
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
