@@ -354,10 +354,8 @@ func (r *Runner) play(p *proc, at sim.Time) {
 	switch e.kind {
 	case entryDelay:
 		at += e.d
-	case entryRead, entryScan:
-		at = r.M.CoreAccess(at, p.Core, e.addr, false)
-	case entryWrite:
-		at = r.M.CoreAccess(at, p.Core, e.addr, true)
+	case entryRead, entryWrite, entryScan:
+		at = r.M.CoreAccess(at, p.Core, e.addr, e.kind == entryWrite)
 	case entrySync:
 		req := e.req()
 		p.SyncOps++
@@ -501,12 +499,6 @@ func (c *Ctx) do() {
 	c.now, c.ahead = c.p.resumeAt, false
 }
 
-// wait queues e as the last entry and yields until it completes.
-func (c *Ctx) wait(e entry) {
-	c.p.push(e)
-	c.do()
-}
-
 // delay queues d of core-private time for the core's event to play.
 func (c *Ctx) delay(d sim.Time) {
 	c.now += d
@@ -598,7 +590,8 @@ func (c *Ctx) ScanReads(from, n int, instrs int64, addr func(i int) uint64, stop
 			p := c.p
 			p.scan = scan{i: i, n: n, instrs: instrs, addr: addr, stop: stop}
 			p.Reads++
-			c.wait(entry{addr: a, kind: entryScan})
+			p.push(entry{addr: a, kind: entryScan})
+			c.do()
 			if !p.scan.cached {
 				return p.scan.i
 			}
@@ -645,7 +638,8 @@ func (c *Ctx) access(addr uint64, write bool) {
 			return
 		}
 	}
-	c.wait(entry{addr: addr, kind: kind})
+	c.p.push(entry{addr: addr, kind: kind})
+	c.do()
 }
 
 // RunAhead lets the program run ahead past its sync ops for the rest of its
@@ -671,7 +665,8 @@ var lockstep bool
 // kept: Lock for a condition-variable op, Info for every other op.
 func (c *Ctx) Sync(req arch.SyncReq) {
 	if !c.runAhead {
-		c.wait(syncEntry(req))
+		c.p.push(syncEntry(req))
+		c.do()
 		return
 	}
 	c.ahead = true
