@@ -120,7 +120,7 @@ func NewMachine(cfg Config) *Machine {
 		Engine:     eng,
 		CoreClock:  coreClk,
 		SEClock:    seClk,
-		Net:        network.New(coreClk, cfg.LinkLatency, network.MustBuild(cfg.Topology, cfg.Units)),
+		Net:        network.New(coreClk, cfg.LinkLatency, network.MustBuild(cfg.Topology, cfg.Units), cfg.CoresPerUnit),
 		RNG:        sim.NewRNG(cfg.Seed),
 		allocNext:  make([]uint64, cfg.Units),
 		allocNextU: make([]uint64, cfg.Units),

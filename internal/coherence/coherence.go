@@ -134,13 +134,3 @@ func (s *Space) Access(t sim.Time, core int, addr uint64, kind AccessKind) sim.T
 	}
 	return done
 }
-
-// SharersOf reports how many cores cache addr (tests).
-func (s *Space) SharersOf(addr uint64) int {
-	l := s.line(addr)
-	n := len(l.sharers)
-	if l.owner >= 0 {
-		n++
-	}
-	return n
-}

@@ -12,6 +12,16 @@ func newSpace() (*Space, *arch.Machine) {
 	return NewSpace(m), m
 }
 
+// SharersOf reports how many cores cache addr.
+func (s *Space) SharersOf(addr uint64) int {
+	l := s.line(addr)
+	n := len(l.sharers)
+	if l.owner >= 0 {
+		n++
+	}
+	return n
+}
+
 func TestLoadThenHit(t *testing.T) {
 	s, m := newSpace()
 	a := m.Alloc(0, 64)

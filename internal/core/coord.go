@@ -162,6 +162,7 @@ type Coordinator struct {
 	overflowReqs uint64
 
 	// fallback server busy horizons for OverflowCentral/OverflowDistrib.
+	// Not sim.Resources: a hold ends after nested AccessFrom bookings, and starts at arrival.
 	fallbackBusy []sim.Time
 	abortsSent   uint64
 
@@ -321,16 +322,6 @@ func (c *Coordinator) STOccupancy() (max, mean float64) {
 		mean = sum / float64(cnt)
 	}
 	return max, mean
-}
-
-// STEntriesLive returns the number of currently occupied ST entries across
-// all SEs (testing hook: must be zero once all variables are released).
-func (c *Coordinator) STEntriesLive() int {
-	n := 0
-	for _, nd := range c.nodes {
-		n += len(nd.st)
-	}
-	return n
 }
 
 // OverflowedFraction implements arch.BackendStats.

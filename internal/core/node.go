@@ -12,6 +12,7 @@ type node struct {
 	c    *Coordinator
 	unit int
 
+	// Not a sim.Resource: a hold ends after nested AccessFrom bookings, and starts at arrival.
 	busyTill sim.Time
 
 	// SE state (nil for server nodes): the Synchronization Table models

@@ -80,7 +80,7 @@ const (
 // through NewBank to exercise backpressure cheaply.
 const defaultBankQueueDepth = 8
 
-// BankTimingFor returns the bank/row-buffer parameters for a technology,
+// bankTimingFor returns the bank/row-buffer parameters for a technology,
 // derived from the same Table-5 numbers as TimingFor:
 //
 //   - HBM: nRCDR = 7 ns is the activate latency; the remaining 7 ns of the
@@ -91,7 +91,7 @@ const defaultBankQueueDepth = 8
 //     Vaults have few banks and closed-page-friendly 256 B rows.
 //   - DDR4: nRCD = 16 ns activate, 14/16 ns column read/write, tRP ≈ 16 ns,
 //     tWR = 18 ns. 16 banks (4 bank groups x 4) and the classic 8 KB row.
-func BankTimingFor(t Tech) BankTiming {
+func bankTimingFor(t Tech) BankTiming {
 	flat := TimingFor(t)
 	e := float64(Line*8) * flat.EnergyPJPerBit
 	bt := BankTiming{
@@ -126,7 +126,7 @@ func BankTimingFor(t Tech) BankTiming {
 }
 
 // NewModel returns a memory stack running the given timing model: ModelFlat
-// (or "") is New's flat model, ModelBank is NewBank with BankTimingFor's
+// (or "") is New's flat model, ModelBank is NewBank with bankTimingFor's
 // technology parameters. Unknown models panic — callers validate user input
 // with ParseMemModel-style helpers before reaching this constructor.
 func NewModel(eng *sim.Engine, unit int, timing Timing, model Model) *Memory {
@@ -134,24 +134,24 @@ func NewModel(eng *sim.Engine, unit int, timing Timing, model Model) *Memory {
 	case "", ModelFlat:
 		return New(eng, unit, timing)
 	case ModelBank:
-		return NewBank(eng, unit, timing, BankTimingFor(timing.Tech))
+		return NewBank(eng, unit, timing, bankTimingFor(timing.Tech))
 	default:
 		panic(fmt.Sprintf("mem: unknown model %q", string(model)))
 	}
 }
 
-// bankState is one bank's row-buffer state machine plus its bounded request
-// queue.
+// bankState is one bank's row-buffer state machine, its command path and
+// its bounded request queue.
 type bankState struct {
-	openRow int64      // open row index, or rowNone
-	dirty   bool       // the open row was written since its activate
-	readyAt sim.Time   // bank/command occupancy horizon
-	ring    []sim.Time // completion times of the last QueueDepth requests
-	pos     int        // next ring slot; ring[pos] is the oldest completion
+	openRow int64        // open row index, or rowNone
+	dirty   bool         // the open row was written since its activate
+	cmd     sim.Resource // booked for each access's activate/column latency
+	ring    []sim.Time   // completion times of the last QueueDepth requests
+	pos     int          // next ring slot; ring[pos] is the oldest completion
 }
 
 // NewBank returns a memory stack using the bank/row-buffer model with
-// explicit parameters (NewModel uses BankTimingFor's). The per-bank queue
+// explicit parameters (NewModel uses bankTimingFor's). The per-bank queue
 // rings share one backing array, so construction does O(1) allocations and
 // the access path does none.
 func NewBank(eng *sim.Engine, unit int, timing Timing, bt BankTiming) *Memory {
@@ -178,7 +178,7 @@ func NewBank(eng *sim.Engine, unit int, timing Timing, bt BankTiming) *Memory {
 // regions spread over banks.
 func (m *Memory) mapAddr(addr uint64) (ch, bank int, row int64) {
 	line := addr / Line
-	nch := uint64(len(m.busyTill))
+	nch := uint64(len(m.channels))
 	ch = int(line % nch)
 	pc := line / nch // per-channel line index
 	lpr := m.bank.RowBytes / Line
@@ -190,9 +190,10 @@ func (m *Memory) mapAddr(addr uint64) (ch, bank int, row int64) {
 // bankAccess is Access under the bank model: FR-FCFS-ish in the sense that a
 // request to the open row pays only the column access even when it queues
 // behind the bank, while row misses pay the full activate (and precharge)
-// penalty. Ordering stays first-come-first-served per bank — callers issue
-// blocking accesses, so there is never a younger request to promote past an
-// older one; what remains of FR-FCFS is its open-row-first cost model.
+// penalty. Each bank serves its accesses in the order they are modeled (call
+// order, see sim.Resource) — callers issue blocking accesses, so there is
+// never a younger request to promote past an older one; what remains of
+// FR-FCFS is its open-row-first cost model.
 func (m *Memory) bankAccess(t sim.Time, addr uint64, write bool) sim.Time {
 	bt := m.bank
 	ch, bank, row := m.mapAddr(addr)
@@ -201,13 +202,10 @@ func (m *Memory) bankAccess(t sim.Time, addr uint64, write bool) sim.Time {
 	// Bounded request queue: the bank accepts a new request only once the
 	// request QueueDepth-ago has completed; until then the issuer stalls
 	// (backpressure propagates through the blocking access path).
-	start := t
-	if admit := bk.ring[bk.pos]; admit > start {
-		start = admit
+	admitted := t
+	if admit := bk.ring[bk.pos]; admit > admitted {
+		admitted = admit
 		m.Stats.QueueStalls.Inc()
-	}
-	if bk.readyAt > start {
-		start = bk.readyAt
 	}
 
 	col := bt.ColReadLat
@@ -242,16 +240,10 @@ func (m *Memory) bankAccess(t sim.Time, addr uint64, write bool) sim.Time {
 	} else {
 		m.Stats.Reads.Inc()
 	}
-	bankDone := start + lat
-	bk.readyAt = bankDone
-
-	// The 64B burst then serializes on the channel's shared data bus.
-	busStart := bankDone
-	if m.busyTill[ch] > busStart {
-		busStart = m.busyTill[ch]
-	}
-	done := busStart + m.Timing.ChannelBusy
-	m.busyTill[ch] = done
+	// lat depends only on the row state, so the bank is booked after it is
+	// known; the 64B burst then books the channel's shared data bus.
+	start := bk.cmd.Book(admitted, lat)
+	done := m.channels[ch].Book(start+lat, m.Timing.ChannelBusy) + m.Timing.ChannelBusy
 
 	bk.ring[bk.pos] = done
 	bk.pos++

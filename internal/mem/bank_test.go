@@ -30,7 +30,7 @@ func techByName(t *testing.T, name string) Tech {
 
 // TestBankCrossValidation replays the recorded access trace in
 // testdata/bank_crossval.csv — whose completion times were computed by hand
-// from the BankTimingFor parameters — against the bank model, in the style
+// from the bankTimingFor parameters — against the bank model, in the style
 // of akita's DRAM timing cross-validation tests.
 func TestBankCrossValidation(t *testing.T) {
 	f, err := os.Open("testdata/bank_crossval.csv")
@@ -95,7 +95,7 @@ func TestBankGeometryTable(t *testing.T) {
 		{DDR4, 1, 16, 8192},
 	}
 	for _, c := range cases {
-		ft, bt := TimingFor(c.tech), BankTimingFor(c.tech)
+		ft, bt := TimingFor(c.tech), bankTimingFor(c.tech)
 		if ft.Channels != c.channels {
 			t.Errorf("%v: channels = %d, want %d", c.tech, ft.Channels, c.channels)
 		}
@@ -124,7 +124,7 @@ func TestBankGeometryTable(t *testing.T) {
 func TestBankRowHitLatency(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewModel(eng, 0, TimingFor(HBM), ModelBank)
-	bt := BankTimingFor(HBM)
+	bt := bankTimingFor(HBM)
 	first := m.Read(0, 0)
 	wantFirst := bt.ActivateLat + bt.ColReadLat + m.Timing.ChannelBusy
 	if first != wantFirst {
@@ -149,7 +149,7 @@ func TestBankRowHitLatency(t *testing.T) {
 func TestBankBackToBackSameRowWrites(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewModel(eng, 0, TimingFor(DDR4), ModelBank)
-	bt := BankTimingFor(DDR4)
+	bt := bankTimingFor(DDR4)
 	first := m.Write(0, 0)
 	second := m.Write(0, Line)
 	bankDoneFirst := first - m.Timing.ChannelBusy
@@ -174,7 +174,7 @@ func TestBankBackToBackSameRowWrites(t *testing.T) {
 func TestBankRowConflictUnderQueuePressure(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewModel(eng, 0, TimingFor(HBM), ModelBank)
-	bt := BankTimingFor(HBM)
+	bt := bankTimingFor(HBM)
 	rowStride := bt.RowBytes * uint64(bt.Banks) * uint64(m.Timing.Channels)
 	var prev sim.Time
 	for i := 0; i < 16; i++ {
@@ -201,7 +201,7 @@ func TestBankRowConflictUnderQueuePressure(t *testing.T) {
 // request is admitted only once the oldest completes.
 func TestBankQueueFullBackpressure(t *testing.T) {
 	eng := sim.NewEngine()
-	bt := BankTimingFor(HBM)
+	bt := bankTimingFor(HBM)
 	bt.QueueDepth = 2
 	m := NewBank(eng, 0, TimingFor(HBM), bt)
 	d1 := m.Read(0, 0)

@@ -106,14 +106,15 @@ func (s *Stats) Accesses() uint64 { return s.Reads.Value() + s.Writes.Value() }
 // Memory models one NDP unit's DRAM stack. With New it runs the flat model
 // above; with NewBank (or NewModel with ModelBank) the bank/row-buffer model
 // of bank.go refines the same channel interleave and blocking Access
-// contract.
+// contract. Each channel is a sim.Resource: the flat model books it for the
+// access, the bank model for the data burst.
 type Memory struct {
 	Unit   int
 	Timing Timing
 	Stats  Stats
 
 	eng      *sim.Engine
-	busyTill []sim.Time // per-channel
+	channels []sim.Resource
 
 	// Bank model state (nil / unused under the flat model); see bank.go.
 	bank  *BankTiming
@@ -128,28 +129,23 @@ func New(eng *sim.Engine, unit int, timing Timing) *Memory {
 		Unit:     unit,
 		Timing:   timing,
 		eng:      eng,
-		busyTill: make([]sim.Time, timing.Channels),
+		channels: make([]sim.Resource, timing.Channels),
 	}
 }
 
 // channelOf interleaves 64B lines across channels.
 func (m *Memory) channelOf(addr uint64) int {
-	return int((addr / Line) % uint64(len(m.busyTill)))
+	return int((addr / Line) % uint64(len(m.channels)))
 }
 
 // Access issues a read or write of one line starting at time t and returns
-// the completion time. Under the flat model channel contention is modelled
-// as FIFO occupancy; under the bank model see bankAccess.
+// the completion time. Under the flat model the access books its channel
+// for ChannelBusy; under the bank model see bankAccess.
 func (m *Memory) Access(t sim.Time, addr uint64, write bool) sim.Time {
 	if m.bank != nil {
 		return m.bankAccess(t, addr, write)
 	}
-	ch := m.channelOf(addr)
-	start := t
-	if m.busyTill[ch] > start {
-		start = m.busyTill[ch]
-	}
-	m.busyTill[ch] = start + m.Timing.ChannelBusy
+	start := m.channels[m.channelOf(addr)].Book(t, m.Timing.ChannelBusy)
 	lat := m.Timing.ReadLatency
 	if write {
 		lat = m.Timing.WriteLatency

@@ -9,11 +9,10 @@ import (
 
 // BenchmarkTransfer exercises the hot path of every simulated message — the
 // crossbar/link walk with its dense occupancy lookups — across topologies.
-// This is the microbenchmark behind the xbarBusy map->slice change.
 func BenchmarkTransfer(b *testing.B) {
 	for _, kind := range Kinds() {
 		b.Run(string(kind), func(b *testing.B) {
-			n := New(clock, DefaultLinkLatency, MustBuild(kind, 4))
+			n := New(clock, DefaultLinkLatency, MustBuild(kind, 4), testCores)
 			ports := []int{PortSE, PortMemory, PortCore(0), PortCore(7), PortCore(14)}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -30,7 +29,7 @@ func BenchmarkTransfer(b *testing.B) {
 func BenchmarkIntraDelay(b *testing.B) {
 	for _, cores := range []int{15, 64} {
 		b.Run(fmt.Sprintf("cores%d", cores), func(b *testing.B) {
-			n := newNet(4)
+			n := New(clock, DefaultLinkLatency, MustBuild(KindAllToAll, 4), cores)
 			b.ReportAllocs()
 			b.ResetTimer()
 			t := sim.Time(0)

@@ -7,7 +7,7 @@
 // How the units are wired is a Topology (topology.go): AllToAll reproduces
 // the paper's full point-to-point interconnect, while Mesh2D, Ring, and Star
 // open the sensitivity axis the paper varies. Transfer walks the route link
-// by link; every link keeps its own serialization horizon, and messages
+// by link; every link is booked on its own, and messages
 // forwarded through an intermediate unit also cross that unit's crossbar.
 //
 // The package also owns the traffic accounting used for Figures 14 and 15:
@@ -70,15 +70,14 @@ type Network struct {
 	units int
 	nodes int // units plus topology switch nodes (Star hub)
 
-	// Crossbar output-port occupancy, densely indexed [unit][portIndex];
-	// portIndex remaps the sparse port-id space (cores >= 0, PortSE,
-	// PortMemory, link egress ports) into a contiguous range — see portIndex.
-	// Rows grow on demand as higher core ports appear.
-	xbarBusy [][]sim.Time
+	// xbar[unit][portIndex] books each crossbar output port; portIndex
+	// remaps the sparse port-id space (cores >= 0, PortSE, PortMemory, link
+	// egress ports) into a contiguous range. Each row has room for exactly
+	// the unit's cores, so a bad core port panics on its own row.
+	xbar [][]sim.Resource
 
-	// linkBusy[src*nodes+dst] is the per-direction serialization horizon of
-	// the (src, dst) link.
-	linkBusy []sim.Time
+	// links[src*nodes+dst] books the (src, dst) link in that direction.
+	links []sim.Resource
 
 	// routes caches topo.Route for every ordered unit pair (routes are
 	// deterministic), keeping Transfer allocation-free on the hot path.
@@ -100,9 +99,10 @@ type Network struct {
 	Stats Stats
 }
 
-// New builds the interconnect for the units of topo, clocked by clock, with
-// linkLatency as the fixed per-message latency of every serial link.
-func New(clock sim.Clock, linkLatency sim.Time, topo Topology) *Network {
+// New builds the interconnect for the units of topo, each with cores cores,
+// clocked by clock, with linkLatency as the fixed per-message latency of
+// every serial link. Every crossbar port and link is a sim.Resource.
+func New(clock sim.Clock, linkLatency sim.Time, topo Topology, cores int) *Network {
 	units, nodes := topo.Units(), topo.Nodes()
 	routes := make([][]Link, units*units)
 	for src := 0; src < units; src++ {
@@ -112,12 +112,18 @@ func New(clock sim.Clock, linkLatency sim.Time, topo Topology) *Network {
 			}
 		}
 	}
+	ports := 2 + nodes + cores
+	all := make([]sim.Resource, units*ports)
+	xbar := make([][]sim.Resource, units)
+	for u := range xbar {
+		xbar[u] = all[u*ports : (u+1)*ports : (u+1)*ports]
+	}
 	return &Network{
 		clock:     clock,
 		units:     units,
 		nodes:     nodes,
-		xbarBusy:  make([][]sim.Time, units),
-		linkBusy:  make([]sim.Time, nodes*nodes),
+		xbar:      xbar,
+		links:     make([]sim.Resource, nodes*nodes),
 		routes:    routes,
 		xbarFixed: clock.Cycles(ArbiterCycles + HopCycles*Hops),
 		linkFixed: linkLatency + clock.Cycles(LinkFixedCycles),
@@ -156,32 +162,13 @@ func (n *Network) portIndex(port int) int {
 	}
 }
 
-// busySlot returns a pointer to the occupancy horizon of (unit, port),
-// growing the unit's dense row if this core port is the highest seen yet.
-func (n *Network) busySlot(unit, port int) *sim.Time {
-	idx := n.portIndex(port)
-	row := n.xbarBusy[unit]
-	if idx >= len(row) {
-		grown := make([]sim.Time, idx+1)
-		copy(grown, row)
-		n.xbarBusy[unit] = grown
-		row = grown
-	}
-	return &row[idx]
-}
-
 // IntraDelay computes the arrival time of a message of size bytes injected at
 // time t inside unit, destined for local endpoint dstPort (an arbitrary id
 // used for queueing separation: core index, -1 for SE, -2 for memory).
 func (n *Network) IntraDelay(t sim.Time, unit, dstPort, bytes int) sim.Time {
-	start := t
-	slot := n.busySlot(unit, dstPort)
-	if *slot > start {
-		start = *slot
-	}
 	// The message holds the port one core cycle per flit, at least one.
 	ser := n.clock.Cycles(max(1, int64((bytes+FlitBytes-1)/FlitBytes)))
-	*slot = start + ser
+	start := n.xbar[unit][n.portIndex(dstPort)].Book(t, ser)
 	n.Stats.IntraBits.Add(uint64(bytes * 8))
 	n.Stats.IntraMsgs.Inc()
 	return start + ser + n.xbarFixed
@@ -207,17 +194,12 @@ func linkSerialization(bytes int) sim.Time {
 // entering link l at time t, and accounts the link's traffic.
 func (n *Network) linkDelay(t sim.Time, l Link, bytes int) sim.Time {
 	ser := linkSerialization(bytes)
-	slot := &n.linkBusy[l.Src*n.nodes+l.Dst]
-	start := t
-	if *slot > start {
-		start = *slot
-	}
-	*slot = start + ser
+	start := n.links[l.Src*n.nodes+l.Dst].Book(t, ser)
 	n.Stats.InterBits.Add(uint64(bytes * 8))
 	n.Stats.LinkHops.Inc()
 	if n.tr != nil {
-		// [start, start+ser) is the window the message occupies the link —
-		// queueing behind the serialization horizon included — which is what
+		// [start, start+ser) is the window the message occupies the link,
+		// after any wait behind the link's earlier bookings, which is what
 		// the LinkUtilizationSeries view integrates.
 		n.tr.Emit(trace.Record{Start: start, End: start + ser,
 			Where: n.linkNames[l.Src*n.nodes+l.Dst], What: trace.WhatLinkXfer,

@@ -10,8 +10,11 @@ import (
 
 var clock = sim.NewClock(2500)
 
+// testCores is the paper's 15 client cores per unit.
+const testCores = 15
+
 func newNet(units int) *Network {
-	return New(clock, DefaultLinkLatency, MustBuild(KindAllToAll, units))
+	return New(clock, DefaultLinkLatency, MustBuild(KindAllToAll, units), testCores)
 }
 
 func TestIntraLatencyComposition(t *testing.T) {
@@ -74,6 +77,19 @@ func TestPortIndexInjective(t *testing.T) {
 		}
 		seen[idx] = p
 	}
+}
+
+// A core port past the unit's cores panics instead of booking a port of
+// the next unit's row.
+func TestIntraDelayBadCorePortPanics(t *testing.T) {
+	n := newNet(2)
+	n.IntraDelay(0, 0, PortCore(testCores-1), 64)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("core port past the unit's cores did not panic")
+		}
+	}()
+	n.IntraDelay(0, 0, PortCore(testCores), 64)
 }
 
 func TestInterLinkLatency(t *testing.T) {
@@ -162,7 +178,7 @@ func TestEnergyModel(t *testing.T) {
 
 // Multi-hop topologies pay inter-unit energy once per link traversed.
 func TestEnergyScalesWithRouteLength(t *testing.T) {
-	ringNet := New(clock, DefaultLinkLatency, MustBuild(KindRing, 8))
+	ringNet := New(clock, DefaultLinkLatency, MustBuild(KindRing, 8), testCores)
 	ringNet.Transfer(0, 0, 4, PortSE, 10) // 4 links around the ring
 	if hops := ringNet.Stats.LinkHops.Value(); hops != 4 {
 		t.Fatalf("ring 0->4 link hops = %d, want 4", hops)
@@ -183,7 +199,7 @@ func TestEnergyScalesWithRouteLength(t *testing.T) {
 // Star's hub is a switch, not a unit: no crossbar legs at the hub, and hub
 // links serialize contending transfers.
 func TestStarHubContention(t *testing.T) {
-	n := New(clock, DefaultLinkLatency, MustBuild(KindStar, 4))
+	n := New(clock, DefaultLinkLatency, MustBuild(KindStar, 4), testCores)
 	col := trace.NewCollector()
 	n.SetTracer(col)
 	a := n.Transfer(0, 0, 1, PortSE, 64)

@@ -7,7 +7,7 @@ import (
 
 // Link is one directed inter-unit link of a topology. Endpoints are node
 // ids: NDP units 0..Units()-1, plus any switch nodes a topology introduces
-// (the Star hub). Each Link owns its own serialization horizon inside
+// (the Star hub). Each Link is booked as its own sim.Resource inside
 // Network.
 type Link struct {
 	Src, Dst int

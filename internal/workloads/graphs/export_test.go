@@ -7,6 +7,19 @@ import (
 	"syncron/internal/program"
 )
 
+// CrossingEdges counts edges whose endpoints land in different parts.
+func CrossingEdges(g *Graph, p Partition) int {
+	cross := 0
+	for u := 0; u < g.N; u++ {
+		for _, v := range g.Adj[u] {
+			if u < int(v) && p[u] != p[v] {
+				cross++
+			}
+		}
+	}
+	return cross
+}
+
 // The reference kernels below are cc and sssp with each neighbor written as
 // the loop ScanReads models: Compute, Read and the check in the program's
 // own code. TestScanKernelsMatchReadKernels runs both and requires every

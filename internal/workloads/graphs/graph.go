@@ -200,16 +200,3 @@ func GreedyPartition(g *Graph, units int) Partition {
 	}
 	return p
 }
-
-// CrossingEdges counts edges whose endpoints land in different parts.
-func CrossingEdges(g *Graph, p Partition) int {
-	cross := 0
-	for u := 0; u < g.N; u++ {
-		for _, v := range g.Adj[u] {
-			if u < int(v) && p[u] != p[v] {
-				cross++
-			}
-		}
-	}
-	return cross
-}
