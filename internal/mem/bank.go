@@ -202,9 +202,9 @@ func (m *Memory) bankAccess(t sim.Time, addr uint64, write bool) sim.Time {
 	// Bounded request queue: the bank accepts a new request only once the
 	// request QueueDepth-ago has completed; until then the issuer stalls
 	// (backpressure propagates through the blocking access path).
-	admitted := t
-	if admit := bk.ring[bk.pos]; admit > admitted {
-		admitted = admit
+	start := t
+	if admit := bk.ring[bk.pos]; admit > start {
+		start = admit
 		m.Stats.QueueStalls.Inc()
 	}
 
@@ -242,7 +242,7 @@ func (m *Memory) bankAccess(t sim.Time, addr uint64, write bool) sim.Time {
 	}
 	// lat depends only on the row state, so the bank is booked after it is
 	// known; the 64B burst then books the channel's shared data bus.
-	start := bk.cmd.Book(admitted, lat)
+	start = bk.cmd.Book(start, lat)
 	done := m.channels[ch].Book(start+lat, m.Timing.ChannelBusy) + m.Timing.ChannelBusy
 
 	bk.ring[bk.pos] = done

@@ -7,8 +7,8 @@
 // How the units are wired is a Topology (topology.go): AllToAll reproduces
 // the paper's full point-to-point interconnect, while Mesh2D, Ring, and Star
 // open the sensitivity axis the paper varies. Transfer walks the route link
-// by link; every link is booked on its own, and messages
-// forwarded through an intermediate unit also cross that unit's crossbar.
+// by link; every link is booked on its own, and messages forwarded through
+// an intermediate unit also cross that unit's crossbar.
 //
 // The package also owns the traffic accounting used for Figures 14 and 15:
 // bits moved inside NDP units vs across them, and the corresponding energy
@@ -112,11 +112,9 @@ func New(clock sim.Clock, linkLatency sim.Time, topo Topology, cores int) *Netwo
 			}
 		}
 	}
-	ports := 2 + nodes + cores
-	all := make([]sim.Resource, units*ports)
 	xbar := make([][]sim.Resource, units)
 	for u := range xbar {
-		xbar[u] = all[u*ports : (u+1)*ports : (u+1)*ports]
+		xbar[u] = make([]sim.Resource, 2+nodes+cores)
 	}
 	return &Network{
 		clock:     clock,

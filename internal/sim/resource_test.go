@@ -22,7 +22,7 @@ func TestResourceBook(t *testing.T) {
 		// Call order, not request time, decides service: a booking made
 		// later for an earlier t still waits behind the earlier-made one,
 		// though the resource is idle before that one starts. Booking in
-		// arrival order would change this case.
+		// arrival order (ROADMAP item 2(b), step 2) would change this case.
 		{"a later call for an earlier t waits", []booking{
 			{t: 100, d: 10, start: 100},
 			{t: 20, d: 5, start: 110},
