@@ -1,6 +1,10 @@
 package tseries_test
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"syncron/internal/arch"
@@ -46,6 +50,38 @@ func TestSeriesDeterminism(t *testing.T) {
 	for i := range a.Values {
 		if a.Values[i] != b.Values[i] {
 			t.Fatalf("non-deterministic value at %d", i)
+		}
+	}
+}
+
+// seriesFingerprints pins every dataset's values at two scales: FNV-64 over
+// the window, the length and each value's IEEE-754 bits.
+var seriesFingerprints = map[string]uint64{
+	"air@0.1": 0x8dcdfad7ddb61565,
+	"pow@0.1": 0xa3dfd00ebf2453b7,
+	"air@1":   0xcd1b63b3555fff95,
+	"pow@1":   0xccef20ea2bc5a99e,
+}
+
+func TestLoadFingerprint(t *testing.T) {
+	for _, scale := range []float64{0.1, 1} {
+		for _, name := range tseries.Inputs() {
+			key := fmt.Sprintf("%s@%g", name, scale)
+			s := tseries.Load(name, scale)
+			h := fnv.New64a()
+			var buf [8]byte
+			put := func(x uint64) {
+				binary.LittleEndian.PutUint64(buf[:], x)
+				h.Write(buf[:])
+			}
+			put(uint64(s.Window))
+			put(uint64(len(s.Values)))
+			for _, v := range s.Values {
+				put(math.Float64bits(v))
+			}
+			if got, want := h.Sum64(), seriesFingerprints[key]; got != want {
+				t.Errorf("%s: series digest %#x, want %#x", key, got, want)
+			}
 		}
 	}
 }
