@@ -194,7 +194,7 @@ type proc struct {
 type Runner struct {
 	M     *arch.Machine
 	procs []*proc
-	progs map[int]Program
+	progs []Program // by core
 	next  int
 
 	// holders records who holds each lock since when. It backs the built-in
@@ -217,13 +217,13 @@ type holding struct {
 // NewRunner builds a runner for machine m.
 func NewRunner(m *arch.Machine) *Runner {
 	return &Runner{M: m, holders: make(map[uint64]holding), varNames: make(map[uint64]string),
-		progs: make(map[int]Program)}
+		progs: make([]Program, m.NumCores())}
 }
 
 // Add registers a program for the next free core. It panics if more programs
 // are added than the machine has cores.
 func (r *Runner) Add(p Program) {
-	for r.progs[r.next] != nil {
+	for r.next < len(r.progs) && r.progs[r.next] != nil {
 		r.next++
 	}
 	r.AddAt(r.next, p)
@@ -265,8 +265,7 @@ func (r *Runner) Run() sim.Time {
 			p.next, p.stop = nil, nil
 		}
 	}()
-	for i := 0; i < r.M.NumCores(); i++ {
-		pg := r.progs[i]
+	for i, pg := range r.progs {
 		if pg == nil {
 			continue
 		}

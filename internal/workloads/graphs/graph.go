@@ -56,10 +56,10 @@ func Load(name string, scale float64) *Graph {
 	if n < 16 {
 		n = 16
 	}
-	return Generate(name, n, s.outDeg, s.seed)
+	return generate(name, n, s.outDeg, s.seed)
 }
 
-// Generate builds a power-law graph with community locality: each new vertex
+// generate builds a power-law graph with community locality: each new vertex
 // attaches outDeg edges, mostly within a sliding window of recent vertices
 // (preferring the window's hub vertices, which produces the degree skew of
 // real social/web graphs), with a long-range edge fraction. The windowed
@@ -67,55 +67,26 @@ func Load(name string, scale float64) *Graph {
 // internal — matching the paper's observation that ~24% of pr.wk's accesses
 // go to remote NDP units (§6.4.2).
 //
-// The lists share one backing array. A first pass over the edge sequence
-// counts degrees; a second, replaying the same RNG draws, fills each list
-// in edge order. Each list's capacity ends where it does, so an append to
-// one list cannot overwrite the next.
-func Generate(name string, n, outDeg int, seed uint64) *Graph {
-	deg := make([]int, n)
-	m := 0
-	generateEdges(n, outDeg, seed, func(u, v int) {
-		deg[u]++
-		deg[v]++
-		m++
-	})
+// The first k = min(outDeg+1, n) vertices form a clique. Every attachment
+// edge (u, v) has u < v, so none is dropped and the edge count is known
+// before any draw. The lists share one backing array of 2m entries, and each
+// list's capacity ends where it does, so an append to one list cannot
+// overwrite the next. Each target is drawn once, into backing's last
+// (n−k)·outDeg slots; their counts lay out the lists, and the clique goes
+// first. Then each new vertex v, in order, moves its outDeg targets to the
+// head of its own list (in edge order they are its first entries) and
+// appends v to each target's list. This is safe in place: every vertex from
+// v on has at least outDeg entries, so v's list starts at or before its
+// drawn slots and its first outDeg entries end at or before v+1's, and v
+// appends only to lists of vertices below v.
+func generate(name string, n, outDeg int, seed uint64) *Graph {
+	k := min(outDeg+1, n)
+	m := k*(k-1)/2 + (n-k)*outDeg
 	backing := make([]int32, 2*m)
-	adj := make([][]int32, n)
-	off := 0
-	for v, d := range deg {
-		adj[v] = backing[off : off : off+d]
-		off += d
-	}
-	generateEdges(n, outDeg, seed, func(u, v int) {
-		adj[u] = append(adj[u], int32(v))
-		adj[v] = append(adj[v], int32(u))
-	})
-	return &Graph{Name: name, N: n, Adj: adj, M: m}
-}
+	drawn := backing[m+k*(k-1)/2:]
 
-// generateEdges calls edge(u, v) for each undirected edge of Generate's
-// graph, in generation order. The sequence depends only on n, outDeg and
-// seed.
-func generateEdges(n, outDeg int, seed uint64, edge func(u, v int)) {
 	rng := sim.NewRNG(seed)
-	addEdge := func(u, v int) {
-		if u != v {
-			edge(u, v)
-		}
-	}
-	k := outDeg + 1
-	if k > n {
-		k = n
-	}
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			addEdge(i, j)
-		}
-	}
-	window := n / 16
-	if window < 32 {
-		window = 32
-	}
+	window := max(n/16, 32)
 	const hubSpacing = 16
 	for v := k; v < n; v++ {
 		for e := 0; e < outDeg; e++ {
@@ -124,10 +95,7 @@ func generateEdges(n, outDeg int, seed uint64, edge func(u, v int)) {
 			case rng.Float64() < 0.20:
 				u = rng.Intn(v) // long-range edge
 			default:
-				lo := v - window
-				if lo < 0 {
-					lo = 0
-				}
+				lo := max(v-window, 0)
 				u = lo + rng.Intn(v-lo)
 				if rng.Float64() < 0.5 {
 					// Snap to the neighborhood's hub: every hubSpacing-th
@@ -135,9 +103,42 @@ func generateEdges(n, outDeg int, seed uint64, edge func(u, v int)) {
 					u -= u % hubSpacing
 				}
 			}
-			addEdge(u, v)
+			drawn[(v-k)*outDeg+e] = int32(u)
 		}
 	}
+
+	deg := make([]int32, n)
+	for v := range deg {
+		if v < k {
+			deg[v] = int32(k - 1)
+		} else {
+			deg[v] = int32(outDeg)
+		}
+	}
+	for _, u := range drawn {
+		deg[u]++
+	}
+	adj := make([][]int32, n)
+	off := 0
+	for v, d := range deg {
+		adj[v] = backing[off : off : off+int(d)]
+		off += int(d)
+	}
+	for u := 0; u < k; u++ {
+		for v := u + 1; v < k; v++ {
+			adj[u] = append(adj[u], int32(v))
+			adj[v] = append(adj[v], int32(u))
+		}
+	}
+	for v := k; v < n; v++ {
+		own := adj[v][:outDeg]
+		copy(own, drawn[(v-k)*outDeg:])
+		adj[v] = own
+		for _, u := range own {
+			adj[u] = append(adj[u], int32(v))
+		}
+	}
+	return &Graph{Name: name, N: n, Adj: adj, M: m}
 }
 
 // Partition assigns each vertex to one of units parts.
@@ -145,7 +146,7 @@ type Partition []int
 
 // HashPartition is the default static partitioning: contiguous vertex ranges
 // per unit (the paper statically partitions graphs across NDP units). On the
-// windowed graphs Generate produces, contiguous ranges are both balanced
+// windowed graphs generate produces, contiguous ranges are both balanced
 // (hubs recur throughout the id space) and locality-preserving.
 func HashPartition(g *Graph, units int) Partition {
 	p := make(Partition, g.N)

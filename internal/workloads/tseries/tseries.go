@@ -29,23 +29,30 @@ type Series struct {
 	Window int
 }
 
+// dataset holds the synthetic stand-in parameters for each named input.
+type dataset struct {
+	length int // values at scale 1
+	window int
+	seed   uint64
+}
+
+var datasets = map[string]dataset{
+	"air": {length: 1200, window: 24, seed: 7},
+	"pow": {length: 1600, window: 32, seed: 9},
+}
+
 // Load synthesizes the named dataset at the given scale.
 func Load(name string, scale float64) *Series {
-	var n, w int
-	var seed uint64
-	switch name {
-	case "air":
-		n, w, seed = 1200, 24, 7
-	case "pow":
-		n, w, seed = 1600, 32, 9
-	default:
+	d, ok := datasets[name]
+	if !ok {
 		panic(fmt.Sprintf("tseries: unknown dataset %q", name))
 	}
-	n = int(float64(n) * scale)
+	w := d.window
+	n := int(float64(d.length) * scale)
 	if n < 8*w {
 		n = 8 * w
 	}
-	rng := sim.NewRNG(seed)
+	rng := sim.NewRNG(d.seed)
 	vals := make([]float64, n)
 	v := 0.0
 	for i := range vals {
