@@ -192,11 +192,20 @@ func parseList[T any](s string, parse func(string) (T, error)) []T {
 	return out
 }
 
+// schemeHelp lists every scheme for the -scheme flag, in Schemes order.
+func schemeHelp() string {
+	var names []string
+	for _, s := range syncron.Schemes() {
+		names = append(names, string(s))
+	}
+	return strings.Join(names, " | ") + " (flat is short for syncron-flat)"
+}
+
 func runCmd(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	var (
 		workload  = fs.String("workload", "stack", "workload name; see `syncron-sim list`")
-		scheme    = fs.String("scheme", "syncron", "central | hier | syncron | flat | ideal | mesi-lock | ttas | htl")
+		scheme    = fs.String("scheme", "syncron", schemeHelp())
 		scale     = fs.Float64("scale", 0.25, "workload scale factor")
 		ops       = fs.Int("ops", 40, "operations per core (data structures)")
 		interval  = fs.Int64("interval", 200, "instructions between sync points (primitives)")

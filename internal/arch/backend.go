@@ -74,9 +74,6 @@ type SyncReq struct {
 // simulated time at which the core may proceed (for release-type operations,
 // done is called when the message has been injected).
 type Backend interface {
-	// Name identifies the scheme in reports.
-	Name() string
-
 	// Attach wires the backend to the machine. Called once before the run.
 	Attach(m *Machine)
 

@@ -64,9 +64,6 @@ type idealCondWaiter struct {
 // NewIdeal returns the Ideal scheme.
 func NewIdeal() *Ideal { return &Ideal{} }
 
-// Name implements arch.Backend.
-func (b *Ideal) Name() string { return "ideal" }
-
 // Attach implements arch.Backend.
 func (b *Ideal) Attach(m *arch.Machine) {
 	b.m = m

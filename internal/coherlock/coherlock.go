@@ -75,9 +75,6 @@ const htlLocalBatch = 8
 // New returns a coherence-lock backend using the given algorithm.
 func New(alg Algorithm) *Backend { return &Backend{Alg: alg} }
 
-// Name implements arch.Backend.
-func (b *Backend) Name() string { return b.Alg.String() }
-
 // Attach implements arch.Backend.
 func (b *Backend) Attach(m *arch.Machine) {
 	b.Ideal.Attach(m)

@@ -41,19 +41,6 @@ const (
 	TopoCentral
 )
 
-func (t Topology) String() string {
-	switch t {
-	case TopoHier:
-		return "hier"
-	case TopoFlat:
-		return "flat"
-	case TopoCentral:
-		return "central"
-	default:
-		return fmt.Sprintf("Topology(%d)", int(t))
-	}
-}
-
 // OverflowPolicy selects what happens when an ST fills up (§6.7.3).
 type OverflowPolicy int
 
@@ -170,20 +157,6 @@ type Coordinator struct {
 	freeOps     *callOp
 	freeMasters *masterState
 	freeLocals  *localState
-}
-
-// Name implements arch.Backend.
-func (c *Coordinator) Name() string {
-	if c.opt.HardwareSE {
-		if c.opt.Topology == TopoFlat {
-			return "syncron-flat"
-		}
-		return "syncron"
-	}
-	if c.opt.Topology == TopoCentral {
-		return "central"
-	}
-	return "hier"
 }
 
 // Attach implements arch.Backend.

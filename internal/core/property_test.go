@@ -27,12 +27,12 @@ func TestSchemesFunctionallyEquivalent(t *testing.T) {
 		nlocks := int(w.Locks%4) + 1
 		ops := int(w.OpsEach%12) + 3
 		results := map[string]int{}
-		for _, mk := range []func() arch.Backend{
-			func() arch.Backend { return core.NewSynCron() },
-			func() arch.Backend { return core.NewSynCronFlat() },
-			func() arch.Backend { return baselines.NewCentral() },
-			func() arch.Backend { return baselines.NewHier() },
-			func() arch.Backend { return baselines.NewIdeal() },
+		for name, mk := range map[string]func() arch.Backend{
+			"syncron":      func() arch.Backend { return core.NewSynCron() },
+			"syncron-flat": func() arch.Backend { return core.NewSynCronFlat() },
+			"central":      func() arch.Backend { return baselines.NewCentral() },
+			"hier":         func() arch.Backend { return baselines.NewHier() },
+			"ideal":        func() arch.Backend { return baselines.NewIdeal() },
 		} {
 			b := mk()
 			cfg := arch.Config{}
@@ -62,7 +62,7 @@ func TestSchemesFunctionallyEquivalent(t *testing.T) {
 			for _, c := range counters {
 				total += c
 			}
-			results[b.Name()] = total
+			results[name] = total
 		}
 		want := cores * ops
 		for name, got := range results {

@@ -67,21 +67,19 @@ func (s *Stats) AvgRouteLinks() float64 {
 // the serial links of the configured Topology.
 type Network struct {
 	clock sim.Clock // core clock, for cycle-denominated latencies
-	units int
-	nodes int // units plus topology switch nodes (Star hub)
 
-	// xbar[unit][portIndex] books each crossbar output port; portIndex
-	// remaps the sparse port-id space (cores >= 0, PortSE, PortMemory, link
-	// egress ports) into a contiguous range. Each row has room for exactly
-	// the unit's cores, so a bad core port panics on its own row.
+	// topo holds every unit pair's route (routes are deterministic), so
+	// Transfer looks them up without allocating on the hot path.
+	topo Topology
+
+	// xbar[unit][portIndex(port)] books each crossbar output port. Port ids
+	// form one contiguous range (link egress ports, PortMemory, PortSE,
+	// cores), and each row has room for exactly the unit's ports, so a bad
+	// port panics on its own row.
 	xbar [][]sim.Resource
 
 	// links[src*nodes+dst] books the (src, dst) link in that direction.
 	links []sim.Resource
-
-	// routes caches topo.Route for every ordered unit pair (routes are
-	// deterministic), keeping Transfer allocation-free on the hot path.
-	routes [][]Link
 
 	// tr, when non-nil, receives one WhatLinkXfer record per inter-unit link
 	// traversal (the link's busy window plus the message size). Only the
@@ -103,26 +101,15 @@ type Network struct {
 // clocked by clock, with linkLatency as the fixed per-message latency of
 // every serial link. Every crossbar port and link is a sim.Resource.
 func New(clock sim.Clock, linkLatency sim.Time, topo Topology, cores int) *Network {
-	units, nodes := topo.Units(), topo.Nodes()
-	routes := make([][]Link, units*units)
-	for src := 0; src < units; src++ {
-		for dst := 0; dst < units; dst++ {
-			if src != dst {
-				routes[src*units+dst] = topo.Route(src, dst)
-			}
-		}
-	}
-	xbar := make([][]sim.Resource, units)
+	xbar := make([][]sim.Resource, topo.units)
 	for u := range xbar {
-		xbar[u] = make([]sim.Resource, 2+nodes+cores)
+		xbar[u] = make([]sim.Resource, 2+topo.nodes+cores)
 	}
 	return &Network{
 		clock:     clock,
-		units:     units,
-		nodes:     nodes,
+		topo:      topo,
 		xbar:      xbar,
-		links:     make([]sim.Resource, nodes*nodes),
-		routes:    routes,
+		links:     make([]sim.Resource, topo.nodes*topo.nodes),
 		xbarFixed: clock.Cycles(ArbiterCycles + HopCycles*Hops),
 		linkFixed: linkLatency + clock.Cycles(LinkFixedCycles),
 	}
@@ -132,37 +119,25 @@ func New(clock sim.Clock, linkLatency sim.Time, topo Topology, cores int) *Netwo
 // labels, so the traced path never formats strings per message.
 func (n *Network) SetTracer(tr trace.Tracer) {
 	n.tr = tr
-	if tr != nil && n.linkNames == nil {
-		n.linkNames = make([]string, n.nodes*n.nodes)
-		for src := 0; src < n.nodes; src++ {
-			for dst := 0; dst < n.nodes; dst++ {
-				n.linkNames[src*n.nodes+dst] = fmt.Sprintf("link.%d-%d", src, dst)
+	if nodes := n.topo.nodes; tr != nil && n.linkNames == nil {
+		n.linkNames = make([]string, nodes*nodes)
+		for src := 0; src < nodes; src++ {
+			for dst := 0; dst < nodes; dst++ {
+				n.linkNames[src*nodes+dst] = fmt.Sprintf("link.%d-%d", src, dst)
 			}
 		}
 	}
 }
 
-// portIndex maps a sparse crossbar port id to a dense slice index:
-// PortSE -> 0, PortMemory -> 1, link egress port towards node u -> 2+u,
-// core c -> 2+nodes+c.
-func (n *Network) portIndex(port int) int {
-	switch {
-	case port >= 0: // core
-		return 2 + n.nodes + port
-	case port >= PortMemory: // PortSE (-1) or PortMemory (-2)
-		return -1 - port
-	default: // link egress port, linkPort(u) = -100-u
-		u := -100 - port
-		if u < 0 || u >= n.nodes {
-			panic(fmt.Sprintf("network: bad port id %d", port))
-		}
-		return 2 + u
-	}
-}
+// portIndex maps a crossbar port id to its slot in a unit's xbar row: link
+// egress towards node u -> nodes-1-u, PortMemory -> nodes, PortSE ->
+// nodes+1, core c -> nodes+2+c.
+func (n *Network) portIndex(port int) int { return port + 2 + n.topo.nodes }
 
 // IntraDelay computes the arrival time of a message of size bytes injected at
-// time t inside unit, destined for local endpoint dstPort (an arbitrary id
-// used for queueing separation: core index, -1 for SE, -2 for memory).
+// time t inside unit, destined for local crossbar port dstPort (PortCore,
+// PortSE, PortMemory, or a link egress port), which it holds for the
+// message's flits.
 func (n *Network) IntraDelay(t sim.Time, unit, dstPort, bytes int) sim.Time {
 	// The message holds the port one core cycle per flit, at least one.
 	ser := n.clock.Cycles(max(1, int64((bytes+FlitBytes-1)/FlitBytes)))
@@ -192,7 +167,8 @@ func linkSerialization(bytes int) sim.Time {
 // entering link l at time t, and accounts the link's traffic.
 func (n *Network) linkDelay(t sim.Time, l Link, bytes int) sim.Time {
 	ser := linkSerialization(bytes)
-	start := n.links[l.Src*n.nodes+l.Dst].Book(t, ser)
+	li := l.Src*n.topo.nodes + l.Dst
+	start := n.links[li].Book(t, ser)
 	n.Stats.InterBits.Add(uint64(bytes * 8))
 	n.Stats.LinkHops.Inc()
 	if n.tr != nil {
@@ -200,7 +176,7 @@ func (n *Network) linkDelay(t sim.Time, l Link, bytes int) sim.Time {
 		// after any wait behind the link's earlier bookings, which is what
 		// the LinkUtilizationSeries view integrates.
 		n.tr.Emit(trace.Record{Start: start, End: start + ser,
-			Where: n.linkNames[l.Src*n.nodes+l.Dst], What: trace.WhatLinkXfer,
+			Where: n.linkNames[li], What: trace.WhatLinkXfer,
 			Value: float64(bytes), Unit: "bytes"})
 	}
 	return start + ser + n.linkFixed
@@ -215,12 +191,12 @@ func (n *Network) Transfer(t sim.Time, srcUnit, dstUnit, dstPort, bytes int) sim
 	if srcUnit == dstUnit {
 		return n.IntraDelay(t, srcUnit, dstPort, bytes)
 	}
-	route := n.routes[srcUnit*n.units+dstUnit]
+	route := n.topo.routes[srcUnit*n.topo.units+dstUnit]
 	n.Stats.InterMsgs.Inc()
 	// source crossbar -> egress towards the first hop
 	cur := n.IntraDelay(t, srcUnit, linkPort(route[0].Dst), bytes)
 	for i, l := range route {
-		if i > 0 && l.Src < n.units {
+		if i > 0 && l.Src < n.topo.units {
 			// forwarded through an intermediate unit: cross its crossbar to
 			// the egress port of the next link
 			cur = n.IntraDelay(cur, l.Src, linkPort(l.Dst), bytes)
@@ -231,14 +207,16 @@ func (n *Network) Transfer(t sim.Time, srcUnit, dstUnit, dstPort, bytes int) sim
 	return n.IntraDelay(cur, dstUnit, dstPort, bytes)
 }
 
-// linkPort is the crossbar port id for the egress link towards node u.
-func linkPort(u int) int { return -100 - u }
-
-// Well-known destination port ids inside a unit.
+// Well-known destination port ids inside a unit. With the cores (from 0)
+// and the link egress ports (below PortMemory) they form one contiguous
+// range per unit.
 const (
 	PortSE     = -1
 	PortMemory = -2
 )
+
+// linkPort is the crossbar port id for the egress link towards node u.
+func linkPort(u int) int { return PortMemory - 1 - u }
 
 // PortCore returns the crossbar port id of core c (unit-local index).
 func PortCore(c int) int { return c }

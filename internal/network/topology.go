@@ -13,25 +13,6 @@ type Link struct {
 	Src, Dst int
 }
 
-// Topology describes how NDP units are wired and how messages are routed
-// between them. Implementations must be deterministic: Route(src, dst) always
-// returns the same link sequence for the same arguments.
-type Topology interface {
-	// Kind names the topology (one of the Kind constants).
-	Kind() Kind
-	// Units is the number of NDP units connected.
-	Units() int
-	// Nodes is Units plus any internal switch nodes (Star's hub); link
-	// endpoints and link-port ids range over [0, Nodes).
-	Nodes() int
-	// Route returns the ordered inter-unit links a message from unit src to
-	// unit dst traverses. src and dst must be distinct units; the first
-	// link leaves src and the last link enters dst.
-	Route(src, dst int) []Link
-	// Diameter is the maximum route length (in links) between any unit pair.
-	Diameter() int
-}
-
 // Kind names a topology family.
 type Kind string
 
@@ -51,8 +32,33 @@ const (
 	KindStar Kind = "star"
 )
 
+// kinds is every topology kind in documentation order, with the switch
+// nodes it adds beyond the units and its route function: the ordered links
+// a message from unit src to unit dst (distinct, both < n) traverses, the
+// first leaving src and the last entering dst. Kinds, ParseKind and Build
+// all read this one table.
+var kinds = []struct {
+	kind     Kind
+	switches int
+	route    func(n, src, dst int) []Link
+}{
+	{KindAllToAll, 0, func(_, src, dst int) []Link { return []Link{{src, dst}} }},
+	{KindMesh2D, 0, meshRoute},
+	{KindRing, 0, ringRoute},
+	// Everything goes through one switch node (id n): src -> hub -> dst.
+	// The hub is not an NDP unit — it has no crossbar of its own;
+	// contention shows up on its per-destination links.
+	{KindStar, 1, func(n, src, dst int) []Link { return []Link{{src, n}, {n, dst}} }},
+}
+
 // Kinds returns every supported topology kind in documentation order.
-func Kinds() []Kind { return []Kind{KindAllToAll, KindMesh2D, KindRing, KindStar} }
+func Kinds() []Kind {
+	out := make([]Kind, len(kinds))
+	for i, k := range kinds {
+		out[i] = k.kind
+	}
+	return out
+}
 
 // ParseKind resolves a topology name; the empty string means the default
 // AllToAll.
@@ -61,30 +67,51 @@ func ParseKind(name string) (Kind, error) {
 	if k == "" {
 		return KindAllToAll, nil
 	}
-	for _, known := range Kinds() {
-		if k == known {
+	for _, known := range kinds {
+		if k == known.kind {
 			return k, nil
 		}
 	}
 	return "", fmt.Errorf("network: unknown topology %q (want alltoall, mesh, ring, or star)", name)
 }
 
+// Topology is how the NDP units are wired: the route of every ordered unit
+// pair, computed once by Build. Routes are deterministic, so Route(src, dst)
+// always returns the same links.
+type Topology struct {
+	kind     Kind
+	units    int
+	nodes    int      // units plus switch nodes (Star's hub)
+	routes   [][]Link // routes[src*units+dst]; nil when src == dst
+	diameter int      // the longest route, in links
+}
+
 // Build constructs the topology of the given kind over units NDP units.
 func Build(kind Kind, units int) (Topology, error) {
 	if units < 1 {
-		return nil, fmt.Errorf("network: topology over %d units", units)
+		return Topology{}, fmt.Errorf("network: topology over %d units", units)
 	}
-	switch kind {
-	case KindAllToAll, "":
-		return allToAll{n: units}, nil
-	case KindMesh2D:
-		return newMesh2D(units), nil
-	case KindRing:
-		return ring{n: units}, nil
-	case KindStar:
-		return star{n: units}, nil
+	if kind == "" {
+		kind = KindAllToAll
 	}
-	return nil, fmt.Errorf("network: unknown topology kind %q", kind)
+	for _, k := range kinds {
+		if k.kind != kind {
+			continue
+		}
+		t := Topology{kind: kind, units: units, nodes: units + k.switches,
+			routes: make([][]Link, units*units)}
+		for src := 0; src < units; src++ {
+			for dst := 0; dst < units; dst++ {
+				if src != dst {
+					r := k.route(units, src, dst)
+					t.routes[src*units+dst] = r
+					t.diameter = max(t.diameter, len(r))
+				}
+			}
+		}
+		return t, nil
+	}
+	return Topology{}, fmt.Errorf("network: unknown topology kind %q", kind)
 }
 
 // MustBuild is Build for statically valid arguments; it panics on error.
@@ -96,48 +123,51 @@ func MustBuild(kind Kind, units int) Topology {
 	return t
 }
 
-// allToAll has a dedicated link for every ordered unit pair.
-type allToAll struct{ n int }
+// Kind names the topology (one of the Kind constants).
+func (t Topology) Kind() Kind { return t.kind }
 
-func (t allToAll) Kind() Kind { return KindAllToAll }
-func (t allToAll) Units() int { return t.n }
-func (t allToAll) Nodes() int { return t.n }
-func (t allToAll) Route(src, dst int) []Link {
-	checkPair(t, src, dst)
-	return []Link{{src, dst}}
-}
-func (t allToAll) Diameter() int {
-	if t.n < 2 {
-		return 0
+// Units is the number of NDP units connected.
+func (t Topology) Units() int { return t.units }
+
+// Nodes is Units plus any internal switch nodes (Star's hub); link
+// endpoints and link-port ids range over [0, Nodes).
+func (t Topology) Nodes() int { return t.nodes }
+
+// Diameter is the maximum route length (in links) between any unit pair.
+func (t Topology) Diameter() int { return t.diameter }
+
+// Route returns the ordered inter-unit links a message from unit src to
+// unit dst traverses; callers must not modify it. src and dst must be
+// distinct units.
+func (t Topology) Route(src, dst int) []Link {
+	if src == dst || src < 0 || dst < 0 || src >= t.units || dst >= t.units {
+		panic(fmt.Sprintf("network: bad route pair (%d, %d) on %s/%d units",
+			src, dst, t.kind, t.units))
 	}
-	return 1
+	return t.routes[src*t.units+dst]
 }
 
-// mesh2D is a W x H grid (W*H == n, the most-square factorization) with
-// deterministic dimension-ordered routing: first along X to the destination
-// column, then along Y. Unit u sits at (u % W, u / W).
-type mesh2D struct{ n, w, h int }
-
-// newMesh2D picks the most-square exact factorization of n (a prime count
-// degenerates to a 1D line, which dimension-ordered routing handles fine).
-func newMesh2D(n int) mesh2D {
+// meshWidth is the row length of the most-square exact factorization
+// w x n/w of n units, w the larger factor (a prime count degenerates to a
+// 1D line, which dimension-ordered routing handles fine).
+func meshWidth(n int) int {
 	w := n
 	for f := 2; f*f <= n; f++ {
 		if n%f == 0 {
-			w = n / f // the larger factor of the most-square pair so far
+			w = n / f
 		}
 	}
-	return mesh2D{n: n, w: w, h: n / w}
+	return w
 }
 
-func (t mesh2D) Kind() Kind { return KindMesh2D }
-func (t mesh2D) Units() int { return t.n }
-func (t mesh2D) Nodes() int { return t.n }
-func (t mesh2D) Route(src, dst int) []Link {
-	checkPair(t, src, dst)
+// meshRoute is dimension-ordered routing on the meshWidth(n)-wide grid:
+// first along X to the destination column, then along Y. Unit u sits at
+// (u % w, u / w).
+func meshRoute(n, src, dst int) []Link {
+	w := meshWidth(n)
 	var route []Link
-	x, y := src%t.w, src/t.w
-	dx, dy := dst%t.w, dst/t.w
+	x, y := src%w, src/w
+	dx, dy := dst%w, dst/w
 	cur := src
 	step := func(next int) {
 		route = append(route, Link{cur, next})
@@ -149,7 +179,7 @@ func (t mesh2D) Route(src, dst int) []Link {
 		} else {
 			x--
 		}
-		step(y*t.w + x)
+		step(y*w + x)
 	}
 	for y != dy {
 		if y < dy {
@@ -157,59 +187,24 @@ func (t mesh2D) Route(src, dst int) []Link {
 		} else {
 			y--
 		}
-		step(y*t.w + x)
+		step(y*w + x)
 	}
 	return route
 }
-func (t mesh2D) Diameter() int { return (t.w - 1) + (t.h - 1) }
 
-// ring connects unit u to (u+1)%n and (u-1+n)%n; routes take the shorter
+// ringRoute connects unit u to (u+1)%n and (u-1+n)%n and takes the shorter
 // direction, clockwise (+1) on ties.
-type ring struct{ n int }
-
-func (t ring) Kind() Kind { return KindRing }
-func (t ring) Units() int { return t.n }
-func (t ring) Nodes() int { return t.n }
-func (t ring) Route(src, dst int) []Link {
-	checkPair(t, src, dst)
-	cw := ((dst - src) + t.n) % t.n // clockwise distance
+func ringRoute(n, src, dst int) []Link {
+	cw := ((dst - src) + n) % n // clockwise distance
 	step := 1
-	if cw > t.n-cw {
+	if cw > n-cw {
 		step = -1
 	}
 	var route []Link
 	for cur := src; cur != dst; {
-		next := ((cur + step) + t.n) % t.n
+		next := ((cur + step) + n) % n
 		route = append(route, Link{cur, next})
 		cur = next
 	}
 	return route
-}
-func (t ring) Diameter() int { return t.n / 2 }
-
-// star routes everything through one shared switch node (id n): src -> hub,
-// hub -> dst. The hub is not an NDP unit — it has no crossbar of its own;
-// contention shows up on its per-destination links.
-type star struct{ n int }
-
-func (t star) Kind() Kind { return KindStar }
-func (t star) Units() int { return t.n }
-func (t star) Nodes() int { return t.n + 1 }
-func (t star) Route(src, dst int) []Link {
-	checkPair(t, src, dst)
-	return []Link{{src, t.n}, {t.n, dst}}
-}
-func (t star) Diameter() int {
-	if t.n < 2 {
-		return 0
-	}
-	return 2
-}
-
-// checkPair validates a Route argument pair.
-func checkPair(t Topology, src, dst int) {
-	if src == dst || src < 0 || dst < 0 || src >= t.Units() || dst >= t.Units() {
-		panic(fmt.Sprintf("network: bad route pair (%d, %d) on %s/%d units",
-			src, dst, t.Kind(), t.Units()))
-	}
 }

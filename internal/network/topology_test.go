@@ -75,11 +75,13 @@ func minDist(topo Topology, src, dst int) int {
 
 // Property tests over every topology and a range of unit counts: routes are
 // minimal over the topology's own link graph, loop-free, and symmetric in
-// length (|route(a,b)| == |route(b,a)|).
+// length (|route(a,b)| == |route(b,a)|), and the diameter is attained by
+// some route (zero on a single unit).
 func TestRouteProperties(t *testing.T) {
 	for _, kind := range Kinds() {
-		for _, units := range []int{2, 3, 4, 5, 6, 8, 9, 12, 16} {
+		for _, units := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16} {
 			topo := MustBuild(kind, units)
+			longest := 0
 			for src := 0; src < units; src++ {
 				for dst := 0; dst < units; dst++ {
 					if src == dst {
@@ -94,7 +96,11 @@ func TestRouteProperties(t *testing.T) {
 						t.Fatalf("%s/%d: asymmetric route lengths %d->%d: %d vs %d",
 							kind, units, src, dst, len(route), len(back))
 					}
+					longest = max(longest, len(route))
 				}
+			}
+			if longest != topo.Diameter() {
+				t.Fatalf("%s/%d: longest route %d links, diameter %d", kind, units, longest, topo.Diameter())
 			}
 		}
 	}
@@ -137,15 +143,12 @@ func TestAllToAllShape(t *testing.T) {
 }
 
 func TestMeshShape(t *testing.T) {
-	m := newMesh2D(4)
-	if m.w != 2 || m.h != 2 {
-		t.Fatalf("mesh of 4 units = %dx%d, want 2x2", m.w, m.h)
-	}
-	if m6 := newMesh2D(6); m6.w != 3 || m6.h != 2 {
-		t.Fatalf("mesh of 6 units = %dx%d, want 3x2", m6.w, m6.h)
-	}
-	if m5 := newMesh2D(5); m5.w != 5 || m5.h != 1 { // prime: 1D line
-		t.Fatalf("mesh of 5 units = %dx%d, want 5x1", m5.w, m5.h)
+	for _, tc := range []struct{ units, w, h int }{
+		{4, 2, 2}, {6, 3, 2}, {5, 5, 1}, // prime: 1D line
+	} {
+		if w := meshWidth(tc.units); w != tc.w || tc.units/w != tc.h {
+			t.Fatalf("mesh of %d units = %dx%d, want %dx%d", tc.units, w, tc.units/w, tc.w, tc.h)
+		}
 	}
 	// Dimension-ordered: 0=(0,0) -> 3=(1,1) goes X first through 1=(1,0).
 	if r := MustBuild(KindMesh2D, 4).Route(0, 3); len(r) != 2 || r[0] != (Link{0, 1}) || r[1] != (Link{1, 3}) {

@@ -274,8 +274,8 @@ func (r *Runner) Run() sim.Time {
 		p.grantFn = func(done sim.Time) {
 			req := p.pend
 			if done < p.issued {
-				panic(fmt.Sprintf("program: backend %s granted at %v before request at %v",
-					r.M.Backend.Name(), done, p.issued))
+				panic(fmt.Sprintf("program: backend %T granted at %v before request at %v",
+					r.M.Backend, done, p.issued))
 			}
 			if req.Op.Blocking() {
 				p.SyncWait += done - p.issued

@@ -17,7 +17,6 @@ type instantBackend struct {
 	queue map[uint64][]func(sim.Time)
 }
 
-func (b *instantBackend) Name() string { return "instant" }
 func (b *instantBackend) Attach(m *arch.Machine) {
 	b.m = m
 	b.held = make(map[uint64]bool)
@@ -52,7 +51,6 @@ func (b *instantBackend) Request(t sim.Time, core int, req arch.SyncReq, done fu
 // used to prove the mutual-exclusion checker catches bad backends.
 type brokenBackend struct{ m *arch.Machine }
 
-func (b *brokenBackend) Name() string                { return "broken" }
 func (b *brokenBackend) Attach(m *arch.Machine)      { b.m = m }
 func (b *brokenBackend) ExtraCacheEnergyPJ() float64 { return 0 }
 func (b *brokenBackend) Request(t sim.Time, core int, req arch.SyncReq, done func(sim.Time)) {

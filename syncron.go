@@ -426,7 +426,8 @@ func (s *System) SpawnAt(core int, prog Program) { s.r.AddAt(core, prog) }
 type Report struct {
 	// Makespan is when the last core finished.
 	Makespan Time
-	// Scheme is the synchronization mechanism used.
+	// Scheme is the synchronization mechanism used: the run's resolved
+	// Config.Scheme.
 	Scheme string
 	// Energy breakdown in picojoules.
 	CacheEnergyPJ, NetworkEnergyPJ, MemoryEnergyPJ float64
@@ -462,7 +463,7 @@ func (s *System) Run() Report {
 	e := s.m.EnergyBreakdown()
 	rep := Report{
 		Makespan:        makespan,
-		Scheme:          s.m.Backend.Name(),
+		Scheme:          string(s.cfg.Scheme),
 		CacheEnergyPJ:   e.CachePJ,
 		NetworkEnergyPJ: e.NetworkPJ,
 		MemoryEnergyPJ:  e.MemoryPJ,

@@ -40,12 +40,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 }
 
 func TestAllSchemesConstructAndRun(t *testing.T) {
-	for _, scheme := range []syncron.Scheme{
-		syncron.SchemeSynCron, syncron.SchemeSynCronFlat, syncron.SchemeCentral,
-		syncron.SchemeHier, syncron.SchemeIdeal, syncron.SchemeMESILock,
-		syncron.SchemeTTAS, syncron.SchemeHTL,
-	} {
-		scheme := scheme
+	for _, scheme := range syncron.Schemes() {
 		t.Run(string(scheme), func(t *testing.T) {
 			sys := syncron.New(syncron.Config{Scheme: scheme, Units: 2, CoresPerUnit: 2})
 			lock := sys.AllocLocal(0, 64)
@@ -56,8 +51,12 @@ func TestAllSchemesConstructAndRun(t *testing.T) {
 					ctx.Unlock(lock)
 				}
 			})
-			if rep := sys.Run(); rep.Makespan <= 0 {
+			rep := sys.Run()
+			if rep.Makespan <= 0 {
 				t.Fatal("no progress")
+			}
+			if rep.Scheme != string(scheme) {
+				t.Fatalf("Report.Scheme = %q, want %q", rep.Scheme, scheme)
 			}
 		})
 	}
