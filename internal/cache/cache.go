@@ -168,16 +168,3 @@ func (c *Cache) EnergyPJ() float64 {
 
 // Bypass records an uncacheable access for statistics.
 func (c *Cache) Bypass() { c.Stats.Bypasses.Inc() }
-
-// Flush invalidates the whole cache, returning the number of dirty lines
-// dropped (the model does not simulate flush traffic; used between phases).
-func (c *Cache) Flush() int {
-	dirty := 0
-	for i, w := range c.ways {
-		if w&wayDirty != 0 {
-			dirty++
-		}
-		c.ways[i] = 0
-	}
-	return dirty
-}

@@ -68,18 +68,6 @@ func TestDirtyWriteback(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	c := New(DefaultConfig())
-	c.Access(0x80, true)
-	c.Access(0x100, false)
-	if dirty := c.Flush(); dirty != 1 {
-		t.Fatalf("Flush dropped %d dirty lines, want 1", dirty)
-	}
-	if resident(c, 0x80) || resident(c, 0x100) {
-		t.Fatal("lines survived flush")
-	}
-}
-
 // Property: addr's line is resident immediately after any access, and stats
 // counters match accesses.
 func TestAccessContainsProperty(t *testing.T) {
@@ -219,8 +207,8 @@ func (r *tickLRU) access(addr uint64, write bool) Result {
 }
 
 // Property: the recency-ordered sets give the same hits, writebacks, victim
-// addresses and flush counts as per-way LRU stamps, across geometries from
-// direct-mapped to fully associative.
+// addresses and dirty-line counts as per-way LRU stamps, across geometries
+// from direct-mapped to fully associative.
 func TestRecencyOrderMatchesTickLRU(t *testing.T) {
 	for _, cfg := range []Config{
 		{SizeBytes: 8 * LineSize, Ways: 1},
@@ -249,8 +237,14 @@ func TestRecencyOrderMatchesTickLRU(t *testing.T) {
 				}
 			}
 		}
-		if got := c.Flush(); got != dirty {
-			t.Fatalf("%d-way: Flush dropped %d dirty lines, want %d", cfg.Ways, got, dirty)
+		got := 0
+		for _, w := range c.ways {
+			if w&wayDirty != 0 {
+				got++
+			}
+		}
+		if got != dirty {
+			t.Fatalf("%d-way: %d dirty lines, want %d", cfg.Ways, got, dirty)
 		}
 	}
 }

@@ -83,9 +83,6 @@ func (b *Backend) Attach(m *arch.Machine) {
 	b.locks = make(map[uint64]*lockState)
 }
 
-// Space exposes the coherence model for stats (tests, experiments).
-func (b *Backend) Space() *coherence.Space { return b.space }
-
 // Request implements arch.Backend.
 func (b *Backend) Request(t sim.Time, core int, req arch.SyncReq, done func(sim.Time)) {
 	switch req.Op {

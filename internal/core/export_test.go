@@ -9,3 +9,14 @@ func (c *Coordinator) STEntriesLive() int {
 	}
 	return n
 }
+
+// AbortsSent reports how many overflow abort broadcasts were issued.
+func (c *Coordinator) AbortsSent() uint64 { return c.abortsSent }
+
+// RMWValue returns the accumulated fetch-add value for addr.
+func (c *Coordinator) RMWValue(addr uint64) uint64 {
+	if ms, ok := c.vars[addr]; ok {
+		return ms.rmwValue
+	}
+	return 0
+}

@@ -105,6 +105,3 @@ func (c *Coordinator) fallbackGrant(t sim.Time, addr uint64, ref holderRef) {
 	arr := c.m.Net.Transfer(t, unit, c.m.UnitOf(ref.core), c.m.LocalOf(ref.core), arch.SyncRespBytes)
 	c.m.Engine.Schedule(arr, ref.done)
 }
-
-// AbortsSent reports how many overflow abort broadcasts were issued (tests).
-func (c *Coordinator) AbortsSent() uint64 { return c.abortsSent }

@@ -13,11 +13,3 @@ func (c *Coordinator) fetchAddApply(mt sim.Time, addr, delta uint64, ref holderR
 	ms.rmwValue += delta
 	c.grantCore(mt, addr, ref)
 }
-
-// RMWValue returns the accumulated fetch-add value for addr (testing hook).
-func (c *Coordinator) RMWValue(addr uint64) uint64 {
-	if ms, ok := c.vars[addr]; ok {
-		return ms.rmwValue
-	}
-	return 0
-}
