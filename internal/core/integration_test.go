@@ -245,6 +245,45 @@ func TestLockFairnessThreshold(t *testing.T) {
 	}
 }
 
+// TestLockFairnessBoundsUnitBatches: with the §4.4.2 fairness threshold set,
+// a unit that has served threshold local grants hands the contended lock to
+// the other waiting unit, wherever the lock is homed, so no unit gets more
+// than threshold consecutive grants.
+func TestLockFairnessBoundsUnitBatches(t *testing.T) {
+	for _, threshold := range []int{1, 2} {
+		for home := 0; home < 2; home++ {
+			m := newTestMachine(t, core.NewCoordinator(core.Options{Topology: core.TopoHier,
+				HardwareSE: true, FairnessThreshold: threshold}))
+			r := program.NewRunner(m)
+			lock := m.Alloc(home, 8)
+			var grants []int // the unit of each grant, in grant order
+			r.AddN(m.NumCores(), func(i int) program.Program {
+				return func(ctx *program.Ctx) {
+					for k := 0; k < 10; k++ {
+						ctx.Lock(lock)
+						grants = append(grants, m.UnitOf(i))
+						ctx.Compute(20)
+						ctx.Unlock(lock)
+					}
+				}
+			})
+			r.Run()
+			batch := 0
+			for g, unit := range grants[:40] {
+				if g > 0 && unit == grants[g-1] {
+					batch++
+				} else {
+					batch = 1
+				}
+				if batch > threshold {
+					t.Fatalf("threshold %d, lock in unit %d: unit %d got %d consecutive grants (grants %v)",
+						threshold, home, unit, batch, grants[:40])
+				}
+			}
+		}
+	}
+}
+
 func TestSTOverflowIntegrated(t *testing.T) {
 	// A tiny ST forces overflow; correctness must be preserved and the
 	// overflow fraction must be visible in stats.

@@ -114,13 +114,18 @@ func (c *Coordinator) masterLockCoreAcquire(t sim.Time, core int, addr uint64, d
 
 // masterLockNodeRelease handles an aggregated global lock_release from a
 // local SE; requeue re-enqueues that SE at the tail (fairness transfer).
+// Another waiter is granted first, so the master-local priority cannot hand
+// the lock straight back to the SE that gave it up.
 func (c *Coordinator) masterLockNodeRelease(t sim.Time, from *node, addr uint64, requeue bool) {
 	ms := c.master(addr)
 	ms.lockHeld = false
+	if requeue && len(ms.queue) == 0 {
+		ms.queue, requeue = append(ms.queue, holderRef{node: from}), false
+	}
+	c.masterLockGrantNext(t, ms, addr)
 	if requeue {
 		ms.queue = append(ms.queue, holderRef{node: from})
 	}
-	c.masterLockGrantNext(t, ms, addr)
 }
 
 // masterLockCoreRelease handles a per-core release at the master.
