@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"syncron/internal/arch"
-	"syncron/internal/baselines"
 	"syncron/internal/core"
 	"syncron/internal/program"
 	"syncron/internal/sim"
@@ -27,13 +26,7 @@ func TestSchemesFunctionallyEquivalent(t *testing.T) {
 		nlocks := int(w.Locks%4) + 1
 		ops := int(w.OpsEach%12) + 3
 		results := map[string]int{}
-		for name, mk := range map[string]func() arch.Backend{
-			"syncron":      func() arch.Backend { return core.NewSynCron() },
-			"syncron-flat": func() arch.Backend { return core.NewSynCronFlat() },
-			"central":      func() arch.Backend { return baselines.NewCentral() },
-			"hier":         func() arch.Backend { return baselines.NewHier() },
-			"ideal":        func() arch.Backend { return baselines.NewIdeal() },
-		} {
+		for name, mk := range backendsUnderTest() {
 			b := mk()
 			cfg := arch.Config{}
 			cfg.Units = 2
