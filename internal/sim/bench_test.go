@@ -3,14 +3,16 @@ package sim
 import "testing"
 
 // The engine benchmarks cover the hot shapes model code produces:
-// schedule-then-pop through the heap, zero-delay self-scheduling, a deep
-// resident queue, and the shallow near-future queue of the figure grids. All
-// must report 0 allocs/op in steady state (TestEngineSteadyStateAllocFree
-// pins that as a hard test); the CI perf gate compares their ns/op against
-// the PR base.
+// schedule-then-dispatch within the timing wheel, zero-delay
+// self-scheduling, a deep resident queue, the shallow near-future queue of
+// the figure grids, and a deep far-future queue that lives in the overflow
+// heap. All must report 0 allocs/op in steady state
+// (TestEngineSteadyStateAllocFree pins that as a hard test); the CI perf gate
+// compares the ns/op of those it lists against the PR base. The names predate
+// the wheel and stay, because the gate's pattern matches on them.
 
 // BenchmarkEngineScheduleRun is the canonical schedule+dispatch cycle: one
-// future event through the heap per iteration.
+// future event through the wheel per iteration.
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	e := NewEngine()
 	nop := func(Time) {}
@@ -24,9 +26,9 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineZeroDelayChain times a zero-delay event through the heap:
-// each event self-schedules at the current time, the pattern the program
-// layer's launch and grant handoffs produce.
+// BenchmarkEngineZeroDelayChain times a zero-delay event through the wheel's
+// current slot: each event self-schedules at the current time, the pattern
+// the program layer's launch and grant handoffs produce.
 func BenchmarkEngineZeroDelayChain(b *testing.B) {
 	e := NewEngine()
 	left := 0
@@ -43,8 +45,9 @@ func BenchmarkEngineZeroDelayChain(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkEngineHeapChurn keeps a deep queue resident (1024 pending events)
-// so every schedule and pop pays full-depth sift costs.
+// BenchmarkEngineHeapChurn keeps a deep queue resident (1024 pending events,
+// 1024 ps apart), each rescheduling itself behind the others. It once paid
+// full-depth heap sifts; in the wheel every schedule is an append.
 func BenchmarkEngineHeapChurn(b *testing.B) {
 	e := NewEngine()
 	const depth = 1024
@@ -63,10 +66,11 @@ func BenchmarkEngineHeapChurn(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkEngineNearFuture has the heap shape of the figures-quick grid:
+// BenchmarkEngineNearFuture has the queue shape of the figures-quick grid:
 // 60 resident events, one per simulated core, each rescheduling itself a
 // short seeded delay ahead. One delay in eight is under 128 ps, so about 11%
-// of pushes become the new heap minimum, the share measured on that grid.
+// of schedules become the new earliest event, the share measured on that
+// grid.
 func BenchmarkEngineNearFuture(b *testing.B) {
 	const resident = 60
 	rng := NewRNG(1)
@@ -88,6 +92,34 @@ func BenchmarkEngineNearFuture(b *testing.B) {
 	}
 	for i := 0; i < resident && i < b.N; i++ {
 		e.Schedule(Time(i+1), self)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkEngineFarFuture has the queue shape of sync-contended's semaphore
+// runs: about 32k resident events (their mean depth is 7.9k–10.5k and the
+// maximum 35k–41k), each rescheduling itself a seeded 2^24–2^30 ps ahead, so
+// nearly every event waits in the overflow heap and later moves into the
+// wheel.
+func BenchmarkEngineFarFuture(b *testing.B) {
+	const resident = 32 << 10
+	rng := NewRNG(1)
+	var delays [1024]Time
+	for i := range delays {
+		delays[i] = Time(1<<24 + rng.Intn(1<<30-1<<24))
+	}
+	e := NewEngine()
+	count := 0
+	var self func(Time)
+	self = func(at Time) {
+		if count++; count < b.N {
+			e.Schedule(at+delays[count%len(delays)], self)
+		}
+	}
+	for i := 0; i < resident && i < b.N; i++ {
+		e.Schedule(delays[i%len(delays)]+Time(i), self)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

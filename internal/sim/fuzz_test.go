@@ -19,15 +19,29 @@ type fuzzUnit struct {
 	log    strings.Builder
 }
 
+// delayShifts scale the interpreter's delays so that a program reaches every
+// part of the engine's queue: the same 512 ps wheel slot (shift 0), the next
+// slots (9, 13), far enough round the 1024-slot wheel to wrap past its
+// physical end (17), just past its 2^19 ps window (19, 22), and deep in the
+// overflow heap (29: up to 3·2^29 ps).
+var delayShifts = [8]uint{0, 0, 9, 13, 17, 19, 22, 29}
+
+// scaled is the delay an instruction argument encodes: arg%4 times the shift
+// picked by arg/4 (arg is a 5-bit field). A zero base stays a zero delay.
+func scaled(arg int) sim.Time {
+	return sim.Time(arg%4) << delayShifts[arg/4%8]
+}
+
 // runFuzzProgram interprets data as a deterministic schedule program: byte 0
 // picks the unit count, the rest is split round-robin into private per-unit
 // instruction streams. Each unit runs a chain of events, one instruction per
 // event — scheduling same-unit leaves (future, zero-delay, and tied with the
 // unit's next step), cross-unit leaves (delayed and zero-delay), and barrier
-// events. It returns a fingerprint of every observable — per-unit
-// execution logs, the barrier log, the end time — plus the executed-event
-// count, and records the global execution order into rec for
-// simtest.CheckOrder.
+// events, or moving its own chain far ahead. Delays reach across wheel
+// slots, past the wheel's window and into the overflow heap (delayShifts).
+// It returns a fingerprint of every observable — per-unit execution logs,
+// the barrier log, the end time — plus the executed-event count, and records
+// the global execution order into rec for simtest.CheckOrder.
 func runFuzzProgram(data []byte, rec *simtest.Recorder) (string, uint64) {
 	e := sim.NewEngine()
 	e.MaxEvents = 1 << 20 // diagnose a runaway interpreter instead of hanging
@@ -68,16 +82,17 @@ func runFuzzProgram(data []byte, rec *simtest.Recorder) (string, uint64) {
 			c := u.stream[u.pos]
 			u.pos++
 			arg := int(c >> 3)
+			next := sim.Time(1)
 			switch c % 8 {
 			case 0, 1: // same-unit future leaf
-				e.Schedule(at+sim.Time(1+arg%5), leaf(u))
+				e.Schedule(at+1+scaled(arg), leaf(u))
 			case 2: // same-unit zero-delay leaf
 				e.Schedule(at, leaf(u))
-			case 3: // cross-unit leaf, delay 0..3
-				e.Schedule(at+sim.Time(arg%4), leaf(units[(u.id+1+arg)%nUnits]))
+			case 3: // cross-unit leaf, possibly zero-delay
+				e.Schedule(at+scaled(arg), leaf(units[(u.id+1+arg)%nUnits]))
 			case 4: // barrier event
 				bid := nextSched()
-				e.Schedule(at+sim.Time(1+arg%3), func(bat sim.Time) {
+				e.Schedule(at+1+scaled(arg), func(bat sim.Time) {
 					rec.Observe(bat, bid)
 					fmt.Fprintf(&barrierLog, "b@%d ", int64(bat))
 				})
@@ -85,9 +100,10 @@ func runFuzzProgram(data []byte, rec *simtest.Recorder) (string, uint64) {
 				e.Schedule(at, leaf(units[(u.id+1+arg)%nUnits]))
 			case 6: // leaf tied on at+1 with the next step, ordered by seq
 				e.Schedule(at+1, leaf(u))
-			default: // 7: nop
+			default: // 7: the next step runs far ahead
+				next += scaled(arg)
 			}
-			e.Schedule(at+1, step(u))
+			e.Schedule(at+next, step(u))
 		}
 	}
 

@@ -22,23 +22,30 @@ func (h *recordingHook) OnAdvance(prev, now Time, pending int, executed uint64) 
 
 // The hook must fire exactly once per distinct timestamp, before anything at
 // that timestamp is dequeued, so the reported queue depth covers the full
-// same-timestamp batch.
+// same-timestamp batch. The far event waits in the overflow heap, so pending
+// counts both the timing wheel and the heap.
 func TestHookFiresOncePerTimestamp(t *testing.T) {
 	e := NewEngine()
 	h := &recordingHook{}
 	e.SetHook(h)
 
 	// Three events at t=10 (one scheduling a same-timestamp follow-up during
-	// dispatch), one at t=20.
+	// dispatch), one at t=20, and one far past the wheel's window.
+	const far = 1 << 30
 	e.Schedule(10, func(at Time) { e.Schedule(at, func(Time) {}) })
 	e.Schedule(10, func(Time) {})
 	e.Schedule(10, func(Time) {})
 	e.Schedule(20, func(Time) {})
+	e.Schedule(far, func(Time) {})
+	if len(e.heap) != 1 {
+		t.Fatalf("overflow heap holds %d events, want the far one", len(e.heap))
+	}
 	e.Run()
 
 	want := []advanceSample{
-		{prev: 0, now: 10, pending: 4, executed: 0},
-		{prev: 10, now: 20, pending: 1, executed: 4},
+		{prev: 0, now: 10, pending: 5, executed: 0},
+		{prev: 10, now: 20, pending: 2, executed: 4},
+		{prev: 20, now: far, pending: 1, executed: 5},
 	}
 	if len(h.advances) != len(want) {
 		t.Fatalf("hook fired %d times, want %d: %+v", len(h.advances), len(want), h.advances)

@@ -1,6 +1,7 @@
 // Package sim provides the discrete-event simulation engine that underlies
-// the NDP system model: a picosecond-resolution clock, a binary-heap event
-// queue, deterministic pseudo-random numbers, and small statistics helpers.
+// the NDP system model: a picosecond-resolution clock, an event queue that is
+// a timing wheel for near-future events with a binary heap for the rest,
+// deterministic pseudo-random numbers, and small statistics helpers.
 package sim
 
 import "fmt"
