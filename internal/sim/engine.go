@@ -65,16 +65,18 @@ type slot struct {
 //
 // Events run in (at, seq) order. An event scheduled inside the window goes
 // into a timing wheel (Varghese & Lauck), one further ahead into a binary
-// heap; a heap event moves into the wheel when dispatch reaches its slot. The hot
-// path is allocation-free in steady state: the wheel's nodes come from one
-// reusable pool, and the heap stores events by value and reuses its capacity.
+// heap; a heap event moves into the wheel when dispatch reaches its slot.
+// The hot path is allocation-free in steady state: the wheel's nodes come
+// from one reusable pool, and the heap stores events by value and reuses
+// its capacity.
 type Engine struct {
 	now Time
 	seq uint64
 
-	// The wheel holds every pending event whose slot (at >> slotShift) is
-	// in [cursor, cursor+wheelSlots). The cursor's slot is cur, and slot s
-	// is slots[s&wheelMask] otherwise. Between dispatches the cursor is the
+	// The wheel holds the events scheduled while their slot (at >>
+	// slotShift) was in [cursor, cursor+wheelSlots), and the heap's events
+	// of the cursor's slot. The cursor's slot is cur, and slot s is
+	// slots[s&wheelMask] otherwise. Between dispatches the cursor is the
 	// slot of now. slots is allocated by the first insert, keeping
 	// NewEngine cheap.
 	cursor uint64
