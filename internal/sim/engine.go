@@ -83,6 +83,7 @@ type Engine struct {
 	cur    slot
 	slots  *[wheelSlots]slot
 	occ    [wheelSlots / 64]uint64 // bit s&wheelMask set iff slot s is non-empty, cursor's excepted
+	used   int                     // number of bits set in occ
 	nodes  []node                  // node pool; nodes[0] is unused
 	free   int32                   // head of the free-node list, 0 if none
 
@@ -92,6 +93,7 @@ type Engine struct {
 
 	// Executed counts events run since construction; useful in tests, as a
 	// runaway guard, and as the events/sec numerator of macro-benchmarks.
+	// Callers only read it: the hook's pending count is derived from it.
 	Executed uint64
 
 	// MaxEvents aborts the run (with a panic) when exceeded; 0 means no limit.
@@ -106,24 +108,34 @@ func NewEngine() *Engine {
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
-// pending is the number of scheduled events not yet dispatched: every
-// Schedule takes a seq, every dispatch counts in Executed, and no event is
-// ever dropped.
+// pending is the number of scheduled events not yet dispatched, for the
+// hook: every Schedule takes a seq, every dispatch counts in Executed, and no
+// event is ever dropped.
 func (e *Engine) pending() uint64 { return e.seq - e.Executed }
 
 // Schedule runs fn at time at; fn receives that timestamp. Scheduling in the
 // past panics: the model has a causality bug that must not be masked.
 //
 // An event scheduled at the current time carries the largest seq so far, so
-// it runs after every event already pending at this timestamp. An event
-// inside the wheel's window is linked into its slot, in O(1) unless the
-// slot's last event is later; one past the window is pushed on the overflow
-// heap.
+// it runs after every event already pending at this timestamp; when the
+// current slot is empty, as after a handoff, it becomes that slot's only
+// node directly. Any other event inside the wheel's window is linked into its
+// slot, in O(1) unless the slot's last event is later; one past the window is
+// pushed on the overflow heap.
 func (e *Engine) Schedule(at Time, fn func(Time)) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
 	e.seq++
+	// The cursor is the slot of now, so a same-time event bound for an
+	// empty current slot needs no window test and no slot arithmetic.
+	if n := e.free; at == e.now && e.cur.head == 0 && n != 0 {
+		nd := &e.nodes[n]
+		e.free = nd.next
+		nd.at, nd.fn, nd.next = at, fn, 0
+		e.cur.head, e.cur.tail = n, n
+		return
+	}
 	if uint64(at)>>slotShift-e.cursor >= wheelSlots {
 		e.push(event{at: at, seq: e.seq, fn: fn})
 		return
@@ -150,6 +162,7 @@ func (e *Engine) insert(at Time, fn func(Time)) {
 		sl = &e.slots[i]
 		if sl.head == 0 {
 			e.occ[i/64] |= 1 << (i % 64)
+			e.used++
 		}
 	}
 	switch {
@@ -255,11 +268,12 @@ func (e *Engine) advance() {
 		c = uint64(e.heap[0].at) >> slotShift
 	}
 	var wheel slot // the wheel's own events of slot c
-	if e.pending() > uint64(len(e.heap)) {
+	if e.used > 0 {
 		if s := e.nextSlot(); s <= c {
 			c = s
 			i := s & wheelMask
 			e.occ[i/64] &^= 1 << (i % 64)
+			e.used--
 			wheel, e.slots[i] = e.slots[i], slot{}
 		}
 	}
@@ -284,8 +298,7 @@ func (e *Engine) advance() {
 }
 
 // nextSlot returns the first non-empty slot after the cursor, reading the
-// occupancy bitmap a word at a time. The wheel must hold an event outside
-// the cursor's slot.
+// occupancy bitmap a word at a time. Some slot must be marked (used > 0).
 func (e *Engine) nextSlot() uint64 {
 	i := e.cursor & wheelMask
 	w, b := i/64, i%64
@@ -310,7 +323,7 @@ func (e *Engine) Run() Time {
 	for {
 		h := e.cur.head
 		if h == 0 {
-			if e.pending() == 0 {
+			if e.used == 0 && len(e.heap) == 0 {
 				return e.now
 			}
 			e.advance()

@@ -136,3 +136,33 @@ func TestWheelRunDrainScheduleRun(t *testing.T) {
 		t.Fatalf("Executed = %d, want 5", e.Executed)
 	}
 }
+
+// A same-time event runs after every event of its timestamp and before any
+// later one, whether the current slot holds a later event (the sorted
+// insert) or is empty (the direct path). Run's exit and its search for the
+// next slot look at the queues themselves, so resetting Executed mid-run
+// does not end the run early.
+func TestWheelSameTime(t *testing.T) {
+	e := NewEngine()
+	var l orderLog
+	e.Schedule(10, func(at Time) {
+		l.ev(1)(at)
+		e.Schedule(at, func(at Time) {
+			l.ev(3)(at)
+			e.Schedule(at, l.ev(4))
+		})
+	})
+	e.Schedule(10, l.ev(2))
+	e.Schedule(11, func(at Time) {
+		l.ev(5)(at)
+		e.Schedule(at, func(at Time) {
+			l.ev(6)(at)
+			e.Executed = 0
+			e.Schedule(at+2*window, l.ev(7))
+		})
+	})
+	if end := e.Run(); end != 11+2*window {
+		t.Fatalf("Run returned %v, want %v", end, 11+2*window)
+	}
+	l.want(t, 1, 2, 3, 4, 5, 6, 7)
+}
