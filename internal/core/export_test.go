@@ -20,3 +20,10 @@ func (c *Coordinator) RMWValue(addr uint64) uint64 {
 	}
 	return 0
 }
+
+// MasterTracks reports whether addr's master tracks the variable: with an
+// ST entry or in the software fallback.
+func (c *Coordinator) MasterTracks(addr uint64) bool {
+	ms := c.vars[addr]
+	return ms != nil && (ms.refHeld || ms.fallback)
+}

@@ -71,6 +71,7 @@ func (c *Coordinator) fallbackLockAcquire(t sim.Time, core int, addr uint64, don
 		fin := c.fallbackService(arr, addr)
 		c.m.Engine.Schedule(fin, func(fin sim.Time) {
 			ms := c.master(addr)
+			c.masterHold(fin, ms)
 			ref := holderRef{core: core, done: done}
 			if !ms.lockHeld {
 				c.grantLock(fin, ms, ref)

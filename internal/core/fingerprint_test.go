@@ -26,31 +26,7 @@ var fingerprintPrograms = []struct {
 	prog fingerprintProgram
 }{
 	{"lock", func(m *arch.Machine, r *program.Runner) []uint64 {
-		locks := []uint64{m.Alloc(0, 8), m.Alloc(1, 8), m.Alloc(1, 8)}
-		r.AddN(m.NumCores(), func(i int) program.Program {
-			return func(ctx *program.Ctx) {
-				for k := 0; k < fingerprintRounds; k++ {
-					a := locks[(i+k)%len(locks)]
-					if k%2 == 0 {
-						ctx.Lock(a)
-						ctx.Compute(int64(10 + i))
-						ctx.Unlock(a)
-					} else {
-						// Nested: hold two locks, taken in address order.
-						lo, hi := a, locks[(i+k+1)%len(locks)]
-						if lo > hi {
-							lo, hi = hi, lo
-						}
-						ctx.Lock(lo)
-						ctx.Lock(hi)
-						ctx.Compute(15)
-						ctx.Unlock(hi)
-						ctx.Unlock(lo)
-					}
-					ctx.Compute(int64(20 * (i%3 + 1)))
-				}
-			}
-		})
+		nestedLocks(m, r, nil)
 		return nil
 	}},
 	{"barrier_within", func(m *arch.Machine, r *program.Runner) []uint64 {
@@ -156,6 +132,43 @@ var fingerprintPrograms = []struct {
 		})
 		return vars
 	}},
+}
+
+// nestedLocks is the fingerprint's lock program: each core takes one lock or
+// two nested ones per round, over three locks homed in both units. held, if
+// not nil, runs each time a core has just been granted a lock.
+func nestedLocks(m *arch.Machine, r *program.Runner, held func(lock uint64)) {
+	lock := func(ctx *program.Ctx, a uint64) {
+		ctx.Lock(a)
+		if held != nil {
+			held(a)
+		}
+	}
+	locks := []uint64{m.Alloc(0, 8), m.Alloc(1, 8), m.Alloc(1, 8)}
+	r.AddN(m.NumCores(), func(i int) program.Program {
+		return func(ctx *program.Ctx) {
+			for k := 0; k < fingerprintRounds; k++ {
+				a := locks[(i+k)%len(locks)]
+				if k%2 == 0 {
+					lock(ctx, a)
+					ctx.Compute(int64(10 + i))
+					ctx.Unlock(a)
+				} else {
+					// Nested: hold two locks, taken in address order.
+					lo, hi := a, locks[(i+k+1)%len(locks)]
+					if lo > hi {
+						lo, hi = hi, lo
+					}
+					lock(ctx, lo)
+					lock(ctx, hi)
+					ctx.Compute(15)
+					ctx.Unlock(hi)
+					ctx.Unlock(lo)
+				}
+				ctx.Compute(int64(20 * (i%3 + 1)))
+			}
+		}
+	})
 }
 
 // fingerprintSchemes are the four message-passing schemes the Coordinator

@@ -368,6 +368,31 @@ func TestOverflowFallbackPolicies(t *testing.T) {
 	}
 }
 
+// TestFallbackHolderIsTracked checks that a lock acquire reaching the
+// software fallback server after its variable left the fallback is handled
+// like any other master acquire: while its core holds the lock, the master
+// tracks the variable with an ST entry or in the fallback again. The
+// fingerprint's lock program at a 1-entry ST has such late acquires under
+// both fallback policies.
+func TestFallbackHolderIsTracked(t *testing.T) {
+	for _, pol := range []core.OverflowPolicy{core.OverflowCentral, core.OverflowDistrib} {
+		b := core.NewCoordinator(core.Options{Topology: core.TopoHier, HardwareSE: true,
+			STEntries: 1, Overflow: pol})
+		m := newTestMachine(t, b)
+		r := program.NewRunner(m)
+		untracked := 0
+		nestedLocks(m, r, func(lock uint64) {
+			if !b.MasterTracks(lock) {
+				untracked++
+			}
+		})
+		r.Run()
+		if untracked > 0 {
+			t.Errorf("%s: %d lock grants left their variable untracked by the master", policyNames[pol], untracked)
+		}
+	}
+}
+
 func TestFetchAddRMW(t *testing.T) {
 	b := core.NewSynCron()
 	cfg := arch.Config{}
