@@ -65,8 +65,7 @@ func (o SyncOp) Blocking() bool {
 type SyncReq struct {
 	Op   SyncOp
 	Addr uint64 // address of the synchronization variable (defines the Master SE)
-	Info uint64 // MessageInfo: barrier participant count, semaphore initial value, RMW operand
-	Lock uint64 // lock address associated with a condition variable
+	Info uint64 // MessageInfo: barrier participant count, semaphore initial value, RMW operand, or a condition variable's lock address
 }
 
 // Backend is a synchronization mechanism under test: SynCron, Central, Hier,

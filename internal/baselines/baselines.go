@@ -138,8 +138,8 @@ func (b *Ideal) Request(t sim.Time, coreID int, req arch.SyncReq, done func(sim.
 		}
 		s.count++
 	case arch.OpCondWait:
-		b.unlock(t, req.Lock)
-		b.conds[req.Addr] = append(b.conds[req.Addr], idealCondWaiter{lock: req.Lock, done: done})
+		b.unlock(t, req.Info)
+		b.conds[req.Addr] = append(b.conds[req.Addr], idealCondWaiter{lock: req.Info, done: done})
 	case arch.OpCondSignal:
 		at(done)
 		q := b.conds[req.Addr]

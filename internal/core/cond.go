@@ -28,7 +28,7 @@ func (c *Coordinator) condWaitAtMaster(pt sim.Time, core int, addr, lock uint64,
 func (c *Coordinator) condWaitAtLocal(pt sim.Time, local *node, core int, addr, lock uint64, done func(sim.Time)) {
 	c.lockReleaseAt(pt, local, lock)
 	o := c.op(opCondWaitReg)
-	o.core, o.addr, o.lock, o.done, o.nd = core, addr, lock, done, local
+	o.core, o.addr, o.info, o.done, o.nd = core, addr, lock, done, local
 	c.nodeToNode(pt, local, c.masterNode(addr), addr, o.fn)
 }
 

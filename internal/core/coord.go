@@ -65,7 +65,8 @@ const (
 	ServerHandlerInstrs = 60
 
 	// ServerVarAccesses is how many loads/stores to the synchronization
-	// variable's state a server performs per message (through its L1).
+	// variable's state a server performs per message (through its L1, if it
+	// has one).
 	ServerVarAccesses = 2
 )
 
@@ -148,10 +149,10 @@ type Coordinator struct {
 	totalReqs    uint64
 	overflowReqs uint64
 
-	// fallback server busy horizons for OverflowCentral/OverflowDistrib.
-	// Not sim.Resources: a hold ends after nested AccessFrom bookings, and starts at arrival.
-	fallbackBusy []sim.Time
-	abortsSent   uint64
+	// software fallback servers: one in unit 0 under OverflowCentral, one
+	// per unit under OverflowDistrib, none otherwise (see fallback.go).
+	fallbacks  []*node
+	abortsSent uint64
 
 	// continuation and state freelists (see pool.go).
 	freeOps     *callOp
@@ -175,7 +176,15 @@ func (c *Coordinator) Attach(m *arch.Machine) {
 		}
 		c.nodes = append(c.nodes, newNode(c, unit))
 	}
-	c.fallbackBusy = make([]sim.Time, m.Cfg.Units)
+	c.fallbacks = nil
+	switch c.opt.Overflow {
+	case OverflowCentral:
+		c.fallbacks = []*node{{c: c, unit: 0}}
+	case OverflowDistrib:
+		for u := 0; u < m.Cfg.Units; u++ {
+			c.fallbacks = append(c.fallbacks, &node{c: c, unit: u})
+		}
+	}
 	c.freeOps, c.freeMasters, c.freeLocals = nil, nil, nil
 }
 
@@ -191,8 +200,9 @@ func (c *Coordinator) masterNode(addr uint64) *node {
 func (c *Coordinator) hierarchical() bool { return c.opt.Topology == TopoHier }
 
 // Request implements arch.Backend. Release-type ops (req_async) commit once
-// issued; a lock whose master has switched to the software fallback is
-// serviced there, and a lock the fallback granted is released there.
+// issued. An acquire of a lock whose variable is in the software fallback,
+// and the release of a lock the fallback granted, go to the fallback server,
+// which runs the master's own handler.
 func (c *Coordinator) Request(t sim.Time, core int, req arch.SyncReq, done func(sim.Time)) {
 	c.totalReqs++
 	if c.overflowed(core, req.Addr) {
@@ -205,13 +215,13 @@ func (c *Coordinator) Request(t sim.Time, core int, req arch.SyncReq, done func(
 	switch req.Op {
 	case arch.OpLockAcquire:
 		if ms := c.vars[req.Addr]; ms != nil && ms.fallback {
-			c.fallbackLockAcquire(t, core, req.Addr, done)
+			c.toFallback(t, core, req.Addr, done, opMasterCoreAcquire)
 			return
 		}
 		c.route(t, core, req, done, opMasterCoreAcquire, opLockEnqueue)
 	case arch.OpLockRelease:
 		if ms := c.vars[req.Addr]; ms != nil && ms.fallbackHeld {
-			c.fallbackLockRelease(t, core, req.Addr)
+			c.toFallback(t, core, req.Addr, done, opMasterCoreRelease)
 			return
 		}
 		c.route(t, core, req, done, opMasterCoreRelease, opLockReleaseAt)
@@ -261,7 +271,7 @@ func (c *Coordinator) route(t sim.Time, core int, req arch.SyncReq, done func(si
 	} else {
 		to = c.masterNode(req.Addr)
 	}
-	o.core, o.addr, o.info, o.lock, o.flag, o.done = core, req.Addr, req.Info, req.Lock, false, done
+	o.core, o.addr, o.info, o.flag, o.done = core, req.Addr, req.Info, false, done
 	c.coreToNode(t, core, to, req.Addr, o.fn)
 }
 

@@ -14,13 +14,27 @@ import (
 // on). When the variable drains, the cores notify the SEs to switch back to
 // hardware synchronization. SynCron_CentralOvrfl uses one software server
 // for the whole system; SynCron_DistribOvrfl one per NDP unit.
+//
+// Each software server is a node with no ST and no L1, so node.process
+// charges it the handler instructions plus an uncached read-modify-write of
+// the variable's own line. Lock messages reach it through the ordinary
+// transport and run the master's own handlers; its grants leave through
+// grantLock.
 
-// fallbackUnit returns the NDP unit running the software fallback for addr.
-func (c *Coordinator) fallbackUnit(addr uint64) int {
+// fallbackNode returns the software server for addr.
+func (c *Coordinator) fallbackNode(addr uint64) *node {
 	if c.opt.Overflow == OverflowCentral {
-		return 0
+		return c.fallbacks[0]
 	}
-	return c.m.HomeUnit(addr)
+	return c.fallbacks[c.m.HomeUnit(addr)]
+}
+
+// toFallback sends core's lock message for addr to the variable's software
+// server, which runs the master's handler kind on it.
+func (c *Coordinator) toFallback(t sim.Time, core int, addr uint64, done func(sim.Time), kind opKind) {
+	o := c.op(kind)
+	o.core, o.addr, o.flag, o.done = core, addr, false, done
+	c.coreToNode(t, core, c.fallbackNode(addr), addr, o.fn)
 }
 
 // enterFallback aborts hardware synchronization for ms's variable.
@@ -45,64 +59,4 @@ func (c *Coordinator) exitFallback(t sim.Time, ms *masterState) {
 		}
 		c.m.Net.Transfer(t, u, master.unit, network.PortSE, arch.SyncReqBytes)
 	}
-}
-
-// fallbackService runs the software handler for one message: handler
-// instructions plus an uncacheable read-modify-write of the variable in
-// main memory, serialized on the fallback server.
-func (c *Coordinator) fallbackService(t sim.Time, addr uint64) sim.Time {
-	unit := c.fallbackUnit(addr)
-	start := t
-	if c.fallbackBusy[unit] > start {
-		start = c.fallbackBusy[unit]
-	}
-	end := start + c.m.CoreClock.Cycles(ServerHandlerInstrs)
-	end = c.m.AccessFrom(end, unit, network.PortSE, nil, addr, false)
-	end = c.m.AccessFrom(end, unit, network.PortSE, nil, addr, true)
-	c.fallbackBusy[unit] = end
-	return end
-}
-
-// fallbackLockAcquire services a lock acquire through the software fallback.
-func (c *Coordinator) fallbackLockAcquire(t sim.Time, core int, addr uint64, done func(sim.Time)) {
-	unit := c.fallbackUnit(addr)
-	arr := c.m.Net.Transfer(t, c.m.UnitOf(core), unit, network.PortSE, arch.SyncReqBytes)
-	c.m.Engine.Schedule(arr, func(arr sim.Time) {
-		fin := c.fallbackService(arr, addr)
-		c.m.Engine.Schedule(fin, func(fin sim.Time) {
-			ms := c.master(addr)
-			c.masterHold(fin, ms)
-			ref := holderRef{core: core, done: done}
-			if !ms.lockHeld {
-				c.grantLock(fin, ms, ref)
-				return
-			}
-			ms.queue = append(ms.queue, ref)
-		})
-	})
-}
-
-// fallbackLockRelease services a lock release through the software fallback.
-func (c *Coordinator) fallbackLockRelease(t sim.Time, core int, addr uint64) {
-	unit := c.fallbackUnit(addr)
-	arr := c.m.Net.Transfer(t, c.m.UnitOf(core), unit, network.PortSE, arch.SyncReqBytes)
-	c.m.Engine.Schedule(arr, func(arr sim.Time) {
-		fin := c.fallbackService(arr, addr)
-		c.m.Engine.Schedule(fin, func(fin sim.Time) {
-			ms := c.master(addr)
-			ms.lockHeld = false
-			if len(ms.queue) == 0 {
-				c.masterFree(fin, ms)
-				return
-			}
-			c.grantLock(fin, ms, removeAt(&ms.queue, 0))
-		})
-	})
-}
-
-// fallbackGrant delivers a software grant to a core.
-func (c *Coordinator) fallbackGrant(t sim.Time, addr uint64, ref holderRef) {
-	unit := c.fallbackUnit(addr)
-	arr := c.m.Net.Transfer(t, unit, c.m.UnitOf(ref.core), c.m.LocalOf(ref.core), arch.SyncRespBytes)
-	c.m.Engine.Schedule(arr, ref.done)
 }

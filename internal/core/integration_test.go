@@ -331,6 +331,29 @@ func TestSTOverflowIntegrated(t *testing.T) {
 	}
 }
 
+// lockPairs has every core take two of four locks, nested in address order,
+// in each of rounds rounds. At a 1-entry ST it drives the fallback policies
+// into the software fallback.
+func lockPairs(m *arch.Machine, r *program.Runner, rounds int) {
+	locks := []uint64{m.Alloc(0, 8), m.Alloc(1, 8), m.Alloc(0, 8), m.Alloc(1, 8)}
+	r.AddN(m.NumCores(), func(i int) program.Program {
+		return func(ctx *program.Ctx) {
+			for k := 0; k < rounds; k++ {
+				a, bAddr := locks[k%4], locks[(k+1)%4]
+				lo, hi := a, bAddr
+				if lo > hi {
+					lo, hi = hi, lo
+				}
+				ctx.Lock(lo)
+				ctx.Lock(hi)
+				ctx.Compute(5)
+				ctx.Unlock(hi)
+				ctx.Unlock(lo)
+			}
+		}
+	})
+}
+
 func TestOverflowFallbackPolicies(t *testing.T) {
 	for _, pol := range []core.OverflowPolicy{core.OverflowCentral, core.OverflowDistrib} {
 		pol := pol
@@ -343,23 +366,7 @@ func TestOverflowFallbackPolicies(t *testing.T) {
 			m := arch.NewMachine(cfg)
 			m.Backend = b
 			r := program.NewRunner(m)
-			locks := []uint64{m.Alloc(0, 8), m.Alloc(1, 8), m.Alloc(0, 8), m.Alloc(1, 8)}
-			r.AddN(m.NumCores(), func(i int) program.Program {
-				return func(ctx *program.Ctx) {
-					for k := 0; k < 10; k++ {
-						a, bAddr := locks[k%4], locks[(k+1)%4]
-						lo, hi := a, bAddr
-						if lo > hi {
-							lo, hi = hi, lo
-						}
-						ctx.Lock(lo)
-						ctx.Lock(hi)
-						ctx.Compute(5)
-						ctx.Unlock(hi)
-						ctx.Unlock(lo)
-					}
-				}
-			})
+			lockPairs(m, r, 10)
 			r.Run()
 			if b.AbortsSent() == 0 {
 				t.Fatal("expected fallback aborts with a 1-entry ST")

@@ -166,7 +166,7 @@ func (c *Coordinator) grantLock(t sim.Time, ms *masterState, ref holderRef) {
 		c.nodeToNode(t, c.masterNode(ms.addr), ref.node, ms.addr, o.fn)
 	case ms.fallback:
 		ms.fallbackHeld = true
-		c.fallbackGrant(t, ms.addr, ref)
+		c.nodeToCore(t, c.fallbackNode(ms.addr), ref.core, ref.done)
 	default:
 		c.grantCore(t, ms.addr, ref)
 	}

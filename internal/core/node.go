@@ -7,7 +7,8 @@ import (
 )
 
 // node is one coordination point: a Synchronization Engine (hardware) or a
-// server NDP core (software message handler), in one NDP unit.
+// server NDP core (software message handler), in one NDP unit. A software
+// fallback server (fallback.go) is a server node with no L1.
 type node struct {
 	c    *Coordinator
 	unit int
@@ -24,8 +25,8 @@ type node struct {
 	memVars   map[uint64]bool // variables currently serviced via main memory
 	occupancy sim.Gauge
 
-	// Server state (nil for SEs): the software handler's L1 through which it
-	// accesses variable state in memory.
+	// Server state (nil for SEs and fallback servers): the software
+	// handler's L1 through which it accesses variable state in memory.
 	l1 *cache.Cache
 
 	// local per-variable protocol state (used in TopoHier).
@@ -154,12 +155,12 @@ func (n *node) process(arr sim.Time, addr uint64) sim.Time {
 		}
 	} else {
 		// Server core: software handler instructions plus variable-state
-		// accesses through the server's own L1 (cacheable: the state is
-		// private to the server).
+		// accesses, through the server's own L1 (cacheable: the state is
+		// private to the server) or, for a fallback server, uncached.
 		end = start + m.CoreClock.Cycles(ServerHandlerInstrs)
 		for i := 0; i < ServerVarAccesses; i++ {
 			write := i == ServerVarAccesses-1
-			end = m.AccessFrom(end, n.unit, n.port(), n.l1, varStateAddr(addr, i), write)
+			end = m.AccessFrom(end, n.unit, n.port(), n.l1, n.varStateAddr(addr, i), write)
 		}
 	}
 	n.busyTill = end
@@ -171,6 +172,13 @@ func (n *node) process(arr sim.Time, addr uint64) sim.Time {
 // the variable's own line, which lives in the right unit by construction).
 func syncronVarAddr(addr uint64) uint64 { return addr }
 
-// varStateAddr spreads a server's per-variable software state (variable word
-// plus waiting-list record) over adjacent lines.
-func varStateAddr(addr uint64, i int) uint64 { return addr + uint64(i)*cache.LineSize }
+// varStateAddr is the line of a server's i-th access to addr's software
+// state. A server with an L1 spreads it (variable word plus waiting-list
+// record) over adjacent lines; a fallback server keeps the variable itself in
+// main memory, so every access is to its own line.
+func (n *node) varStateAddr(addr uint64, i int) uint64 {
+	if n.l1 == nil {
+		return addr
+	}
+	return addr + uint64(i)*cache.LineSize
+}

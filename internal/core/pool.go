@@ -48,9 +48,9 @@ const (
 // callOp is a pooled protocol continuation. Which fields are meaningful
 // depends on kind. Freeing an op clears nd and done; the other fields keep
 // their previous values, so every draw sets the ones its kind reads. info
-// and lock mirror arch.SyncReq's operands: the barrier participant count,
-// semaphore initial value or fetch-add delta, and a condition variable's
-// lock address. flag is a node release's requeue bit, and the overflow bit
+// mirrors arch.SyncReq's MessageInfo operand: the barrier participant count,
+// semaphore initial value, fetch-add delta, or a condition variable's lock
+// address. flag is a node release's requeue bit, and the overflow bit
 // of a per-core acquire or barrier arrival: set only when an SE that
 // overflowed redirects the request to the master.
 type callOp struct {
@@ -60,7 +60,6 @@ type callOp struct {
 	core  int
 	addr  uint64
 	info  uint64
-	lock  uint64
 	flag  bool
 	nd    *node
 	done  func(sim.Time)
@@ -122,11 +121,11 @@ func (o *callOp) run(t sim.Time) {
 	case opMasterSemPost:
 		c.masterSemPost(t, v.addr)
 	case opCondWaitFlat:
-		c.condWaitAtMaster(t, v.core, v.addr, v.lock, v.done)
+		c.condWaitAtMaster(t, v.core, v.addr, v.info, v.done)
 	case opCondWaitLocal:
-		c.condWaitAtLocal(t, v.nd, v.core, v.addr, v.lock, v.done)
+		c.condWaitAtLocal(t, v.nd, v.core, v.addr, v.info, v.done)
 	case opCondWaitReg:
-		c.condWaitRegister(t, v.core, v.addr, v.lock, v.done, v.nd)
+		c.condWaitRegister(t, v.core, v.addr, v.info, v.done, v.nd)
 	case opCondSignal:
 		c.condSignalAtMaster(t, v.addr)
 	case opCondBroadcast:
@@ -139,8 +138,7 @@ func (o *callOp) run(t sim.Time) {
 		// Hierarchical second hop: forward from the local SE (v.nd) to the
 		// master and run the inner kind there, with v.nd as the relay.
 		inner := c.op(v.kind2)
-		inner.core, inner.addr, inner.info, inner.lock, inner.nd, inner.done =
-			v.core, v.addr, v.info, v.lock, v.nd, v.done
+		inner.core, inner.addr, inner.info, inner.nd, inner.done = v.core, v.addr, v.info, v.nd, v.done
 		c.nodeToNode(t, v.nd, c.masterNode(v.addr), v.addr, inner.fn)
 	}
 }

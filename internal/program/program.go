@@ -111,9 +111,8 @@ type Ctx struct {
 const maxQueued = 64
 
 // entry is one queued operation: a delay d, an access to addr, a sync
-// request of op sync on addr, or the program's end. A sync request's Info, or
-// its Lock for a condition-variable op (no op uses both), is stored in d,
-// which keeps the entry at three words.
+// request of op sync on addr, or the program's end. A sync request's Info is
+// stored in d, which keeps the entry at three words.
 type entry struct {
 	d    sim.Time
 	addr uint64
@@ -134,28 +133,12 @@ const (
 
 // syncEntry is the queue entry of sync request req.
 func syncEntry(req arch.SyncReq) entry {
-	x := req.Info
-	if carriesLock(req.Op) {
-		x = req.Lock
-	}
-	return entry{d: sim.Time(x), addr: req.Addr, kind: entrySync, sync: uint8(req.Op)}
+	return entry{d: sim.Time(req.Info), addr: req.Addr, kind: entrySync, sync: uint8(req.Op)}
 }
 
 // req is the sync request that sync entry e queues.
 func (e *entry) req() arch.SyncReq {
-	req := arch.SyncReq{Op: arch.SyncOp(e.sync), Addr: e.addr}
-	if carriesLock(req.Op) {
-		req.Lock = uint64(e.d)
-	} else {
-		req.Info = uint64(e.d)
-	}
-	return req
-}
-
-// carriesLock reports whether a request of op names a lock (Lock) rather
-// than a count or operand (Info).
-func carriesLock(op arch.SyncOp) bool {
-	return op == arch.OpCondWait || op == arch.OpCondSignal || op == arch.OpCondBroadcast
+	return arch.SyncReq{Op: arch.SyncOp(e.sync), Addr: e.addr, Info: uint64(e.d)}
 }
 
 type proc struct {
@@ -420,7 +403,7 @@ func (r *Runner) checkIssue(p *proc, req arch.SyncReq, at sim.Time) {
 				p.Core, lock, h.core, held)
 		}
 	case arch.OpCondWait:
-		lock = req.Lock
+		lock = req.Info
 		if h, held := r.holders[lock]; !held || h.core != p.Core {
 			violation("core %d cond_wait on %#x without holding lock %#x", p.Core, req.Addr, lock)
 		}
@@ -445,10 +428,10 @@ func (r *Runner) checkGrant(p *proc, req arch.SyncReq, at sim.Time) {
 		}
 		r.holders[req.Addr] = holding{p.Core, at}
 	case arch.OpCondWait:
-		if h, held := r.holders[req.Lock]; held {
-			violation("cond_wait woke core %d with lock %#x held by %d", p.Core, req.Lock, h.core)
+		if h, held := r.holders[req.Info]; held {
+			violation("cond_wait woke core %d with lock %#x held by %d", p.Core, req.Info, h.core)
 		}
-		r.holders[req.Lock] = holding{p.Core, at}
+		r.holders[req.Info] = holding{p.Core, at}
 	}
 }
 
@@ -703,17 +686,17 @@ func (c *Ctx) SemPost(addr uint64) { c.Sync(arch.SyncReq{Op: arch.OpSemPost, Add
 // addr; the lock is re-acquired before return. The checker verifies the
 // release at issue time and the re-acquisition at wakeup, engine-side.
 func (c *Ctx) CondWait(addr, lock uint64) {
-	c.Sync(arch.SyncReq{Op: arch.OpCondWait, Addr: addr, Lock: lock})
+	c.Sync(arch.SyncReq{Op: arch.OpCondWait, Addr: addr, Info: lock})
 }
 
 // CondSignal wakes one waiter of the condition variable at addr.
 func (c *Ctx) CondSignal(addr, lock uint64) {
-	c.Sync(arch.SyncReq{Op: arch.OpCondSignal, Addr: addr, Lock: lock})
+	c.Sync(arch.SyncReq{Op: arch.OpCondSignal, Addr: addr, Info: lock})
 }
 
 // CondBroadcast wakes all waiters of the condition variable at addr.
 func (c *Ctx) CondBroadcast(addr, lock uint64) {
-	c.Sync(arch.SyncReq{Op: arch.OpCondBroadcast, Addr: addr, Lock: lock})
+	c.Sync(arch.SyncReq{Op: arch.OpCondBroadcast, Addr: addr, Info: lock})
 }
 
 // FetchAdd performs the §4.4.1 RMW extension on SynCron backends.

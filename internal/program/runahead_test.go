@@ -207,7 +207,7 @@ func TestRunAheadDeadlockNamesQueuedOp(t *testing.T) {
 	}
 }
 
-// A sync op's queue entry carries its op and its Info or Lock in the words
+// A sync op's queue entry carries its op and its Info in the words
 // every entry has, so queuing sync ops does not grow the core's queue.
 func TestQueueEntryIsThreeWords(t *testing.T) {
 	if size := unsafe.Sizeof(entry{}); size != 24 {
@@ -215,7 +215,7 @@ func TestQueueEntryIsThreeWords(t *testing.T) {
 	}
 	for _, req := range []arch.SyncReq{
 		{Op: arch.OpBarrierAcrossUnits, Addr: 0x40, Info: 60},
-		{Op: arch.OpCondWait, Addr: 0x80, Lock: 0xc0},
+		{Op: arch.OpCondWait, Addr: 0x80, Info: 0xc0},
 		{Op: arch.OpFetchAdd, Addr: 0x100, Info: 1 << 63},
 	} {
 		e := syncEntry(req)

@@ -9,7 +9,8 @@
 # Benchmarks present in only one file (new or deleted) produce no delta and
 # never fail the gate. Memory (B/op, allocs/op) and custom-metric tables are
 # reported for context but are not gated: time is the contract, allocations
-# are pinned separately by TestEngineSteadyStateAllocFree.
+# are pinned separately by TestEngineSteadyStateAllocFree (internal/sim) and
+# TestCoordinatorSteadyStateAllocFree (internal/core).
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
